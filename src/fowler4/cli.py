@@ -10,9 +10,7 @@ documented mismatches), 1 unexpected failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
@@ -63,8 +61,6 @@ def _common(ap: argparse.ArgumentParser, need_s: bool = False):
     ap.add_argument("--sigma", type=int, choices=(1, -1), default=BUILD_SIGMA)
     ap.add_argument("--c-mode", choices=("measured", "unit"), default="measured")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                    help="worker pool size for sweeps (results keep input order)")
     ap.add_argument("--gnuplot", action="store_true",
                     help="also emit a companion gnuplot script (text only)")
 
@@ -219,12 +215,7 @@ def cmd_shoot(args) -> int:
     cc = critical_constants(n, args.c_mode)
     fracs = [float(Fraction(v)) for v in args.a_grid.split(",")]
     a_values = [f * cc.a0 for f in fracs]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(
-                lambda a: orbit_table(n, [a], c_mode=args.c_mode)[0], a_values))
-    else:
-        results = orbit_table(n, a_values, c_mode=args.c_mode)
+    results = orbit_table(n, a_values, c_mode=args.c_mode)
     rows = [[n, r.a, r.b, r.T, r.energy, r.residual, r.period_defect,
              r.energy_drift, r.min_v, int(r.converged), r.precision]
             for r in results]

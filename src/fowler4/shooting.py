@@ -2,22 +2,28 @@
 
 The reduced critical equation is reversible and its bounded orbits form
 a one-parameter family indexed by the orbit minimum a in (0, a0].  For
-given a the initial curvature b(a) is located by bisection on the
-crash/escape dichotomy: below b(a) the trajectory dives to -infinity,
-above it escapes to +infinity, and the boundary carries the bounded
-orbit.  At the first critical point t1 of v' the reversibility
-condition v'''(t1) = 0 then certifies the root, and the fundamental
-period is T = 2 t1 by even reflection.
+given a the initial curvature b(a) sits on the crash/escape boundary:
+below b(a) the trajectory dives to -infinity, above it escapes to
++infinity, and the boundary carries the bounded orbit.  A geometric grid
+brackets that boundary and a short bisection of the dichotomy narrows
+the bracket until the reversibility residual F(b) = v'''(t1), with t1
+the first maximum of v (first downward zero of v'), is defined at both
+ends with opposite signs.  Brent's method on F then takes the bracket
+down to a few ULP of b; each F evaluation is a half-orbit integration.
+At the root the orbit is even about t1, so the fundamental period is
+T = 2 t1.
 
 Where the float64 ULP floor on b leaves a one-period closure defect
 above tolerance (strong saddle amplification, e.g. small a at n = 5)
-the search escalates transparently to extended precision.
+the search escalates to extended precision: the same Brent search on F
+in longdouble, inside +-1e-9 of the float64 root.  A returned root whose
+defect still misses the target says so in its message.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -96,8 +102,19 @@ class ShootingResult:
     energy_drift: float
     even_symmetry_defect: float
     converged: bool
-    precision: str = "float64"
+    precision: str = "float64"         # tier of the returned root
     message: str = ""
+    # per precision tier: {"integrations", "steps", "rhs_evals"} summed
+    # over every integration the search ran
+    stats: dict = field(default_factory=dict)
+
+
+def _failed(a: float, b: float, message: str, stats: Optional[dict] = None) -> ShootingResult:
+    return ShootingResult(a=a, b=b, T=float("nan"), energy=float("nan"),
+                          residual=float("inf"), orbit=None, period_defect=float("inf"),
+                          min_v=float("nan"), energy_drift=float("inf"),
+                          even_symmetry_defect=float("inf"), converged=False,
+                          message=message, stats=stats if stats is not None else {})
 
 
 def orbit_energy(consts: CriticalConstants, y) -> float:
@@ -108,14 +125,28 @@ def orbit_energy(consts: CriticalConstants, y) -> float:
             + consts.c * abs(v) ** (q + 1) / (q + 1))
 
 
-def _classify(consts: CriticalConstants, a: float, b, dtype, rel_tol, abs_tol,
-              t_max: float = 80.0, guard: float = 1e4) -> int:
-    """-1: dives below zero, +1: escapes upward."""
-    rhs = make_critical_rhs(consts, dtype)
+def _tier(dtype) -> str:
+    return "float64" if np.dtype(dtype) == np.float64 else "longdouble"
+
+
+def _shoot(consts, a, b, dtype, rel_tol, abs_tol, stats, t_end, guard,
+           event=None) -> Trajectory:
+    """Integrate from the orbit minimum (a, 0, b, 0); the run is added to stats."""
     y0 = np.array([a, 0.0, b, 0.0], dtype=dtype)
+    tr = integrate(make_critical_rhs(consts, dtype), 0.0, y0, t_end, rel_tol=rel_tol,
+                   abs_tol=abs_tol, guard=guard, events=[event] if event else None)
+    tally = stats.setdefault(_tier(dtype), {"integrations": 0, "steps": 0, "rhs_evals": 0})
+    tally["integrations"] += 1
+    tally["steps"] += tr.stats["steps"]
+    tally["rhs_evals"] += tr.stats["rhs_evals"]
+    return tr
+
+
+def _classify(consts: CriticalConstants, a: float, b, dtype, rel_tol, abs_tol,
+              stats: dict, t_max: float = 80.0, guard: float = 1e4) -> int:
+    """-1: dives below zero, +1: escapes upward."""
     down = Event(g=lambda t, y: float(y[0]), direction=-1, terminal=True)
-    tr = integrate(rhs, 0.0, y0, t_max, rel_tol=rel_tol, abs_tol=abs_tol,
-                   guard=guard, events=[down])
+    tr = _shoot(consts, a, b, dtype, rel_tol, abs_tol, stats, t_max, guard, down)
     if tr.status == "event":
         return -1
     if tr.status == "blowup":
@@ -124,30 +155,114 @@ def _classify(consts: CriticalConstants, a: float, b, dtype, rel_tol, abs_tol,
 
 
 def _first_max(consts: CriticalConstants, a: float, b, dtype, rel_tol, abs_tol,
-               t_max: float = 80.0):
-    rhs = make_critical_rhs(consts, dtype)
-    y0 = np.array([a, 0.0, b, 0.0], dtype=dtype)
+               stats: dict, t_max: float = 80.0):
     ev = Event(g=lambda t, y: float(y[1]), direction=-1, terminal=True)
-    tr = integrate(rhs, 0.0, y0, t_max, rel_tol=rel_tol, abs_tol=abs_tol,
-                   guard=1e6, events=[ev])
+    tr = _shoot(consts, a, b, dtype, rel_tol, abs_tol, stats, t_max, 1e6, ev)
     if tr.status != "event" or not tr.events[0]:
         return None, None
     te, ye = tr.events[0][0]
     return float(te), ye
 
 
-def _bisect(consts, a, blo, bhi, dtype, rel_tol, abs_tol, iters):
+def _residual(consts, a, dtype, rel_tol, abs_tol, stats):
+    """F(b) = v'''(t1) in ``dtype``; None where v has no maximum before blow-up.
+
+    Evaluations are kept per b in the returned dict, so bracket ends are
+    integrated once and the root's (t1, y(t1)) needs no second run.
+    """
+    firsts = {}
+
+    def F(b):
+        if b not in firsts:
+            firsts[b] = _first_max(consts, a, b, dtype, rel_tol, abs_tol, stats)
+        t1, y1 = firsts[b]
+        return None if t1 is None else y1[3]
+
+    return F, firsts
+
+
+def _changes_sign(fa, fb) -> bool:
+    if fa is None or fb is None:
+        return False
+    return fa == 0 or fb == 0 or (fa < 0) != (fb < 0)
+
+
+def _bisect(consts, a, blo, bhi, dtype, rel_tol, abs_tol, iters, stats,
+            until: Callable = lambda lo, hi: False):
+    """Bisect the crash/escape dichotomy ``iters`` times or until ``until(lo, hi)``."""
     scal = np.dtype(dtype).type
     blo, bhi = scal(blo), scal(bhi)
     for _ in range(iters):
+        if until(blo, bhi):
+            break
         mid = (blo + bhi) / 2
         if mid == blo or mid == bhi:
             break
-        if _classify(consts, a, mid, dtype, rel_tol, abs_tol) < 0:
+        if _classify(consts, a, mid, dtype, rel_tol, abs_tol, stats) < 0:
             blo = mid
         else:
             bhi = mid
     return blo, bhi
+
+
+def _brent(f: Callable, lo, hi):
+    """Zero of f in [lo, hi] by Brent's method (Brent 1973, ch. 4, zeroin).
+
+    Works in the dtype of lo and hi (float64 or longdouble) and stops when
+    the bracket is a few ULP wide, or at an exact zero.  f must change sign
+    across [lo, hi]; every iterate stays inside the current bracket.
+    Raises ArithmeticError when f(lo), f(hi) do not bracket a sign change
+    or f is undefined (None or not finite) at an iterate.
+    """
+    dt = np.result_type(lo, hi)
+    scal = dt.type
+    eps = np.finfo(dt).eps
+
+    def value(x):
+        fx = f(x)
+        if fx is None or not np.isfinite(fx):
+            raise ArithmeticError(f"F undefined at b={x!r} inside the bracket")
+        return scal(fx)
+
+    a, b = scal(lo), scal(hi)
+    fa, fb = value(a), value(b)
+    if not _changes_sign(fa, fb):
+        raise ArithmeticError(f"F has one sign on [{a!r}, {b!r}]: {fa!r}, {fb!r}")
+    c, fc = b, fb
+    d = e = b - a
+    for _ in range(200):
+        if (fb > 0) == (fc > 0):
+            # b and c must bracket the zero
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2 * eps * abs(b)
+        m = (c - b) / 2
+        if abs(m) <= tol1 or fb == 0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2 * m * s, 1 - s                  # secant
+            else:
+                q, r = fa / fc, fb / fc                  # inverse quadratic
+                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2 * p < min(3 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b = b + d if abs(d) > tol1 else b + (tol1 if m > 0 else -tol1)
+        fb = value(b)
+    raise ArithmeticError("Brent search did not converge in 200 steps")
 
 
 def find_b(n: int, a: float, tol: float = 1e-9, c_mode: str = "measured",
@@ -158,7 +273,8 @@ def find_b(n: int, a: float, tol: float = 1e-9, c_mode: str = "measured",
 
     0 < a < a0 shoots; a == a0 returns the constant orbit with the
     linearized period.  Escalates to extended precision when the
-    one-period closure defect of the float64 root exceeds the target.
+    one-period closure defect of the float64 root exceeds the target; a
+    returned defect still above the target is reported in ``message``.
     """
     consts = consts if consts is not None else critical_constants(n, c_mode)
     a0 = consts.a0
@@ -172,6 +288,7 @@ def find_b(n: int, a: float, tol: float = 1e-9, c_mode: str = "measured",
                               min_v=a0, energy_drift=0.0, even_symmetry_defect=0.0,
                               converged=True, message="constant orbit")
 
+    stats: dict = {}
     # bracket on a geometric grid, then bisect the crash/escape boundary
     b_max = 10.0 * consts.K0 * a0
     grid = np.geomspace(1e-6, b_max, 25)
@@ -179,7 +296,7 @@ def find_b(n: int, a: float, tol: float = 1e-9, c_mode: str = "measured",
     prev = None
     blo = bhi = None
     for b in grid:
-        o = _classify(consts, a, float(b), np.float64, *coarse)
+        o = _classify(consts, a, float(b), np.float64, *coarse, stats)
         if prev is not None and prev[1] < 0 and o > 0:
             blo, bhi = prev[0], float(b)
             break
@@ -190,41 +307,50 @@ def find_b(n: int, a: float, tol: float = 1e-9, c_mode: str = "measured",
             f"diagnostic sweep outcomes all {prev[1] if prev else 'undefined'}")
     # short coarse prefix only: over-shrinking the bracket around the
     # coarse-tolerance boundary would push the fine boundary outside it
-    blo, bhi = _bisect(consts, a, blo, bhi, np.float64, coarse[0], coarse[1], 10)
-    blo, bhi = _bisect(consts, a, blo, bhi, np.float64, rel_tol, abs_tol, 60)
-    b = float((blo + bhi) / 2)
-
-    result = _assemble_result(consts, a, b, np.float64, rel_tol, abs_tol, tol)
+    blo, bhi = _bisect(consts, a, blo, bhi, np.float64, coarse[0], coarse[1], 10, stats)
+    F, firsts = _residual(consts, a, np.float64, rel_tol, abs_tol, stats)
+    blo, bhi = _bisect(consts, a, blo, bhi, np.float64, rel_tol, abs_tol, 60, stats,
+                       until=lambda lo, hi: _changes_sign(F(lo), F(hi)))
+    try:
+        b = _brent(F, blo, bhi)
+    except ArithmeticError as exc:
+        return _failed(a, float((blo + bhi) / 2), f"reversibility residual: {exc}", stats)
+    result = _assemble_result(consts, a, b, *firsts[b], np.float64, rel_tol, abs_tol,
+                              tol, stats)
     if result.converged and result.period_defect <= defect_target:
         return result
-    if _LONGDOUBLE_OK:
+    if not _LONGDOUBLE_OK:
+        why = "longdouble is float64 on this platform"
+    else:
         ld = np.longdouble
         margin = ld(1e-9)
-        lo, hi = ld(b) * (1 - margin), ld(b) * (1 + margin)
         lr, la = 1e-15, 1e-18
-        if _classify(consts, a, lo, ld, lr, la) < 0 < _classify(consts, a, hi, ld, lr, la):
-            lo, hi = _bisect(consts, a, lo, hi, ld, lr, la, 50)
-            refined = _assemble_result(consts, a, (lo + hi) / 2, ld, lr, la, tol)
-            refined.precision = "longdouble"
+        F_ld, firsts_ld = _residual(consts, a, ld, lr, la, stats)
+        try:
+            b_ld = _brent(F_ld, ld(b) * (1 - margin), ld(b) * (1 + margin))
+        except ArithmeticError as exc:
+            why = f"longdouble bracket failed: {exc}"
+        else:
+            refined = _assemble_result(consts, a, b_ld, *firsts_ld[b_ld], ld, lr, la,
+                                       tol, stats)
             if refined.period_defect <= result.period_defect:
-                return refined
+                result, why = refined, "after longdouble refinement"
+            else:
+                why = (f"longdouble refinement reached {refined.period_defect:.3e}, "
+                       f"not kept")
+    if result.period_defect > defect_target:
+        note = (f"closure defect {result.period_defect:.3e} above target "
+                f"{defect_target:.1e} ({why})")
+        result.message = f"{result.message}; {note}" if result.message else note
     return result
 
 
-def _assemble_result(consts, a, b, dtype, rel_tol, abs_tol, tol) -> ShootingResult:
-    t1, y1 = _first_max(consts, a, b, dtype, rel_tol, abs_tol)
-    if t1 is None:
-        return ShootingResult(a=a, b=float(b), T=float("nan"), energy=float("nan"),
-                              residual=float("inf"), orbit=None,
-                              period_defect=float("inf"), min_v=float("nan"),
-                              energy_drift=float("inf"),
-                              even_symmetry_defect=float("inf"), converged=False,
-                              message="no critical point of v' before blow-up")
+def _assemble_result(consts, a, b, t1, y1, dtype, rel_tol, abs_tol, tol,
+                     stats) -> ShootingResult:
+    """Diagnostics of the orbit through b, given its first maximum (t1, y(t1))."""
     residual = abs(float(y1[3]))
     T = 2.0 * t1
-    rhs = make_critical_rhs(consts, dtype)
-    y0 = np.array([a, 0.0, b, 0.0], dtype=dtype)
-    orbit = integrate(rhs, 0.0, y0, T, rel_tol=rel_tol, abs_tol=abs_tol, guard=1e6)
+    orbit = _shoot(consts, a, b, dtype, rel_tol, abs_tol, stats, T, 1e6)
     target = np.array([a, 0.0, float(b), 0.0])
     defect = float(np.max(np.abs(np.asarray(orbit.y[-1], float) - target)))
     ts = np.linspace(0.0, T, 1601)
@@ -244,8 +370,8 @@ def _assemble_result(consts, a, b, dtype, rel_tol, abs_tol, tol) -> ShootingResu
     return ShootingResult(a=a, b=float(b), T=T, energy=E0, residual=residual,
                           orbit=orbit, period_defect=defect, min_v=vmin,
                           energy_drift=drift, even_symmetry_defect=sym,
-                          converged=converged,
-                          precision=np.dtype(dtype).name, message=msg)
+                          converged=converged, precision=_tier(dtype), message=msg,
+                          stats=stats)
 
 
 def orbit_table(n: int, a_values: Sequence[float], c_mode: str = "measured",
@@ -262,10 +388,5 @@ def orbit_table(n: int, a_values: Sequence[float], c_mode: str = "measured",
         try:
             out.append(find_b(n, float(a), tol=tol, consts=consts, **kw))
         except (DomainError, ArithmeticError, RuntimeError) as exc:
-            out.append(ShootingResult(a=float(a), b=float("nan"), T=float("nan"),
-                                      energy=float("nan"), residual=float("inf"),
-                                      orbit=None, period_defect=float("inf"),
-                                      min_v=float("nan"), energy_drift=float("inf"),
-                                      even_symmetry_defect=float("inf"),
-                                      converged=False, message=str(exc)))
+            out.append(_failed(float(a), float("nan"), str(exc)))
     return out

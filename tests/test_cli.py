@@ -108,3 +108,14 @@ def test_verify_subset_suite_exits_zero(tmp_path):
 
 def test_verify_unknown_suite_is_usage_error():
     assert run_cli("verify", "--suite", "nope").returncode == 2
+
+
+def test_shoot_table_columns_and_determinism():
+    a = run_cli("shoot", "--n", "6", "--a-grid", "0.6,0.9")
+    assert a.returncode == 0, a.stderr
+    cols = [l for l in a.stdout.splitlines() if l.startswith("n,")][0]
+    assert cols == ("n,a,b,T,energy,residual,period_defect,energy_drift,min_v,"
+                    "converged,precision")
+    rows = [l for l in a.stdout.splitlines() if l.startswith("6,")]
+    assert len(rows) == 2 and all(r.endswith(",1,float64") for r in rows)
+    assert run_cli("shoot", "--n", "6", "--a-grid", "0.6,0.9", check=True).stdout == a.stdout

@@ -103,3 +103,59 @@ def test_unit_normalization_mode():
     assert cc.a0 == pytest.approx(cc.K0 ** ((6 - 4) / 8.0), rel=1e-12)
     r = sh.find_b(6, 0.7 * cc.a0, consts=cc)
     assert r.converged and r.residual <= 1e-9
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_brent_root_within_few_ulp_inside_bracket(dtype):
+    root = np.sqrt(dtype(2))
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x * x - 2
+
+    lo, hi = dtype(0.5), dtype(3)
+    x = sh._brent(f, lo, hi)
+    assert type(x) is np.dtype(dtype).type
+    assert abs(x - root) <= 4 * np.spacing(root)
+    assert all(lo <= xi <= hi for xi in seen)
+    assert len(seen) < 20
+
+
+def test_brent_raises_where_f_is_undefined_or_one_signed():
+    with pytest.raises(ArithmeticError, match="undefined"):
+        sh._brent(lambda x: None if 0.5 < x < 1.5 else x - 1.0, 0.0, 3.0)
+    with pytest.raises(ArithmeticError, match="one sign"):
+        sh._brent(lambda x: x * x + 1.0, -1.0, 2.0)
+
+
+@pytest.fixture(scope="module")
+def consts5():
+    return sh.critical_constants(5)
+
+
+def test_find_b_escalating_point_meets_c07(consts5):
+    """n=5, a=0.3 a0: the C07 point whose float64 root misses the closure target."""
+    a = 0.3 * consts5.a0
+    r = sh.find_b(5, a, consts=consts5)
+    assert r.converged and r.residual <= 1e-9
+    assert r.period_defect <= 1e-6
+    assert r.energy_drift <= 1e-8
+    assert r.min_v >= a - 1e-6
+    if sh._LONGDOUBLE_OK:
+        assert r.precision == "longdouble" and r.message == ""
+        assert r.stats["longdouble"]["integrations"] <= 10
+    total = sum(tier["integrations"] for tier in r.stats.values())
+    assert 0 < total <= 70
+    assert all(tier["steps"] > 0 and tier["rhs_evals"] >= 6 * tier["steps"]
+               for tier in r.stats.values())
+
+
+def test_find_b_reports_closure_shortfall_without_longdouble(consts5, monkeypatch):
+    monkeypatch.setattr(sh, "_LONGDOUBLE_OK", False)
+    r = sh.find_b(5, 0.3 * consts5.a0, consts=consts5)
+    assert r.precision == "float64"
+    assert 1e-6 < r.period_defect < 1e-4
+    assert f"closure defect {r.period_defect:.3e}" in r.message
+    assert "target 1.0e-06" in r.message
+    assert set(r.stats) == {"float64"}
