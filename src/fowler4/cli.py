@@ -1,15 +1,18 @@
 """Command-line front end: parameter sweeps, verification, data export.
 
 Subcommands: coeffs, signs, classify, integrate, pohozaev, shoot, fit,
-verify.  Rational inputs are accepted as "p/q" strings and kept exact
-end-to-end; outputs are deterministic (17 significant digits, no
-timestamps).  Exit codes: 0 success (verify: all checks pass or are
-documented mismatches), 1 unexpected failure, 2 usage error.
+verify.  Each subcommand accepts only the flags it reads, and its
+artifact header lists the parameters it read.  Rational inputs are
+accepted as "p/q" strings and kept exact end-to-end; outputs are
+deterministic (17 significant digits, no timestamps).  Exit codes:
+0 success (verify: all checks pass or are documented mismatches),
+1 unexpected failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -49,27 +52,32 @@ def _parse_n_range(text: str) -> List[int]:
     return [int(text)]
 
 
-def _common(ap: argparse.ArgumentParser, need_s: bool = False):
-    ap.add_argument("--n", required=True, help="dimension (or lo:hi range)")
-    ap.add_argument("--s", required=need_s, default=None,
-                    help="power, exact 'p/q' accepted")
-    ap.add_argument("--p", type=int, default=1, help="component count")
-    ap.add_argument("--rel-tol", type=float, default=1e-10)
-    ap.add_argument("--abs-tol", type=float, default=1e-12)
-    ap.add_argument("--format", choices=("csv", "json"), default="csv")
-    ap.add_argument("--out", default=None, help="output path (default: stdout)")
-    ap.add_argument("--sigma", type=int, choices=(1, -1), default=BUILD_SIGMA)
-    ap.add_argument("--c-mode", choices=("measured", "unit"), default="measured")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--gnuplot", action="store_true",
-                    help="also emit a companion gnuplot script (text only)")
+# Each subcommand registers only the flags it reads (see build_parser).
+_FLAGS = {
+    "n": dict(required=True, help="dimension (or lo:hi range)"),
+    "s": dict(required=True, help="power, exact 'p/q' accepted"),
+    "p": dict(type=int, default=1, help="component count"),
+    "rel-tol": dict(type=float, default=1e-10),
+    "abs-tol": dict(type=float, default=1e-12),
+    "sigma": dict(type=int, choices=(1, -1), default=BUILD_SIGMA),
+    "c-mode": dict(choices=("measured", "unit"), default="measured"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "out": dict(default=None, help="output path (default: stdout)"),
+    "gnuplot": dict(action="store_true",
+                    help="also emit a companion gnuplot script (text only)"),
+}
+
+# the parameters a header echoes, whenever the subcommand took them
+_ECHOED = ("n", "s", "p", "rel_tol", "abs_tol", "sigma", "c_mode")
+
+
+def _add_flags(ap: argparse.ArgumentParser, *names: str):
+    for name in names:
+        ap.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _config(args, **extra):
-    cfg = {"n": args.n, "p": args.p, "rel_tol": args.rel_tol, "abs_tol": args.abs_tol,
-           "sigma": args.sigma, "c_mode": args.c_mode, "seed": args.seed}
-    if getattr(args, "s", None) is not None:
-        cfg["s"] = str(args.s)
+    cfg = {k: getattr(args, k) for k in _ECHOED if getattr(args, k, None) is not None}
     cfg.update(extra)
     return cfg
 
@@ -78,7 +86,7 @@ def _emit(args, text: str, columns=None):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        if args.gnuplot and columns:
+        if columns and args.gnuplot:
             with open(args.out + ".gp", "w") as fh:
                 fh.write(gnuplot_companion(args.out, columns))
     else:
@@ -317,42 +325,46 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fowler4",
         description="verification laboratory for the fourth-order cylindrical reduction")
     sub = ap.add_subparsers(dest="command", required=True)
+    # no prefix matching: `signs --s 7` must not be read as `--s-grid 7`
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("coeffs", help="coefficient table from all routes")
-    _common(p, need_s=True)
+    p = add("coeffs", help="coefficient table from all routes")
+    _add_flags(p, "n", "s", "sigma", "format", "out", "gnuplot")
     p.set_defaults(fn=cmd_coeffs)
 
-    p = sub.add_parser("signs", help="sign chart of the coefficients over s")
-    _common(p)
+    p = add("signs", help="sign chart of the coefficients over s")
+    _add_flags(p, "n", "sigma", "format", "out", "gnuplot")
     p.add_argument("--s-grid", default="64", help="number of s samples")
     p.set_defaults(fn=cmd_signs)
 
-    p = sub.add_parser("classify", help="asymptotic regime of (n, s)")
-    _common(p, need_s=True)
+    p = add("classify", help="asymptotic regime of (n, s)")
+    _add_flags(p, "n", "s", "sigma", "format", "out")
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("integrate", help="integrate the constant-coefficient system")
-    _common(p, need_s=True)
+    p = add("integrate", help="integrate the constant-coefficient system")
+    _add_flags(p, "n", "s", "p", "rel-tol", "abs-tol", "sigma", "format", "out",
+               "gnuplot")
     p.add_argument("--init", required=True, help="comma-separated initial state")
     p.add_argument("--t-end", type=float, default=40.0)
     p.add_argument("--energy-out", default=None,
                    help="also write the energy series CSV here")
     p.set_defaults(fn=cmd_integrate)
 
-    p = sub.add_parser("pohozaev", help="limiting energy levels")
-    _common(p, need_s=True)
+    p = add("pohozaev", help="limiting energy levels (JSON)")
+    _add_flags(p, "n", "s", "sigma", "out")
     p.set_defaults(fn=cmd_pohozaev)
 
-    p = sub.add_parser("shoot", help="periodic critical-case orbits")
-    _common(p)
+    p = add("shoot", help="periodic critical-case orbits")
+    _add_flags(p, "n", "c-mode", "format", "out", "gnuplot")
     p.add_argument("--a-grid", default="0.3,0.6,0.9",
                    help="comma-separated fractions of a0")
     p.add_argument("--orbit-dir", default=None,
                    help="also write one orbit CSV per grid entry here")
     p.set_defaults(fn=cmd_shoot)
 
-    p = sub.add_parser("fit", help="fit a synthetic profile and report parameters")
-    _common(p)
+    p = add("fit", help="fit a synthetic profile and report parameters (JSON)")
+    _add_flags(p, "n", "out")
+    p.add_argument("--s", default=None, help="power of --profile power (default 7)")
     p.add_argument("--profile", choices=("power", "aviles", "bubble"), default="power")
     p.add_argument("--r-lo", type=float, default=1e-3)
     p.add_argument("--r-hi", type=float, default=1e2)
@@ -361,11 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write (r, value, model, rel_deviation) CSV here")
     p.set_defaults(fn=cmd_fit)
 
-    p = sub.add_parser("verify", help="run the acceptance suite and the ledger gate")
+    p = add("verify", help="run the acceptance suite and the ledger gate")
     p.add_argument("--suite", default=None, help="restrict to one suite group")
-    p.add_argument("--n", default=None, help="echoed only; the suite grids are pinned")
-    p.add_argument("--s", default=None, help="echoed only; the suite grids are pinned")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_flags(p, "format")
     p.add_argument("--out", default=None, help="write the ledger here")
     p.set_defaults(fn=cmd_verify)
     return ap

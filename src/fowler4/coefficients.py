@@ -122,11 +122,10 @@ class NonautonomousCoefficients:
     implicit.
     """
 
-    def __init__(self, n: int, polys: Dict[str, UPoly] | None = None, label: str = "printed"):
+    def __init__(self, n: int, polys: Dict[str, UPoly] | None = None):
         if n < 5:
             raise DomainError(f"dimension n={n} is below 5")
         self.n = n
-        self.label = label
         self.polys = polys if polys is not None else printed_nonautonomous_polys(n)
 
     def __call__(self, name: str, t) -> float:
@@ -134,12 +133,6 @@ class NonautonomousCoefficients:
             raise DomainError(f"nonautonomous coefficients require t > 0, got t={t}")
         u = Fraction(1, 1) / t if isinstance(t, (int, Fraction)) else 1.0 / t
         return self.polys[name](u)
-
-    def K(self, j: int, t):
-        return self("K%d" % j, t)
-
-    def J(self, j: int, t):
-        return self("J%d" % j, t)
 
 
 def printed_nonautonomous(n: int) -> NonautonomousCoefficients:
@@ -155,11 +148,6 @@ def radial_symbol(n: int, beta):
     return beta * (beta + n - 2) * (beta - 2) * (beta + n - 4)
 
 
-def mode_symbol(n: int, beta, nu):
-    """Action of the bi-Laplacian on r^beta Y_k with nu = k(k+n-2)."""
-    return (beta * (beta + n - 2) - nu) * ((beta - 2) * (beta + n - 4) - nu)
-
-
 def q_product(n: int, g):
     """Q written in the root form g(g+2)(n-2-g)(n-4-g) = Q(-g)."""
     return g * (g + 2) * (n - 2 - g) * (n - 4 - g)
@@ -171,7 +159,9 @@ class CharSymbol:
 
     S(lam, nu) = P(lam) + nu^2 - (2 lam^2 + J1 lam + J0) nu, where
     P(lam) = lam^4 + K3 lam^3 + K2 lam^2 + K1 lam + K0, obtained by
-    expanding mode_symbol(n, -gamma - sigma*lam, nu).
+    expanding the action of the bi-Laplacian on r^beta Y_k,
+    (beta (beta + n - 2) - nu) ((beta - 2) (beta + n - 4) - nu) with
+    nu = k (k + n - 2), at beta = -gamma - sigma*lam.
     """
 
     n: int
@@ -190,9 +180,6 @@ class CharSymbol:
         K0, K1, K2, K3, _ = self.p_coeffs
         J0, J1, _ = self.nu_coeffs
         return {"K0": K0, "K1": K1, "K2": K2, "K3": K3, "J0": J0, "J1": J1}
-
-    def radial_poly(self):
-        return list(self.p_coeffs)
 
 
 def char_symbol(n: int, s: Scalar, sigma: int = BUILD_SIGMA) -> CharSymbol:
@@ -217,11 +204,6 @@ def char_symbol(n: int, s: Scalar, sigma: int = BUILD_SIGMA) -> CharSymbol:
 def oracle_autonomous(n: int, s: Scalar, sigma: int = BUILD_SIGMA) -> Dict[str, Scalar]:
     """Working coefficient set used by the dynamics modules (oracle route)."""
     return char_symbol(n, s, sigma).coefficients
-
-
-def autonomous_coeffs(params: Params) -> Dict[str, Scalar]:
-    """Literal evaluation of the six printed formulas (ledger input only)."""
-    return printed_autonomous(params.n, params.s)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +334,7 @@ def nonautonomous_oracle_polys(n: int) -> Dict[str, UPoly]:
 def nonautonomous_oracle(n: int) -> NonautonomousCoefficients:
     polys = nonautonomous_oracle_polys(n)
     return NonautonomousCoefficients(n, polys={k: polys[k] for k in
-                                               ("K0", "K1", "K2", "K3", "J0", "J1")},
-                                     label="chain-rule")
+                                               ("K0", "K1", "K2", "K3", "J0", "J1")})
 
 
 def derive_cyl_coeffs_numeric(n: int, r, s: Scalar | None = None,

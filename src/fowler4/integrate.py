@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -147,10 +147,6 @@ class Trajectory:
         th = min(max(th, 0.0), 1.0)
         powers = np.asarray(th, dtype=y0.dtype) ** np.arange(1, 5)
         return y0 + h * (Q @ powers)
-
-    def sample(self, num: int) -> Tuple[np.ndarray, np.ndarray]:
-        ts = np.linspace(float(self.t[0]), float(self.t[-1]), num)
-        return ts, self(ts)
 
 
 def _rms(v, sc):

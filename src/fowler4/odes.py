@@ -8,18 +8,13 @@ time-dependent system uses the printed coefficient evaluators.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+import math
+from typing import Callable
 
 import numpy as np
 
-from .coefficients import (BUILD_SIGMA, NonautonomousCoefficients, oracle_autonomous,
-                           printed_nonautonomous)
+from .coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous
 from .params import DomainError, Params, special_exponents
-
-
-def component_values(y: np.ndarray, p: int) -> np.ndarray:
-    """The p zeroth-derivative entries of a component-major state."""
-    return y[0::4] if len(y) == 4 * p else y[: 4 * p: 4]
 
 
 def ray_state(scalars, lam: np.ndarray) -> np.ndarray:
@@ -31,44 +26,50 @@ def ray_state(scalars, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA,
-                        coeffs: Optional[Dict[str, float]] = None) -> Callable:
+def _component_rhs(y, exponent: float, scale: float, K0, K1, K2, K3) -> np.ndarray:
+    """The derivative of each 4-block (v, v', v'', v''') of a state y, with
+    v'''' = scale |V|^exponent v - K3 v''' - K2 v'' - K1 v' - K0 v.
+
+    |V| is the Euclidean norm over the v entries of all blocks; at V = 0
+    the coupling term is continued by 0.
+    """
+    vals = np.asarray(y[0::4], float)
+    vnorm = math.sqrt(float(np.dot(vals, vals)))
+    coup = vnorm ** exponent * scale if vnorm > 0 else 0.0
+    out = np.empty_like(y)
+    for b in range(0, len(y), 4):
+        v, v1, v2, v3 = y[b], y[b + 1], y[b + 2], y[b + 3]
+        out[b] = v1
+        out[b + 1] = v2
+        out[b + 2] = v3
+        out[b + 3] = coup * v - K3 * v3 - K2 * v2 - K1 * v1 - K0 * v
+    return out
+
+
+def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
     """v_i'''' = |V|^{s-1} v_i - K3 v_i''' - K2 v_i'' - K1 v_i' - K0 v_i.
 
     |V| is the Euclidean norm over the component values.  At V = 0 the
     product |V|^{s-1} v_i is continued by 0 (s > 1).
     """
-    c = coeffs if coeffs is not None else oracle_autonomous(params.n, params.s, sigma)
+    c = oracle_autonomous(params.n, params.s, sigma)
     K0, K1, K2, K3 = (float(c["K0"]), float(c["K1"]), float(c["K2"]), float(c["K3"]))
     sm1 = float(params.s) - 1.0
-    p = params.p
 
     def rhs(t, y):
         if not np.all(np.isfinite(np.asarray(y, dtype=float))):
             raise DomainError("non-finite state")
-        vals = y[0::4]
-        vnorm = float(np.sqrt(np.dot(np.asarray(vals, float), np.asarray(vals, float))))
-        coup = vnorm ** sm1 if vnorm > 0 else 0.0
-        out = np.empty_like(y)
-        for i in range(p):
-            b = 4 * i
-            v, v1, v2, v3 = y[b], y[b + 1], y[b + 2], y[b + 3]
-            out[b] = v1
-            out[b + 1] = v2
-            out[b + 2] = v3
-            out[b + 3] = coup * v - K3 * v3 - K2 * v2 - K1 * v1 - K0 * v
-        return out
+        return _component_rhs(y, sm1, 1.0, K0, K1, K2, K3)
 
     return rhs
 
 
-def make_nonautonomous_rhs(n: int, p: int = 1,
-                           coeffs: Optional[NonautonomousCoefficients] = None) -> Callable:
+def make_nonautonomous_rhs(n: int) -> Callable:
     """w_i'''' = t^{-1} |W|^{q-1} w_i - K~3 w''' - K~2 w'' - K~1 w' - K~0 w,
 
     with q the lower exponent n/(n-4); defined for t > 0 only.
     """
-    co = coeffs if coeffs is not None else printed_nonautonomous(n)
+    co = printed_nonautonomous(n)
     qm1 = float(special_exponents(n).lower) - 1.0
     fk = {k: [float(c) for c in co.polys[k].coeffs] for k in ("K0", "K1", "K2", "K3")}
 
@@ -82,20 +83,8 @@ def make_nonautonomous_rhs(n: int, p: int = 1,
         if t <= 0:
             raise DomainError(f"time-dependent system requires t > 0, got t={t}")
         u = 1.0 / float(t)
-        K0, K1, K2, K3 = (evalp(fk["K0"], u), evalp(fk["K1"], u),
-                          evalp(fk["K2"], u), evalp(fk["K3"], u))
-        vals = y[0::4]
-        wnorm = float(np.sqrt(np.dot(np.asarray(vals, float), np.asarray(vals, float))))
-        coup = (wnorm ** qm1) * u if wnorm > 0 else 0.0
-        out = np.empty_like(y)
-        for i in range(p):
-            b = 4 * i
-            w, w1, w2, w3 = y[b], y[b + 1], y[b + 2], y[b + 3]
-            out[b] = w1
-            out[b + 1] = w2
-            out[b + 2] = w3
-            out[b + 3] = coup * w - K3 * w3 - K2 * w2 - K1 * w1 - K0 * w
-        return out
+        return _component_rhs(y, qm1, u, evalp(fk["K0"], u), evalp(fk["K1"], u),
+                              evalp(fk["K2"], u), evalp(fk["K3"], u))
 
     return rhs
 

@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON artifact writers.
 
-Every artifact embeds the run configuration (parameters, tolerances,
-sign convention, normalization mode, build id) in '#'-prefixed header
-lines (CSV) or a "config" object (JSON).  Floats are formatted with 17
+Every artifact embeds the build id and the parameters its command read
+(those of dimension, power, tolerances, sign convention and
+normalization mode that apply) in '#'-prefixed header lines (CSV) or a
+"config" object (JSON).  Floats are formatted with 17
 significant digits so identical configurations produce byte-identical
 files.
 """

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-Rational = Union[int, Fraction]
 Scalar = Union[int, float, Fraction]
 
 
@@ -62,14 +61,6 @@ class Params:
         if self.p < 1:
             raise DomainError(f"component count p={self.p} must be positive")
 
-    @property
-    def gamma(self) -> Scalar:
-        return gamma_exponent(self.s)
-
-    @property
-    def s_float(self) -> float:
-        return float(self.s)
-
 
 @dataclass(frozen=True)
 class SpecialExponents:
@@ -93,9 +84,6 @@ class SpecialExponents:
     def critical_power(self) -> Fraction:
         """The power s at which the equation is critical: upper - 1."""
         return self.upper - 1
-
-    def gamma(self, s: Scalar) -> Scalar:
-        return gamma_exponent(s)
 
 
 def special_exponents(n: int) -> SpecialExponents:

@@ -94,10 +94,6 @@ class UPoly:
         else:
             self.c = [Fraction(x) for x in coeffs]
 
-    @staticmethod
-    def x() -> "UPoly":
-        return UPoly([0, 1])
-
     def __add__(self, other):
         other = other if isinstance(other, UPoly) else UPoly(other)
         return UPoly(padd(self.c, other.c))

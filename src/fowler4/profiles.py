@@ -67,11 +67,10 @@ def fd_derivative(f: Callable[[float], float], r: float, order: int) -> float:
 
 @dataclass
 class RadialProfile:
-    """Radial evaluator with optional exact derivatives and a descriptive tag."""
+    """Radial evaluator with optional exact derivatives."""
 
     f: Callable[[float], float]
     derivs: Optional[Callable[[float], Sequence[float]]] = None
-    tag: str = "profile"
 
     def __call__(self, r: float) -> float:
         if r <= 0:
@@ -151,7 +150,7 @@ class Bubble:
         return np.array([u0, u1, u2, u3, u4])
 
     def profile(self) -> RadialProfile:
-        return RadialProfile(self.radial, self.radial_derivatives, tag="bubble")
+        return RadialProfile(self.radial, self.radial_derivatives)
 
 
 def bubble_constant(n: int, radii=(0.5, 1.0, 2.0), agreement_tol: float = 1e-9) -> float:
@@ -232,7 +231,7 @@ class SingularPower:
         return np.array(out)
 
     def profile(self) -> RadialProfile:
-        return RadialProfile(self.radial, self.radial_derivatives, tag="singular-power")
+        return RadialProfile(self.radial, self.radial_derivatives)
 
     def system_residual(self, r: float) -> float:
         """max_i |Delta^2 u_i - |U|^{s-1} u_i| / |U|^{s-1} u_i at radius r."""
@@ -273,7 +272,7 @@ class AvilesProfile:
         return self.amplitude * r ** (4 - self.n) * t ** ((4 - self.n) / 4.0)
 
     def profile(self) -> RadialProfile:
-        return RadialProfile(lambda r: self(r), None, tag="log-corrected")
+        return RadialProfile(lambda r: self(r))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,7 @@ class EmdenFowlerProfile:
         return r ** ((4 - self.n) / 2.0) * self.v(math.log(r) + self.shift)
 
     def profile(self) -> RadialProfile:
-        return RadialProfile(lambda r: self(r), None, tag="emden-fowler")
+        return RadialProfile(lambda r: self(r))
 
 
 # ---------------------------------------------------------------------------

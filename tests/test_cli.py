@@ -40,6 +40,17 @@ def test_missing_subcommand_is_usage_error():
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("signs", "--n", "5", "--seed", "1"),
+    ("signs", "--n", "5", "--s", "7"),     # not taken as an abbreviation of --s-grid
+    ("shoot", "--n", "6", "--rel-tol", "1e-3"),
+    ("fit", "--n", "5", "--format", "csv"),
+    ("verify", "--n", "5"),
+])
+def test_flag_the_subcommand_does_not_read_is_usage_error(args):
+    assert run_cli(*args).returncode == 2
+
+
 def test_classify_reports_regime_and_amplitude():
     out = run_cli("classify", "--n", "5", "--s", "7", "--format", "json", check=True)
     doc = json.loads(out.stdout)
@@ -57,7 +68,7 @@ def test_determinism_byte_identical():
 
 def test_headers_echo_config():
     out = run_cli("coeffs", "--n", "6", "--s", "2", "--sigma", "-1", check=True).stdout
-    assert "# sigma: -1" in out and "# c_mode: measured" in out
+    assert "# sigma: -1" in out
     assert "# build: fowler4" in out
 
 
@@ -118,4 +129,5 @@ def test_shoot_table_columns_and_determinism():
                     "converged,precision")
     rows = [l for l in a.stdout.splitlines() if l.startswith("6,")]
     assert len(rows) == 2 and all(r.endswith(",1,float64") for r in rows)
+    assert "# c_mode: measured" in a.stdout and "# rel_tol:" not in a.stdout
     assert run_cli("shoot", "--n", "6", "--a-grid", "0.6,0.9", check=True).stdout == a.stdout

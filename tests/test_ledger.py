@@ -1,6 +1,8 @@
 """Ledger assembly, registry consistency and serialization."""
 
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -58,6 +60,20 @@ def test_csv_columns(entries):
     rows = list(csv.reader(io.StringIO(lg.ledger_to_csv(entries))))
     assert rows[0] == ["symbol", "location", "printed", "oracle", "verdict", "note"]
     assert len(rows) == len(entries) + 1
+
+
+def test_built_once_per_process_and_immutable(entries):
+    assert lg.build_ledger() is lg.build_ledger() is entries
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entries[0].verdict = lg.MATCH
+
+
+def test_serialized_ledger_is_pinned(entries):
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert digest(lg.ledger_to_csv(entries)) == \
+        "4d489e697ca1859d9da24f8bcf65ab200291bc5197618c9b38845c8ade199d88"
+    assert digest(lg.ledger_to_json(entries)) == \
+        "d767e162ce38f8b8b9b285fd163f2ad9f59a065c6a22e9fd93a4a761a2e52cb4"
 
 
 def test_format_number():

@@ -36,6 +36,14 @@ def test_zero_state_with_s_below_two():
     assert np.all(out == 0.0)
 
 
+def test_rhs_fills_every_component_block():
+    # the factory's p does not bound the state: every 4-block is filled
+    y = np.array([0.7, -0.2, 0.1, 0.3, -0.4, 0.25, -0.6, 0.05])
+    one = make_autonomous_rhs(Params(5, F(7), p=1))(0.0, y)
+    two = make_autonomous_rhs(Params(5, F(7), p=2))(0.0, y)
+    assert one.tobytes() == two.tobytes()
+
+
 def test_rejects_nonfinite_state():
     rhs = make_autonomous_rhs(Params(5, F(7)))
     with pytest.raises(DomainError):
