@@ -41,7 +41,7 @@ rhs9 = make_autonomous_rhs(p9)
 traj9 = integrate(rhs9, 0.0, np.array([0.8, 0.0, 0.05, 0.0]), 10.0,
                   rel_tol=1e-10, abs_tol=1e-13, events=[cap], guard=1e4)
 ts = np.linspace(0.0, float(traj9.t[-1]), 100)
-Hs = [hamiltonian_radial(p9, traj9(float(t))) for t in ts]
+Hs = [hamiltonian_radial(p9, y) for y in traj9(ts)]
 print(f"  H(0) = {Hs[0]:.12f}, max drift over the span = "
       f"{max(abs(h - Hs[0]) for h in Hs):.2e}")
 

@@ -257,42 +257,37 @@ def cmd_fit(args) -> int:
     n = ns[0]
     if args.profile == "power":
         s = _parse_scalar(args.s) if args.s else Fraction(7)
-        sp = SingularPower(n, float(s))
-        rs = np.geomspace(args.r_lo, args.r_hi, args.num)
-        rep = fit_power_law([(float(r), sp.radial(float(r))) for r in rs])
+        value, r_lo, r_hi = SingularPower(n, float(s)).radial, args.r_lo, args.r_hi
     elif args.profile == "aviles":
-        ap_ = AvilesProfile(n)
-        rs = np.geomspace(args.r_lo, min(args.r_hi, 0.1), args.num)
-        rep = fit_log_corrected([(float(r), ap_(float(r))) for r in rs], n)
+        value, r_lo, r_hi = AvilesProfile(n), args.r_lo, min(args.r_hi, 0.1)
     elif args.profile == "bubble":
-        b = Bubble(n)
-        rs = np.geomspace(max(args.r_lo, 1e2), args.r_hi, args.num)
-        rep = fit_power_law([(float(r), b.radial(float(r))) for r in rs])
+        # the power tail shows only far out: two decades or more above r = 1e2
+        r_lo = max(args.r_lo, 1e2)
+        value, r_hi = Bubble(n).radial, max(args.r_hi, 1e2 * r_lo)
     else:
         raise UsageError(f"unknown profile {args.profile!r}")
+    samples = [(float(r), value(float(r))) for r in np.geomspace(r_lo, r_hi, args.num)]
+    if args.profile == "aviles":
+        rep = fit_log_corrected(samples, n)
+    else:
+        rep = fit_power_law(samples)
     results = {"profile": args.profile, "exponent": rep.exponent,
                "amplitude": rep.amplitude, "residual": rep.residual,
                "log_exponent": rep.log_exponent,
                "amplitude_targets": rep.amplitude_targets}
-    cfg = _config(args, r_lo=args.r_lo, r_hi=args.r_hi, num=args.num,
-                  profile=args.profile)
+    cfg = _config(args, r_lo=r_lo, r_hi=r_hi, num=args.num, profile=args.profile)
     text = write_json(None, cfg, results)
     _emit(args, text)
     if args.samples_out:
         if rep.log_exponent is not None and args.profile == "aviles":
             model = lambda r: rep.amplitude * r ** (4.0 - n) * \
                 (-np.log(r)) ** rep.log_exponent
-            rs_used = rs
         else:
             model = lambda r: rep.amplitude * r ** (-rep.exponent)
-            rs_used = rs
         rows = []
-        for r in rs_used:
-            r = float(r)
-            value = {"power": lambda: sp.radial(r), "aviles": lambda: ap_(r),
-                     "bubble": lambda: b.radial(r)}[args.profile]()
+        for r, v in samples:
             pred = model(r)
-            rows.append([r, value, pred, abs(value - pred) / max(abs(pred), 1e-300)])
+            rows.append([r, v, pred, abs(v - pred) / max(abs(pred), 1e-300)])
         write_csv(args.samples_out, ["r", "value", "model", "rel_deviation"],
                   rows, cfg)
     return 0

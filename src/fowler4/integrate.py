@@ -99,7 +99,13 @@ class Trajectory:
 
     t is strictly monotone in the direction of integration; the dense
     segments reproduce the stored nodes and interpolate inside steps
-    with the method's own quartic.
+    with the method's own quartic.  A query takes a scalar (returns one
+    row of shape ``(dim,)``) or an array of times (returns one row per
+    time) and is answered in one batch: the segments are stacked once
+    per trajectory, then one ``searchsorted`` and one stacked quartic
+    serve every point.  With no dense segments (a synthetic record), the
+    nodes are interpolated linearly in time order.  Any time outside the
+    span, or NaN, raises DomainError.
     """
 
     t: np.ndarray
@@ -112,6 +118,8 @@ class Trajectory:
     status: str = "reached"
     events: list = field(default_factory=list)   # per event index: [(t, y), ...]
     direction: int = 1
+    _stack: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def t0(self) -> float:
@@ -124,29 +132,39 @@ class Trajectory:
     def __call__(self, tq):
         scalar = np.isscalar(tq)
         tqs = np.atleast_1d(np.asarray(tq, dtype=float))
-        out = np.empty((tqs.size, self.y.shape[1]), dtype=self.y.dtype)
-        for i, tv in enumerate(tqs):
-            out[i] = self._eval_one(float(tv))
-        return out[0] if scalar else out
-
-    def _seg_starts(self):
-        return np.array([float(seg[0]) for seg in self.dense])
-
-    def _eval_one(self, tv: float):
         lo, hi = sorted((float(self.t[0]), float(self.t[-1])))
         pad = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
-        if not (lo - pad <= tv <= hi + pad):
+        inside = (tqs >= lo - pad) & (tqs <= hi + pad)
+        if not np.all(inside):
+            tv = float(tqs[np.argmin(inside)])
             raise DomainError(f"t={tv} outside trajectory span [{lo}, {hi}]")
-        if not self.dense:
-            return self.y[-1]
-        starts = self._seg_starts() * self.direction
-        idx = int(np.searchsorted(starts, tv * self.direction, side="right") - 1)
-        idx = min(max(idx, 0), len(self.dense) - 1)
-        t0, h, y0, Q = self.dense[idx]
-        th = (tv - float(t0)) / float(h)
-        th = min(max(th, 0.0), 1.0)
-        powers = np.asarray(th, dtype=y0.dtype) ** np.arange(1, 5)
-        return y0 + h * (Q @ powers)
+        out = self._dense_rows(tqs) if self.dense else self._node_rows(tqs)
+        return out[0] if scalar else out
+
+    def _dense_rows(self, tqs):
+        if self._stack is None:
+            dt = self.y.dtype
+            starts = np.array([float(seg[0]) for seg in self.dense])
+            hs = np.array([seg[1] for seg in self.dense], dtype=dt)
+            self._stack = (starts, starts * self.direction, hs, hs.astype(float),
+                           np.array([seg[2] for seg in self.dense], dtype=dt),
+                           np.array([seg[3] for seg in self.dense], dtype=dt))
+        starts, keys, hs, hs_f, y0s, Qs = self._stack
+        idx = np.searchsorted(keys, tqs * self.direction, side="right") - 1
+        idx = np.clip(idx, 0, len(starts) - 1)
+        th = np.clip((tqs - starts[idx]) / hs_f[idx], 0.0, 1.0)
+        powers = th.astype(Qs.dtype)[:, None] ** np.arange(1, 5)
+        return y0s[idx] + hs[idx, None] * (Qs[idx] @ powers[:, :, None])[:, :, 0]
+
+    def _node_rows(self, tqs):
+        order = np.argsort(self.t, kind="stable")
+        tn, yn = np.asarray(self.t, dtype=float)[order], self.y[order]
+        if len(tn) == 1:
+            return np.repeat(yn, tqs.size, axis=0)
+        idx = np.clip(np.searchsorted(tn, tqs, side="right") - 1, 0, len(tn) - 2)
+        w = (tqs - tn[idx]) / (tn[idx + 1] - tn[idx])
+        w = np.clip(w, 0.0, 1.0).astype(yn.dtype)[:, None]
+        return yn[idx] + w * (yn[idx + 1] - yn[idx])
 
 
 def _rms(v, sc):

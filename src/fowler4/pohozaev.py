@@ -76,15 +76,15 @@ def pohozaev_series(params: Params, traj: Trajectory, num: int = 201,
     if len(traj.t) < 5:
         raise DomainError("trajectory too short for an energy series")
     om = unit_sphere_area(params.n)
-    coeffs = oracle_autonomous(params.n, params.s, sigma)
+    coeffs = {k: float(v) for k, v in
+              oracle_autonomous(params.n, params.s, sigma).items()}
     ts = np.linspace(float(traj.t[0]), float(traj.t[-1]), num)
     dt = float(ts[1] - ts[0])
-    Hs = np.array([hamiltonian_radial(params, traj(float(t)), sigma, coeffs)
-                   for t in ts])
+    ys = traj(ts)
+    Hs = np.array([hamiltonian_radial(params, y, sigma, coeffs) for y in ys])
     out: List[EnergySample] = []
     for i, t in enumerate(ts):
-        y = traj(float(t))
-        dHf = hamiltonian_derivative_formula(params, y, sigma, coeffs)
+        dHf = hamiltonian_derivative_formula(params, ys[i], sigma, coeffs)
         if 2 <= i < num - 2:
             dHn = (Hs[i - 2] - 8 * Hs[i - 1] + 8 * Hs[i + 1] - Hs[i + 2]) / (12 * dt)
         else:
@@ -282,10 +282,15 @@ def p0_large_t_sign(n: int) -> int:
 
 def aviles_pohozaev_series(n: int, traj: Trajectory, num: int = 401) -> list:
     """(t, P~_cyl) samples along a trajectory of the t-weighted system."""
-    om = unit_sphere_area(n)
     ts = np.linspace(float(traj.t[0]), float(traj.t[-1]), num)
-    return [(float(t), om * aviles_hamiltonian(n, traj(float(t)), float(t)))
-            for t in ts]
+    return list(zip(ts.tolist(), _aviles_slice_energies(n, ts, traj(ts))))
+
+
+def _aviles_slice_energies(n: int, ts, ys) -> list:
+    """P~_cyl at each (t, state) pair of an already evaluated grid."""
+    om = unit_sphere_area(n)
+    polys = printed_nonautonomous_polys(n)
+    return [om * aviles_hamiltonian(n, y, float(t), polys) for t, y in zip(ts, ys)]
 
 
 def constant_state_trajectory(n: int, t0: float, t1: float, num: int = 500,
@@ -321,13 +326,12 @@ def monotonicity_check_aviles(n: int, traj: Trajectory, settle_tol: float = 1e-3
     t_lo, t_hi = float(traj.t[0]), float(traj.t[-1])
     if t_hi - t_lo < min_window:
         return "INCONCLUSIVE"
-    num = 801
-    series = aviles_pohozaev_series(n, traj, num=num)
-    ts = np.array([p[0] for p in series])
-    Ps = np.array([p[1] for p in series])
+    ts = np.linspace(t_lo, t_hi, 801)
+    ys = traj(ts)
+    Ps = np.array(_aviles_slice_energies(n, ts, ys))
     # settled: |W| near a constant, derivatives small on the tail
-    ws = np.array([np.linalg.norm(traj(float(t))[0::4]) for t in ts])
-    w1 = np.array([np.linalg.norm(traj(float(t))[1::4]) for t in ts])
+    ws = np.array([np.linalg.norm(y[0::4]) for y in ys])
+    w1 = np.array([np.linalg.norm(y[1::4]) for y in ys])
     tail = ts >= t_lo + 0.25 * (t_hi - t_lo)
     wbar = float(np.mean(ws[tail]))
     if np.all(np.abs(Ps) < 1e-14):

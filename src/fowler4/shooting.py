@@ -360,8 +360,8 @@ def _assemble_result(consts, a, b, t1, y1, dtype, rel_tol, abs_tol, tol,
     E0 = float(energies[0])
     drift = float(np.max(np.abs(energies - E0))) / (1.0 + abs(E0))
     taus = np.linspace(0.0, min(t1, T - t1), 101)[1:]
-    sym = max(abs(float(orbit(t1 + tau)[0]) - float(orbit(t1 - tau)[0]))
-              for tau in taus)
+    sym = float(np.max(np.abs(np.asarray(orbit(t1 + taus)[:, 0], float)
+                              - np.asarray(orbit(t1 - taus)[:, 0], float))))
     converged = residual <= tol and math.isfinite(defect)
     msg = "" if converged else f"residual {residual:.3e} above tol {tol:.1e}"
     if vmin < a - 1e-6:

@@ -100,6 +100,19 @@ def test_fit_power_json():
     assert doc["results"]["exponent"] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
+def test_fit_bubble_default_flags_recovers_far_field_exponent():
+    out = run_cli("fit", "--n", "6", "--profile", "bubble", check=True)
+    doc = json.loads(out.stdout)
+    assert doc["results"]["exponent"] == pytest.approx(2.0, abs=1e-3)
+    # the header echoes the radii actually sampled
+    assert (doc["config"]["r_lo"], doc["config"]["r_hi"]) == (1e2, 1e4)
+
+
+def test_fit_aviles_header_echoes_clamped_radius():
+    out = run_cli("fit", "--n", "5", "--profile", "aviles", check=True)
+    assert json.loads(out.stdout)["config"]["r_hi"] == 0.1
+
+
 def test_pohozaev_levels_json():
     out = run_cli("pohozaev", "--n", "5", "--s", "7", check=True)
     doc = json.loads(out.stdout)

@@ -125,3 +125,56 @@ def test_longdouble_dtype_passthrough():
 def test_stats_are_recorded():
     traj = integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 5.0)
     assert traj.stats["steps"] > 0 and traj.stats["rhs_evals"] > traj.stats["steps"]
+
+
+def _assert_batch_matches_points(traj):
+    lo, hi = sorted((traj.t0, traj.t1))
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([np.linspace(traj.t0, traj.t1, 301), traj.t.astype(float),
+                         rng.uniform(lo, hi, 100)])
+    batch = traj(ts)
+    rows = np.array([traj(float(t)) for t in ts])
+    assert batch.dtype == traj.y.dtype and rows.dtype == traj.y.dtype
+    assert batch.shape == (ts.size, traj.y.shape[1])
+    assert np.array_equal(batch, rows)
+
+
+def test_batched_query_equals_pointwise_forward_backward_longdouble():
+    y0 = np.array([1.0, 0.3, -0.2, 0.1])
+    _assert_batch_matches_points(
+        integrate(_linear_rhs, 0.0, y0, 5.0, rel_tol=1e-10, abs_tol=1e-12))
+    back = integrate(_linear_rhs, 5.0, y0, 0.0, rel_tol=1e-10, abs_tol=1e-12)
+    assert back.direction == -1
+    _assert_batch_matches_points(back)
+    _assert_batch_matches_points(
+        integrate(_linear_rhs, 0.0, y0.astype(np.longdouble), 2.0, rel_tol=1e-13,
+                  abs_tol=1e-16))
+
+
+def test_scalar_query_returns_one_row():
+    traj = integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 1.0)
+    assert traj(0.5).shape == (4,)
+    assert traj(np.float64(0.5)).shape == (4,)
+    assert traj([0.5]).shape == (1, 4)
+
+
+@pytest.mark.parametrize("bad", [2.0, np.nan])
+def test_one_bad_time_in_a_batch_raises(bad):
+    traj = integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 1.0)
+    ts = np.linspace(0.0, 1.0, 50)
+    ts[17] = bad
+    with pytest.raises(DomainError):
+        traj(ts)
+
+
+def test_trajectory_without_segments_interpolates_its_nodes():
+    single = Trajectory(t=np.array([3.0]), y=np.array([[1.0, 2.0]]), dense=[],
+                        stats={}, rel_tol=0, abs_tol=0)
+    assert np.array_equal(single(3.0), [1.0, 2.0])
+    assert np.array_equal(single(np.array([3.0, 3.0])), [[1.0, 2.0], [1.0, 2.0]])
+    # nodes stored against time order are still read in time order
+    nodes = Trajectory(t=np.array([2.0, 1.0, 0.0]),
+                       y=np.array([[4.0], [2.0], [0.0]]), dense=[], stats={},
+                       rel_tol=0, abs_tol=0, direction=-1)
+    assert np.allclose(nodes(np.array([0.0, 0.25, 1.5, 2.0]))[:, 0],
+                       [0.0, 0.5, 3.0, 4.0], rtol=0, atol=1e-15)

@@ -171,13 +171,15 @@ def test_monotonicity_check_verdicts():
 
 
 def test_monotonicity_check_never_false_passes_unsettled_data():
-    # an unsettled synthetic trajectory must come back INCONCLUSIVE
+    # an unsettled synthetic trajectory must come back INCONCLUSIVE, also
+    # when W' is zero and only the nodes of |W| show the swing
     ts = np.linspace(100.0, 400.0, 200)
-    ys = np.zeros((200, 4))
-    ys[:, 0] = 1.0 + 0.5 * np.sin(ts / 10.0)
-    ys[:, 1] = 0.05 * np.cos(ts / 10.0)
-    tr = Trajectory(t=ts, y=ys, dense=[], stats={}, rel_tol=0, abs_tol=0)
-    assert po.monotonicity_check_aviles(5, tr) == "INCONCLUSIVE"
+    for w1 in (0.05 * np.cos(ts / 10.0), np.zeros_like(ts)):
+        ys = np.zeros((200, 4))
+        ys[:, 0] = 1.0 + 0.5 * np.sin(ts / 10.0)
+        ys[:, 1] = w1
+        tr = Trajectory(t=ts, y=ys, dense=[], stats={}, rel_tol=0, abs_tol=0)
+        assert po.monotonicity_check_aviles(5, tr) == "INCONCLUSIVE"
 
 
 def test_residual_decay_at_constant_state():
