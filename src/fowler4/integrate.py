@@ -9,6 +9,7 @@ standard published constants, materialized per dtype from exact ratios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
@@ -130,7 +131,7 @@ class Trajectory:
         return float(self.t[-1])
 
     def __call__(self, tq):
-        scalar = np.isscalar(tq)
+        scalar = np.ndim(tq) == 0
         tqs = np.atleast_1d(np.asarray(tq, dtype=float))
         lo, hi = sorted((float(self.t[0]), float(self.t[-1])))
         pad = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
@@ -168,8 +169,20 @@ class Trajectory:
 
 
 def _rms(v, sc):
-    v = np.asarray(v, dtype=float)
-    return float(np.sqrt(np.mean((v / sc) ** 2)))
+    # np.sqrt(np.mean(w ** 2)) bit for bit; np.dot would sum in another order
+    w = np.asarray(v, dtype=float) / sc
+    return math.sqrt(float(np.add.reduce(w * w)) / w.size)
+
+
+def _all_finite(a) -> bool:
+    """All entries finite in float64, as np.isfinite(a.astype(float)) decides."""
+    return all(map(math.isfinite, a.tolist()))
+
+
+def _beyond(mags, guard) -> bool:
+    """max(mags) > guard as np.max decides it: a NaN anywhere is no blow-up."""
+    m = mags.tolist()
+    return max(m) > guard and not any(map(math.isnan, m))
 
 
 def _initial_step(rhs, t0, y0, tspan, rel_tol, abs_tol):
@@ -206,7 +219,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     if t1 == t0:
         raise DomainError("empty integration span")
     y0a = np.atleast_1d(np.asarray(state0))
-    if not np.all(np.isfinite(np.asarray(y0a, dtype=float))):
+    if not _all_finite(y0a):
         raise DomainError("non-finite initial state")
     direction = 1 if t1 > t0 else -1
     if direction < 0:
@@ -232,11 +245,14 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     theta_pows = np.arange(1, 5)
 
     k = np.empty((7, y.size), dtype=dtype)
+    k_rows = [k[:i] for i in range(7)]   # stage i combines rows k[:i]
+    stage = list(k)                      # row views, written in place
+    ay = np.abs(np.asarray(y, float))
     f0 = np.asarray(rhs(float(t), y), dtype=dtype)
     h = scal(_initial_step(lambda tt, yy: np.asarray(rhs(tt, yy), float),
                            float(t), np.asarray(y, float), span, rel_tol, abs_tol))
     ts = [t]
-    ys = [y.copy()]
+    ys = [y]    # state arrays are never written in place: records share them
     segs: list = []
     err_old = 1e-4
     nstep = nrej = 0
@@ -274,21 +290,21 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         k[0] = f0
         failed_stage = False
         for i in range(1, 7):
-            yi = y + h * (A[i] @ k[:i])
-            fi = np.asarray(rhs(float(t + C[i] * h), yi), dtype=dtype)
-            if not np.all(np.isfinite(np.asarray(fi, dtype=float))):
+            yi = y + h * (A[i] @ k_rows[i])
+            stage[i][...] = rhs(float(t + C[i] * h), yi)
+            # per stage: a non-finite stage must not reach the next RHS call
+            if not _all_finite(stage[i]):
                 failed_stage = True
                 break
-            k[i] = fi
-        nfev += 6
+        nfev += i
         if failed_stage:
             nrej += 1
             h = h * scal(0.25)
             last = False
             continue
         y_new = yi  # the stage-7 input is the 5th-order solution (FSAL layout)
-        sc = abs_tol + rel_tol * np.maximum(np.abs(np.asarray(y, float)),
-                                            np.abs(np.asarray(y_new, float)))
+        ay_new = np.abs(np.asarray(y_new, float))
+        sc = abs_tol + rel_tol * np.maximum(ay, ay_new)
         err = _rms(h * (E @ k), sc)
         nstep += 1
         if err > 1.0:
@@ -331,18 +347,18 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
             ev_vals[ie] = v_new
         if stop_here is not None:
             _, te, ye = stop_here
-            segs.append((float(t), h, y.copy(), Q))
+            segs.append((float(t), h, y, Q))
             ts.append(te)
             ys.append(np.asarray(ye, dtype=dtype))
             status = "event"
             break
-        segs.append((float(t), h, y.copy(), Q))
+        segs.append((float(t), h, y, Q))
         t = t_new
-        y = y_new
-        f0 = k[6].copy()
+        y, ay = y_new, ay_new
+        f0 = stage[6].copy()
         ts.append(t)
-        ys.append(y.copy())
-        if float(np.max(np.abs(np.asarray(y, float)))) > guard:
+        ys.append(y)
+        if _beyond(ay, guard):
             status = "blowup"
             blown = True
             break

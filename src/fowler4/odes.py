@@ -57,7 +57,7 @@ def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
     sm1 = float(params.s) - 1.0
 
     def rhs(t, y):
-        if not np.all(np.isfinite(np.asarray(y, dtype=float))):
+        if not all(map(math.isfinite, np.asarray(y).tolist())):
             raise DomainError("non-finite state")
         return _component_rhs(y, sm1, 1.0, K0, K1, K2, K3)
 

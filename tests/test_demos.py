@@ -1,8 +1,4 @@
-"""The demo scripts run to completion against the in-tree package.
-
-Demo 03 (shooting Delaunay orbits, several seconds of `find_b`) is left
-out to keep this file fast; C07 and `test_shooting.py` cover that path.
-"""
+"""The demo scripts run to completion against the in-tree package."""
 
 import os
 import pathlib
@@ -16,6 +12,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("name", ["01_coefficient_oracles.py",
                                   "02_closed_form_solutions.py",
+                                  "03_delaunay_orbits.py",
                                   "04_energy_monotonicity.py",
                                   "05_regimes_and_fits.py"])
 def test_demo_runs(name):

@@ -1,10 +1,16 @@
 """Integrator contract: accuracy, dense output, events, guards."""
 
+import hashlib
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from fowler4.integrate import Event, StepUnderflowError, Trajectory, integrate
-from fowler4.params import DomainError
+from fowler4.odes import make_autonomous_rhs
+from fowler4.params import DomainError, Params
+from fowler4.shooting import critical_constants, make_critical_rhs
 
 
 def _linear_rhs(t, y):
@@ -155,6 +161,8 @@ def test_scalar_query_returns_one_row():
     traj = integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 1.0)
     assert traj(0.5).shape == (4,)
     assert traj(np.float64(0.5)).shape == (4,)
+    assert traj(np.longdouble(0.5)).shape == (4,)
+    assert traj(np.array(0.5)).shape == (4,)
     assert traj([0.5]).shape == (1, 4)
 
 
@@ -178,3 +186,77 @@ def test_trajectory_without_segments_interpolates_its_nodes():
                        rel_tol=0, abs_tol=0, direction=-1)
     assert np.allclose(nodes(np.array([0.0, 0.25, 1.5, 2.0]))[:, 0],
                        [0.0, 0.5, 3.0, 4.0], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("threshold, tol", [(1.2, 0.1), (1.001, 1e-3)])
+def test_failed_stage_rejects_and_counts_only_evaluated_stages(dtype, threshold, tol):
+    # an oscillator whose RHS turns non-finite outside a box the loose
+    # tolerance overshoots: steps fail at a stage and are retried shorter
+    calls, nonfinite_inputs = [0], [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        if not all(math.isfinite(float(v)) for v in y):
+            nonfinite_inputs[0] += 1
+        if abs(y[0]) >= threshold or abs(y[1]) >= threshold:
+            return np.array([np.inf, 0.0])
+        return np.array([y[1], -y[0]])
+
+    traj = integrate(rhs, 0.0, np.array([1.0, 0.0], dtype=dtype), 20.0,
+                     rel_tol=tol, abs_tol=tol)
+    assert traj.status == "reached" and traj.y.dtype == dtype
+    assert traj.stats["rejected"] > 0
+    assert traj.stats["rhs_evals"] == calls[0]   # the three start-up calls included
+    assert nonfinite_inputs[0] == 0
+
+
+def _digest(traj):
+    """sha256 over t, y and stats; y as a hi/lo float64 split, since the
+    padding bytes of a longdouble are undefined."""
+    y = np.asarray(traj.y)
+    hi = y.astype(np.float64)
+    lo = (y - hi.astype(y.dtype)).astype(np.float64)
+    h = hashlib.sha256()
+    for a in (np.asarray(traj.t, np.float64), hi, lo):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(repr(sorted(traj.stats.items())).encode())
+    return h.hexdigest()[:16]
+
+
+def _probe_orbit(dtype):
+    # the C07 orbit at n = 6, a = 0.6 a0, as find_b returns it at float64
+    cc = critical_constants(6)
+    y0 = np.array([0.6 * cc.a0, 0.0, 0.3566258871243809, 0.0], dtype=dtype)
+    return integrate(make_critical_rhs(cc, dtype), 0.0, y0, 4.369895937345158,
+                     rel_tol=1e-12, abs_tol=1e-14, guard=1e6)
+
+
+def _capped_autonomous_p3():
+    # C06's procedure at (n, s) = (5, 7), p = 3: the cap event fires at t ~ 0.62
+    rhs = make_autonomous_rhs(Params(5, Fraction(7), 3))
+    cap = Event(g=lambda t, y: 3.0 - float(np.max(np.abs(y))), direction=-1,
+                terminal=True)
+    y0 = np.array([0.4, -0.3, 0.2, 0.45, -0.2, 0.1, 0.3, -0.4, 0.1, 0.35, -0.25, 0.2])
+    return integrate(rhs, 0.0, y0, 2.0, rel_tol=1e-12, abs_tol=1e-14, guard=1e4,
+                     events=[cap])
+
+
+_PINNED_RUNS = {
+    "probe-orbit-f64": (lambda: _probe_orbit(np.float64), "81edfbe0d8fda3fe"),
+    "probe-orbit-longdouble": (lambda: _probe_orbit(np.longdouble), "74c88102d19c5b3a"),
+    "autonomous-p3-cap": (_capped_autonomous_p3, "d51c257cda5935a8"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_RUNS))
+def test_step_loop_output_is_bit_pinned(name):
+    """Every bit of t, y and stats of fixed runs, as recorded before the
+    step loop lost its numpy reduction wrappers; an edit of the hot path
+    must keep them.  Recorded with numpy 2.4 (OpenBLAS) on x86-64 with
+    80-bit longdouble: a platform that rounds the stage sums differently
+    needs its own record."""
+    if "longdouble" in name and np.finfo(np.longdouble).eps != 2.0 ** -63:
+        pytest.skip("longdouble is not 80-bit extended here")
+    run, digest = _PINNED_RUNS[name]
+    assert _digest(run()) == digest
