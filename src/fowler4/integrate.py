@@ -98,29 +98,25 @@ class Event:
 class Trajectory:
     """Dense-output record of one integration run.
 
-    t is strictly monotone in the direction of integration; the dense
-    segments reproduce the stored nodes and interpolate inside steps
-    with the method's own quartic.  A query takes a scalar (returns one
-    row of shape ``(dim,)``) or an array of times (returns one row per
-    time) and is answered in one batch: the segments are stacked once
-    per trajectory, then one ``searchsorted`` and one stacked quartic
-    serve every point.  With no dense segments (a synthetic record), the
-    nodes are interpolated linearly in time order.  Any time outside the
-    span, or NaN, raises DomainError.
+    t is strictly monotone in the direction of integration.  Step i runs
+    from t[i] with state y[i] over the signed size h[i], and dense[i] is
+    its quartic matrix, so the dense output reproduces the stored nodes
+    and interpolates inside steps with the method's own quartic.  A query
+    takes a scalar (returns one row of shape ``(dim,)``) or an array of
+    times (returns one row per time) and is answered in one batch: one
+    ``searchsorted`` and one stacked quartic serve every point.  With no
+    steps (a synthetic record), the nodes are interpolated linearly in
+    time order.  Any time outside the span, or NaN, raises DomainError.
     """
 
     t: np.ndarray
     y: np.ndarray                       # shape (len(t), dim)
-    dense: list                         # per step: (t_start, h, y_start, Q)
     stats: dict
-    rel_tol: float
-    abs_tol: float
-    blown_up: bool = False
+    h: np.ndarray = ()                  # shape (len(t) - 1,)
+    dense: np.ndarray = ()              # shape (len(t) - 1, dim, 4)
     status: str = "reached"
     events: list = field(default_factory=list)   # per event index: [(t, y), ...]
     direction: int = 1
-    _stack: Optional[tuple] = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     @property
     def t0(self) -> float:
@@ -139,23 +135,18 @@ class Trajectory:
         if not np.all(inside):
             tv = float(tqs[np.argmin(inside)])
             raise DomainError(f"t={tv} outside trajectory span [{lo}, {hi}]")
-        out = self._dense_rows(tqs) if self.dense else self._node_rows(tqs)
+        out = self._dense_rows(tqs) if len(self.dense) else self._node_rows(tqs)
         return out[0] if scalar else out
 
     def _dense_rows(self, tqs):
-        if self._stack is None:
-            dt = self.y.dtype
-            starts = np.array([float(seg[0]) for seg in self.dense])
-            hs = np.array([seg[1] for seg in self.dense], dtype=dt)
-            self._stack = (starts, starts * self.direction, hs, hs.astype(float),
-                           np.array([seg[2] for seg in self.dense], dtype=dt),
-                           np.array([seg[3] for seg in self.dense], dtype=dt))
-        starts, keys, hs, hs_f, y0s, Qs = self._stack
-        idx = np.searchsorted(keys, tqs * self.direction, side="right") - 1
+        starts = np.asarray(self.t[:-1], dtype=float)
+        idx = np.searchsorted(starts * self.direction, tqs * self.direction,
+                              side="right") - 1
         idx = np.clip(idx, 0, len(starts) - 1)
-        th = np.clip((tqs - starts[idx]) / hs_f[idx], 0.0, 1.0)
-        powers = th.astype(Qs.dtype)[:, None] ** np.arange(1, 5)
-        return y0s[idx] + hs[idx, None] * (Qs[idx] @ powers[:, :, None])[:, :, 0]
+        hs = self.h[idx]
+        th = np.clip((tqs - starts[idx]) / hs.astype(float), 0.0, 1.0)
+        powers = th.astype(self.dense.dtype)[:, None] ** np.arange(1, 5)
+        return self.y[idx] + hs[:, None] * (self.dense[idx] @ powers[:, :, None])[:, :, 0]
 
     def _node_rows(self, tqs):
         order = np.argsort(self.t, kind="stable")
@@ -210,7 +201,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
 
     Backward runs (t1 < t0) are handled by time reflection.  When any
     state component exceeds ``guard`` in absolute value, the run stops
-    with ``blown_up=True`` and the truncated trajectory is returned; a
+    with ``status="blowup"`` and the truncated trajectory is returned; a
     collapsing step raises StepUnderflowError carrying the partial
     trajectory.
     """
@@ -253,26 +244,24 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                            float(t), np.asarray(y, float), span, rel_tol, abs_tol))
     ts = [t]
     ys = [y]    # state arrays are never written in place: records share them
-    segs: list = []
+    hs: list = []
+    Qs: list = []
     err_old = 1e-4
     nstep = nrej = 0
     nfev = 3
     status = "reached"
-    blown = False
     ev_vals = [e.g(float(t), y) for e in events]
 
     def finish(stat):
         tr_t = np.array([float(x) for x in ts])
-        tr_y = np.array(ys)
+        tr_h = np.array(hs, dtype=dtype)
+        tr_Q = np.array(Qs, dtype=dtype).reshape(len(hs), y.size, 4)
+        hits = ev_hits
         if direction < 0:
-            tr_t = t0 - tr_t
-            segs2 = [(t0 - s0, -hh, yy, -Q) for (s0, hh, yy, Q) in segs]
+            tr_t, tr_h, tr_Q = t0 - tr_t, -tr_h, -tr_Q
             hits = [[(t0 - te, ye) for (te, ye) in lst] for lst in ev_hits]
-        else:
-            segs2, hits = segs, ev_hits
-        return Trajectory(t=tr_t, y=tr_y, dense=segs2,
+        return Trajectory(t=tr_t, y=np.array(ys), h=tr_h, dense=tr_Q,
                           stats={"steps": nstep, "rejected": nrej, "rhs_evals": nfev},
-                          rel_tol=rel_tol, abs_tol=abs_tol, blown_up=blown,
                           status=stat, events=hits, direction=direction)
 
     while t < tB_:
@@ -345,14 +334,14 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                 if ev.terminal and (stop_here is None or float(te) < stop_here[0]):
                     stop_here = (float(te), te, ye)
             ev_vals[ie] = v_new
+        hs.append(h)
+        Qs.append(Q)
         if stop_here is not None:
             _, te, ye = stop_here
-            segs.append((float(t), h, y, Q))
             ts.append(te)
             ys.append(np.asarray(ye, dtype=dtype))
             status = "event"
             break
-        segs.append((float(t), h, y, Q))
         t = t_new
         y, ay = y_new, ay_new
         f0 = stage[6].copy()
@@ -360,7 +349,6 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         ys.append(y)
         if _beyond(ay, guard):
             status = "blowup"
-            blown = True
             break
         fac = _SAFETY * err ** -_EXPO * err_old ** _BETA if err > 0 else _FAC_MAX
         err_old = max(err, 1e-10)

@@ -280,19 +280,6 @@ def p0_large_t_sign(n: int) -> int:
     return 0 if lead == 0 else (1 if lead > 0 else -1)
 
 
-def aviles_pohozaev_series(n: int, traj: Trajectory, num: int = 401) -> list:
-    """(t, P~_cyl) samples along a trajectory of the t-weighted system."""
-    ts = np.linspace(float(traj.t[0]), float(traj.t[-1]), num)
-    return list(zip(ts.tolist(), _aviles_slice_energies(n, ts, traj(ts))))
-
-
-def _aviles_slice_energies(n: int, ts, ys) -> list:
-    """P~_cyl at each (t, state) pair of an already evaluated grid."""
-    om = unit_sphere_area(n)
-    polys = printed_nonautonomous_polys(n)
-    return [om * aviles_hamiltonian(n, y, float(t), polys) for t, y in zip(ts, ys)]
-
-
 def constant_state_trajectory(n: int, t0: float, t1: float, num: int = 500,
                               variant: str = "theorem",
                               quasi_static: bool = False) -> Trajectory:
@@ -311,8 +298,7 @@ def constant_state_trajectory(n: int, t0: float, t1: float, num: int = 500,
             ys[i, 0] = (float(t) * float(K0p(1.0 / float(t)))) ** ((n - 4) / 4.0)
     else:
         ys[:, 0] = float(hat_constant(n, variant)) ** ((n - 4) / 4.0)
-    return Trajectory(t=ts, y=ys, dense=[], stats={"synthetic": True},
-                      rel_tol=0.0, abs_tol=0.0, status="synthetic")
+    return Trajectory(t=ts, y=ys, stats={"synthetic": True}, status="synthetic")
 
 
 def monotonicity_check_aviles(n: int, traj: Trajectory, settle_tol: float = 1e-3,
@@ -328,7 +314,9 @@ def monotonicity_check_aviles(n: int, traj: Trajectory, settle_tol: float = 1e-3
         return "INCONCLUSIVE"
     ts = np.linspace(t_lo, t_hi, 801)
     ys = traj(ts)
-    Ps = np.array(_aviles_slice_energies(n, ts, ys))
+    om = unit_sphere_area(n)
+    polys = printed_nonautonomous_polys(n)
+    Ps = np.array([om * aviles_hamiltonian(n, y, float(t), polys) for t, y in zip(ts, ys)])
     # settled: |W| near a constant, derivatives small on the tail
     ws = np.array([np.linalg.norm(y[0::4]) for y in ys])
     w1 = np.array([np.linalg.norm(y[1::4]) for y in ys])

@@ -375,20 +375,3 @@ def green_ball(n: int, x, y):
             raise DomainError("H1 undefined at coincident points")
         H1 = (1 - rx * rx) / (om * d ** n)
     return G1, H1
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def profile_table(profile: RadialProfile, r_lo: float, r_hi: float,
-                  num: int = 200) -> np.ndarray:
-    """Log-spaced (r, u, u', u'', u''', u'''') table."""
-    if not (0 < r_lo < r_hi):
-        raise DomainError("need 0 < r_lo < r_hi")
-    rs = np.geomspace(r_lo, r_hi, num)
-    rows = np.empty((num, 6))
-    for i, r in enumerate(rs):
-        rows[i, 0] = r
-        rows[i, 1:] = profile.derivatives(float(r))
-    return rows

@@ -48,6 +48,8 @@ def test_time_reversal_roundtrip():
     fwd = integrate(_linear_rhs, 0.0, y0, 5.0, rel_tol=tol, abs_tol=tol * 1e-2)
     back = integrate(_linear_rhs, 5.0, fwd.y[-1], 0.0, rel_tol=tol, abs_tol=tol * 1e-2)
     assert back.t[0] == 5.0 and back.t[-1] == 0.0
+    for traj in (fwd, back):
+        assert len(traj.h) == len(traj.dense) == len(traj.t) - 1
     assert float(np.max(np.abs(back.y[-1] - y0))) < 10 * tol * 10
 
 
@@ -66,8 +68,7 @@ def test_dense_output_midstep_consistency():
     # compare mid-step dense values against a much tighter re-integration
     ref = integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 3.0,
                     rel_tol=1e-13, abs_tol=1e-15)
-    for seg in traj.dense[::3]:
-        tm = seg[0] + 0.5 * seg[1]
+    for tm in (0.5 * (traj.t[:-1] + traj.t[1:]))[::3]:
         err = float(np.max(np.abs(traj(tm) - ref(tm))))
         assert err < 10 * tol
 
@@ -76,7 +77,8 @@ def test_blowup_guard_flags_and_truncates():
     rhs = lambda t, y: np.array([y[1], y[2], y[3], np.abs(y[0]) ** 3 * np.sign(y[0])])
     traj = integrate(rhs, 0.0, np.array([2.0, 1.0, 1.0, 1.0]), 50.0,
                      rel_tol=1e-9, abs_tol=1e-11, guard=1e6)
-    assert traj.blown_up and traj.status == "blowup"
+    assert traj.status == "blowup"
+    assert len(traj.h) == len(traj.dense) == len(traj.t) - 1
     assert traj.t[-1] < 50.0
     assert float(np.max(np.abs(traj.y[-1]))) > 1e6
 
@@ -90,6 +92,7 @@ def test_step_underflow_carries_partial_trajectory():
     part = exc.value.trajectory
     assert isinstance(part, Trajectory)
     assert 0.9 < part.t[-1] <= 1.0
+    assert len(part.h) == len(part.dense) == len(part.t) - 1
 
 
 def test_event_location_on_dense_output():
@@ -99,6 +102,7 @@ def test_event_location_on_dense_output():
     traj = integrate(rhs, 0.0, np.array([1.0, 0.0]), 10.0, rel_tol=1e-11,
                      abs_tol=1e-13, events=[ev])
     assert traj.status == "event"
+    assert len(traj.h) == len(traj.dense) == len(traj.t) - 1
     te, ye = traj.events[0][0]
     assert te == pytest.approx(np.pi / 2, abs=1e-9)
     assert abs(ye[0]) < 1e-9
@@ -176,14 +180,12 @@ def test_one_bad_time_in_a_batch_raises(bad):
 
 
 def test_trajectory_without_segments_interpolates_its_nodes():
-    single = Trajectory(t=np.array([3.0]), y=np.array([[1.0, 2.0]]), dense=[],
-                        stats={}, rel_tol=0, abs_tol=0)
+    single = Trajectory(t=np.array([3.0]), y=np.array([[1.0, 2.0]]), stats={})
     assert np.array_equal(single(3.0), [1.0, 2.0])
     assert np.array_equal(single(np.array([3.0, 3.0])), [[1.0, 2.0], [1.0, 2.0]])
     # nodes stored against time order are still read in time order
     nodes = Trajectory(t=np.array([2.0, 1.0, 0.0]),
-                       y=np.array([[4.0], [2.0], [0.0]]), dense=[], stats={},
-                       rel_tol=0, abs_tol=0, direction=-1)
+                       y=np.array([[4.0], [2.0], [0.0]]), stats={}, direction=-1)
     assert np.allclose(nodes(np.array([0.0, 0.25, 1.5, 2.0]))[:, 0],
                        [0.0, 0.5, 3.0, 4.0], rtol=0, atol=1e-15)
 
@@ -211,24 +213,39 @@ def test_failed_stage_rejects_and_counts_only_evaluated_stages(dtype, threshold,
     assert nonfinite_inputs[0] == 0
 
 
+def _hi_lo(a):
+    """A float64 hi/lo split: the padding bytes of a longdouble are undefined."""
+    a = np.asarray(a)
+    hi = a.astype(np.float64)
+    return hi, (a - hi.astype(a.dtype)).astype(np.float64)
+
+
 def _digest(traj):
-    """sha256 over t, y and stats; y as a hi/lo float64 split, since the
-    padding bytes of a longdouble are undefined."""
-    y = np.asarray(traj.y)
-    hi = y.astype(np.float64)
-    lo = (y - hi.astype(y.dtype)).astype(np.float64)
+    """sha256 over t, y and stats, y as a hi/lo float64 split."""
     h = hashlib.sha256()
-    for a in (np.asarray(traj.t, np.float64), hi, lo):
+    for a in (np.asarray(traj.t, np.float64), *_hi_lo(traj.y)):
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     h.update(repr(sorted(traj.stats.items())).encode())
     return h.hexdigest()[:16]
 
 
-def _probe_orbit(dtype):
-    # the C07 orbit at n = 6, a = 0.6 a0, as find_b returns it at float64
+def _dense_digest(traj):
+    """sha256 over 1601 dense-output rows spanning the run, hi/lo split."""
+    h = hashlib.sha256()
+    for a in _hi_lo(traj(np.linspace(traj.t0, traj.t1, 1601))):
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()[:16]
+
+
+def _probe_orbit(dtype, backward=False):
+    # the C07 orbit at n = 6, a = 0.6 a0, as find_b returns it at float64;
+    # run backward from the same symmetric state, it traces the mirror image
     cc = critical_constants(6)
     y0 = np.array([0.6 * cc.a0, 0.0, 0.3566258871243809, 0.0], dtype=dtype)
-    return integrate(make_critical_rhs(cc, dtype), 0.0, y0, 4.369895937345158,
+    t0, t1 = 0.0, 4.369895937345158
+    if backward:
+        t0, t1 = t1, t0
+    return integrate(make_critical_rhs(cc, dtype), t0, y0, t1,
                      rel_tol=1e-12, abs_tol=1e-14, guard=1e6)
 
 
@@ -242,21 +259,39 @@ def _capped_autonomous_p3():
                      events=[cap])
 
 
+# name: (run, digest of t, y and stats, digest of the dense output)
 _PINNED_RUNS = {
-    "probe-orbit-f64": (lambda: _probe_orbit(np.float64), "81edfbe0d8fda3fe"),
-    "probe-orbit-longdouble": (lambda: _probe_orbit(np.longdouble), "74c88102d19c5b3a"),
-    "autonomous-p3-cap": (_capped_autonomous_p3, "d51c257cda5935a8"),
+    "probe-orbit-f64": (lambda: _probe_orbit(np.float64),
+                        "81edfbe0d8fda3fe", "127a24c64f85ef9a"),
+    "probe-orbit-longdouble": (lambda: _probe_orbit(np.longdouble),
+                               "74c88102d19c5b3a", "1ed410fd7fab1437"),
+    "autonomous-p3-cap": (_capped_autonomous_p3,
+                          "d51c257cda5935a8", "5e282d692436f041"),
+    "probe-orbit-f64-backward": (lambda: _probe_orbit(np.float64, backward=True),
+                                 "e1dfbe40dd53bc39", "fd5ab0fb8f890901"),
 }
+
+
+def _pinned_run(name):
+    if "longdouble" in name and np.finfo(np.longdouble).eps != 2.0 ** -63:
+        pytest.skip("longdouble is not 80-bit extended here")
+    return _PINNED_RUNS[name][0]()
 
 
 @pytest.mark.parametrize("name", list(_PINNED_RUNS))
 def test_step_loop_output_is_bit_pinned(name):
     """Every bit of t, y and stats of fixed runs, as recorded before the
-    step loop lost its numpy reduction wrappers; an edit of the hot path
+    step loop lost its numpy reduction wrappers (the backward run: before
+    the trajectory kept its steps as arrays); an edit of the hot path
     must keep them.  Recorded with numpy 2.4 (OpenBLAS) on x86-64 with
     80-bit longdouble: a platform that rounds the stage sums differently
     needs its own record."""
-    if "longdouble" in name and np.finfo(np.longdouble).eps != 2.0 ** -63:
-        pytest.skip("longdouble is not 80-bit extended here")
-    run, digest = _PINNED_RUNS[name]
-    assert _digest(run()) == digest
+    assert _digest(_pinned_run(name)) == _PINNED_RUNS[name][1]
+
+
+@pytest.mark.parametrize("name", list(_PINNED_RUNS))
+def test_dense_output_is_bit_pinned(name):
+    """Every bit of 1601 dense-output rows of the same runs, as recorded
+    before the trajectory kept its steps as stacked arrays; recorded on
+    the same platform as the step-loop pins."""
+    assert _dense_digest(_pinned_run(name)) == _PINNED_RUNS[name][2]

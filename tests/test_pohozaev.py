@@ -178,7 +178,7 @@ def test_monotonicity_check_never_false_passes_unsettled_data():
         ys = np.zeros((200, 4))
         ys[:, 0] = 1.0 + 0.5 * np.sin(ts / 10.0)
         ys[:, 1] = w1
-        tr = Trajectory(t=ts, y=ys, dense=[], stats={}, rel_tol=0, abs_tol=0)
+        tr = Trajectory(t=ts, y=ys, stats={})
         assert po.monotonicity_check_aviles(5, tr) == "INCONCLUSIVE"
 
 

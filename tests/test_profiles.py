@@ -202,7 +202,7 @@ def _constant_orbit(level, t0=0.0, t1=10.0, num=64):
     ts = np.linspace(t0, t1, num)
     ys = np.zeros((num, 4))
     ys[:, 0] = level
-    return Trajectory(t=ts, y=ys, dense=[], stats={}, rel_tol=0, abs_tol=0)
+    return Trajectory(t=ts, y=ys, stats={})
 
 
 def test_wrapper_constant_orbit_is_a_pure_power():
@@ -220,11 +220,3 @@ def test_wrapper_periodic_extension_and_shift():
     w2 = pf.EmdenFowlerProfile(n, orbit, period=3.0, shift=0.5 + 3.0)
     for r in (0.05, 0.4, 7.0):
         assert w1(r) == pytest.approx(w2(r), rel=1e-12)
-
-
-def test_profile_table_layout():
-    sp = pf.SingularPower(5, 7.0)
-    tab = pf.profile_table(sp.profile(), 0.1, 10.0, num=16)
-    assert tab.shape == (16, 6)
-    assert tab[0, 0] == pytest.approx(0.1) and tab[-1, 0] == pytest.approx(10.0)
-    assert np.allclose(tab[:, 1], [sp.radial(r) for r in tab[:, 0]])
