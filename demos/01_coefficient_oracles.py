@@ -19,7 +19,7 @@ n, s = 5, Fraction(7)
 print(f"== constant-coefficient block at n={n}, s={s} (sigma={BUILD_SIGMA}) ==")
 printed = printed_autonomous(n, s)
 oracle = oracle_autonomous(n, s)
-numeric = derive_cyl_coeffs_numeric(n, Fraction(3, 10), s=s, scaling="autonomous")
+numeric = derive_cyl_coeffs_numeric(n, Fraction(3, 10), s=s)
 print(f"{'':4s}{'printed':>14s}{'symbol':>14s}{'chain rule':>14s}")
 for key in ("K0", "K1", "K2", "K3", "J0", "J1"):
     mark = "" if printed[key] == oracle[key] else "   <- printed disagrees"

@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 from .params import DomainError, Params, SpecialExponents, gamma_exponent, special_exponents
 from .coefficients import (BUILD_SIGMA, CharSymbol, char_symbol, chain_rule_matrix,
                            derive_cyl_coeffs_numeric, hat_constant, hat_limits,
-                           nonautonomous_oracle, oracle_autonomous, printed_autonomous,
-                           printed_nonautonomous, sign_report)
+                           oracle_autonomous, printed_autonomous, sign_report)
 from .integrate import Event, StepUnderflowError, Trajectory, integrate
 from .odes import (equilibrium_state, equilibrium_value, linearized_spectrum,
                    make_autonomous_rhs, make_nonautonomous_rhs)

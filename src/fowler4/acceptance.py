@@ -145,8 +145,7 @@ def criterion_3(details) -> bool:
     for n in (5, 6, 8):
         svals = {Fraction(3, 2), Fraction(3), Fraction(n, n - 4), Fraction(n + 4, n - 4)}
         for s in sorted(svals):
-            evals = [derive_cyl_coeffs_numeric(n, r, s=float(s), scaling="autonomous")
-                     for r in radii]
+            evals = [derive_cyl_coeffs_numeric(n, r, s=float(s)) for r in radii]
             om = oracle_autonomous(n, s, BUILD_SIGMA)
             for key in ("K0", "K1", "K2", "K3", "J0", "J1"):
                 vals = [float(e[key]) for e in evals]
@@ -157,7 +156,7 @@ def criterion_3(details) -> bool:
                     ok = False
                     details.append(f"(n={n}, s={s}) {key}: spread={spread:.2e} dev={dev:.2e}")
             # exact route: identical Fractions at one rational radius
-            ex = derive_cyl_coeffs_numeric(n, Fraction(3, 10), s=s, scaling="autonomous")
+            ex = derive_cyl_coeffs_numeric(n, Fraction(3, 10), s=s)
             if any(ex[k] != om[k] for k in ("K0", "K1", "K2", "K3", "J0", "J1")):
                 ok = False
                 details.append(f"(n={n}, s={s}): exact assembly differs from the symbol")

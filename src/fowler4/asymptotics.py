@@ -19,6 +19,9 @@ from .params import DomainError, Scalar, as_exact, gamma_exponent, is_exact, spe
 from .pohozaev import nonautonomous_residual_at_constant
 
 _BOUNDARY_TOL = 1e-12
+# (t_lo, t_hi, num) of residual_decay_check: three decades of the C/t
+# tail, geometrically spaced
+_DECAY_GRID = (10.0, 1e4, 25)
 
 
 class Regime(enum.Enum):
@@ -144,16 +147,15 @@ def fit_log_corrected(samples: Sequence[Tuple[float, float]], n: int) -> FitRepo
                      amplitude_targets=targets)
 
 
-def residual_decay_check(n: int, t_lo: float = 10.0, t_hi: float = 1e4,
-                         num: int = 25, variant: str = "theorem") -> Dict[str, float]:
+def residual_decay_check(n: int) -> Dict[str, float]:
     """Fitted decay rate of the t-weighted residual at the constant level.
 
     The residual along w* behaves like C/t; the fitted rate is the
-    negative log-log slope and should land in [0.9, 1.1].
+    negative log-log slope over ``_DECAY_GRID`` and should land in
+    [0.9, 1.1].
     """
-    ts = np.geomspace(t_lo, t_hi, num)
-    res = np.array([nonautonomous_residual_at_constant(n, float(t), variant)
-                    for t in ts])
+    ts = np.geomspace(*_DECAY_GRID)
+    res = np.array([nonautonomous_residual_at_constant(n, float(t)) for t in ts])
     if np.all(res == 0.0):
         return {"rate": float("nan"), "exact": 1.0}
     slope, _, rms = _lsq_line(np.log(ts), np.log(res))

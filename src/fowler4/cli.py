@@ -82,13 +82,16 @@ def _config(args, **extra):
     return cfg
 
 
+def _write(path, text: str):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _emit(args, text: str, columns=None):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
         if columns and args.gnuplot:
-            with open(args.out + ".gp", "w") as fh:
-                fh.write(gnuplot_companion(args.out, columns))
+            _write(args.out + ".gp", gnuplot_companion(args.out, columns))
     else:
         sys.stdout.write(text)
 
@@ -100,8 +103,7 @@ def cmd_coeffs(args) -> int:
     for n in ns:
         printed = printed_autonomous(n, s)
         oracle = oracle_autonomous(n, s, args.sigma)
-        numeric = derive_cyl_coeffs_numeric(n, 0.3, s=float(s), scaling="autonomous",
-                                            sigma=args.sigma)
+        numeric = derive_cyl_coeffs_numeric(n, 0.3, s=float(s), sigma=args.sigma)
         for key in ("K0", "K1", "K2", "K3", "J0", "J1"):
             verdict = "MATCH" if printed[key] == oracle[key] else \
                 ("SIGN_CONVENTION" if printed[key] == -oracle[key] else "MISMATCH")
@@ -111,9 +113,9 @@ def cmd_coeffs(args) -> int:
     cols = ["n", "s", "symbol", "printed", "oracle", "chain_rule", "verdict"]
     if args.format == "json":
         results = [dict(zip(cols, r)) for r in rows]
-        text = write_json(None, _config(args), results, ledger=[])
+        text = write_json(_config(args), results)
     else:
-        text = write_csv(None, cols, rows, _config(args))
+        text = write_csv(cols, rows, _config(args))
     _emit(args, text, cols)
     return 0
 
@@ -132,10 +134,9 @@ def cmd_signs(args) -> int:
                         [rep["signs"][k] for k in ("K0", "K1", "K2", "K3", "J0", "J1")])
     cols = ["n", "s", "in_window", "sgn_K0", "sgn_K1", "sgn_K2", "sgn_K3",
             "sgn_J0", "sgn_J1"]
-    text = write_csv(None, cols, rows, _config(args, s_grid=grid)) \
-        if args.format == "csv" else \
-        write_json(None, _config(args, s_grid=grid),
-                   [dict(zip(cols, r)) for r in rows])
+    cfg = _config(args, s_grid=grid)
+    text = write_csv(cols, rows, cfg) if args.format == "csv" else \
+        write_json(cfg, [dict(zip(cols, r)) for r in rows])
     _emit(args, text, cols)
     return 0
 
@@ -156,10 +157,9 @@ def cmd_classify(args) -> int:
         })
     if args.format == "csv":
         cols = list(results[0].keys())
-        text = write_csv(None, cols, [[r[c] for c in cols] for r in results],
-                         _config(args))
+        text = write_csv(cols, [[r[c] for c in cols] for r in results], _config(args))
     else:
-        text = write_json(None, _config(args), results)
+        text = write_json(_config(args), results)
     _emit(args, text)
     return 0
 
@@ -183,16 +183,14 @@ def cmd_integrate(args) -> int:
     for i, t in enumerate(traj.t):
         rows.append([float(t)] + [float(v) for v in traj.y[i]] + [float(steps[i])])
     cols = (["t"] + [f"y{j}" for j in range(4 * args.p)] + ["step"])
-    text = write_csv(None, cols, rows, cfg) if args.format == "csv" else \
-        write_json(None, cfg, rows)
+    text = write_csv(cols, rows, cfg) if args.format == "csv" else write_json(cfg, rows)
     _emit(args, text, cols)
     if args.energy_out:
-        series = pohozaev_series(params, traj, num=min(801, 5 * len(traj.t)))
-        etext = write_csv(None, ["t", "H", "dH_formula", "dH_numeric"],
-                          [[q.t, q.H, q.dH_formula, q.dH_numeric] for q in series],
-                          cfg)
-        with open(args.energy_out, "w") as fh:
-            fh.write(etext)
+        series = pohozaev_series(params, traj, num=min(801, 5 * len(traj.t)),
+                                 sigma=args.sigma)
+        _write(args.energy_out,
+               write_csv(["t", "H", "dH_formula", "dH_numeric"],
+                         [[q.t, q.H, q.dH_formula, q.dH_numeric] for q in series], cfg))
     return 0
 
 
@@ -210,8 +208,7 @@ def cmd_pohozaev(args) -> int:
             "constant_state_limit": lv.l_star_aviles_constant_state,
             "verdict": lv.aviles_verdict,
         })
-    text = write_json(None, _config(args), results)
-    _emit(args, text)
+    _emit(args, write_json(_config(args), results))
     return 0
 
 
@@ -241,11 +238,11 @@ def cmd_shoot(args) -> int:
             vals = r.orbit(ts)
             orows = [[float(t)] + [float(v) for v in vals[j]]
                      for j, t in enumerate(ts)]
-            write_csv(outdir / f"orbit_{i:02d}.csv",
-                      ["t", "v", "v1", "v2", "v3"], orows,
-                      {**cfg, "a": r.a, "b": r.b, "T": r.T})
-    text = write_csv(None, cols, rows, cfg) if args.format == "csv" else \
-        write_json(None, cfg, [dict(zip(cols, r)) for r in rows])
+            _write(outdir / f"orbit_{i:02d}.csv",
+                   write_csv(["t", "v", "v1", "v2", "v3"], orows,
+                             {**cfg, "a": r.a, "b": r.b, "T": r.T}))
+    text = write_csv(cols, rows, cfg) if args.format == "csv" else \
+        write_json(cfg, [dict(zip(cols, r)) for r in rows])
     _emit(args, text, cols)
     return 0 if all(r.converged for r in results) else 1
 
@@ -276,8 +273,7 @@ def cmd_fit(args) -> int:
                "log_exponent": rep.log_exponent,
                "amplitude_targets": rep.amplitude_targets}
     cfg = _config(args, r_lo=r_lo, r_hi=r_hi, num=args.num, profile=args.profile)
-    text = write_json(None, cfg, results)
-    _emit(args, text)
+    _emit(args, write_json(cfg, results))
     if args.samples_out:
         if rep.log_exponent is not None and args.profile == "aviles":
             model = lambda r: rep.amplitude * r ** (4.0 - n) * \
@@ -288,8 +284,8 @@ def cmd_fit(args) -> int:
         for r, v in samples:
             pred = model(r)
             rows.append([r, v, pred, abs(v - pred) / max(abs(pred), 1e-300)])
-        write_csv(args.samples_out, ["r", "value", "model", "rel_deviation"],
-                  rows, cfg)
+        _write(args.samples_out,
+               write_csv(["r", "value", "model", "rel_deviation"], rows, cfg))
     return 0
 
 
@@ -307,9 +303,8 @@ def cmd_verify(args) -> int:
           f"{sum(1 for e in entries if e.verdict == 'MISMATCH')} documented mismatches, "
           f"registry {'consistent' if ok_ledger else 'INCONSISTENT'}")
     if args.out:
-        text = ledger_to_json(entries) if args.format == "json" else ledger_to_csv(entries)
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out,
+               ledger_to_json(entries) if args.format == "json" else ledger_to_csv(entries))
     all_ok = all(r.passed for r in results) and ok_ledger
     print("verify:", "OK" if all_ok else "FAILED")
     return 0 if all_ok else 1

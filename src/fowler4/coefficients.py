@@ -29,7 +29,6 @@ such freedom (t = -ln r is forced by t > 0 on the punctured unit ball).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence
@@ -112,31 +111,6 @@ def printed_nonautonomous_polys(n: int) -> Dict[str, UPoly]:
         "J0": UPoly([-2 * (n - 4), -F((n - 4) ** 2, 2), F(n * (n - 4), 8)]),
         "J1": UPoly([2 * (n - 4), -(n - 4)]),
     }
-
-
-class NonautonomousCoefficients:
-    """Evaluators t -> K~_j(n, t), J~_j(n, t) for the printed block.
-
-    Defined for t > 0 only.  ``K2tilde`` and higher-index names follow the
-    polynomial dictionary keys; J2 = 2 and the leading coefficient 1 are
-    implicit.
-    """
-
-    def __init__(self, n: int, polys: Dict[str, UPoly] | None = None):
-        if n < 5:
-            raise DomainError(f"dimension n={n} is below 5")
-        self.n = n
-        self.polys = polys if polys is not None else printed_nonautonomous_polys(n)
-
-    def __call__(self, name: str, t) -> float:
-        if t <= 0:
-            raise DomainError(f"nonautonomous coefficients require t > 0, got t={t}")
-        u = Fraction(1, 1) / t if isinstance(t, (int, Fraction)) else 1.0 / t
-        return self.polys[name](u)
-
-
-def printed_nonautonomous(n: int) -> NonautonomousCoefficients:
-    return NonautonomousCoefficients(n)
 
 
 # ---------------------------------------------------------------------------
@@ -331,40 +305,19 @@ def nonautonomous_oracle_polys(n: int) -> Dict[str, UPoly]:
     return {k: v if isinstance(v, UPoly) else UPoly([v]) for k, v in raw.items()}
 
 
-def nonautonomous_oracle(n: int) -> NonautonomousCoefficients:
-    polys = nonautonomous_oracle_polys(n)
-    return NonautonomousCoefficients(n, polys={k: polys[k] for k in
-                                               ("K0", "K1", "K2", "K3", "J0", "J1")})
-
-
-def derive_cyl_coeffs_numeric(n: int, r, s: Scalar | None = None,
-                              scaling: str = "autonomous",
+def derive_cyl_coeffs_numeric(n: int, r, s: Scalar,
                               sigma: int = BUILD_SIGMA) -> Dict[str, object]:
     """Replay the coordinate-change computation at a concrete radius.
 
-    autonomous: rho = r^{-gamma(s)}, t = -sigma ln r; the result must be
+    rho = r^{-gamma(s)}, t = -sigma ln r; the result must be
     r-independent (that independence is itself a test).  Exact when r and
-    s are rational.
-    nonautonomous: rho = r^{4-n} t^{(4-n)/4}, t = -ln r; requires
-    0 < r < 1.  Exact values are available via
-    ``nonautonomous_oracle_polys`` instead.
+    s are rational.  The time-dependent scaling has its exact coefficients
+    in ``nonautonomous_oracle_polys``.
     """
-    if scaling == "autonomous":
-        if s is None:
-            raise DomainError("autonomous scaling requires s")
-        if not (r > 0):
-            raise DomainError(f"radius must be positive, got r={r}")
-        g = gamma_exponent(as_exact(s))
-        return _assemble(n, _power_rho_rel(g), _psi_rel(sigma))
-    if scaling == "nonautonomous":
-        if not (0 < r < 1):
-            raise DomainError(f"nonautonomous scaling requires 0 < r < 1, got r={r}")
-        t = -math.log(r)
-        u = 1.0 / t
-        polys = _log_rho_rel_polys(4 - n, Fraction(4 - n, 4))
-        rho_rel = [p(u) for p in polys]
-        return _assemble(n, rho_rel, _psi_rel(+1))
-    raise DomainError(f"unknown scaling {scaling!r}")
+    if not (r > 0):
+        raise DomainError(f"radius must be positive, got r={r}")
+    g = gamma_exponent(as_exact(s))
+    return _assemble(n, _power_rho_rel(g), _psi_rel(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +332,6 @@ class HatLimits:
     printed_formula_limit: Fraction   # u-coefficient of the printed K~_0
     theorem_value: Fraction           # constant displayed in the asymptotic theorem
     chain_rule_limit: Fraction        # u-coefficient of the derived K~_0
-
-    @property
-    def verdicts(self) -> Dict[str, str]:
-        out = {}
-        out["printed_vs_theorem"] = ("MATCH" if self.printed_formula_limit ==
-                                     self.theorem_value else "MISMATCH")
-        out["printed_vs_chain_rule"] = ("MATCH" if self.printed_formula_limit ==
-                                        self.chain_rule_limit else "MISMATCH")
-        return out
 
 
 def hat_limits(n: int) -> HatLimits:

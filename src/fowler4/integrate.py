@@ -45,6 +45,9 @@ _SAFETY = 0.9
 _BETA = 0.04
 _EXPO = 0.2 - 0.75 * _BETA
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
+# safety cap on stats["steps"]: a run that reaches it stops with
+# status "max_steps" and keeps what it integrated
+_MAX_STEPS = 10_000_000
 
 _TABLEAU_CACHE: dict = {}
 
@@ -195,8 +198,7 @@ def _initial_step(rhs, t0, y0, tspan, rel_tol, abs_tol):
 
 def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
               abs_tol: float = 1e-11, guard: float = 1e8,
-              events: Optional[Sequence[Event]] = None,
-              max_steps: int = 10_000_000) -> Trajectory:
+              events: Optional[Sequence[Event]] = None) -> Trajectory:
     """Integrate state' = rhs(t, state) from t0 to t1 adaptively.
 
     Backward runs (t1 < t0) are handled by time reflection.  When any
@@ -265,7 +267,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                           status=stat, events=hits, direction=direction)
 
     while t < tB_:
-        if nstep >= max_steps:
+        if nstep >= _MAX_STEPS:
             status = "max_steps"
             break
         if float(h) < 1e-14 * max(abs(float(t)), abs(span), 1.0):

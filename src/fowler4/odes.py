@@ -3,7 +3,7 @@
 States are component-major: for p components the vector is
 (v_1, v_1', v_1'', v_1''', v_2, ...), length 4p.  The autonomous system
 uses the oracle coefficient route with the build sign convention; the
-time-dependent system uses the printed coefficient evaluators.
+time-dependent system uses the printed coefficient polynomials.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous
+from .coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous_polys
 from .params import DomainError, Params, special_exponents
 
 
@@ -69,9 +69,9 @@ def make_nonautonomous_rhs(n: int) -> Callable:
 
     with q the lower exponent n/(n-4); defined for t > 0 only.
     """
-    co = printed_nonautonomous(n)
+    polys = printed_nonautonomous_polys(n)
     qm1 = float(special_exponents(n).lower) - 1.0
-    fk = {k: [float(c) for c in co.polys[k].coeffs] for k in ("K0", "K1", "K2", "K3")}
+    fk = {k: [float(c) for c in polys[k].coeffs] for k in ("K0", "K1", "K2", "K3")}
 
     def evalp(cs, u):
         acc = 0.0

@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from . import __version__
 from .ledger import format_number
@@ -30,20 +30,15 @@ def config_header(config: Dict) -> List[str]:
     return lines
 
 
-def write_csv(path_or_buf, columns: Sequence[str], rows: Iterable[Sequence],
-              config: Optional[Dict] = None) -> str:
+def write_csv(columns: Sequence[str], rows: Iterable[Sequence], config: Dict) -> str:
     buf = io.StringIO()
-    for line in config_header(config or {}):
+    for line in config_header(config):
         buf.write(line + "\n")
     buf.write(",".join(columns) + "\n")
     for row in rows:
         buf.write(",".join(format_number(v) if isinstance(v, (int, float, Fraction))
                            else str(v) for v in row) + "\n")
-    text = buf.getvalue()
-    if path_or_buf is not None:
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 def _jsonable(x):
@@ -60,15 +55,11 @@ def _jsonable(x):
     return x
 
 
-def write_json(path_or_buf, config: Dict, results, ledger=None) -> str:
+def write_json(config: Dict, results) -> str:
     doc = {"config": _jsonable({**config, "build": build_id()}),
            "results": _jsonable(results),
-           "ledger": _jsonable(ledger if ledger is not None else [])}
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path_or_buf is not None:
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
-    return text
+           "ledger": []}    # always empty; kept so JSON artifacts keep their layout
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def gnuplot_companion(csv_path: str, columns: Sequence[str]) -> str:

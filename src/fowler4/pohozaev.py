@@ -2,8 +2,7 @@
 
 All functionals act on radial (ODE) data, where the angular blocks
 vanish identically; the slice integral over the sphere then reduces to
-the surface measure times the radial density, so P_cyl = omega_{n-1} H
-and P_sph = omega_{n-1} P_cyl is pure bookkeeping.
+the surface measure omega_{n-1} times the radial density.
 """
 
 from __future__ import annotations
@@ -21,6 +20,13 @@ from .odes import make_nonautonomous_rhs
 from .params import (DomainError, Params, Scalar, as_exact, is_exact,
                      special_exponents, unit_sphere_area)
 from .polys import UPoly
+
+# monotonicity_check_aviles: the shortest span it judges, and the relative
+# spread of |W| (and bound on |W'|) on the tail that counts as settled
+_MIN_WINDOW = 20.0
+_SETTLE_TOL = 1e-3
+# nodes of constant_state_trajectory's synthetic record
+_CONSTANT_STATE_NODES = 500
 
 
 def _split(y: np.ndarray):
@@ -61,8 +67,6 @@ class EnergySample:
     H: float
     dH_formula: float
     dH_numeric: float
-    P_cyl: float
-    P_sph: float
 
 
 def pohozaev_series(params: Params, traj: Trajectory, num: int = 201,
@@ -75,7 +79,6 @@ def pohozaev_series(params: Params, traj: Trajectory, num: int = 201,
     """
     if len(traj.t) < 5:
         raise DomainError("trajectory too short for an energy series")
-    om = unit_sphere_area(params.n)
     coeffs = {k: float(v) for k, v in
               oracle_autonomous(params.n, params.s, sigma).items()}
     ts = np.linspace(float(traj.t[0]), float(traj.t[-1]), num)
@@ -89,9 +92,8 @@ def pohozaev_series(params: Params, traj: Trajectory, num: int = 201,
             dHn = (Hs[i - 2] - 8 * Hs[i - 1] + 8 * Hs[i + 1] - Hs[i + 2]) / (12 * dt)
         else:
             dHn = float("nan")
-        H = float(Hs[i])
-        out.append(EnergySample(t=float(t), H=H, dH_formula=dHf, dH_numeric=dHn,
-                                P_cyl=om * H, P_sph=om * om * H))
+        out.append(EnergySample(t=float(t), H=float(Hs[i]), dH_formula=dHf,
+                                dH_numeric=dHn))
     return out
 
 
@@ -280,29 +282,27 @@ def p0_large_t_sign(n: int) -> int:
     return 0 if lead == 0 else (1 if lead > 0 else -1)
 
 
-def constant_state_trajectory(n: int, t0: float, t1: float, num: int = 500,
-                              variant: str = "theorem",
+def constant_state_trajectory(n: int, t0: float, t1: float,
                               quasi_static: bool = False) -> Trajectory:
     """Synthetic settled trajectory at the constant level w*.
 
-    quasi_static=True follows the slowly varying balance
-    w(t) = (t K~0(t))^{(n-4)/4} instead of the frozen constant.
+    w* uses the theorem's hat constant; quasi_static=True follows the
+    slowly varying balance w(t) = (t K~0(t))^{(n-4)/4} instead.
     """
     if not (0 < t0 < t1):
         raise DomainError("need 0 < t0 < t1")
-    ts = np.linspace(t0, t1, num)
+    ts = np.linspace(t0, t1, _CONSTANT_STATE_NODES)
     K0p = printed_nonautonomous_polys(n)["K0"]
-    ys = np.zeros((num, 4))
+    ys = np.zeros((_CONSTANT_STATE_NODES, 4))
     if quasi_static:
         for i, t in enumerate(ts):
             ys[i, 0] = (float(t) * float(K0p(1.0 / float(t)))) ** ((n - 4) / 4.0)
     else:
-        ys[:, 0] = float(hat_constant(n, variant)) ** ((n - 4) / 4.0)
+        ys[:, 0] = float(hat_constant(n)) ** ((n - 4) / 4.0)
     return Trajectory(t=ts, y=ys, stats={"synthetic": True}, status="synthetic")
 
 
-def monotonicity_check_aviles(n: int, traj: Trajectory, settle_tol: float = 1e-3,
-                              min_window: float = 20.0) -> str:
+def monotonicity_check_aviles(n: int, traj: Trajectory) -> str:
     """Single-sign verdict for dP~/dt on the settled tail of a trajectory.
 
     Returns 'NONINCREASING', 'NONDECREASING', 'CONSTANT' or
@@ -310,7 +310,7 @@ def monotonicity_check_aviles(n: int, traj: Trajectory, settle_tol: float = 1e-3
     constant level) -- never a false pass.
     """
     t_lo, t_hi = float(traj.t[0]), float(traj.t[-1])
-    if t_hi - t_lo < min_window:
+    if t_hi - t_lo < _MIN_WINDOW:
         return "INCONCLUSIVE"
     ts = np.linspace(t_lo, t_hi, 801)
     ys = traj(ts)
@@ -324,8 +324,8 @@ def monotonicity_check_aviles(n: int, traj: Trajectory, settle_tol: float = 1e-3
     wbar = float(np.mean(ws[tail]))
     if np.all(np.abs(Ps) < 1e-14):
         return "CONSTANT"
-    settled = (float(np.max(np.abs(ws[tail] - wbar))) <= settle_tol * max(wbar, 1e-12)
-               and float(np.max(w1[tail])) <= settle_tol * max(wbar, 1.0))
+    settled = (float(np.max(np.abs(ws[tail] - wbar))) <= _SETTLE_TOL * max(wbar, 1e-12)
+               and float(np.max(w1[tail])) <= _SETTLE_TOL * max(wbar, 1.0))
     if not settled:
         return "INCONCLUSIVE"
     dP = np.gradient(Ps, ts)
@@ -339,10 +339,10 @@ def monotonicity_check_aviles(n: int, traj: Trajectory, settle_tol: float = 1e-3
     return "INCONCLUSIVE"
 
 
-def nonautonomous_residual_at_constant(n: int, t: float,
-                                       variant: str = "theorem") -> float:
-    """|RHS| of the t-weighted system along the frozen constant state."""
+def nonautonomous_residual_at_constant(n: int, t: float) -> float:
+    """|RHS| of the t-weighted system along the frozen constant state w*
+    (the theorem's hat constant)."""
     rhs = make_nonautonomous_rhs(n)
-    w = float(hat_constant(n, variant)) ** ((n - 4) / 4.0)
+    w = float(hat_constant(n)) ** ((n - 4) / 4.0)
     out = rhs(t, np.array([w, 0.0, 0.0, 0.0]))
     return float(np.max(np.abs(out)))

@@ -153,21 +153,28 @@ class Bubble:
         return RadialProfile(self.radial, self.radial_derivatives)
 
 
-def bubble_constant(n: int, radii=(0.5, 1.0, 2.0), agreement_tol: float = 1e-9) -> float:
+# bubble_constant measures the ratio at radii inside, at and outside the
+# unit bubble's scale; a relative spread above the tolerance means the
+# profile is not a solution there
+_BUBBLE_RADII = (0.5, 1.0, 2.0)
+_BUBBLE_AGREEMENT_TOL = 1e-9
+
+
+def bubble_constant(n: int) -> float:
     """Normalizing constant c(n) with Delta^2 u = c(n) u^{upper-1}.
 
     Measured as the residual ratio of the unit bubble at several radii;
-    the evaluations must agree to ``agreement_tol`` relative.
+    the evaluations must agree to ``_BUBBLE_AGREEMENT_TOL`` relative.
     """
     b = Bubble(n, mu=1.0)
     prof = b.profile()
     power = float(special_exponents(n).upper - 1)
     vals = []
-    for r in radii:
+    for r in _BUBBLE_RADII:
         lhs = prof.bilaplacian(n, r)
         vals.append(lhs / b.radial(r) ** power)
     spread = (max(vals) - min(vals)) / max(abs(v) for v in vals)
-    if spread > agreement_tol:
+    if spread > _BUBBLE_AGREEMENT_TOL:
         raise ArithmeticError(f"bubble constant evaluations disagree: {vals}")
     return float(sum(vals) / len(vals))
 

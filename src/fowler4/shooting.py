@@ -35,6 +35,23 @@ from .profiles import bubble_constant
 
 _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 
+# Numerical policy of the search; C07, the CLI and the benchmark all run
+# under it.  Tolerance pairs are the integrator's (rel_tol, abs_tol).
+_COARSE_TOLS = (1e-9, 1e-11)   # bracket grid and coarse bisection: only the
+                               # crash/escape side of b is read, not its digits
+_F64_TOLS = (1e-12, 1e-14)     # fine bisection, Brent on F, the float64 orbit
+_LD_TOLS = (1e-15, 1e-18)      # longdouble refinement: tighter than float64
+                               # arithmetic can meet
+_LD_MARGIN = 1e-9              # longdouble bracket, relative to the float64
+                               # root: wider than its few-ULP uncertainty
+_DEFECT_TARGET = 1e-6          # = C07 closure threshold on the period defect
+_RESIDUAL_TOL = 1e-9           # |v'''(T/2)| a converged root may leave
+_T_MAX = 80.0                  # horizon of bracket and F runs, many periods
+                               # long; bounded that long counts as escape
+_CLASSIFY_GUARD = 1e4          # |y| past which a bracket run has crashed or
+                               # escaped for good
+_ORBIT_GUARD = 1e6             # blow-up guard of F evaluations and orbits
+
 
 @dataclass(frozen=True)
 class CriticalConstants:
@@ -129,12 +146,11 @@ def _tier(dtype) -> str:
     return "float64" if np.dtype(dtype) == np.float64 else "longdouble"
 
 
-def _shoot(consts, a, b, dtype, rel_tol, abs_tol, stats, t_end, guard,
-           event=None) -> Trajectory:
+def _shoot(consts, a, b, dtype, tols, stats, t_end, guard, event=None) -> Trajectory:
     """Integrate from the orbit minimum (a, 0, b, 0); the run is added to stats."""
     y0 = np.array([a, 0.0, b, 0.0], dtype=dtype)
-    tr = integrate(make_critical_rhs(consts, dtype), 0.0, y0, t_end, rel_tol=rel_tol,
-                   abs_tol=abs_tol, guard=guard, events=[event] if event else None)
+    tr = integrate(make_critical_rhs(consts, dtype), 0.0, y0, t_end, rel_tol=tols[0],
+                   abs_tol=tols[1], guard=guard, events=[event] if event else None)
     tally = stats.setdefault(_tier(dtype), {"integrations": 0, "steps": 0, "rhs_evals": 0})
     tally["integrations"] += 1
     tally["steps"] += tr.stats["steps"]
@@ -142,29 +158,27 @@ def _shoot(consts, a, b, dtype, rel_tol, abs_tol, stats, t_end, guard,
     return tr
 
 
-def _classify(consts: CriticalConstants, a: float, b, dtype, rel_tol, abs_tol,
-              stats: dict, t_max: float = 80.0, guard: float = 1e4) -> int:
+def _classify(consts: CriticalConstants, a: float, b, dtype, tols, stats: dict) -> int:
     """-1: dives below zero, +1: escapes upward."""
     down = Event(g=lambda t, y: float(y[0]), direction=-1, terminal=True)
-    tr = _shoot(consts, a, b, dtype, rel_tol, abs_tol, stats, t_max, guard, down)
+    tr = _shoot(consts, a, b, dtype, tols, stats, _T_MAX, _CLASSIFY_GUARD, down)
     if tr.status == "event":
         return -1
     if tr.status == "blowup":
         return 1 if float(tr.y[-1][0]) > 0 else -1
-    return 1  # stayed bounded to t_max: at/beyond the boundary, treat as upper
+    return 1  # stayed bounded to _T_MAX: at/beyond the boundary, treat as upper
 
 
-def _first_max(consts: CriticalConstants, a: float, b, dtype, rel_tol, abs_tol,
-               stats: dict, t_max: float = 80.0):
+def _first_max(consts: CriticalConstants, a: float, b, dtype, tols, stats: dict):
     ev = Event(g=lambda t, y: float(y[1]), direction=-1, terminal=True)
-    tr = _shoot(consts, a, b, dtype, rel_tol, abs_tol, stats, t_max, 1e6, ev)
+    tr = _shoot(consts, a, b, dtype, tols, stats, _T_MAX, _ORBIT_GUARD, ev)
     if tr.status != "event" or not tr.events[0]:
         return None, None
     te, ye = tr.events[0][0]
     return float(te), ye
 
 
-def _residual(consts, a, dtype, rel_tol, abs_tol, stats):
+def _residual(consts, a, dtype, tols, stats):
     """F(b) = v'''(t1) in ``dtype``; None where v has no maximum before blow-up.
 
     Evaluations are kept per b in the returned dict, so bracket ends are
@@ -174,7 +188,7 @@ def _residual(consts, a, dtype, rel_tol, abs_tol, stats):
 
     def F(b):
         if b not in firsts:
-            firsts[b] = _first_max(consts, a, b, dtype, rel_tol, abs_tol, stats)
+            firsts[b] = _first_max(consts, a, b, dtype, tols, stats)
         t1, y1 = firsts[b]
         return None if t1 is None else y1[3]
 
@@ -187,7 +201,7 @@ def _changes_sign(fa, fb) -> bool:
     return fa == 0 or fb == 0 or (fa < 0) != (fb < 0)
 
 
-def _bisect(consts, a, blo, bhi, dtype, rel_tol, abs_tol, iters, stats,
+def _bisect(consts, a, blo, bhi, dtype, tols, iters, stats,
             until: Callable = lambda lo, hi: False):
     """Bisect the crash/escape dichotomy ``iters`` times or until ``until(lo, hi)``."""
     scal = np.dtype(dtype).type
@@ -198,7 +212,7 @@ def _bisect(consts, a, blo, bhi, dtype, rel_tol, abs_tol, iters, stats,
         mid = (blo + bhi) / 2
         if mid == blo or mid == bhi:
             break
-        if _classify(consts, a, mid, dtype, rel_tol, abs_tol, stats) < 0:
+        if _classify(consts, a, mid, dtype, tols, stats) < 0:
             blo = mid
         else:
             bhi = mid
@@ -265,18 +279,16 @@ def _brent(f: Callable, lo, hi):
     raise ArithmeticError("Brent search did not converge in 200 steps")
 
 
-def find_b(n: int, a: float, tol: float = 1e-9, c_mode: str = "measured",
-           rel_tol: float = 1e-12, abs_tol: float = 1e-14,
-           defect_target: float = 1e-6,
-           consts: Optional[CriticalConstants] = None) -> ShootingResult:
+def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> ShootingResult:
     """Locate b(a) and the fundamental period for one Fowler parameter.
 
+    ``consts`` defaults to the measured-c constants of dimension n.
     0 < a < a0 shoots; a == a0 returns the constant orbit with the
     linearized period.  Escalates to extended precision when the
     one-period closure defect of the float64 root exceeds the target; a
     returned defect still above the target is reported in ``message``.
     """
-    consts = consts if consts is not None else critical_constants(n, c_mode)
+    consts = consts if consts is not None else critical_constants(n)
     a0 = consts.a0
     if not (0 < a <= a0 * (1 + 1e-12)):
         raise DomainError(f"Fowler parameter must lie in (0, a0={a0:.12g}], got a={a}")
@@ -292,11 +304,10 @@ def find_b(n: int, a: float, tol: float = 1e-9, c_mode: str = "measured",
     # bracket on a geometric grid, then bisect the crash/escape boundary
     b_max = 10.0 * consts.K0 * a0
     grid = np.geomspace(1e-6, b_max, 25)
-    coarse = (1e-9, 1e-11)
     prev = None
     blo = bhi = None
     for b in grid:
-        o = _classify(consts, a, float(b), np.float64, *coarse, stats)
+        o = _classify(consts, a, float(b), np.float64, _COARSE_TOLS, stats)
         if prev is not None and prev[1] < 0 and o > 0:
             blo, bhi = prev[0], float(b)
             break
@@ -307,50 +318,47 @@ def find_b(n: int, a: float, tol: float = 1e-9, c_mode: str = "measured",
             f"diagnostic sweep outcomes all {prev[1] if prev else 'undefined'}")
     # short coarse prefix only: over-shrinking the bracket around the
     # coarse-tolerance boundary would push the fine boundary outside it
-    blo, bhi = _bisect(consts, a, blo, bhi, np.float64, coarse[0], coarse[1], 10, stats)
-    F, firsts = _residual(consts, a, np.float64, rel_tol, abs_tol, stats)
-    blo, bhi = _bisect(consts, a, blo, bhi, np.float64, rel_tol, abs_tol, 60, stats,
+    blo, bhi = _bisect(consts, a, blo, bhi, np.float64, _COARSE_TOLS, 10, stats)
+    F, firsts = _residual(consts, a, np.float64, _F64_TOLS, stats)
+    blo, bhi = _bisect(consts, a, blo, bhi, np.float64, _F64_TOLS, 60, stats,
                        until=lambda lo, hi: _changes_sign(F(lo), F(hi)))
     try:
         b = _brent(F, blo, bhi)
     except ArithmeticError as exc:
         return _failed(a, float((blo + bhi) / 2), f"reversibility residual: {exc}", stats)
-    result = _assemble_result(consts, a, b, *firsts[b], np.float64, rel_tol, abs_tol,
-                              tol, stats)
-    if result.converged and result.period_defect <= defect_target:
+    result = _assemble_result(consts, a, b, *firsts[b], np.float64, _F64_TOLS, stats)
+    if result.converged and result.period_defect <= _DEFECT_TARGET:
         return result
     if not _LONGDOUBLE_OK:
         why = "longdouble is float64 on this platform"
     else:
         ld = np.longdouble
-        margin = ld(1e-9)
-        lr, la = 1e-15, 1e-18
-        F_ld, firsts_ld = _residual(consts, a, ld, lr, la, stats)
+        margin = ld(_LD_MARGIN)
+        F_ld, firsts_ld = _residual(consts, a, ld, _LD_TOLS, stats)
         try:
             b_ld = _brent(F_ld, ld(b) * (1 - margin), ld(b) * (1 + margin))
         except ArithmeticError as exc:
             why = f"longdouble bracket failed: {exc}"
         else:
-            refined = _assemble_result(consts, a, b_ld, *firsts_ld[b_ld], ld, lr, la,
-                                       tol, stats)
+            refined = _assemble_result(consts, a, b_ld, *firsts_ld[b_ld], ld, _LD_TOLS,
+                                       stats)
             if refined.period_defect <= result.period_defect:
                 result, why = refined, "after longdouble refinement"
             else:
                 why = (f"longdouble refinement reached {refined.period_defect:.3e}, "
                        f"not kept")
-    if result.period_defect > defect_target:
+    if result.period_defect > _DEFECT_TARGET:
         note = (f"closure defect {result.period_defect:.3e} above target "
-                f"{defect_target:.1e} ({why})")
+                f"{_DEFECT_TARGET:.1e} ({why})")
         result.message = f"{result.message}; {note}" if result.message else note
     return result
 
 
-def _assemble_result(consts, a, b, t1, y1, dtype, rel_tol, abs_tol, tol,
-                     stats) -> ShootingResult:
+def _assemble_result(consts, a, b, t1, y1, dtype, tols, stats) -> ShootingResult:
     """Diagnostics of the orbit through b, given its first maximum (t1, y(t1))."""
     residual = abs(float(y1[3]))
     T = 2.0 * t1
-    orbit = _shoot(consts, a, b, dtype, rel_tol, abs_tol, stats, T, 1e6)
+    orbit = _shoot(consts, a, b, dtype, tols, stats, T, _ORBIT_GUARD)
     target = np.array([a, 0.0, float(b), 0.0])
     defect = float(np.max(np.abs(np.asarray(orbit.y[-1], float) - target)))
     ts = np.linspace(0.0, T, 1601)
@@ -362,8 +370,8 @@ def _assemble_result(consts, a, b, t1, y1, dtype, rel_tol, abs_tol, tol,
     taus = np.linspace(0.0, min(t1, T - t1), 101)[1:]
     sym = float(np.max(np.abs(np.asarray(orbit(t1 + taus)[:, 0], float)
                               - np.asarray(orbit(t1 - taus)[:, 0], float))))
-    converged = residual <= tol and math.isfinite(defect)
-    msg = "" if converged else f"residual {residual:.3e} above tol {tol:.1e}"
+    converged = residual <= _RESIDUAL_TOL and math.isfinite(defect)
+    msg = "" if converged else f"residual {residual:.3e} above tol {_RESIDUAL_TOL:.1e}"
     if vmin < a - 1e-6:
         converged = False
         msg = f"orbit minimum {vmin:.9g} undercuts a={a:.9g} (wrong branch)"
@@ -374,8 +382,8 @@ def _assemble_result(consts, a, b, t1, y1, dtype, rel_tol, abs_tol, tol,
                           stats=stats)
 
 
-def orbit_table(n: int, a_values: Sequence[float], c_mode: str = "measured",
-                tol: float = 1e-9, **kw) -> List[ShootingResult]:
+def orbit_table(n: int, a_values: Sequence[float],
+                c_mode: str = "measured") -> List[ShootingResult]:
     """Shooting results for a grid of Fowler parameters.
 
     Individual failures are recorded on the corresponding entry (as a
@@ -386,7 +394,7 @@ def orbit_table(n: int, a_values: Sequence[float], c_mode: str = "measured",
     out: List[ShootingResult] = []
     for a in a_values:
         try:
-            out.append(find_b(n, float(a), tol=tol, consts=consts, **kw))
+            out.append(find_b(n, float(a), consts=consts))
         except (DomainError, ArithmeticError, RuntimeError) as exc:
             out.append(_failed(float(a), float("nan"), str(exc)))
     return out

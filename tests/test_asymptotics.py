@@ -112,7 +112,7 @@ def test_quasi_static_trajectory_settles_on_printed_limit_amplitude():
     # the amplitude lands on the printed-block limit variant.  The time
     # span is capped where r^{4-n} = e^{(n-4)t} stays representable.
     n = 8
-    tr = constant_state_trajectory(n, 50.0, 170.0, num=40, quasi_static=True)
+    tr = constant_state_trajectory(n, 50.0, 170.0, quasi_static=True)
     samples = []
     for t, w in zip(tr.t, tr.y[:, 0]):
         r = math.exp(-float(t))

@@ -1,10 +1,13 @@
 """Command-line contract: exact output, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+
+from fowler4 import cli
 
 CMD = [sys.executable, "-m", "fowler4"]
 
@@ -144,3 +147,61 @@ def test_shoot_table_columns_and_determinism():
     assert len(rows) == 2 and all(r.endswith(",1,float64") for r in rows)
     assert "# c_mode: measured" in a.stdout and "# rel_tol:" not in a.stdout
     assert run_cli("shoot", "--n", "6", "--a-grid", "0.6,0.9", check=True).stdout == a.stdout
+
+
+def _artifact_digests(tmp_path, args, side_flag=None):
+    """Run one subcommand in-process with --out (and a side file); return
+    the sha256 prefix of each file it wrote."""
+    main, side = tmp_path / "main", tmp_path / "side"
+    argv = list(args) + ["--out", str(main)]
+    if side_flag:
+        argv += [side_flag, str(side)]
+    assert cli.main(argv) == 0
+    paths = [main, side] if side_flag else [main]
+    return [hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in paths]
+
+
+_INTEGRATE = ("integrate", "--n", "5", "--s", "7", "--init", "0.3,-0.2,0.1,0.25",
+              "--t-end", "2")
+
+# (args, side-file flag, digests of the main and side artifacts), recorded
+# before the numerical keyword parameters became module constants; the
+# build id is part of every artifact, so a version bump changes them all
+_PINNED_ARTIFACTS = {
+    "coeffs-csv": (("coeffs", "--n", "5:7", "--s", "7/3"), None,
+                   ["6516150182e5f433"]),
+    "coeffs-json": (("coeffs", "--n", "5:7", "--s", "7/3", "--format", "json"), None,
+                    ["a2860a063f7e1806"]),
+    "signs": (("signs", "--n", "5:6", "--s-grid", "8"), None,
+              ["94e62e965e92c7d3"]),
+    "classify": (("classify", "--n", "5:9", "--s", "7"), None,
+                 ["f580b574a1bf7f3b"]),
+    "pohozaev": (("pohozaev", "--n", "5:7", "--s", "7"), None,
+                 ["037c1274c706bdcb"]),
+    "fit-power": (("fit", "--n", "5", "--s", "7", "--profile", "power"), "--samples-out",
+                  ["8b81bf81e9835b71", "a5d8c0bc4daafe99"]),
+    "fit-aviles": (("fit", "--n", "5", "--profile", "aviles"), "--samples-out",
+                   ["fa642fbabce1a9a0", "e42458fde3110302"]),
+    "fit-bubble": (("fit", "--n", "6", "--profile", "bubble"), "--samples-out",
+                   ["02d8597cf6708b90", "cae886ca8b838035"]),
+    "integrate": (_INTEGRATE, "--energy-out",
+                  ["cd8c3f75d736cade", "553e6b9ac35528b9"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_ARTIFACTS))
+def test_artifacts_are_pinned_across_commits(tmp_path, name):
+    args, side_flag, want = _PINNED_ARTIFACTS[name]
+    assert _artifact_digests(tmp_path, args, side_flag) == want
+
+
+def test_integrate_energy_series_uses_the_integrated_sigma(tmp_path):
+    # the energy formula must use the coefficients the run integrated with:
+    # dH_numeric (a stencil on H) then agrees with the dH_formula column
+    energy = tmp_path / "energy.csv"
+    assert cli.main(list(_INTEGRATE) + ["--sigma", "1", "--out", str(tmp_path / "t.csv"),
+                                        "--energy-out", str(energy)]) == 0
+    rows = [l.split(",") for l in energy.read_text().splitlines()
+            if l[:1].isdigit() or l[:1] == "-"]
+    gaps = [abs(float(r[2]) - float(r[3])) for r in rows if r[3] != "nan"]
+    assert len(gaps) > 100 and max(gaps) < 1e-3

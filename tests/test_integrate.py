@@ -1,6 +1,7 @@
 """Integrator contract: accuracy, dense output, events, guards."""
 
 import hashlib
+import importlib
 import math
 from fractions import Fraction
 
@@ -11,6 +12,9 @@ from fowler4.integrate import Event, StepUnderflowError, Trajectory, integrate
 from fowler4.odes import make_autonomous_rhs
 from fowler4.params import DomainError, Params
 from fowler4.shooting import critical_constants, make_critical_rhs
+
+# the module, not the function that the package re-exports under its name
+integ_module = importlib.import_module("fowler4.integrate")
 
 
 def _linear_rhs(t, y):
@@ -93,6 +97,17 @@ def test_step_underflow_carries_partial_trajectory():
     assert isinstance(part, Trajectory)
     assert 0.9 < part.t[-1] <= 1.0
     assert len(part.h) == len(part.dense) == len(part.t) - 1
+
+
+def test_step_cap_stops_with_max_steps_status(monkeypatch):
+    monkeypatch.setattr(integ_module, "_MAX_STEPS", 7)
+    traj = integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 100.0,
+                     rel_tol=1e-10, abs_tol=1e-12)
+    assert traj.status == "max_steps"
+    assert traj.stats["steps"] == 7
+    accepted = traj.stats["steps"] - traj.stats["rejected"]
+    assert len(traj.t) == accepted + 1 and len(traj.dense) == accepted
+    assert traj.t[-1] < 100.0
 
 
 def test_event_location_on_dense_output():

@@ -58,8 +58,6 @@ def test_series_on_equilibrium_trajectory():
         assert abs(q.dH_formula) < 1e-12
         if not math.isnan(q.dH_numeric):
             assert abs(q.dH_numeric) < 1e-10
-    assert series[0].P_cyl == pytest.approx(
-        po.unit_sphere_area(5) * series[0].H, rel=1e-14)
 
 
 def test_conservation_at_criticality():
