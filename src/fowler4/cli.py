@@ -122,7 +122,12 @@ def cmd_coeffs(args) -> int:
 
 def cmd_signs(args) -> int:
     ns = _parse_n_range(args.n)
-    grid = int(args.s_grid)
+    try:
+        grid = int(args.s_grid)
+    except ValueError:
+        raise UsageError(f"cannot parse --s-grid {args.s_grid!r}") from None
+    if grid < 2:
+        raise UsageError(f"--s-grid needs at least 2 samples, got {grid}")
     rows = []
     for n in ns:
         ex = special_exponents(n)
@@ -184,13 +189,15 @@ def cmd_integrate(args) -> int:
         rows.append([float(t)] + [float(v) for v in traj.y[i]] + [float(steps[i])])
     cols = (["t"] + [f"y{j}" for j in range(4 * args.p)] + ["step"])
     text = write_csv(cols, rows, cfg) if args.format == "csv" else write_json(cfg, rows)
-    _emit(args, text, cols)
     if args.energy_out:
+        # built before any file is written: a DomainError here writes nothing
         series = pohozaev_series(params, traj, num=min(801, 5 * len(traj.t)),
                                  sigma=args.sigma)
-        _write(args.energy_out,
-               write_csv(["t", "H", "dH_formula", "dH_numeric"],
-                         [[q.t, q.H, q.dH_formula, q.dH_numeric] for q in series], cfg))
+        energy = write_csv(["t", "H", "dH_formula", "dH_numeric"],
+                           [[q.t, q.H, q.dH_formula, q.dH_numeric] for q in series], cfg)
+    _emit(args, text, cols)
+    if args.energy_out:
+        _write(args.energy_out, energy)
     return 0
 
 

@@ -13,10 +13,16 @@ down to a few ULP of b; each F evaluation is a half-orbit integration.
 At the root the orbit is even about t1, so the fundamental period is
 T = 2 t1.
 
-Where the float64 ULP floor on b leaves a one-period closure defect
-above tolerance (strong saddle amplification, e.g. small a at n = 5)
-the search escalates to extended precision: the same Brent search on F
-in longdouble, inside +-1e-9 of the float64 root.  A returned root whose
+Two integrators serve the search.  The crash/escape classification runs
+Dormand-Prince (``integrate``) in float64.  The half-orbit runs behind F
+and the one-period orbit of the root run the Taylor-series flow of
+``taylor``, whose steps keep truncation error below float64 rounding;
+on the C07 grid that float64 root closes the period within the target.
+Where the float64 ULP floor on b and the rounding of the orbit still
+leave a one-period closure defect above tolerance (strong saddle
+amplification, e.g. a = 0.2 a0 at n = 5) the search escalates to
+extended precision: the same Brent search on F with Dormand-Prince in
+longdouble, inside +-1e-9 of the float64 root.  A returned root whose
 defect still misses the target says so in its message.
 """
 
@@ -32,6 +38,7 @@ from .coefficients import printed_critical_values
 from .integrate import Event, Trajectory, integrate
 from .params import DomainError, special_exponents
 from .profiles import bubble_constant
+from .taylor import flow
 
 _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 
@@ -39,7 +46,8 @@ _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 # under it.  Tolerance pairs are the integrator's (rel_tol, abs_tol).
 _COARSE_TOLS = (1e-9, 1e-11)   # bracket grid and coarse bisection: only the
                                # crash/escape side of b is read, not its digits
-_F64_TOLS = (1e-12, 1e-14)     # fine bisection, Brent on F, the float64 orbit
+_F64_TOLS = (1e-12, 1e-14)     # fine bisection (F and the float64 orbit run
+                               # the Taylor flow, which has its own tolerance)
 _LD_TOLS = (1e-15, 1e-18)      # longdouble refinement: tighter than float64
                                # arithmetic can meet
 _LD_MARGIN = 1e-9              # longdouble bracket, relative to the float64
@@ -121,8 +129,9 @@ class ShootingResult:
     converged: bool
     precision: str = "float64"         # tier of the returned root
     message: str = ""
-    # per precision tier: {"integrations", "steps", "rhs_evals"} summed
-    # over every integration the search ran
+    # per tier, summed over every integration the search ran: "float64"
+    # and "longdouble" (Dormand-Prince) {"integrations", "steps",
+    # "rhs_evals"}, "taylor" (the float64 Taylor flow) {"integrations", "steps"}
     stats: dict = field(default_factory=dict)
 
 
@@ -158,6 +167,15 @@ def _shoot(consts, a, b, dtype, tols, stats, t_end, guard, event=None) -> Trajec
     return tr
 
 
+def _taylor(consts, a, b, stats, t_end, first_max=False) -> Trajectory:
+    """Taylor flow from the orbit minimum (a, 0, b, 0); the run is added to stats."""
+    tr = flow(consts, (a, 0.0, float(b), 0.0), t_end, _ORBIT_GUARD, first_max)
+    tally = stats.setdefault("taylor", {"integrations": 0, "steps": 0})
+    tally["integrations"] += 1
+    tally["steps"] += tr.stats["steps"]
+    return tr
+
+
 def _classify(consts: CriticalConstants, a: float, b, dtype, tols, stats: dict) -> int:
     """-1: dives below zero, +1: escapes upward."""
     down = Event(g=lambda t, y: float(y[0]), direction=-1, terminal=True)
@@ -170,8 +188,12 @@ def _classify(consts: CriticalConstants, a: float, b, dtype, tols, stats: dict) 
 
 
 def _first_max(consts: CriticalConstants, a: float, b, dtype, tols, stats: dict):
-    ev = Event(g=lambda t, y: float(y[1]), direction=-1, terminal=True)
-    tr = _shoot(consts, a, b, dtype, tols, stats, _T_MAX, _ORBIT_GUARD, ev)
+    """(t1, y(t1)) at the first maximum of v; (None, None) where there is none."""
+    if dtype == np.float64:
+        tr = _taylor(consts, a, b, stats, _T_MAX, first_max=True)
+    else:
+        ev = Event(g=lambda t, y: float(y[1]), direction=-1, terminal=True)
+        tr = _shoot(consts, a, b, dtype, tols, stats, _T_MAX, _ORBIT_GUARD, ev)
     if tr.status != "event" or not tr.events[0]:
         return None, None
     te, ye = tr.events[0][0]
@@ -358,7 +380,8 @@ def _assemble_result(consts, a, b, t1, y1, dtype, tols, stats) -> ShootingResult
     """Diagnostics of the orbit through b, given its first maximum (t1, y(t1))."""
     residual = abs(float(y1[3]))
     T = 2.0 * t1
-    orbit = _shoot(consts, a, b, dtype, tols, stats, T, _ORBIT_GUARD)
+    orbit = (_taylor(consts, a, b, stats, T) if dtype == np.float64
+             else _shoot(consts, a, b, dtype, tols, stats, T, _ORBIT_GUARD))
     target = np.array([a, 0.0, float(b), 0.0])
     defect = float(np.max(np.abs(np.asarray(orbit.y[-1], float) - target)))
     ts = np.linspace(0.0, T, 1601)

@@ -38,6 +38,22 @@ def test_malformed_s_exits_2_without_output(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-3", "junk"])
+def test_signs_short_or_malformed_grid_exits_2_without_output(tmp_path, grid):
+    target = tmp_path / "out.csv"
+    assert cli.main(["signs", "--n", "5", "--s-grid", grid, "--out", str(target)]) == 2
+    assert not target.exists()
+
+
+def test_integrate_energy_failure_exits_2_without_output(tmp_path):
+    # too short a run for the energy series' stencil: DomainError
+    out, energy = tmp_path / "tr.csv", tmp_path / "energy.csv"
+    argv = ["integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--t-end", "0.001",
+            "--out", str(out), "--energy-out", str(energy)]
+    assert cli.main(argv) == 2
+    assert not out.exists() and not energy.exists()
+
+
 def test_missing_subcommand_is_usage_error():
     out = run_cli()
     assert out.returncode == 2

@@ -134,28 +134,48 @@ def consts5():
     return sh.critical_constants(5)
 
 
+def _check_stats(stats):
+    total = sum(tier["integrations"] for tier in stats.values())
+    assert 0 < total <= 70
+    assert stats["taylor"]["steps"] > 0
+    assert all(stats[t]["steps"] > 0 and stats[t]["rhs_evals"] >= 6 * stats[t]["steps"]
+               for t in ("float64", "longdouble") if t in stats)
+
+
 def test_find_b_escalating_point_meets_c07(consts5):
-    """n=5, a=0.3 a0: the C07 point whose float64 root misses the closure target."""
+    """n=5, a=0.3 a0: the C07 point whose float64 Dormand-Prince root missed
+    the closure target; the Taylor flow closes it in float64."""
     a = 0.3 * consts5.a0
     r = sh.find_b(5, a, consts=consts5)
     assert r.converged and r.residual <= 1e-9
     assert r.period_defect <= 1e-6
     assert r.energy_drift <= 1e-8
     assert r.min_v >= a - 1e-6
-    if sh._LONGDOUBLE_OK:
-        assert r.precision == "longdouble" and r.message == ""
-        assert r.stats["longdouble"]["integrations"] <= 10
-    total = sum(tier["integrations"] for tier in r.stats.values())
-    assert 0 < total <= 70
-    assert all(tier["steps"] > 0 and tier["rhs_evals"] >= 6 * tier["steps"]
-               for tier in r.stats.values())
+    assert r.precision == "float64" and r.message == ""
+    assert "longdouble" not in r.stats
+    _check_stats(r.stats)
+
+
+@pytest.mark.skipif(not sh._LONGDOUBLE_OK, reason="longdouble is float64 here")
+def test_find_b_escalates_where_float64_closure_misses(consts5):
+    """n=5, a=0.2 a0: the float64 root misses the closure target; the
+    longdouble refinement meets it."""
+    a = 0.2 * consts5.a0
+    r = sh.find_b(5, a, consts=consts5)
+    assert r.converged and r.residual <= 1e-9
+    assert r.period_defect <= 1e-6
+    assert r.energy_drift <= 1e-8
+    assert r.min_v >= a - 1e-6
+    assert r.precision == "longdouble" and r.message == ""
+    assert r.stats["longdouble"]["integrations"] <= 10
+    _check_stats(r.stats)
 
 
 def test_find_b_reports_closure_shortfall_without_longdouble(consts5, monkeypatch):
     monkeypatch.setattr(sh, "_LONGDOUBLE_OK", False)
-    r = sh.find_b(5, 0.3 * consts5.a0, consts=consts5)
+    r = sh.find_b(5, 0.2 * consts5.a0, consts=consts5)
     assert r.precision == "float64"
     assert 1e-6 < r.period_defect < 1e-4
     assert f"closure defect {r.period_defect:.3e}" in r.message
     assert "target 1.0e-06" in r.message
-    assert set(r.stats) == {"float64"}
+    assert set(r.stats) == {"float64", "taylor"}
