@@ -48,10 +48,6 @@ _FAC_MIN, _FAC_MAX = 0.2, 5.0
 # safety cap on stats["steps"]: a run that reaches it stops with
 # status "max_steps" and keeps what it integrated
 _MAX_STEPS = 10_000_000
-# a dense query gathers each point's polynomial matrix; blocks of at most
-# this many coefficients keep a long query of a high-degree record (1601
-# points of a degree-24 series would take 1.2 MB at once) small in memory
-_QUERY_BLOCK = 2**15
 
 _TABLEAU_CACHE: dict = {}
 
@@ -113,9 +109,8 @@ class Trajectory:
     interpolates inside steps with the method's own polynomial.  A query
     takes a scalar (returns one row of shape ``(dim,)``) or an array of
     times (returns one row per time) and is answered in one batch: one
-    ``searchsorted`` serves every point, and the polynomials are evaluated
-    stacked, in blocks of at most ``_QUERY_BLOCK`` coefficients.  With no
-    steps (a synthetic record), the nodes are interpolated linearly in
+    ``searchsorted`` and one stacked polynomial serve every point.  With
+    no steps (a synthetic record), the nodes are interpolated linearly in
     time order.  Any time outside the span, or NaN, raises DomainError.
     """
 
@@ -155,15 +150,8 @@ class Trajectory:
         idx = np.clip(idx, 0, len(starts) - 1)
         hs = self.h[idx]
         th = np.clip((tqs - starts[idx]) / hs.astype(float), 0.0, 1.0)
-        th = th.astype(self.dense.dtype)[:, None]
-        exponents = np.arange(1, self.dense.shape[-1] + 1)
-        out = np.empty((tqs.size, self.y.shape[1]), dtype=np.result_type(self.y, self.dense))
-        rows = max(1, _QUERY_BLOCK // self.dense[0].size)
-        for i in range(0, tqs.size, rows):
-            b = slice(i, i + rows)
-            poly = self.dense[idx[b]] @ (th[b] ** exponents)[:, :, None]
-            out[b] = self.y[idx[b]] + hs[b, None] * poly[:, :, 0]
-        return out
+        powers = th.astype(self.dense.dtype)[:, None] ** np.arange(1, self.dense.shape[-1] + 1)
+        return self.y[idx] + hs[:, None] * (self.dense[idx] @ powers[:, :, None])[:, :, 0]
 
     def _node_rows(self, tqs):
         order = np.argsort(self.t, kind="stable")

@@ -38,7 +38,7 @@ from .coefficients import printed_critical_values
 from .integrate import Event, Trajectory, integrate
 from .params import DomainError, special_exponents
 from .profiles import bubble_constant
-from .taylor import flow
+from .taylor import _ORBIT_GUARD, flow
 
 _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 
@@ -57,8 +57,8 @@ _RESIDUAL_TOL = 1e-9           # |v'''(T/2)| a converged root may leave
 _T_MAX = 80.0                  # horizon of bracket and F runs, many periods
                                # long; bounded that long counts as escape
 _CLASSIFY_GUARD = 1e4          # |y| past which a bracket run has crashed or
-                               # escaped for good
-_ORBIT_GUARD = 1e6             # blow-up guard of F evaluations and orbits
+                               # escaped for good; F evaluations and orbits
+                               # stop at taylor._ORBIT_GUARD (1e6)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def _shoot(consts, a, b, dtype, tols, stats, t_end, guard, event=None) -> Trajec
 
 def _taylor(consts, a, b, stats, t_end, first_max=False) -> Trajectory:
     """Taylor flow from the orbit minimum (a, 0, b, 0); the run is added to stats."""
-    tr = flow(consts, (a, 0.0, float(b), 0.0), t_end, _ORBIT_GUARD, first_max)
+    tr = flow(consts, (a, 0.0, float(b), 0.0), t_end, first_max)
     tally = stats.setdefault("taylor", {"integrations": 0, "steps": 0})
     tally["integrations"] += 1
     tally["steps"] += tr.stats["steps"]

@@ -27,6 +27,8 @@ from .integrate import Trajectory
 _ORDER = 24   # series order of each state component
 _TOL = 1e-16  # bound on the last two terms, relative to max(1, |y|_inf):
               # below float64 rounding of the state
+_ORBIT_GUARD = 1e6  # |y|_inf past which a run stops as undefined; shooting's
+                    # longdouble F runs and orbits stop at the same bound
 
 
 @lru_cache(maxsize=None)
@@ -98,12 +100,12 @@ def _first_root(d1, d2, hi: float) -> float:
     return s
 
 
-def flow(consts, y0, t_end: float, guard: float, first_max: bool = False) -> Trajectory:
+def flow(consts, y0, t_end: float, first_max: bool = False) -> Trajectory:
     """Integrate the critical equation from t = 0 towards t_end.
 
     With ``first_max`` the run stops at the first maximum of v (v' crossing
     zero downward), recorded as a terminal event, status ``"event"``.  A run
-    stops with status ``"undefined"`` where v <= 0, |y| passes ``guard`` or
+    stops with status ``"undefined"`` where v <= 0, |y| passes ``_ORBIT_GUARD`` or
     the step size collapses.  ``dense[i]`` holds step i's series scaled to
     powers of theta = (t - t[i]) / h[i], so the record is an ordinary
     dense-output Trajectory of degree ``_ORDER``.
@@ -115,7 +117,7 @@ def flow(consts, y0, t_end: float, guard: float, first_max: bool = False) -> Tra
     status = "reached"
     while t < t_end:
         size = max(map(abs, y))
-        if not (y[0] > 0 and size <= guard):
+        if not (y[0] > 0 and size <= _ORBIT_GUARD):
             status = "undefined"
             break
         coef = series(consts, y)

@@ -61,9 +61,6 @@ def test_orbit_dense_output_reproduces_nodes(orbit6):
     ends = o.y[:-1] + o.h[:, None] * o.dense.sum(axis=2)
     assert np.max(np.abs(ends - o.y[1:])) <= 1e-15
     assert np.max(np.abs(o(o.t[-1]) - o.y[-1])) <= 1e-15
-    # a long query runs in several blocks and equals point-by-point queries
-    ts = np.linspace(o.t0, o.t1, 1601)
-    assert np.array_equal(o(ts), np.array([o(t) for t in ts]))
 
 
 @pytest.mark.skipif(not sh._LONGDOUBLE_OK, reason="longdouble is float64 here")
@@ -89,5 +86,5 @@ def test_escape_side_F_is_undefined_within_bounded_steps(orbit6, consts6, scale)
 
 
 def test_flow_stops_where_v_is_not_positive(consts6):
-    tr = taylor.flow(consts6, (0.0, 0.1, 0.2, 0.0), 1.0, sh._ORBIT_GUARD)
+    tr = taylor.flow(consts6, (0.0, 0.1, 0.2, 0.0), 1.0)
     assert tr.status == "undefined" and tr.stats["steps"] == 0 and tr.events == [[]]
