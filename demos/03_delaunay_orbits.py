@@ -7,7 +7,7 @@ few Fowler parameters at n = 6, reports the fundamental period, the
 closure diagnostics, and compares the small-amplitude period with the
 linearized frequency at the constant orbit.
 
-Run:  python demos/03_delaunay_orbits.py       (a few seconds)
+Run:  python demos/03_delaunay_orbits.py       (under a second)
 """
 
 from fowler4 import critical_constants, find_b

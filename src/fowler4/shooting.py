@@ -13,17 +13,17 @@ down to a few ULP of b; each F evaluation is a half-orbit integration.
 At the root the orbit is even about t1, so the fundamental period is
 T = 2 t1.
 
-Two integrators serve the search.  The crash/escape classification runs
-Dormand-Prince (``integrate``) in float64.  The half-orbit runs behind F
-and the one-period orbit of the root run the Taylor-series flow of
-``taylor``, whose steps keep truncation error below float64 rounding;
-on the C07 grid that float64 root closes the period within the target.
-Where the float64 ULP floor on b and the rounding of the orbit still
-leave a one-period closure defect above tolerance (strong saddle
-amplification, e.g. a = 0.2 a0 at n = 5) the search escalates to
-extended precision: the same Brent search on F with Dormand-Prince in
-longdouble, inside +-1e-9 of the float64 root.  A returned root whose
-defect still misses the target says so in its message.
+Every run of the search is the Taylor-series flow of ``taylor``: the
+crash/escape classification, the half-orbit runs behind F and the
+one-period orbit of the root.  A run computes in the scalar type of b,
+with steps whose truncation error stays below its rounding; on the C07
+grid the float64 root closes the period within the target.  Where the
+float64 ULP floor on b and the rounding of the orbit still leave a
+one-period closure defect above tolerance (strong saddle amplification,
+e.g. a = 0.2 a0 at n = 5) the search escalates to extended precision:
+the same Brent search on F with b in longdouble, inside +-1e-9 of the
+float64 root.  A returned root whose defect still misses the target says
+so in its message.
 """
 
 from __future__ import annotations
@@ -35,30 +35,22 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .coefficients import printed_critical_values
-from .integrate import Event, Trajectory, integrate
+from .integrate import Trajectory
 from .params import DomainError, special_exponents
 from .profiles import bubble_constant
-from .taylor import _ORBIT_GUARD, flow
+from .taylor import flow
 
 _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 
 # Numerical policy of the search; C07, the CLI and the benchmark all run
-# under it.  Tolerance pairs are the integrator's (rel_tol, abs_tol).
-_COARSE_TOLS = (1e-9, 1e-11)   # bracket grid and coarse bisection: only the
-                               # crash/escape side of b is read, not its digits
-_F64_TOLS = (1e-12, 1e-14)     # fine bisection (F and the float64 orbit run
-                               # the Taylor flow, which has its own tolerance)
-_LD_TOLS = (1e-15, 1e-18)      # longdouble refinement: tighter than float64
-                               # arithmetic can meet
+# under it.  The Taylor flow's order, step tolerances and |y| guard are
+# constants of ``taylor``.
 _LD_MARGIN = 1e-9              # longdouble bracket, relative to the float64
                                # root: wider than its few-ULP uncertainty
 _DEFECT_TARGET = 1e-6          # = C07 closure threshold on the period defect
 _RESIDUAL_TOL = 1e-9           # |v'''(T/2)| a converged root may leave
 _T_MAX = 80.0                  # horizon of bracket and F runs, many periods
                                # long; bounded that long counts as escape
-_CLASSIFY_GUARD = 1e4          # |y| past which a bracket run has crashed or
-                               # escaped for good; F evaluations and orbits
-                               # stop at taylor._ORBIT_GUARD (1e6)
 
 
 @dataclass(frozen=True)
@@ -129,9 +121,8 @@ class ShootingResult:
     converged: bool
     precision: str = "float64"         # tier of the returned root
     message: str = ""
-    # per tier, summed over every integration the search ran: "float64"
-    # and "longdouble" (Dormand-Prince) {"integrations", "steps",
-    # "rhs_evals"}, "taylor" (the float64 Taylor flow) {"integrations", "steps"}
+    # per precision tier, summed over every Taylor run the search made:
+    # "float64" and "longdouble", each {"integrations", "steps"}
     stats: dict = field(default_factory=dict)
 
 
@@ -151,57 +142,36 @@ def orbit_energy(consts: CriticalConstants, y) -> float:
             + consts.c * abs(v) ** (q + 1) / (q + 1))
 
 
-def _tier(dtype) -> str:
-    return "float64" if np.dtype(dtype) == np.float64 else "longdouble"
-
-
-def _shoot(consts, a, b, dtype, tols, stats, t_end, guard, event=None) -> Trajectory:
-    """Integrate from the orbit minimum (a, 0, b, 0); the run is added to stats."""
-    y0 = np.array([a, 0.0, b, 0.0], dtype=dtype)
-    tr = integrate(make_critical_rhs(consts, dtype), 0.0, y0, t_end, rel_tol=tols[0],
-                   abs_tol=tols[1], guard=guard, events=[event] if event else None)
-    tally = stats.setdefault(_tier(dtype), {"integrations": 0, "steps": 0, "rhs_evals": 0})
-    tally["integrations"] += 1
-    tally["steps"] += tr.stats["steps"]
-    tally["rhs_evals"] += tr.stats["rhs_evals"]
-    return tr
-
-
 def _taylor(consts, a, b, stats, t_end, first_max=False) -> Trajectory:
-    """Taylor flow from the orbit minimum (a, 0, b, 0); the run is added to stats."""
-    tr = flow(consts, (a, 0.0, float(b), 0.0), t_end, first_max)
-    tally = stats.setdefault("taylor", {"integrations": 0, "steps": 0})
+    """Taylor flow from the orbit minimum (a, 0, b, 0) in the scalar type of b;
+    the run is added to stats under its precision."""
+    tr = flow(consts, (a, 0.0, b, 0.0), t_end, first_max)
+    tier = "longdouble" if isinstance(b, np.longdouble) else "float64"
+    tally = stats.setdefault(tier, {"integrations": 0, "steps": 0})
     tally["integrations"] += 1
     tally["steps"] += tr.stats["steps"]
     return tr
 
 
-def _classify(consts: CriticalConstants, a: float, b, dtype, tols, stats: dict) -> int:
-    """-1: dives below zero, +1: escapes upward."""
-    down = Event(g=lambda t, y: float(y[0]), direction=-1, terminal=True)
-    tr = _shoot(consts, a, b, dtype, tols, stats, _T_MAX, _CLASSIFY_GUARD, down)
-    if tr.status == "event":
-        return -1
-    if tr.status == "blowup":
-        return 1 if float(tr.y[-1][0]) > 0 else -1
-    return 1  # stayed bounded to _T_MAX: at/beyond the boundary, treat as upper
+def _classify(consts: CriticalConstants, a: float, b, stats: dict) -> int:
+    """-1: dives to v <= 0; +1: escapes past the guard, or stays bounded to
+    _T_MAX (at or beyond the boundary, treated as upper)."""
+    tr = _taylor(consts, a, b, stats, _T_MAX)
+    return -1 if tr.y[-1][0] <= 0 else 1
 
 
-def _first_max(consts: CriticalConstants, a: float, b, dtype, tols, stats: dict):
+def _first_max(consts: CriticalConstants, a: float, b, stats: dict):
     """(t1, y(t1)) at the first maximum of v; (None, None) where there is none."""
-    if dtype == np.float64:
-        tr = _taylor(consts, a, b, stats, _T_MAX, first_max=True)
-    else:
-        ev = Event(g=lambda t, y: float(y[1]), direction=-1, terminal=True)
-        tr = _shoot(consts, a, b, dtype, tols, stats, _T_MAX, _ORBIT_GUARD, ev)
-    if tr.status != "event" or not tr.events[0]:
+    tr = _taylor(consts, a, b, stats, _T_MAX, first_max=True)
+    if tr.status != "event":
         return None, None
     te, ye = tr.events[0][0]
     return float(te), ye
 
 
-def _residual(consts, a, dtype, tols, stats):
-    """F(b) = v'''(t1) in ``dtype``; None where v has no maximum before blow-up.
+def _residual(consts, a, stats):
+    """F(b) = v'''(t1) in the precision of b; None where v has no maximum
+    before blow-up.
 
     Evaluations are kept per b in the returned dict, so bracket ends are
     integrated once and the root's (t1, y(t1)) needs no second run.
@@ -210,7 +180,7 @@ def _residual(consts, a, dtype, tols, stats):
 
     def F(b):
         if b not in firsts:
-            firsts[b] = _first_max(consts, a, b, dtype, tols, stats)
+            firsts[b] = _first_max(consts, a, b, stats)
         t1, y1 = firsts[b]
         return None if t1 is None else y1[3]
 
@@ -223,18 +193,15 @@ def _changes_sign(fa, fb) -> bool:
     return fa == 0 or fb == 0 or (fa < 0) != (fb < 0)
 
 
-def _bisect(consts, a, blo, bhi, dtype, tols, iters, stats,
-            until: Callable = lambda lo, hi: False):
+def _bisect(consts, a, blo, bhi, iters, stats, until: Callable = lambda lo, hi: False):
     """Bisect the crash/escape dichotomy ``iters`` times or until ``until(lo, hi)``."""
-    scal = np.dtype(dtype).type
-    blo, bhi = scal(blo), scal(bhi)
     for _ in range(iters):
         if until(blo, bhi):
             break
         mid = (blo + bhi) / 2
         if mid == blo or mid == bhi:
             break
-        if _classify(consts, a, mid, dtype, tols, stats) < 0:
+        if _classify(consts, a, mid, stats) < 0:
             blo = mid
         else:
             bhi = mid
@@ -329,7 +296,7 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
     prev = None
     blo = bhi = None
     for b in grid:
-        o = _classify(consts, a, float(b), np.float64, _COARSE_TOLS, stats)
+        o = _classify(consts, a, float(b), stats)
         if prev is not None and prev[1] < 0 and o > 0:
             blo, bhi = prev[0], float(b)
             break
@@ -338,17 +305,17 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
         raise ArithmeticError(
             f"no crash/escape bracket for a={a} in (1e-6, {b_max:.3g}); "
             f"diagnostic sweep outcomes all {prev[1] if prev else 'undefined'}")
-    # short coarse prefix only: over-shrinking the bracket around the
-    # coarse-tolerance boundary would push the fine boundary outside it
-    blo, bhi = _bisect(consts, a, blo, bhi, np.float64, _COARSE_TOLS, 10, stats)
-    F, firsts = _residual(consts, a, np.float64, _F64_TOLS, stats)
-    blo, bhi = _bisect(consts, a, blo, bhi, np.float64, _F64_TOLS, 60, stats,
+    # ten plain steps, then until F changes sign across the bracket; the
+    # prefix fixes the bracket Brent starts from, and so the root's last ULP
+    blo, bhi = _bisect(consts, a, blo, bhi, 10, stats)
+    F, firsts = _residual(consts, a, stats)
+    blo, bhi = _bisect(consts, a, blo, bhi, 60, stats,
                        until=lambda lo, hi: _changes_sign(F(lo), F(hi)))
     try:
         b = _brent(F, blo, bhi)
     except ArithmeticError as exc:
         return _failed(a, float((blo + bhi) / 2), f"reversibility residual: {exc}", stats)
-    result = _assemble_result(consts, a, b, *firsts[b], np.float64, _F64_TOLS, stats)
+    result = _assemble_result(consts, a, b, *firsts[b], stats)
     if result.converged and result.period_defect <= _DEFECT_TARGET:
         return result
     if not _LONGDOUBLE_OK:
@@ -356,14 +323,13 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
     else:
         ld = np.longdouble
         margin = ld(_LD_MARGIN)
-        F_ld, firsts_ld = _residual(consts, a, ld, _LD_TOLS, stats)
+        F_ld, firsts_ld = _residual(consts, a, stats)
         try:
             b_ld = _brent(F_ld, ld(b) * (1 - margin), ld(b) * (1 + margin))
         except ArithmeticError as exc:
             why = f"longdouble bracket failed: {exc}"
         else:
-            refined = _assemble_result(consts, a, b_ld, *firsts_ld[b_ld], ld, _LD_TOLS,
-                                       stats)
+            refined = _assemble_result(consts, a, b_ld, *firsts_ld[b_ld], stats)
             if refined.period_defect <= result.period_defect:
                 result, why = refined, "after longdouble refinement"
             else:
@@ -376,12 +342,11 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
     return result
 
 
-def _assemble_result(consts, a, b, t1, y1, dtype, tols, stats) -> ShootingResult:
+def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
     """Diagnostics of the orbit through b, given its first maximum (t1, y(t1))."""
     residual = abs(float(y1[3]))
     T = 2.0 * t1
-    orbit = (_taylor(consts, a, b, stats, T) if dtype == np.float64
-             else _shoot(consts, a, b, dtype, tols, stats, T, _ORBIT_GUARD))
+    orbit = _taylor(consts, a, b, stats, T)
     target = np.array([a, 0.0, float(b), 0.0])
     defect = float(np.max(np.abs(np.asarray(orbit.y[-1], float) - target)))
     ts = np.linspace(0.0, T, 1601)
@@ -401,8 +366,8 @@ def _assemble_result(consts, a, b, t1, y1, dtype, tols, stats) -> ShootingResult
     return ShootingResult(a=a, b=float(b), T=T, energy=E0, residual=residual,
                           orbit=orbit, period_defect=defect, min_v=vmin,
                           energy_drift=drift, even_symmetry_defect=sym,
-                          converged=converged, precision=_tier(dtype), message=msg,
-                          stats=stats)
+                          converged=converged, message=msg, stats=stats,
+                          precision="longdouble" if isinstance(b, np.longdouble) else "float64")
 
 
 def orbit_table(n: int, a_values: Sequence[float],

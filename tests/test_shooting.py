@@ -137,9 +137,7 @@ def consts5():
 def _check_stats(stats):
     total = sum(tier["integrations"] for tier in stats.values())
     assert 0 < total <= 70
-    assert stats["taylor"]["steps"] > 0
-    assert all(stats[t]["steps"] > 0 and stats[t]["rhs_evals"] >= 6 * stats[t]["steps"]
-               for t in ("float64", "longdouble") if t in stats)
+    assert all(tier["steps"] > 0 for tier in stats.values())
 
 
 def test_find_b_escalating_point_meets_c07(consts5):
@@ -184,4 +182,4 @@ def test_find_b_reports_closure_shortfall_without_longdouble(consts5, monkeypatc
     assert 1e-6 < r.period_defect < 1e-4
     assert f"closure defect {r.period_defect:.3e}" in r.message
     assert "target 1.0e-06" in r.message
-    assert set(r.stats) == {"float64", "taylor"}
+    assert set(r.stats) == {"float64"}
