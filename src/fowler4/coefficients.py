@@ -29,6 +29,7 @@ such freedom (t = -ln r is forced by t > 0 on the punctured unit ball).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence
@@ -158,9 +159,16 @@ class CharSymbol:
 
 def char_symbol(n: int, s: Scalar, sigma: int = BUILD_SIGMA) -> CharSymbol:
     """Expand the separated-mode symbol for the scaling u = r^{-gamma} v."""
+    return _char_symbol(n, as_exact(s), sigma)
+
+
+# typed: 5, 5.0 and Fraction(5) are separate keys, so a float caller never
+# gets the exact symbol (or an exact caller the float one); bounded, as a
+# sign chart over a fine s grid asks for one symbol per grid point
+@functools.lru_cache(maxsize=1024, typed=True)
+def _char_symbol(n: int, s: Scalar, sigma: int) -> CharSymbol:
     if sigma not in (1, -1):
         raise DomainError(f"sigma must be +-1, got {sigma}")
-    s = as_exact(s)
     g = gamma_exponent(s)
     exact = is_exact(s)
     one = Fraction(1) if exact else 1.0
@@ -334,6 +342,7 @@ class HatLimits:
     chain_rule_limit: Fraction        # u-coefficient of the derived K~_0
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def hat_limits(n: int) -> HatLimits:
     printed = printed_nonautonomous_polys(n)["K0"].coeff(1)
     derived = nonautonomous_oracle_polys(n)["K0"].coeff(1)

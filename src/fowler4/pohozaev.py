@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .integrate import Trajectory
 from .odes import make_nonautonomous_rhs
 from .params import (DomainError, Params, Scalar, as_exact, is_exact,
                      special_exponents, unit_sphere_area)
-from .polys import UPoly
+from .polys import UPoly, peval
 
 # monotonicity_check_aviles: the shortest span it judges, and the relative
 # spread of |W| (and bound on |W'|) on the tail that counts as settled
@@ -29,36 +29,55 @@ _SETTLE_TOL = 1e-3
 _CONSTANT_STATE_NODES = 500
 
 
-def _split(y: np.ndarray):
-    """Component-major state -> (V, V', V'', V''') arrays of length p."""
-    y = np.asarray(y, dtype=float)
-    return y[0::4], y[1::4], y[2::4], y[3::4]
+def _blocks(ys):
+    """Stacked component-major states (rows, 4p) -> the (V, V', V'', V''')
+    blocks, each (rows, p)."""
+    ys = np.asarray(ys, dtype=float)
+    return ys[:, 0::4], ys[:, 1::4], ys[:, 2::4], ys[:, 3::4]
 
 
-def hamiltonian_radial(params: Params, y, sigma: int = BUILD_SIGMA,
-                       coeffs: Optional[Dict[str, float]] = None) -> float:
+# The row energies below keep the bits of a one-row evaluation with np.dot:
+# np.vecdot runs the same BLAS ddot per row (a column-wise sum rounds
+# differently), sqrt(vecdot(v, v)) is np.linalg.norm of the row (norm with
+# axis=1 is not), and |V|^e is a Python float power per row, which numpy's
+# vectorised power does not match in the last bit.
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _norm_powers(v: np.ndarray, e: float) -> np.ndarray:
+    return np.array([x ** e for x in _norms(v).tolist()])
+
+
+def _autonomous_floats(params: Params, sigma: int) -> Dict[str, float]:
+    c = oracle_autonomous(params.n, params.s, sigma)
+    return {k: float(c[k]) for k in ("K0", "K1", "K2", "K3")}
+
+
+def _radial_rows(params: Params, ys, c: Dict[str, float]) -> Tuple[np.ndarray, np.ndarray]:
+    """H and its monotonicity density K1 |V'|^2 - K3 |V''|^2 on each row."""
+    v, v1, v2, v3 = _blocks(ys)
+    s = float(params.s)
+    d11, d22 = np.vecdot(v1, v1), np.vecdot(v2, v2)
+    H = (-(np.vecdot(v3, v1) + c["K3"] * np.vecdot(v2, v1))
+         + 0.5 * (d22 - c["K2"] * d11 - c["K0"] * np.vecdot(v, v))
+         + _norm_powers(v, s + 1) / (s + 1))
+    return H, c["K1"] * d11 - c["K3"] * d22
+
+
+def hamiltonian_radial(params: Params, y, sigma: int = BUILD_SIGMA) -> float:
     """Radial Hamiltonian energy of a cylinder state.
 
     -(<V''',V'> + K3 <V'',V'>) + (|V''|^2 - K2 |V'|^2 - K0 |V|^2)/2
     + |V|^{s+1}/(s+1).
     """
-    c = coeffs if coeffs is not None else oracle_autonomous(params.n, params.s, sigma)
-    v, v1, v2, v3 = _split(y)
-    s = float(params.s)
-    nv = float(np.linalg.norm(v))
-    return float(
-        -(np.dot(v3, v1) + float(c["K3"]) * np.dot(v2, v1))
-        + 0.5 * (np.dot(v2, v2) - float(c["K2"]) * np.dot(v1, v1)
-                 - float(c["K0"]) * np.dot(v, v))
-        + nv ** (s + 1) / (s + 1))
+    return float(_radial_rows(params, [y], _autonomous_floats(params, sigma))[0][0])
 
 
-def hamiltonian_derivative_formula(params: Params, y, sigma: int = BUILD_SIGMA,
-                                   coeffs: Optional[Dict[str, float]] = None) -> float:
+def hamiltonian_derivative_formula(params: Params, y, sigma: int = BUILD_SIGMA) -> float:
     """K1 |V'|^2 - K3 |V''|^2, the radial monotonicity density."""
-    c = coeffs if coeffs is not None else oracle_autonomous(params.n, params.s, sigma)
-    _, v1, v2, _ = _split(y)
-    return float(float(c["K1"]) * np.dot(v1, v1) - float(c["K3"]) * np.dot(v2, v2))
+    return float(_radial_rows(params, [y], _autonomous_floats(params, sigma))[1][0])
 
 
 @dataclass
@@ -79,22 +98,13 @@ def pohozaev_series(params: Params, traj: Trajectory, num: int = 201,
     """
     if len(traj.t) < 5:
         raise DomainError("trajectory too short for an energy series")
-    coeffs = {k: float(v) for k, v in
-              oracle_autonomous(params.n, params.s, sigma).items()}
     ts = np.linspace(float(traj.t[0]), float(traj.t[-1]), num)
     dt = float(ts[1] - ts[0])
-    ys = traj(ts)
-    Hs = np.array([hamiltonian_radial(params, y, sigma, coeffs) for y in ys])
-    out: List[EnergySample] = []
-    for i, t in enumerate(ts):
-        dHf = hamiltonian_derivative_formula(params, ys[i], sigma, coeffs)
-        if 2 <= i < num - 2:
-            dHn = (Hs[i - 2] - 8 * Hs[i - 1] + 8 * Hs[i + 1] - Hs[i + 2]) / (12 * dt)
-        else:
-            dHn = float("nan")
-        out.append(EnergySample(t=float(t), H=float(Hs[i]), dH_formula=dHf,
-                                dH_numeric=dHn))
-    return out
+    Hs, dHf = _radial_rows(params, traj(ts), _autonomous_floats(params, sigma))
+    dHn = np.full(num, np.nan)
+    dHn[2:-2] = (Hs[:-4] - 8 * Hs[1:-3] + 8 * Hs[3:-1] - Hs[4:]) / (12 * dt)
+    return [EnergySample(*row) for row in
+            zip(ts.tolist(), Hs.tolist(), dHf.tolist(), dHn.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +203,24 @@ def limiting_levels(params: Params, sigma: int = BUILD_SIGMA) -> PohozaevLevels:
 # nonautonomous (t-weighted) machinery
 # ---------------------------------------------------------------------------
 
-def aviles_hamiltonian(n: int, y, t: float,
-                       polys: Optional[Dict[str, UPoly]] = None) -> float:
+def _aviles_rows(n: int, ys, ts: np.ndarray) -> np.ndarray:
+    """t-weighted Hamiltonian of the lower-critical system on each row."""
+    polys, u = printed_nonautonomous_polys(n), 1.0 / ts
+    # float coefficients: an ndarray plus a Fraction is an object array
+    K0, K2, K3 = (peval([float(c) for c in polys[k].coeffs], u) for k in ("K0", "K2", "K3"))
+    w, w1, w2, w3 = _blocks(ys)
+    q = float(special_exponents(n).lower)
+    return (-ts * (np.vecdot(w3, w1) + K3 * np.vecdot(w2, w1))
+            + 0.5 * ts * (np.vecdot(w2, w2) - K2 * np.vecdot(w1, w1)
+                          - K0 * np.vecdot(w, w))
+            + _norm_powers(w, q + 1) / (q + 1))
+
+
+def aviles_hamiltonian(n: int, y, t: float) -> float:
     """t-weighted radial Hamiltonian of the lower-critical system."""
     if t <= 0:
         raise DomainError("t must be positive")
-    co = polys if polys is not None else printed_nonautonomous_polys(n)
-    u = 1.0 / float(t)
-    K0, K2, K3 = (float(co["K0"](u)), float(co["K2"](u)), float(co["K3"](u)))
-    w, w1, w2, w3 = _split(y)
-    q = float(special_exponents(n).lower)
-    nw = float(np.linalg.norm(w))
-    return float(
-        -t * (np.dot(w3, w1) + K3 * np.dot(w2, w1))
-        + 0.5 * t * (np.dot(w2, w2) - K2 * np.dot(w1, w1) - K0 * np.dot(w, w))
-        + nw ** (q + 1) / (q + 1))
+    return float(_aviles_rows(n, [y], np.array([float(t)]))[0])
 
 
 def aviles_p_coeffs(n: int, t: float) -> Dict[str, Dict[str, float]]:
@@ -314,12 +327,10 @@ def monotonicity_check_aviles(n: int, traj: Trajectory) -> str:
         return "INCONCLUSIVE"
     ts = np.linspace(t_lo, t_hi, 801)
     ys = traj(ts)
-    om = unit_sphere_area(n)
-    polys = printed_nonautonomous_polys(n)
-    Ps = np.array([om * aviles_hamiltonian(n, y, float(t), polys) for t, y in zip(ts, ys)])
+    Ps = unit_sphere_area(n) * _aviles_rows(n, ys, ts)
     # settled: |W| near a constant, derivatives small on the tail
-    ws = np.array([np.linalg.norm(y[0::4]) for y in ys])
-    w1 = np.array([np.linalg.norm(y[1::4]) for y in ys])
+    w, w1, _, _ = _blocks(ys)
+    ws, w1 = _norms(w), _norms(w1)
     tail = ts >= t_lo + 0.25 * (t_hi - t_lo)
     wbar = float(np.mean(ws[tail]))
     if np.all(np.abs(Ps) < 1e-14):

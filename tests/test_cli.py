@@ -202,6 +202,12 @@ _PINNED_ARTIFACTS = {
                    ["02d8597cf6708b90", "cae886ca8b838035"]),
     "integrate": (_INTEGRATE, "--energy-out",
                   ["cd8c3f75d736cade", "553e6b9ac35528b9"]),
+    # p = 3: the energy's dot products sum three terms, so a reordered sum
+    # shows here where the p = 1 pin's single products cannot
+    "integrate-p3": (("integrate", "--n", "5", "--s", "7", "--p", "3", "--init",
+                      "0.3,-0.2,0.1,0.25,-0.15,0.05,0.2,-0.1,0.1,0.3,-0.25,0.05",
+                      "--t-end", "2"), "--energy-out",
+                     ["0f802e02162a5be4", "31c345d4e7ec9065"]),
     # recorded while Dormand-Prince still ran the crash/escape bracket; the
     # CSV's 17 significant digits pin the float64 roots bit for bit
     "shoot": (("shoot", "--n", "6", "--a-grid", "3/5,9/10"), None,

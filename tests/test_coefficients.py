@@ -53,6 +53,15 @@ def test_char_symbol_structure():
     assert sym.evaluate(0, 3) - sym.evaluate(0, 0) + 3 * sym.nu_coeffs[0] == 9
 
 
+def test_char_symbol_cache_keeps_the_argument_type():
+    # 5, 5.0 and F(5) hash alike; the cache must not hand one the other's symbol
+    exact = co.char_symbol(5, F(5))
+    approx = co.char_symbol(5, 5.0)
+    assert {type(c) for c in exact.p_coeffs + exact.nu_coeffs} == {F}
+    assert {type(c) for c in approx.p_coeffs + approx.nu_coeffs} == {float}
+    assert co.char_symbol(5, F(5)) is exact and co.char_symbol(5, "5/1") is exact
+
+
 def test_char_symbol_vanishes_at_kernel_exponents():
     # S(lam, 0) = 0 whenever gamma + sigma*lam lands on {0, -2, n-2, n-4}
     for n in (5, 8):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from fowler4 import pohozaev as po
+from fowler4.coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous_polys
 from fowler4.integrate import Event, Trajectory, integrate
 from fowler4.odes import equilibrium_state, make_autonomous_rhs, ray_state
-from fowler4.params import DomainError, Params
+from fowler4.params import DomainError, Params, special_exponents
 
 
 def test_hamiltonian_zero_state():
@@ -124,6 +125,51 @@ def test_scaling_invariance_proxy_on_power_state():
     y = equilibrium_state(p)
     vals = [po.hamiltonian_radial(p, y) for _ in range(5)]
     assert max(vals) - min(vals) == 0.0
+
+
+def _hamiltonian_by_dot(params, y):
+    # H of one state as np.dot and np.linalg.norm give it, term by term
+    c = {k: float(v) for k, v in oracle_autonomous(params.n, params.s).items()}
+    v, v1, v2, v3 = y[0::4], y[1::4], y[2::4], y[3::4]
+    s = float(params.s)
+    return float(-(np.dot(v3, v1) + c["K3"] * np.dot(v2, v1))
+                 + 0.5 * (np.dot(v2, v2) - c["K2"] * np.dot(v1, v1) - c["K0"] * np.dot(v, v))
+                 + float(np.linalg.norm(v)) ** (s + 1) / (s + 1))
+
+
+def _aviles_by_dot(n, y, t):
+    co = printed_nonautonomous_polys(n)
+    K0, K2, K3 = (float(co[k](1.0 / t)) for k in ("K0", "K2", "K3"))
+    w, w1, w2, w3 = y[0::4], y[1::4], y[2::4], y[3::4]
+    q = float(special_exponents(n).lower)
+    return float(-t * (np.dot(w3, w1) + K3 * np.dot(w2, w1))
+                 + 0.5 * t * (np.dot(w2, w2) - K2 * np.dot(w1, w1) - K0 * np.dot(w, w))
+                 + float(np.linalg.norm(w)) ** (q + 1) / (q + 1))
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_stacked_row_energies_equal_the_one_row_functions_bit_for_bit(p):
+    # pohozaev_series and monotonicity_check_aviles evaluate all rows at
+    # once; every row must keep the bits of the one-state functions
+    rng = np.random.default_rng(p)
+    ys = rng.standard_normal((400, 4 * p)) * np.exp(rng.uniform(-4.0, 4.0, (400, 1)))
+    ts = rng.uniform(0.5, 3000.0, 400)
+    for params in (Params(5, F(7), p), Params(7, F(3), p), Params(6, 2.5, p)):
+        H, dH = po._radial_rows(params, ys, po._autonomous_floats(params, BUILD_SIGMA))
+        assert H.tolist() == [po.hamiltonian_radial(params, y) for y in ys]
+        assert H.tolist() == [_hamiltonian_by_dot(params, y) for y in ys]
+        assert dH.tolist() == [po.hamiltonian_derivative_formula(params, y) for y in ys]
+    for n in (5, 9):
+        P = po._aviles_rows(n, ys, ts)
+        assert P.tolist() == [po.aviles_hamiltonian(n, y, t) for y, t in zip(ys, ts)]
+        assert P.tolist() == [_aviles_by_dot(n, y, t) for y, t in zip(ys, ts.tolist())]
+
+
+def test_series_fields_are_python_floats():
+    p = Params(5, F(7), p=3)
+    traj = integrate(make_autonomous_rhs(p), 0.0, np.full(12, 0.1), 0.5)
+    for q in po.pohozaev_series(p, traj, num=9):
+        assert {type(x) for x in (q.t, q.H, q.dH_formula, q.dH_numeric)} == {float}
 
 
 def test_aviles_hamiltonian_contract():
