@@ -1,10 +1,11 @@
 """Adaptive Dormand-Prince 5(4) integration with quartic dense output.
 
 Hand-rolled rather than delegated: the lab needs the blow-up guard with
-partial-trajectory semantics, PI step control, event location on the
-dense output, and dtype transparency (float64 or longdouble) in one
-place.  Butcher tableau and the quartic interpolant matrix are the
-standard published constants, materialized per dtype from exact ratios.
+partial-trajectory semantics, PI step control and event location on the
+dense output in one place.  The run is in float64: a state of any other
+dtype is converted on entry.  The Butcher tableau and the quartic
+interpolant matrix are the standard published constants, each rounded
+once from its exact ratio.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ import numpy as np
 
 from .params import DomainError
 
-_A_FRAC = [
+
+def _ratios(entries):
+    return [float(Fraction(e)) for e in entries]
+
+
+_A = [np.array(_ratios(row)) for row in [
     [],
     ["1/5"],
     ["3/40", "9/40"],
@@ -26,12 +32,13 @@ _A_FRAC = [
     ["19372/6561", "-25360/2187", "64448/6561", "-212/729"],
     ["9017/3168", "-355/33", "46732/5247", "49/176", "-5103/18656"],
     ["35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84"],
-]
-_C_FRAC = ["0", "1/5", "3/10", "4/5", "8/9", "1", "1"]
+]]
+_C = _ratios(["0", "1/5", "3/10", "4/5", "8/9", "1", "1"])
 # b5 - b4 (local error weights)
-_E_FRAC = ["71/57600", "0", "-71/16695", "71/1920", "-17253/339200", "22/525", "-1/40"]
+_E = np.array(_ratios(["71/57600", "0", "-71/16695", "71/1920", "-17253/339200", "22/525",
+                       "-1/40"]))
 # quartic dense-output matrix (Shampine interpolant)
-_P_FRAC = [
+_P = np.array([_ratios(row) for row in [
     ["1", "-8048581381/2820520608", "8663915743/2820520608", "-12715105075/11282082432"],
     ["0", "0", "0", "0"],
     ["0", "131558114200/32700410799", "-68118460800/10900136933", "87487479700/32700410799"],
@@ -39,7 +46,7 @@ _P_FRAC = [
     ["0", "127303824393/49829197408", "-318862633887/49829197408", "701980252875/199316789632"],
     ["0", "-282668133/205662961", "2019193451/616988883", "-1453857185/822651844"],
     ["0", "40617522/29380423", "-110615467/29380423", "69997945/29380423"],
-]
+]])
 
 _SAFETY = 0.9
 _BETA = 0.04
@@ -48,32 +55,6 @@ _FAC_MIN, _FAC_MAX = 0.2, 5.0
 # safety cap on stats["steps"]: a run that reaches it stops with
 # status "max_steps" and keeps what it integrated
 _MAX_STEPS = 10_000_000
-
-_TABLEAU_CACHE: dict = {}
-
-
-def _ratio_array(entries, dtype):
-    def conv(sr):
-        f = Fraction(sr)
-        return dtype(f.numerator) / dtype(f.denominator)
-    if entries and isinstance(entries[0], list):
-        return np.array([[conv(e) for e in row] for row in entries], dtype=dtype)
-    return np.array([conv(e) for e in entries], dtype=dtype)
-
-
-def _tableau(dtype):
-    key = np.dtype(dtype).name
-    if key not in _TABLEAU_CACHE:
-        scal = np.dtype(dtype).type
-        A = [_ratio_array(row, scal) if row else np.array([], dtype=dtype)
-             for row in _A_FRAC]
-        _TABLEAU_CACHE[key] = (
-            A,
-            _ratio_array(_C_FRAC, scal),
-            _ratio_array(_E_FRAC, scal),
-            _ratio_array(_P_FRAC, scal),
-        )
-    return _TABLEAU_CACHE[key]
 
 
 class StepUnderflowError(RuntimeError):
@@ -166,12 +147,12 @@ class Trajectory:
 
 def _rms(v, sc):
     # np.sqrt(np.mean(w ** 2)) bit for bit; np.dot would sum in another order
-    w = np.asarray(v, dtype=float) / sc
+    w = v / sc
     return math.sqrt(float(np.add.reduce(w * w)) / w.size)
 
 
 def _all_finite(a) -> bool:
-    """All entries finite in float64, as np.isfinite(a.astype(float)) decides."""
+    """All entries finite, as np.isfinite(a).all() decides."""
     return all(map(math.isfinite, a.tolist()))
 
 
@@ -182,13 +163,13 @@ def _beyond(mags, guard) -> bool:
 
 
 def _initial_step(rhs, t0, y0, tspan, rel_tol, abs_tol):
-    sc = abs_tol + rel_tol * np.abs(np.asarray(y0, dtype=float))
+    sc = abs_tol + rel_tol * np.abs(y0)
     f0 = np.asarray(rhs(t0, y0), dtype=float)
     d0 = _rms(y0, sc)
     d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * tspan)
-    y1 = np.asarray(y0, dtype=float) + h0 * f0
+    y1 = y0 + h0 * f0
     f1 = np.asarray(rhs(t0 + h0, y1), dtype=float)
     d2 = _rms(f1 - f0, sc) / h0
     if max(d1, d2) <= 1e-15:
@@ -201,7 +182,7 @@ def _initial_step(rhs, t0, y0, tspan, rel_tol, abs_tol):
 def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
               abs_tol: float = 1e-11, guard: float = 1e8,
               events: Optional[Sequence[Event]] = None) -> Trajectory:
-    """Integrate state' = rhs(t, state) from t0 to t1 adaptively.
+    """Integrate state' = rhs(t, state) from t0 to t1 adaptively, in float64.
 
     Backward runs (t1 < t0) are handled by time reflection.  When any
     state component exceeds ``guard`` in absolute value, the run stops
@@ -213,8 +194,8 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         raise DomainError("tolerances must be positive")
     if t1 == t0:
         raise DomainError("empty integration span")
-    y0a = np.atleast_1d(np.asarray(state0))
-    if not _all_finite(y0a):
+    y = np.array(state0, dtype=float, ndmin=1)
+    if not _all_finite(y):
         raise DomainError("non-finite initial state")
     direction = 1 if t1 > t0 else -1
     if direction < 0:
@@ -223,29 +204,21 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         events = [Event(g=(lambda s, y, g0=e.g: g0(t0 - s, y)),
                         direction=-e.direction, terminal=e.terminal)
                   for e in (events or [])]
-        tA, tB = 0.0, float(t0 - t1)
+        t, tB = 0.0, float(t0 - t1)
     else:
-        tA, tB = float(t0), float(t1)
+        t, tB = float(t0), float(t1)
 
-    dtype = np.dtype(y0a.dtype) if y0a.dtype in (np.dtype(np.float64), np.dtype(np.longdouble)) \
-        else np.dtype(np.float64)
-    scal = dtype.type
-    A, C, E, P = _tableau(dtype)
-    y = np.array(y0a, dtype=dtype)
-    t = scal(tA)
-    tB_ = scal(tB)
-    span = float(tB - tA)
+    span = tB - t
     events = list(events or [])
     ev_hits: List[list] = [[] for _ in events]
     theta_pows = np.arange(1, 5)
 
-    k = np.empty((7, y.size), dtype=dtype)
+    k = np.empty((7, y.size))
     k_rows = [k[:i] for i in range(7)]   # stage i combines rows k[:i]
     stage = list(k)                      # row views, written in place
-    ay = np.abs(np.asarray(y, float))
-    f0 = np.asarray(rhs(float(t), y), dtype=dtype)
-    h = scal(_initial_step(lambda tt, yy: np.asarray(rhs(tt, yy), float),
-                           float(t), np.asarray(y, float), span, rel_tol, abs_tol))
+    ay = np.abs(y)
+    f0 = np.asarray(rhs(t, y), dtype=float)
+    h = _initial_step(rhs, t, y, span, rel_tol, abs_tol)
     ts = [t]
     ys = [y]    # state arrays are never written in place: records share them
     hs: list = []
@@ -254,12 +227,12 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     nstep = nrej = 0
     nfev = 3
     status = "reached"
-    ev_vals = [e.g(float(t), y) for e in events]
+    ev_vals = [e.g(t, y) for e in events]
 
     def finish(stat):
-        tr_t = np.array([float(x) for x in ts])
-        tr_h = np.array(hs, dtype=dtype)
-        tr_Q = np.array(Qs, dtype=dtype).reshape(len(hs), y.size, 4)
+        tr_t = np.array(ts)
+        tr_h = np.array(hs, dtype=float)
+        tr_Q = np.array(Qs, dtype=float).reshape(len(hs), y.size, 4)
         hits = ev_hits
         if direction < 0:
             tr_t, tr_h, tr_Q = t0 - tr_t, -tr_h, -tr_Q
@@ -268,23 +241,22 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                           stats={"steps": nstep, "rejected": nrej, "rhs_evals": nfev},
                           status=stat, events=hits, direction=direction)
 
-    while t < tB_:
+    while t < tB:
         if nstep >= _MAX_STEPS:
             status = "max_steps"
             break
-        if float(h) < 1e-14 * max(abs(float(t)), abs(span), 1.0):
+        if h < 1e-14 * max(abs(t), abs(span), 1.0):
             raise StepUnderflowError(
-                f"step size underflow at t={float(t):.6g} (h={float(h):.3e})",
-                finish("underflow"))
+                f"step size underflow at t={t:.6g} (h={h:.3e})", finish("underflow"))
         last = False
-        if t + h >= tB_:
-            h = tB_ - t
+        if t + h >= tB:
+            h = tB - t
             last = True
         k[0] = f0
         failed_stage = False
         for i in range(1, 7):
-            yi = y + h * (A[i] @ k_rows[i])
-            stage[i][...] = rhs(float(t + C[i] * h), yi)
+            yi = y + h * (_A[i] @ k_rows[i])
+            stage[i][...] = rhs(t + _C[i] * h, yi)
             # per stage: a non-finite stage must not reach the next RHS call
             if not _all_finite(stage[i]):
                 failed_stage = True
@@ -292,32 +264,32 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         nfev += i
         if failed_stage:
             nrej += 1
-            h = h * scal(0.25)
+            h = h * 0.25
             last = False
             continue
         y_new = yi  # the stage-7 input is the 5th-order solution (FSAL layout)
-        ay_new = np.abs(np.asarray(y_new, float))
+        ay_new = np.abs(y_new)
         sc = abs_tol + rel_tol * np.maximum(ay, ay_new)
-        err = _rms(h * (E @ k), sc)
+        err = _rms(h * (_E @ k), sc)
         nstep += 1
         if err > 1.0:
             nrej += 1
-            h = h * scal(min(1.0, max(_FAC_MIN, _SAFETY * err ** -0.2)))
+            h = h * min(1.0, max(_FAC_MIN, _SAFETY * err ** -0.2))
             continue
-        Q = k.T @ P
-        t_new = tB_ if last else t + h
+        Q = k.T @ _P
+        t_new = tB if last else t + h
         stop_here = None
         for ie, ev in enumerate(events):
             v_old = ev_vals[ie]
-            v_new = ev.g(float(t_new), y_new)
+            v_new = ev.g(t_new, y_new)
             crossed = ((v_old < 0 <= v_new) and ev.direction >= 0) or \
                       ((v_old > 0 >= v_new) and ev.direction <= 0)
             if crossed and v_old != 0:
-                th_lo, th_hi, g_lo = scal(0.0), scal(1.0), v_old
+                th_lo, th_hi, g_lo = 0.0, 1.0, v_old
 
                 def g_at(th):
                     yq = y + h * (Q @ (th ** theta_pows))
-                    return ev.g(float(t + th * h), yq)
+                    return ev.g(t + th * h, yq)
 
                 for _ in range(90):
                     mid = (th_lo + th_hi) / 2
@@ -334,16 +306,15 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                 th = (th_lo + th_hi) / 2
                 te = t + th * h
                 ye = y + h * (Q @ (th ** theta_pows))
-                ev_hits[ie].append((float(te), ye.copy()))
-                if ev.terminal and (stop_here is None or float(te) < stop_here[0]):
-                    stop_here = (float(te), te, ye)
+                ev_hits[ie].append((te, ye.copy()))
+                if ev.terminal and (stop_here is None or te < stop_here[0]):
+                    stop_here = (te, ye)
             ev_vals[ie] = v_new
         hs.append(h)
         Qs.append(Q)
         if stop_here is not None:
-            _, te, ye = stop_here
-            ts.append(te)
-            ys.append(np.asarray(ye, dtype=dtype))
+            ts.append(stop_here[0])
+            ys.append(stop_here[1])
             status = "event"
             break
         t = t_new
@@ -356,5 +327,5 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
             break
         fac = _SAFETY * err ** -_EXPO * err_old ** _BETA if err > 0 else _FAC_MAX
         err_old = max(err, 1e-10)
-        h = h * scal(min(_FAC_MAX, max(_FAC_MIN, fac)))
+        h = h * min(_FAC_MAX, max(_FAC_MIN, fac))
     return finish(status)

@@ -22,8 +22,8 @@ float64 ULP floor on b and the rounding of the orbit still leave a
 one-period closure defect above tolerance (strong saddle amplification,
 e.g. a = 0.2 a0 at n = 5) the search escalates to extended precision:
 the same Brent search on F with b in longdouble, inside +-1e-9 of the
-float64 root.  A returned root whose defect still misses the target says
-so in its message.
+float64 root.  A returned root whose defect still misses the target, or
+whose one-period run stops before T, says so in its message.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ _LD_MARGIN = 1e-9              # longdouble bracket, relative to the float64
                                # root: wider than its few-ULP uncertainty
 _DEFECT_TARGET = 1e-6          # = C07 closure threshold on the period defect
 _RESIDUAL_TOL = 1e-9           # |v'''(T/2)| a converged root may leave
+_DRIFT_TOL = 1e-8              # = C07 threshold on the energy drift
 _T_MAX = 80.0                  # horizon of bracket and F runs, many periods
                                # long; bounded that long counts as escape
 
@@ -126,12 +127,18 @@ class ShootingResult:
     stats: dict = field(default_factory=dict)
 
 
-def _failed(a: float, b: float, message: str, stats: Optional[dict] = None) -> ShootingResult:
-    return ShootingResult(a=a, b=b, T=float("nan"), energy=float("nan"),
+def _tier(b) -> str:
+    return "longdouble" if isinstance(b, np.longdouble) else "float64"
+
+
+def _failed(a: float, b, message: str, stats: Optional[dict] = None) -> ShootingResult:
+    """A result without an orbit, in the precision tier of b."""
+    return ShootingResult(a=a, b=float(b), T=float("nan"), energy=float("nan"),
                           residual=float("inf"), orbit=None, period_defect=float("inf"),
                           min_v=float("nan"), energy_drift=float("inf"),
                           even_symmetry_defect=float("inf"), converged=False,
-                          message=message, stats=stats if stats is not None else {})
+                          precision=_tier(b), message=message,
+                          stats=stats if stats is not None else {})
 
 
 def orbit_energy(consts: CriticalConstants, y) -> float:
@@ -146,8 +153,7 @@ def _taylor(consts, a, b, stats, t_end, first_max=False) -> Trajectory:
     """Taylor flow from the orbit minimum (a, 0, b, 0) in the scalar type of b;
     the run is added to stats under its precision."""
     tr = flow(consts, (a, 0.0, b, 0.0), t_end, first_max)
-    tier = "longdouble" if isinstance(b, np.longdouble) else "float64"
-    tally = stats.setdefault(tier, {"integrations": 0, "steps": 0})
+    tally = stats.setdefault(_tier(b), {"integrations": 0, "steps": 0})
     tally["integrations"] += 1
     tally["steps"] += tr.stats["steps"]
     return tr
@@ -274,8 +280,12 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
     ``consts`` defaults to the measured-c constants of dimension n.
     0 < a < a0 shoots; a == a0 returns the constant orbit with the
     linearized period.  Escalates to extended precision when the
-    one-period closure defect of the float64 root exceeds the target; a
-    returned defect still above the target is reported in ``message``.
+    one-period closure defect of the float64 root exceeds the target, or
+    its one-period run stops before T.  For a < a0, ``message`` is empty
+    exactly when the result meets every C07 threshold (converged,
+    residual, closure defect, energy drift, orbit minimum); otherwise it
+    says which one misses and, for the defect, whether the longdouble
+    refinement was kept.
     """
     consts = consts if consts is not None else critical_constants(n)
     a0 = consts.a0
@@ -330,11 +340,13 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
             why = f"longdouble bracket failed: {exc}"
         else:
             refined = _assemble_result(consts, a, b_ld, *firsts_ld[b_ld], stats)
-            if refined.period_defect <= result.period_defect:
+            defect = refined.period_defect
+            if math.isfinite(defect) and defect <= result.period_defect:
                 result, why = refined, "after longdouble refinement"
+            elif math.isfinite(defect):
+                why = f"longdouble refinement reached {defect:.3e}, not kept"
             else:
-                why = (f"longdouble refinement reached {refined.period_defect:.3e}, "
-                       f"not kept")
+                why = f"longdouble refinement not kept: {refined.message}"
     if result.period_defect > _DEFECT_TARGET:
         note = (f"closure defect {result.period_defect:.3e} above target "
                 f"{_DEFECT_TARGET:.1e} ({why})")
@@ -343,10 +355,15 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
 
 
 def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
-    """Diagnostics of the orbit through b, given its first maximum (t1, y(t1))."""
+    """Diagnostics of the orbit through b, given its first maximum (t1, y(t1)).
+
+    A failed result where the one-period run stops before T."""
     residual = abs(float(y1[3]))
     T = 2.0 * t1
     orbit = _taylor(consts, a, b, stats, T)
+    if orbit.status != "reached":
+        return _failed(a, b, f"one-period run stopped {orbit.status} at "
+                             f"t={orbit.t1:.9g} of T={T:.9g}", stats)
     target = np.array([a, 0.0, float(b), 0.0])
     defect = float(np.max(np.abs(np.asarray(orbit.y[-1], float) - target)))
     ts = np.linspace(0.0, T, 1601)
@@ -363,11 +380,14 @@ def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
     if vmin < a - 1e-6:
         converged = False
         msg = f"orbit minimum {vmin:.9g} undercuts a={a:.9g} (wrong branch)"
+    if drift > _DRIFT_TOL:
+        note = f"energy drift {drift:.3e} above tol {_DRIFT_TOL:.1e}"
+        msg = f"{msg}; {note}" if msg else note
     return ShootingResult(a=a, b=float(b), T=T, energy=E0, residual=residual,
                           orbit=orbit, period_defect=defect, min_v=vmin,
                           energy_drift=drift, even_symmetry_defect=sym,
                           converged=converged, message=msg, stats=stats,
-                          precision="longdouble" if isinstance(b, np.longdouble) else "float64")
+                          precision=_tier(b))
 
 
 def orbit_table(n: int, a_values: Sequence[float],

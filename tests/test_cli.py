@@ -12,28 +12,39 @@ from fowler4 import cli
 CMD = [sys.executable, "-m", "fowler4"]
 
 
-def run_cli(*args, check=False):
-    out = subprocess.run(CMD + list(args), capture_output=True, text=True)
+def _checked(out, check):
     if check and out.returncode != 0:
         raise AssertionError(f"exit {out.returncode}: {out.stderr}")
     return out
 
 
-def test_coeffs_exact_rational_output():
-    out = run_cli("coeffs", "--n", "5", "--s", "9/1", check=True)
+def run_process(*args, check=False):
+    """Run one command through the entry point in a fresh interpreter."""
+    return _checked(subprocess.run(CMD + list(args), capture_output=True, text=True), check)
+
+
+def run_cli(capsys, *args, check=False):
+    """Run one command in process through cli.main, its output captured."""
+    code = cli.main(list(args))
+    cap = capsys.readouterr()
+    return _checked(subprocess.CompletedProcess(list(args), code, cap.out, cap.err), check)
+
+
+def test_coeffs_exact_rational_output(capsys):
+    out = run_cli(capsys, "coeffs", "--n", "5", "--s", "9/1", check=True)
     assert "5,9,K0,25/16,25/16," in out.stdout
     assert "MATCH" in out.stdout
 
 
-def test_coeffs_zero_row_at_lower_exponent():
-    out = run_cli("coeffs", "--n", "5", "--s", "5", check=True)
+def test_coeffs_zero_row_at_lower_exponent(capsys):
+    out = run_cli(capsys, "coeffs", "--n", "5", "--s", "5", check=True)
     row = [l for l in out.stdout.splitlines() if l.startswith("5,5,K0")][0]
     assert row.split(",")[3] == "0"
 
 
-def test_malformed_s_exits_2_without_output(tmp_path):
+def test_malformed_s_exits_2_without_output(tmp_path, capsys):
     target = tmp_path / "out.csv"
-    out = run_cli("coeffs", "--n", "5", "--s", "junk", "--out", str(target))
+    out = run_cli(capsys, "coeffs", "--n", "5", "--s", "junk", "--out", str(target))
     assert out.returncode == 2
     assert not target.exists()
 
@@ -55,7 +66,7 @@ def test_integrate_energy_failure_exits_2_without_output(tmp_path):
 
 
 def test_missing_subcommand_is_usage_error():
-    out = run_cli()
+    out = run_process()
     assert out.returncode == 2
 
 
@@ -66,12 +77,12 @@ def test_missing_subcommand_is_usage_error():
     ("fit", "--n", "5", "--format", "csv"),
     ("verify", "--n", "5"),
 ])
-def test_flag_the_subcommand_does_not_read_is_usage_error(args):
-    assert run_cli(*args).returncode == 2
+def test_flag_the_subcommand_does_not_read_is_usage_error(args, capsys):
+    assert run_cli(capsys, *args).returncode == 2
 
 
-def test_classify_reports_regime_and_amplitude():
-    out = run_cli("classify", "--n", "5", "--s", "7", "--format", "json", check=True)
+def test_classify_reports_regime_and_amplitude(capsys):
+    out = run_cli(capsys, "classify", "--n", "5", "--s", "7", "--format", "json", check=True)
     doc = json.loads(out.stdout)
     rec = doc["results"][0]
     assert rec["regime"] == "GIDAS_SPRUCK"
@@ -80,21 +91,21 @@ def test_classify_reports_regime_and_amplitude():
 
 
 def test_determinism_byte_identical():
-    a = run_cli("signs", "--n", "5:7", "--s-grid", "16", check=True).stdout
-    b = run_cli("signs", "--n", "5:7", "--s-grid", "16", check=True).stdout
+    a = run_process("signs", "--n", "5:7", "--s-grid", "16", check=True).stdout
+    b = run_process("signs", "--n", "5:7", "--s-grid", "16", check=True).stdout
     assert a == b
 
 
-def test_headers_echo_config():
-    out = run_cli("coeffs", "--n", "6", "--s", "2", "--sigma", "-1", check=True).stdout
+def test_headers_echo_config(capsys):
+    out = run_cli(capsys, "coeffs", "--n", "6", "--s", "2", "--sigma", "-1", check=True).stdout
     assert "# sigma: -1" in out
     assert "# build: fowler4" in out
 
 
-def test_integrate_writes_trajectory_and_energy(tmp_path):
+def test_integrate_writes_trajectory_and_energy(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     energy = tmp_path / "energy.csv"
-    run_cli("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0",
+    run_cli(capsys, "integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0",
             "--t-end", "2", "--out", str(traj), "--energy-out", str(energy),
             check=True)
     head = traj.read_text().splitlines()
@@ -105,42 +116,42 @@ def test_integrate_writes_trajectory_and_energy(tmp_path):
     assert ecols == "t,H,dH_formula,dH_numeric"
 
 
-def test_gnuplot_companion(tmp_path):
+def test_gnuplot_companion(tmp_path, capsys):
     target = tmp_path / "signs.csv"
-    run_cli("signs", "--n", "5", "--s-grid", "8", "--out", str(target),
+    run_cli(capsys, "signs", "--n", "5", "--s-grid", "8", "--out", str(target),
             "--gnuplot", check=True)
     gp = (tmp_path / "signs.csv.gp").read_text()
     assert gp.startswith("#") and "plot" in gp
 
 
-def test_fit_power_json():
-    out = run_cli("fit", "--n", "5", "--s", "7", "--profile", "power", check=True)
+def test_fit_power_json(capsys):
+    out = run_cli(capsys, "fit", "--n", "5", "--s", "7", "--profile", "power", check=True)
     doc = json.loads(out.stdout)
     assert doc["results"]["exponent"] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
-def test_fit_bubble_default_flags_recovers_far_field_exponent():
-    out = run_cli("fit", "--n", "6", "--profile", "bubble", check=True)
+def test_fit_bubble_default_flags_recovers_far_field_exponent(capsys):
+    out = run_cli(capsys, "fit", "--n", "6", "--profile", "bubble", check=True)
     doc = json.loads(out.stdout)
     assert doc["results"]["exponent"] == pytest.approx(2.0, abs=1e-3)
     # the header echoes the radii actually sampled
     assert (doc["config"]["r_lo"], doc["config"]["r_hi"]) == (1e2, 1e4)
 
 
-def test_fit_aviles_header_echoes_clamped_radius():
-    out = run_cli("fit", "--n", "5", "--profile", "aviles", check=True)
+def test_fit_aviles_header_echoes_clamped_radius(capsys):
+    out = run_cli(capsys, "fit", "--n", "5", "--profile", "aviles", check=True)
     assert json.loads(out.stdout)["config"]["r_hi"] == 0.1
 
 
-def test_pohozaev_levels_json():
-    out = run_cli("pohozaev", "--n", "5", "--s", "7", check=True)
+def test_pohozaev_levels_json(capsys):
+    out = run_cli(capsys, "pohozaev", "--n", "5", "--s", "7", check=True)
     doc = json.loads(out.stdout)
     assert doc["results"][0]["verdict"] == "MISMATCH"
 
 
-def test_verify_subset_suite_exits_zero(tmp_path):
+def test_verify_subset_suite_exits_zero(tmp_path, capsys):
     ledger_path = tmp_path / "ledger.json"
-    out = run_cli("verify", "--suite", "asymptotics", "--format", "json",
+    out = run_cli(capsys, "verify", "--suite", "asymptotics", "--format", "json",
                   "--out", str(ledger_path))
     assert out.returncode == 0, out.stdout + out.stderr
     assert "C09 PASS" in out.stdout
@@ -149,12 +160,12 @@ def test_verify_subset_suite_exits_zero(tmp_path):
     assert any(e["symbol"] == "J40(n,s) appendix formula" for e in doc)
 
 
-def test_verify_unknown_suite_is_usage_error():
-    assert run_cli("verify", "--suite", "nope").returncode == 2
+def test_verify_unknown_suite_is_usage_error(capsys):
+    assert run_cli(capsys, "verify", "--suite", "nope").returncode == 2
 
 
-def test_shoot_table_columns_and_determinism():
-    a = run_cli("shoot", "--n", "6", "--a-grid", "0.6,0.9")
+def test_shoot_table_columns_and_determinism(capsys):
+    a = run_cli(capsys, "shoot", "--n", "6", "--a-grid", "0.6,0.9")
     assert a.returncode == 0, a.stderr
     cols = [l for l in a.stdout.splitlines() if l.startswith("n,")][0]
     assert cols == ("n,a,b,T,energy,residual,period_defect,energy_drift,min_v,"
@@ -162,7 +173,8 @@ def test_shoot_table_columns_and_determinism():
     rows = [l for l in a.stdout.splitlines() if l.startswith("6,")]
     assert len(rows) == 2 and all(r.endswith(",1,float64") for r in rows)
     assert "# c_mode: measured" in a.stdout and "# rel_tol:" not in a.stdout
-    assert run_cli("shoot", "--n", "6", "--a-grid", "0.6,0.9", check=True).stdout == a.stdout
+    again = run_cli(capsys, "shoot", "--n", "6", "--a-grid", "0.6,0.9", check=True)
+    assert again.stdout == a.stdout
 
 
 def _artifact_digests(tmp_path, args, side_flag=None):

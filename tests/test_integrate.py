@@ -138,15 +138,6 @@ def test_trajectory_span_guard():
         traj(2.0)
 
 
-def test_longdouble_dtype_passthrough():
-    y0 = np.array([1.0, 0, 0, 0], dtype=np.longdouble)
-    traj = integrate(_linear_rhs, 0.0, y0, 2.0, rel_tol=1e-13, abs_tol=1e-16)
-    assert traj.y.dtype == np.longdouble
-    err = np.abs(np.asarray(traj.y[-1], float) -
-                 _linear_solution(2.0, np.array([1.0, 0, 0, 0])))
-    assert float(np.max(err)) < 1e-11
-
-
 def test_stats_are_recorded():
     traj = integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 5.0)
     assert traj.stats["steps"] > 0 and traj.stats["rhs_evals"] > traj.stats["steps"]
@@ -164,16 +155,13 @@ def _assert_batch_matches_points(traj):
     assert np.array_equal(batch, rows)
 
 
-def test_batched_query_equals_pointwise_forward_backward_longdouble():
+def test_batched_query_equals_pointwise_forward_backward():
     y0 = np.array([1.0, 0.3, -0.2, 0.1])
     _assert_batch_matches_points(
         integrate(_linear_rhs, 0.0, y0, 5.0, rel_tol=1e-10, abs_tol=1e-12))
     back = integrate(_linear_rhs, 5.0, y0, 0.0, rel_tol=1e-10, abs_tol=1e-12)
     assert back.direction == -1
     _assert_batch_matches_points(back)
-    _assert_batch_matches_points(
-        integrate(_linear_rhs, 0.0, y0.astype(np.longdouble), 2.0, rel_tol=1e-13,
-                  abs_tol=1e-16))
 
 
 def test_scalar_query_returns_one_row():
@@ -209,7 +197,8 @@ def test_trajectory_without_segments_interpolates_its_nodes():
 @pytest.mark.parametrize("threshold, tol", [(1.2, 0.1), (1.001, 1e-3)])
 def test_failed_stage_rejects_and_counts_only_evaluated_stages(dtype, threshold, tol):
     # an oscillator whose RHS turns non-finite outside a box the loose
-    # tolerance overshoots: steps fail at a stage and are retried shorter
+    # tolerance overshoots: steps fail at a stage and are retried shorter;
+    # a longdouble state runs in float64, converted on entry
     calls, nonfinite_inputs = [0], [0]
 
     def rhs(t, y):
@@ -222,7 +211,7 @@ def test_failed_stage_rejects_and_counts_only_evaluated_stages(dtype, threshold,
 
     traj = integrate(rhs, 0.0, np.array([1.0, 0.0], dtype=dtype), 20.0,
                      rel_tol=tol, abs_tol=tol)
-    assert traj.status == "reached" and traj.y.dtype == dtype
+    assert traj.status == "reached" and traj.y.dtype == np.float64
     assert traj.stats["rejected"] > 0
     assert traj.stats["rhs_evals"] == calls[0]   # the three start-up calls included
     assert nonfinite_inputs[0] == 0
@@ -252,15 +241,15 @@ def _dense_digest(traj):
     return h.hexdigest()[:16]
 
 
-def _probe_orbit(dtype, backward=False):
+def _probe_orbit(backward=False):
     # the C07 orbit at n = 6, a = 0.6 a0, as find_b returns it at float64;
     # run backward from the same symmetric state, it traces the mirror image
     cc = critical_constants(6)
-    y0 = np.array([0.6 * cc.a0, 0.0, 0.3566258871243809, 0.0], dtype=dtype)
+    y0 = np.array([0.6 * cc.a0, 0.0, 0.3566258871243809, 0.0])
     t0, t1 = 0.0, 4.369895937345158
     if backward:
         t0, t1 = t1, t0
-    return integrate(make_critical_rhs(cc, dtype), t0, y0, t1,
+    return integrate(make_critical_rhs(cc), t0, y0, t1,
                      rel_tol=1e-12, abs_tol=1e-14, guard=1e6)
 
 
@@ -276,21 +265,12 @@ def _capped_autonomous_p3():
 
 # name: (run, digest of t, y and stats, digest of the dense output)
 _PINNED_RUNS = {
-    "probe-orbit-f64": (lambda: _probe_orbit(np.float64),
-                        "81edfbe0d8fda3fe", "127a24c64f85ef9a"),
-    "probe-orbit-longdouble": (lambda: _probe_orbit(np.longdouble),
-                               "74c88102d19c5b3a", "1ed410fd7fab1437"),
+    "probe-orbit-f64": (_probe_orbit, "81edfbe0d8fda3fe", "127a24c64f85ef9a"),
     "autonomous-p3-cap": (_capped_autonomous_p3,
                           "d51c257cda5935a8", "5e282d692436f041"),
-    "probe-orbit-f64-backward": (lambda: _probe_orbit(np.float64, backward=True),
+    "probe-orbit-f64-backward": (lambda: _probe_orbit(backward=True),
                                  "e1dfbe40dd53bc39", "fd5ab0fb8f890901"),
 }
-
-
-def _pinned_run(name):
-    if "longdouble" in name and np.finfo(np.longdouble).eps != 2.0 ** -63:
-        pytest.skip("longdouble is not 80-bit extended here")
-    return _PINNED_RUNS[name][0]()
 
 
 @pytest.mark.parametrize("name", list(_PINNED_RUNS))
@@ -298,10 +278,9 @@ def test_step_loop_output_is_bit_pinned(name):
     """Every bit of t, y and stats of fixed runs, as recorded before the
     step loop lost its numpy reduction wrappers (the backward run: before
     the trajectory kept its steps as arrays); an edit of the hot path
-    must keep them.  Recorded with numpy 2.4 (OpenBLAS) on x86-64 with
-    80-bit longdouble: a platform that rounds the stage sums differently
-    needs its own record."""
-    assert _digest(_pinned_run(name)) == _PINNED_RUNS[name][1]
+    must keep them.  Recorded with numpy 2.4 (OpenBLAS) on x86-64: a
+    platform that rounds the stage sums differently needs its own record."""
+    assert _digest(_PINNED_RUNS[name][0]()) == _PINNED_RUNS[name][1]
 
 
 @pytest.mark.parametrize("name", list(_PINNED_RUNS))
@@ -309,4 +288,4 @@ def test_dense_output_is_bit_pinned(name):
     """Every bit of 1601 dense-output rows of the same runs, as recorded
     before the trajectory kept its steps as stacked arrays; recorded on
     the same platform as the step-loop pins."""
-    assert _dense_digest(_pinned_run(name)) == _PINNED_RUNS[name][2]
+    assert _dense_digest(_PINNED_RUNS[name][0]()) == _PINNED_RUNS[name][2]

@@ -183,3 +183,20 @@ def test_find_b_reports_closure_shortfall_without_longdouble(consts5, monkeypatc
     assert f"closure defect {r.period_defect:.3e}" in r.message
     assert "target 1.0e-06" in r.message
     assert set(r.stats) == {"float64"}
+
+
+def test_empty_message_exactly_when_every_c07_threshold_holds():
+    """find_b answers at small a.  At (5, 0.03 a0) the one-period run of
+    the float64 root stops before T: the result keeps Brent's root and
+    says why, and it is tagged longdouble only when the refinement was
+    kept.  Without an 80-bit longdouble, (5, 0.2 a0) carries a message."""
+    for n, frac in ((5, 0.03), (5, 0.2), (6, 0.02), (6, 0.03)):
+        cc = sh.critical_constants(n)
+        a = frac * cc.a0
+        r = sh.find_b(n, a, consts=cc)
+        meets_c07 = (r.converged and r.residual <= 1e-9 and r.period_defect <= 1e-6
+                     and r.energy_drift <= 1e-8 and r.min_v >= a - 1e-6)
+        assert (r.message == "") == meets_c07, (n, frac, r.message)
+        assert ("after longdouble refinement" in r.message) <= (r.precision == "longdouble")
+        if (n, frac) == (5, 0.03):
+            assert np.isfinite(r.b) and r.b > 0

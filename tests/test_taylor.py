@@ -1,4 +1,9 @@
-"""Taylor-series flow of the critical equation against the Dormand-Prince path."""
+"""Taylor-series flow of the critical equation against the closed-form
+homoclinic, its own longdouble run and the Dormand-Prince path."""
+
+import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ import pytest
 from fowler4 import shooting as sh
 from fowler4 import taylor
 from fowler4.integrate import Event, integrate
+from fowler4.profiles import bubble_constant_closed_form
 
 
 @pytest.fixture(scope="module")
@@ -95,15 +101,60 @@ def test_orbit_dense_output_reproduces_nodes(orbit6):
 
 
 @_NEEDS_LD
-def test_orbit_agrees_with_longdouble_dormand_prince(orbit6, consts6):
+def test_orbit_agrees_with_longdouble_taylor_orbit(orbit6, consts6):
     # the float64 Dormand-Prince orbit at the search's 1e-12 drifts by ~1e-7
-    # over the period here; the longdouble run at 1e-15 is the reference
+    # over the period here, and roundoff holds a float64 run near 1e-9 at
+    # any tolerance; the flow from the same (a, b) in longdouble is the
+    # reference
     a, b, T = 0.6 * consts6.a0, orbit6.b, orbit6.T
     ld = np.longdouble
-    ref = integrate(sh.make_critical_rhs(consts6, ld), 0.0, np.array([a, 0.0, b, 0.0], ld),
-                    T, rel_tol=1e-15, abs_tol=1e-18, guard=taylor._ORBIT_GUARD)
+    ref = taylor.flow(consts6, (ld(a), ld(0.0), ld(b), ld(0.0)), T)
+    assert ref.status == "reached" and ref.y.dtype == ld
     ts = np.linspace(0.0, T, 1601)
     assert np.max(np.abs(np.asarray(ref(ts), float) - orbit6.orbit(ts))) <= 1e-9
+
+
+def _homoclinic(n, t):
+    """(v, v', v'', v''') of v = (cosh t)^(-k), k = (n - 4)/2, in longdouble."""
+    k = np.longdouble(n - 4) / 2
+    t = np.asarray(t, np.longdouble)
+    s, tau = 1 / np.cosh(t), np.tanh(t)
+    sk = s ** k
+    return np.stack([sk, -k * sk * tau, sk * (k * (k + 1) * tau ** 2 - k),
+                     sk * tau * (k * (3 * k + 2) - k * (k + 1) * (k + 2) * tau ** 2)], axis=-1)
+
+
+_LD80 = pytest.mark.skipif(np.finfo(np.longdouble).eps != 2.0 ** -63,
+                           reason="longdouble is not 80-bit extended here")
+
+
+@pytest.mark.parametrize(
+    "n, scal",
+    [pytest.param(n, float, id=f"{n}") for n in range(5, 10)]
+    + [pytest.param(n, np.longdouble, id=f"{n}-longdouble", marks=_LD80)
+       for n in range(5, 10)])
+def test_flow_follows_the_closed_form_homoclinic(n, scal):
+    """The bubble v = (cosh t)^(-k) solves the equation exactly with the
+    closed-form c.  Rounding grows along the saddle's unstable root
+    lambda_u of l^4 + K2 l^2 + K0 = 0 while the orbit decays like
+    e^(-k t), so the relative error grows like e^((lambda_u + k) t).
+    Measured against a 40-digit evaluation, error / (eps e^((lambda_u + k) t))
+    was at most 0.62 in float64 and 0.88 in longdouble at every node for
+    n = 5..9, with eps the larger of the type's epsilon and the float64
+    rounding of P = (n + 4)/(n - 4) (~1e-16 at n = 7 and 9).  The
+    longdouble evaluation of the bubble was within 11 of its own ULPs.
+    Each n runs until the growth factor reaches 1e6."""
+    cc = dataclasses.replace(sh.critical_constants(n), c=bubble_constant_closed_form(n))
+    k = (n - 4) / 2
+    rate = math.sqrt((-cc.K2 + math.sqrt(cc.K2 ** 2 - 4 * cc.K0)) / 2) + k
+    P = Fraction(n + 4, n - 4)
+    eps = max(float(np.finfo(scal).eps), float(abs(Fraction(cc.power) - P) / P))
+    tr = taylor.flow(cc, [scal(x) for x in (1.0, 0.0, -k, 0.0)], math.log(1e6) / rate)
+    assert tr.status == "reached" and tr.y.dtype == np.dtype(scal)
+    ref = _homoclinic(n, tr.t)
+    err = np.max(np.abs(tr.y - ref), axis=1) / np.max(np.abs(ref), axis=1)
+    bound = 2 * eps * np.exp(rate * tr.t) + 16 * np.finfo(np.longdouble).eps
+    assert np.all(err <= bound)
 
 
 @pytest.mark.parametrize("scale", [2.0, 100.0])
