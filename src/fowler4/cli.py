@@ -6,7 +6,8 @@ artifact header lists the parameters it read.  Rational inputs are
 accepted as "p/q" strings and kept exact end-to-end; outputs are
 deterministic (17 significant digits, no timestamps).  Exit codes:
 0 success (verify: all checks pass or are documented mismatches),
-1 unexpected failure, 2 usage error.
+1 unexpected failure or, for shoot, a row that misses a C07 threshold,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -251,7 +252,12 @@ def cmd_shoot(args) -> int:
     text = write_csv(cols, rows, cfg) if args.format == "csv" else \
         write_json(cfg, [dict(zip(cols, r)) for r in rows])
     _emit(args, text, cols)
-    return 0 if all(r.converged for r in results) else 1
+    # below a0 a non-empty message names a missed C07 threshold; at a0 it
+    # reads "constant orbit"
+    misses = [r for r in results if not r.converged or (r.message and r.a < cc.a0)]
+    for r in misses:
+        print(f"shoot: n={n} a={r.a:.17g}: {r.message}", file=sys.stderr)
+    return 1 if misses else 0
 
 
 def cmd_fit(args) -> int:

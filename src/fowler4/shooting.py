@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ from .coefficients import printed_critical_values
 from .integrate import Trajectory
 from .params import DomainError, special_exponents
 from .profiles import bubble_constant
-from .taylor import flow
+from .taylor import flow, march
 
 _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
 
@@ -65,8 +66,11 @@ class CriticalConstants:
     a0: float
     c_mode: str = "measured"
 
-    @property
+    @cached_property
     def power(self) -> float:
+        """The critical power P = (n+4)/(n-4) as a float, computed once per
+        instance (the exact exponent algebra costs microseconds, and
+        ``orbit_energy`` reads it on every row)."""
         return float(special_exponents(self.n).upper - 1)
 
     def linearized_frequency(self) -> float:
@@ -149,29 +153,33 @@ def orbit_energy(consts: CriticalConstants, y) -> float:
             + consts.c * abs(v) ** (q + 1) / (q + 1))
 
 
-def _taylor(consts, a, b, stats, t_end, first_max=False) -> Trajectory:
-    """Taylor flow from the orbit minimum (a, 0, b, 0) in the scalar type of b;
-    the run is added to stats under its precision."""
-    tr = flow(consts, (a, 0.0, b, 0.0), t_end, first_max)
+def _tally(stats: dict, b, steps: int) -> None:
+    """Add one Taylor run of ``steps`` steps to stats under the tier of b."""
     tally = stats.setdefault(_tier(b), {"integrations": 0, "steps": 0})
     tally["integrations"] += 1
-    tally["steps"] += tr.stats["steps"]
-    return tr
+    tally["steps"] += steps
+
+
+def _march(consts, a, b, stats, first_max=False):
+    """Taylor run from the orbit minimum (a, 0, b, 0) in the scalar type of b,
+    to _T_MAX, without dense output: its status and last node (t, y)."""
+    status, ts, ys, hs, _ = march(consts, (a, 0.0, b, 0.0), _T_MAX, first_max)
+    _tally(stats, b, len(hs))
+    return status, ts[-1], ys[-1]
 
 
 def _classify(consts: CriticalConstants, a: float, b, stats: dict) -> int:
     """-1: dives to v <= 0; +1: escapes past the guard, or stays bounded to
     _T_MAX (at or beyond the boundary, treated as upper)."""
-    tr = _taylor(consts, a, b, stats, _T_MAX)
-    return -1 if tr.y[-1][0] <= 0 else 1
+    _, _, y = _march(consts, a, b, stats)
+    return -1 if y[0] <= 0 else 1
 
 
 def _first_max(consts: CriticalConstants, a: float, b, stats: dict):
     """(t1, y(t1)) at the first maximum of v; (None, None) where there is none."""
-    tr = _taylor(consts, a, b, stats, _T_MAX, first_max=True)
-    if tr.status != "event":
+    status, te, ye = _march(consts, a, b, stats, first_max=True)
+    if status != "event":
         return None, None
-    te, ye = tr.events[0][0]
     return float(te), ye
 
 
@@ -360,7 +368,8 @@ def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
     A failed result where the one-period run stops before T."""
     residual = abs(float(y1[3]))
     T = 2.0 * t1
-    orbit = _taylor(consts, a, b, stats, T)
+    orbit = flow(consts, (a, 0.0, b, 0.0), T)
+    _tally(stats, b, orbit.stats["steps"])
     if orbit.status != "reached":
         return _failed(a, b, f"one-period run stopped {orbit.status} at "
                              f"t={orbit.t1:.9g} of T={T:.9g}", stats)
@@ -369,7 +378,10 @@ def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
     ts = np.linspace(0.0, T, 1601)
     vals = orbit(ts)
     vmin = float(np.min(np.asarray(vals[:, 0], float)))
-    energies = np.array([orbit_energy(consts, yv) for yv in vals])
+    # row by row in Python floats: numpy's power and its x*x square round
+    # some rows differently from libm pow, which moves energy_drift at some a.
+    # One row list at a time: vals.tolist() would hold all 1601 at once
+    energies = np.array([orbit_energy(consts, yv) for yv in map(np.ndarray.tolist, vals)])
     E0 = float(energies[0])
     drift = float(np.max(np.abs(energies - E0))) / (1.0 + abs(E0))
     taus = np.linspace(0.0, min(t1, T - t1), 101)[1:]

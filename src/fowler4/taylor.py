@@ -14,6 +14,11 @@ last two terms of their series, so a step is exact to about the
 rejected steps.  A run computes in the scalar type of its initial state:
 plain Python floats, which for 4-vectors are faster than numpy dispatch,
 or ``np.longdouble`` scalars.
+
+``march`` is the step loop and returns its nodes and series as lists;
+``flow`` packages them as a dense-output ``Trajectory``.  Shooting builds
+dense output only for the one-period orbit it samples: its crash/escape
+and first-maximum runs read the last node of ``march`` directly.
 """
 
 from __future__ import annotations
@@ -54,7 +59,11 @@ def series(consts, y):
     [i][m] is the m-th coefficient of the i-th derivative of v.  Requires
     y[0] > 0.
     """
-    c, K2, K0, P, rows, k2, den, fac = _tables(consts, type(y[0]))
+    return _series(_tables(consts, type(y[0])), y)
+
+
+def _series(tables, y):
+    c, K2, K0, P, rows, k2, den, fac = tables
     v = [y[0], y[1], 0.5 * y[2], y[3] / 6.0]
     w = [v[0] ** P]
     inv_v0 = 1.0 / v[0]
@@ -102,31 +111,27 @@ def _first_root(d1, d2, hi):
     return s
 
 
-def flow(consts, y0, t_end: float, first_max: bool = False) -> Trajectory:
-    """Integrate the critical equation from t = 0 towards t_end.
+def march(consts, y0, t_end: float, first_max: bool = False):
+    """The step loop of ``flow``: ``(status, ts, ys, hs, coefs)``.
 
-    The run is in longdouble where any component of ``y0`` is a
-    ``np.longdouble``, else in Python floats.  With ``first_max`` it stops
-    at the first maximum of v (v' crossing zero downward), recorded as a
-    terminal event, status ``"event"``.  A run stops with status
-    ``"undefined"`` where v <= 0, |y| passes ``_ORBIT_GUARD`` or the step
-    size collapses.  ``dense[i]`` holds step i's series scaled to powers of
-    theta = (t - t[i]) / h[i], so the record is an ordinary dense-output
-    Trajectory of degree ``_ORDER``.
+    Node i is (ts[i], ys[i]), ys[i] a list of scalars of the run's type;
+    step i runs from node i over hs[i] with the series coefs[i] (as
+    returned by ``series``) and ends on node i + 1.  The last node is the
+    run's end, or its event where status is ``"event"``.  Builds no arrays.
     """
     scal = np.longdouble if any(isinstance(x, np.longdouble) for x in y0) else float
+    tables = _tables(consts, scal)
     tol = _TOL[scal]
     t = 0.0
     y = [scal(x) for x in y0]
     ts, ys, hs, coefs = [t], [y], [], []
-    events = [[]]
     status = "reached"
     while t < t_end:
         size = max(map(abs, y))
         if not (y[0] > 0 and size <= _ORBIT_GUARD):
             status = "undefined"
             break
-        coef = series(consts, y)
+        coef = _series(tables, y)
         h = _step_size(coef, tol * max(1.0, size))
         if not (h > 0 and t + h > t):
             status = "undefined"
@@ -143,8 +148,26 @@ def flow(consts, y0, t_end: float, first_max: bool = False) -> Trajectory:
         ts.append(t)
         ys.append(y)
         if status == "event":
-            events[0].append((t, np.array(y)))
             break
+    return status, ts, ys, hs, coefs
+
+
+def flow(consts, y0, t_end: float, first_max: bool = False) -> Trajectory:
+    """Integrate the critical equation from t = 0 towards t_end.
+
+    The run is in longdouble where any component of ``y0`` is a
+    ``np.longdouble``, else in Python floats.  With ``first_max`` it stops
+    at the first maximum of v (v' crossing zero downward), recorded as a
+    terminal event, status ``"event"``.  A run stops with status
+    ``"undefined"`` where v <= 0, |y| passes ``_ORBIT_GUARD`` or the step
+    size collapses.  ``dense[i]`` holds step i's series scaled to powers of
+    theta = (t - t[i]) / h[i], so the record is an ordinary dense-output
+    Trajectory of degree ``_ORDER``.  This packaging is the cost over
+    ``march``, the same run without dense output; shooting asks for it
+    only for the one-period orbit.
+    """
+    status, ts, ys, hs, coefs = march(consts, y0, t_end, first_max)
+    events = [[(ts[-1], np.array(ys[-1]))]] if status == "event" else [[]]
     h = np.array(hs)
     dense = (np.array(coefs).reshape(len(hs), 4, _ORDER + 1)[:, :, 1:]
              * h[:, None, None] ** np.arange(_ORDER))

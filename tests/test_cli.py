@@ -177,6 +177,20 @@ def test_shoot_table_columns_and_determinism(capsys):
     assert again.stdout == a.stdout
 
 
+@pytest.mark.parametrize("grid, code", [("0.02", 1), ("0.6,1", 0)])
+def test_shoot_exits_1_where_a_row_misses_a_c07_threshold(capsys, grid, code):
+    # at 0.02 a0 the longdouble root converges but misses the closure target;
+    # at a0 the constant orbit's message is no miss
+    out = run_cli(capsys, "shoot", "--n", "6", "--a-grid", grid)
+    assert out.returncode == code, out.stderr
+    rows = [l for l in out.stdout.splitlines() if l.startswith("6,")]
+    assert len(rows) == len(grid.split(",")) and all(r.split(",")[-2] == "1" for r in rows)
+    if code:
+        assert "closure defect 4.645e-06 above target 1.0e-06" in out.stderr
+    else:
+        assert out.stderr == ""
+
+
 def _artifact_digests(tmp_path, args, side_flag=None):
     """Run one subcommand in-process with --out (and a side file); return
     the sha256 prefix of each file it wrote."""
