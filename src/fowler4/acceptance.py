@@ -67,7 +67,6 @@ def _criterion(cid: int, name: str, budget: float):
                                    elapsed=time.time() - t0, budget=budget,
                                    details=details)
         run.cid = cid
-        run.criterion_name = name
         return run
     return wrap
 

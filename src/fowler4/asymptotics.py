@@ -89,7 +89,6 @@ class FitReport:
     amplitude: float
     residual: float                    # RMS of log deviations
     log_exponent: Optional[float] = None
-    matched: Optional[Regime] = None
     amplitude_targets: Dict[str, float] = field(default_factory=dict)
 
     def amplitude_distance(self, key: str) -> float:
@@ -143,8 +142,7 @@ def fit_log_corrected(samples: Sequence[Tuple[float, float]], n: int) -> FitRepo
     targets = {v: float(hat_constant(n, v)) ** ((n - 4) / 4.0)
                for v in ("theorem", "printed-limit", "chain-rule")}
     return FitReport(exponent=float(n - 4), amplitude=A, residual=res,
-                     log_exponent=slope, matched=Regime.AVILES,
-                     amplitude_targets=targets)
+                     log_exponent=slope, amplitude_targets=targets)
 
 
 def residual_decay_check(n: int) -> Dict[str, float]:

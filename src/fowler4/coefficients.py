@@ -39,8 +39,6 @@ from .polys import UPoly, compose_linear, peval
 
 BUILD_SIGMA = -1
 
-AUTONOMOUS_NAMES = ("K0", "K1", "K2", "K3", "J0", "J1")
-
 
 # ---------------------------------------------------------------------------
 # printed closed forms (transcribed literally; judged by the ledger)

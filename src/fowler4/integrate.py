@@ -80,7 +80,7 @@ class Event:
 
 @dataclass
 class Trajectory:
-    """Dense-output record of one integration run.
+    """Dense-output record of one integration run, in float64.
 
     t is strictly monotone in the direction of integration.  Step i runs
     from t[i] with state y[i] over the signed size h[i], and dense[i] is
@@ -125,23 +125,22 @@ class Trajectory:
         return out[0] if scalar else out
 
     def _dense_rows(self, tqs):
-        starts = np.asarray(self.t[:-1], dtype=float)
+        starts = self.t[:-1]
         idx = np.searchsorted(starts * self.direction, tqs * self.direction,
                               side="right") - 1
         idx = np.clip(idx, 0, len(starts) - 1)
         hs = self.h[idx]
-        th = np.clip((tqs - starts[idx]) / hs.astype(float), 0.0, 1.0)
-        powers = th.astype(self.dense.dtype)[:, None] ** np.arange(1, self.dense.shape[-1] + 1)
+        th = np.clip((tqs - starts[idx]) / hs, 0.0, 1.0)
+        powers = th[:, None] ** np.arange(1, self.dense.shape[-1] + 1)
         return self.y[idx] + hs[:, None] * (self.dense[idx] @ powers[:, :, None])[:, :, 0]
 
     def _node_rows(self, tqs):
         order = np.argsort(self.t, kind="stable")
-        tn, yn = np.asarray(self.t, dtype=float)[order], self.y[order]
+        tn, yn = self.t[order], self.y[order]
         if len(tn) == 1:
             return np.repeat(yn, tqs.size, axis=0)
         idx = np.clip(np.searchsorted(tn, tqs, side="right") - 1, 0, len(tn) - 2)
-        w = (tqs - tn[idx]) / (tn[idx + 1] - tn[idx])
-        w = np.clip(w, 0.0, 1.0).astype(yn.dtype)[:, None]
+        w = np.clip((tqs - tn[idx]) / (tn[idx + 1] - tn[idx]), 0.0, 1.0)[:, None]
         return yn[idx] + w * (yn[idx + 1] - yn[idx])
 
 

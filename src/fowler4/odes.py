@@ -15,6 +15,7 @@ import numpy as np
 
 from .coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous_polys
 from .params import DomainError, Params, special_exponents
+from .polys import peval
 
 
 def ray_state(scalars, lam: np.ndarray) -> np.ndarray:
@@ -73,18 +74,12 @@ def make_nonautonomous_rhs(n: int) -> Callable:
     qm1 = float(special_exponents(n).lower) - 1.0
     fk = {k: [float(c) for c in polys[k].coeffs] for k in ("K0", "K1", "K2", "K3")}
 
-    def evalp(cs, u):
-        acc = 0.0
-        for c in reversed(cs):
-            acc = acc * u + c
-        return acc
-
     def rhs(t, y):
         if t <= 0:
             raise DomainError(f"time-dependent system requires t > 0, got t={t}")
         u = 1.0 / float(t)
-        return _component_rhs(y, qm1, u, evalp(fk["K0"], u), evalp(fk["K1"], u),
-                              evalp(fk["K2"], u), evalp(fk["K3"], u))
+        return _component_rhs(y, qm1, u, peval(fk["K0"], u), peval(fk["K1"], u),
+                              peval(fk["K2"], u), peval(fk["K3"], u))
 
     return rhs
 

@@ -278,9 +278,6 @@ class AvilesProfile:
         t = -math.log(r)
         return self.amplitude * r ** (4 - self.n) * t ** ((4 - self.n) / 4.0)
 
-    def profile(self) -> RadialProfile:
-        return RadialProfile(lambda r: self(r))
-
 
 # ---------------------------------------------------------------------------
 # periodic-orbit wrapper u(r) = r^{(4-n)/2} v(ln r + T)

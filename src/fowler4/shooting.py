@@ -64,7 +64,6 @@ class CriticalConstants:
     K2: float
     c: float
     a0: float
-    c_mode: str = "measured"
 
     @cached_property
     def power(self) -> float:
@@ -94,7 +93,7 @@ def critical_constants(n: int, c_mode: str = "measured") -> CriticalConstants:
         raise DomainError(f"unknown c mode {c_mode!r}")
     power = float(special_exponents(n).upper - 1)
     a0 = (K0 / c) ** (1.0 / (power - 1.0))
-    return CriticalConstants(n=n, K0=K0, K2=K2, c=c, a0=a0, c_mode=c_mode)
+    return CriticalConstants(n=n, K0=K0, K2=K2, c=c, a0=a0)
 
 
 def make_critical_rhs(consts: CriticalConstants, dtype=np.float64) -> Callable:
@@ -374,10 +373,10 @@ def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
         return _failed(a, b, f"one-period run stopped {orbit.status} at "
                              f"t={orbit.t1:.9g} of T={T:.9g}", stats)
     target = np.array([a, 0.0, float(b), 0.0])
-    defect = float(np.max(np.abs(np.asarray(orbit.y[-1], float) - target)))
+    defect = float(np.max(np.abs(orbit.y[-1] - target)))
     ts = np.linspace(0.0, T, 1601)
     vals = orbit(ts)
-    vmin = float(np.min(np.asarray(vals[:, 0], float)))
+    vmin = float(np.min(vals[:, 0]))
     # row by row in Python floats: numpy's power and its x*x square round
     # some rows differently from libm pow, which moves energy_drift at some a.
     # One row list at a time: vals.tolist() would hold all 1601 at once
@@ -385,8 +384,7 @@ def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
     E0 = float(energies[0])
     drift = float(np.max(np.abs(energies - E0))) / (1.0 + abs(E0))
     taus = np.linspace(0.0, min(t1, T - t1), 101)[1:]
-    sym = float(np.max(np.abs(np.asarray(orbit(t1 + taus)[:, 0], float)
-                              - np.asarray(orbit(t1 - taus)[:, 0], float))))
+    sym = float(np.max(np.abs(orbit(t1 + taus)[:, 0] - orbit(t1 - taus)[:, 0])))
     converged = residual <= _RESIDUAL_TOL and math.isfinite(defect)
     msg = "" if converged else f"residual {residual:.3e} above tol {_RESIDUAL_TOL:.1e}"
     if vmin < a - 1e-6:

@@ -15,10 +15,11 @@ rejected steps.  A run computes in the scalar type of its initial state:
 plain Python floats, which for 4-vectors are faster than numpy dispatch,
 or ``np.longdouble`` scalars.
 
-``march`` is the step loop and returns its nodes and series as lists;
-``flow`` packages them as a dense-output ``Trajectory``.  Shooting builds
-dense output only for the one-period orbit it samples: its crash/escape
-and first-maximum runs read the last node of ``march`` directly.
+``march`` is the step loop and returns its nodes and series as lists in
+the run's type; ``flow`` packages them as a float64 dense-output
+``Trajectory``, whatever the run's type.  Shooting builds dense output only for the one-period orbit it samples:
+its crash/escape and first-maximum runs read the last node of ``march``
+directly.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from operator import mul
 import numpy as np
 
 from .integrate import Trajectory
+from .polys import peval
 
 _ORDER = 24   # series order of each state component
 # per scalar type, bound on the last two terms relative to max(1, |y|_inf):
@@ -69,16 +71,14 @@ def _series(tables, y):
     inv_v0 = 1.0 / v[0]
     for k in range(_ORDER):
         if k:
-            w.append(sum(map(mul, map(mul, rows[k], v[k:0:-1]), w)) * inv_v0)
+            # left to right in plain float steps: the built-in sum
+            # compensates from Python 3.12 on, which would move the bits
+            acc = 0.0
+            for r, vk, wj in zip(rows[k], v[k:0:-1], w):
+                acc += r * vk * wj
+            w.append(acc * inv_v0)
         v.append((c * w[k] - K2 * k2[k] * v[k + 2] - K0 * v[k]) * den[k])
     return [list(map(mul, fac[i], v[i:i + _ORDER + 1])) for i in range(4)]
-
-
-def _horner(cs, s):
-    acc = 0.0
-    for x in reversed(cs):
-        acc = acc * s + x
-    return acc
 
 
 def _step_size(coef, eps):
@@ -98,12 +98,12 @@ def _first_root(d1, d2, hi):
     """
     lo, s = 0.0, hi
     for _ in range(100):
-        f = _horner(d1, s)
+        f = peval(d1, s)
         if f > 0:
             lo = s
         else:
             hi = s
-        slope = _horner(d2, s)
+        slope = peval(d2, s)
         step = f / slope if slope else math.inf
         if abs(step) <= 2 * np.spacing(s) or hi - lo <= 4 * np.spacing(hi):
             break
@@ -116,8 +116,10 @@ def march(consts, y0, t_end: float, first_max: bool = False):
 
     Node i is (ts[i], ys[i]), ys[i] a list of scalars of the run's type;
     step i runs from node i over hs[i] with the series coefs[i] (as
-    returned by ``series``) and ends on node i + 1.  The last node is the
-    run's end, or its event where status is ``"event"``.  Builds no arrays.
+    returned by ``series``) and ends on node i + 1.  With ``first_max`` the
+    run stops at the first maximum of v (v' crossing zero downward), with
+    status ``"event"``.  The last node is the run's end or that maximum.
+    Builds no arrays.
     """
     scal = np.longdouble if any(isinstance(x, np.longdouble) for x in y0) else float
     tables = _tables(consts, scal)
@@ -139,11 +141,11 @@ def march(consts, y0, t_end: float, first_max: bool = False):
         last = t + h >= t_end
         if last:
             h = t_end - t
-        if first_max and y[1] > 0 and _horner(coef[1], h) <= 0:
+        if first_max and y[1] > 0 and peval(coef[1], h) <= 0:
             h, last, status = _first_root(coef[1], coef[2], h), False, "event"
         hs.append(h)
         coefs.append(coef)
-        y = [_horner(cs, h) for cs in coef]
+        y = [peval(cs, h) for cs in coef]
         t = t_end if last else t + h
         ts.append(t)
         ys.append(y)
@@ -152,13 +154,12 @@ def march(consts, y0, t_end: float, first_max: bool = False):
     return status, ts, ys, hs, coefs
 
 
-def flow(consts, y0, t_end: float, first_max: bool = False) -> Trajectory:
+def flow(consts, y0, t_end: float) -> Trajectory:
     """Integrate the critical equation from t = 0 towards t_end.
 
     The run is in longdouble where any component of ``y0`` is a
-    ``np.longdouble``, else in Python floats.  With ``first_max`` it stops
-    at the first maximum of v (v' crossing zero downward), recorded as a
-    terminal event, status ``"event"``.  A run stops with status
+    ``np.longdouble``, else in Python floats; its record (``t``, ``y``,
+    ``h``, ``dense``) is float64 either way.  A run stops with status
     ``"undefined"`` where v <= 0, |y| passes ``_ORBIT_GUARD`` or the step
     size collapses.  ``dense[i]`` holds step i's series scaled to powers of
     theta = (t - t[i]) / h[i], so the record is an ordinary dense-output
@@ -166,10 +167,9 @@ def flow(consts, y0, t_end: float, first_max: bool = False) -> Trajectory:
     ``march``, the same run without dense output; shooting asks for it
     only for the one-period orbit.
     """
-    status, ts, ys, hs, coefs = march(consts, y0, t_end, first_max)
-    events = [[(ts[-1], np.array(ys[-1]))]] if status == "event" else [[]]
-    h = np.array(hs)
-    dense = (np.array(coefs).reshape(len(hs), 4, _ORDER + 1)[:, :, 1:]
+    status, ts, ys, hs, coefs = march(consts, y0, t_end)
+    h = np.array(hs, dtype=float)
+    dense = (np.array(coefs, dtype=float).reshape(len(hs), 4, _ORDER + 1)[:, :, 1:]
              * h[:, None, None] ** np.arange(_ORDER))
-    return Trajectory(t=np.array(ts), y=np.array(ys), stats={"steps": len(hs)}, h=h,
-                      dense=dense, status=status, events=events)
+    return Trajectory(t=np.array(ts, dtype=float), y=np.array(ys, dtype=float),
+                      stats={"steps": len(hs)}, h=h, dense=dense, status=status)
