@@ -5,7 +5,9 @@ partial-trajectory semantics, PI step control and event location on the
 dense output in one place.  The run is in float64: a state of any other
 dtype is converted on entry.  The Butcher tableau and the quartic
 interpolant matrix are the standard published constants, each rounded
-once from its exact ratio.
+once from its exact ratio.  The step loop keeps each accepted step's
+stage matrix; the dense matrices are built when the run ends, in one
+stacked product, and inside a step only where an event crossed.
 """
 
 from __future__ import annotations
@@ -212,16 +214,16 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     ev_hits: List[list] = [[] for _ in events]
     theta_pows = np.arange(1, 5)
 
-    k = np.empty((7, y.size))
+    k = np.empty((7, y.size))            # row 0 is the FSAL stage of the step
     k_rows = [k[:i] for i in range(7)]   # stage i combines rows k[:i]
     stage = list(k)                      # row views, written in place
     ay = np.abs(y)
-    f0 = np.asarray(rhs(t, y), dtype=float)
+    k[0] = rhs(t, y)
     h = _initial_step(rhs, t, y, span, rel_tol, abs_tol)
     ts = [t]
     ys = [y]    # state arrays are never written in place: records share them
     hs: list = []
-    Qs: list = []
+    ks: list = []   # the stage matrix of each accepted step
     err_old = 1e-4
     nstep = nrej = 0
     nfev = 3
@@ -231,7 +233,8 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     def finish(stat):
         tr_t = np.array(ts)
         tr_h = np.array(hs, dtype=float)
-        tr_Q = np.array(Qs, dtype=float).reshape(len(hs), y.size, 4)
+        # one stacked product: the same bits as k.T @ _P step by step
+        tr_Q = np.array(ks).reshape(len(hs), 7, y.size).transpose(0, 2, 1) @ _P
         hits = ev_hits
         if direction < 0:
             tr_t, tr_h, tr_Q = t0 - tr_t, -tr_h, -tr_Q
@@ -251,10 +254,12 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         if t + h >= tB:
             h = tB - t
             last = True
-        k[0] = f0
+        # one conversion of h serves the seven products below; ndarray.dot
+        # is np.dot's gemv, bits included, without np.dot's dispatch wrapper
+        h_arr = np.array(h)
         failed_stage = False
         for i in range(1, 7):
-            yi = y + h * (_A[i] @ k_rows[i])
+            yi = y + h_arr * _A[i].dot(k_rows[i])
             stage[i][...] = rhs(t + _C[i] * h, yi)
             # per stage: a non-finite stage must not reach the next RHS call
             if not _all_finite(stage[i]):
@@ -269,13 +274,13 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         y_new = yi  # the stage-7 input is the 5th-order solution (FSAL layout)
         ay_new = np.abs(y_new)
         sc = abs_tol + rel_tol * np.maximum(ay, ay_new)
-        err = _rms(h * (_E @ k), sc)
+        err = _rms(h_arr * _E.dot(k), sc)
         nstep += 1
         if err > 1.0:
             nrej += 1
             h = h * min(1.0, max(_FAC_MIN, _SAFETY * err ** -0.2))
             continue
-        Q = k.T @ _P
+        Q = None   # the dense matrix, here only where an event crossed
         t_new = tB if last else t + h
         stop_here = None
         for ie, ev in enumerate(events):
@@ -284,6 +289,8 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
             crossed = ((v_old < 0 <= v_new) and ev.direction >= 0) or \
                       ((v_old > 0 >= v_new) and ev.direction <= 0)
             if crossed and v_old != 0:
+                if Q is None:
+                    Q = k.T @ _P
                 th_lo, th_hi, g_lo = 0.0, 1.0, v_old
 
                 def g_at(th):
@@ -310,7 +317,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                     stop_here = (te, ye)
             ev_vals[ie] = v_new
         hs.append(h)
-        Qs.append(Q)
+        ks.append(k.copy())
         if stop_here is not None:
             ts.append(stop_here[0])
             ys.append(stop_here[1])
@@ -318,7 +325,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
             break
         t = t_new
         y, ay = y_new, ay_new
-        f0 = stage[6].copy()
+        k[0] = k[6]
         ts.append(t)
         ys.append(y)
         if _beyond(ay, guard):

@@ -27,40 +27,50 @@ def ray_state(scalars, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _component_rhs(y, exponent: float, scale: float, K0, K1, K2, K3) -> np.ndarray:
-    """The derivative of each 4-block (v, v', v'', v''') of a state y, with
+def _component_rhs(y, ys, exponent: float, scale: float, K0, K1, K2, K3) -> np.ndarray:
+    """The derivative of each 4-block (v, v', v'', v''') of a float64 state
+    y, whose Python floats are ys, with
     v'''' = scale |V|^exponent v - K3 v''' - K2 v'' - K1 v' - K0 v.
 
     |V| is the Euclidean norm over the v entries of all blocks; at V = 0
-    the coupling term is continued by 0.
+    the coupling term is continued by 0.  |V|^2 is the BLAS ddot of
+    np.dot (called as the ndarray method, which skips np.dot's dispatch
+    wrapper); for one block it is v*v, which is what a dot product of one
+    pair rounds to.  The rest is Python float arithmetic on ys, left to
+    right, with the bits of the same expression on numpy float64 scalars.
+    The result is built once from a list.
     """
-    vals = np.asarray(y[0::4], float)
-    vnorm = math.sqrt(float(np.dot(vals, vals)))
+    if len(ys) == 4:
+        vsq = ys[0] * ys[0]
+    else:
+        vals = y[0::4]
+        vsq = float(vals.dot(vals))
+    vnorm = math.sqrt(vsq)
     coup = vnorm ** exponent * scale if vnorm > 0 else 0.0
-    out = np.empty_like(y)
-    for b in range(0, len(y), 4):
-        v, v1, v2, v3 = y[b], y[b + 1], y[b + 2], y[b + 3]
-        out[b] = v1
-        out[b + 1] = v2
-        out[b + 2] = v3
-        out[b + 3] = coup * v - K3 * v3 - K2 * v2 - K1 * v1 - K0 * v
-    return out
+    out = []
+    for b in range(0, len(ys), 4):
+        v, v1, v2, v3 = ys[b:b + 4]
+        out += (v1, v2, v3, coup * v - K3 * v3 - K2 * v2 - K1 * v1 - K0 * v)
+    return np.array(out)
 
 
 def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
     """v_i'''' = |V|^{s-1} v_i - K3 v_i''' - K2 v_i'' - K1 v_i' - K0 v_i.
 
     |V| is the Euclidean norm over the component values.  At V = 0 the
-    product |V|^{s-1} v_i is continued by 0 (s > 1).
+    product |V|^{s-1} v_i is continued by 0 (s > 1).  Any real state is
+    read as float64, and the result is float64.
     """
     c = oracle_autonomous(params.n, params.s, sigma)
     K0, K1, K2, K3 = (float(c["K0"]), float(c["K1"]), float(c["K2"]), float(c["K3"]))
     sm1 = float(params.s) - 1.0
 
     def rhs(t, y):
-        if not all(map(math.isfinite, np.asarray(y).tolist())):
+        y = np.asarray(y, dtype=float)
+        ys = y.tolist()
+        if not all(map(math.isfinite, ys)):
             raise DomainError("non-finite state")
-        return _component_rhs(y, sm1, 1.0, K0, K1, K2, K3)
+        return _component_rhs(y, ys, sm1, 1.0, K0, K1, K2, K3)
 
     return rhs
 
@@ -68,7 +78,8 @@ def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
 def make_nonautonomous_rhs(n: int) -> Callable:
     """w_i'''' = t^{-1} |W|^{q-1} w_i - K~3 w''' - K~2 w'' - K~1 w' - K~0 w,
 
-    with q the lower exponent n/(n-4); defined for t > 0 only.
+    with q the lower exponent n/(n-4); defined for t > 0 only.  Any real
+    state is read as float64, and the result is float64.
     """
     polys = printed_nonautonomous_polys(n)
     qm1 = float(special_exponents(n).lower) - 1.0
@@ -78,7 +89,8 @@ def make_nonautonomous_rhs(n: int) -> Callable:
         if t <= 0:
             raise DomainError(f"time-dependent system requires t > 0, got t={t}")
         u = 1.0 / float(t)
-        return _component_rhs(y, qm1, u, peval(fk["K0"], u), peval(fk["K1"], u),
+        y = np.asarray(y, dtype=float)
+        return _component_rhs(y, y.tolist(), qm1, u, peval(fk["K0"], u), peval(fk["K1"], u),
                               peval(fk["K2"], u), peval(fk["K3"], u))
 
     return rhs

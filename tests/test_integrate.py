@@ -225,11 +225,17 @@ def _hi_lo(a):
 
 
 def _digest(traj):
-    """sha256 over t, y and stats, y as a hi/lo float64 split."""
+    """sha256 over t, y and stats, y as a hi/lo float64 split, then every
+    event hit (te, ye) of a run that did not stop at an event (a run that
+    stops at its terminal event ends on that hit: its last node holds it)."""
     h = hashlib.sha256()
     for a in (np.asarray(traj.t, np.float64), *_hi_lo(traj.y)):
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     h.update(repr(sorted(traj.stats.items())).encode())
+    if traj.status != "event":
+        for hits in traj.events:
+            for te, ye in hits:
+                h.update(np.array([te, *ye], dtype="<f8").tobytes())
     return h.hexdigest()[:16]
 
 
@@ -263,29 +269,61 @@ def _capped_autonomous_p3():
                      events=[cap])
 
 
-# name: (run, digest of t, y and stats, digest of the dense output)
+def _capped_autonomous_8_5_3():
+    # C06's procedure at (n, s) = (8, 5/3), p = 1: V crosses 0 at t ~ 0.033,
+    # where the coupling |V|^(2/3) is not analytic; the cap fires at t ~ 0.079
+    rhs = make_autonomous_rhs(Params(8, Fraction(5, 3)))
+    cap = Event(g=lambda t, y: 3.0 - float(np.max(np.abs(y))), direction=-1,
+                terminal=True)
+    return integrate(rhs, 0.0, np.array([0.01, -0.3, 0.0, 0.4]), 2.0, rel_tol=1e-12,
+                     abs_tol=1e-14, guard=1e4, events=[cap])
+
+
+def _autonomous_8_5_3_with_hits(backward=False):
+    # two non-terminal events at (8, 5/3): V = 0 both ways and v''' = -1
+    # downward, each located inside one step on that step's quartic
+    rhs = make_autonomous_rhs(Params(8, Fraction(5, 3)))
+    events = [Event(g=lambda t, y: y[0]), Event(g=lambda t, y: y[3] + 1.0, direction=-1)]
+    y0, t0, t1 = np.array([0.01, -0.3, 0.0, 0.4]), 0.0, 0.1
+    if backward:
+        y0, t0, t1 = np.array([-0.02, -0.3, -0.16, -4.75]), t1, t0
+    return integrate(rhs, t0, y0, t1, rel_tol=1e-12, abs_tol=1e-14, guard=1e4,
+                     events=events)
+
+
+# name: (run, digest of t, y, stats and hits, digest of the dense output)
 _PINNED_RUNS = {
     "probe-orbit-f64": (_probe_orbit, "81edfbe0d8fda3fe", "127a24c64f85ef9a"),
     "autonomous-p3-cap": (_capped_autonomous_p3,
                           "d51c257cda5935a8", "5e282d692436f041"),
     "probe-orbit-f64-backward": (lambda: _probe_orbit(backward=True),
                                  "e1dfbe40dd53bc39", "fd5ab0fb8f890901"),
+    "autonomous-8-5/3-cap": (_capped_autonomous_8_5_3,
+                             "1ba533fc4b79c925", "681fe6f4305592a0"),
+    "autonomous-8-5/3-hits": (_autonomous_8_5_3_with_hits,
+                              "395787ff29d9efda", "73e2d928de476aae"),
+    "autonomous-8-5/3-hits-backward": (lambda: _autonomous_8_5_3_with_hits(backward=True),
+                                       "5259d1d396f542c2", "cd4f339c9be38065"),
 }
 
 
 @pytest.mark.parametrize("name", list(_PINNED_RUNS))
 def test_step_loop_output_is_bit_pinned(name):
-    """Every bit of t, y and stats of fixed runs, as recorded before the
-    step loop lost its numpy reduction wrappers (the backward run: before
-    the trajectory kept its steps as arrays); an edit of the hot path
-    must keep them.  Recorded with numpy 2.4 (OpenBLAS) on x86-64: a
-    platform that rounds the stage sums differently needs its own record."""
+    """Every bit of t, y, stats and event hits of fixed runs, as recorded
+    before the step loop lost its numpy reduction wrappers (the backward
+    run: before the trajectory kept its steps as arrays; the (8, 5/3)
+    runs: before the RHS and the step loop lost their per-element numpy
+    traffic and the dense matrices were built when the run ends); an
+    edit of the hot path must keep them.  Recorded with numpy 2.4
+    (OpenBLAS) on x86-64: a platform that rounds the stage sums
+    differently needs its own record."""
     assert _digest(_PINNED_RUNS[name][0]()) == _PINNED_RUNS[name][1]
 
 
 @pytest.mark.parametrize("name", list(_PINNED_RUNS))
 def test_dense_output_is_bit_pinned(name):
     """Every bit of 1601 dense-output rows of the same runs, as recorded
-    before the trajectory kept its steps as stacked arrays; recorded on
-    the same platform as the step-loop pins."""
+    before the trajectory kept its steps as stacked arrays (the (8, 5/3)
+    runs: before its dense matrices came from one stacked product);
+    recorded on the same platform as the step-loop pins."""
     assert _dense_digest(_PINNED_RUNS[name][0]()) == _PINNED_RUNS[name][2]

@@ -1,15 +1,18 @@
 """Reduced-system right-hand sides, equilibria and spectra."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from fowler4.coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous_polys
 from fowler4.integrate import integrate
 from fowler4.odes import (equilibrium_state, equilibrium_value, linearized_spectrum,
                           make_autonomous_rhs, make_nonautonomous_rhs, ray_state,
                           spectrum_backward_error)
-from fowler4.params import DomainError, Params
+from fowler4.params import DomainError, Params, special_exponents
+from fowler4.polys import peval
 
 
 def test_equilibrium_is_a_fixed_point():
@@ -116,3 +119,71 @@ def test_growth_rate_matches_spectrum():
     devs = np.array([float(np.max(np.abs(traj(float(t)) - y_eq))) for t in ts])
     slope = np.polyfit(ts, np.log(devs), 1)[0]
     assert abs(slope - lam_max) <= 0.05 * abs(lam_max)
+
+
+def test_rhs_returns_float64_for_any_real_state():
+    # an integer, float32 or longdouble state is read as its float64 value:
+    # the result is the float64 state's, bit for bit (an integer state was
+    # truncated and a float32 one kept its dtype)
+    auto = make_autonomous_rhs(Params(5, F(7)))
+    nonauto = make_nonautonomous_rhs(5)
+    y_int = np.array([1, 0, 0, 0])
+    out = auto(0.0, y_int)
+    assert out.dtype == np.float64
+    assert out[3] == pytest.approx(-31.0 / 81.0, abs=1e-14)
+    assert nonauto(1.0, y_int)[3] == -25.31640625
+    y = np.array([0.7, -0.2, 0.1, 0.3])
+    for yd in (y_int, y.astype(np.float32), y.astype(np.longdouble)):
+        for rhs, t in ((auto, 0.0), (nonauto, 1.5)):
+            got = rhs(t, yd)
+            assert got.dtype == np.float64
+            assert got.tobytes() == rhs(t, yd.astype(np.float64)).tobytes()
+
+
+def _reference_component_rhs(y, exponent, scale, K0, K1, K2, K3):
+    # the per-element numpy form the list form replaced, kept as its bit reference
+    vals = np.asarray(y[0::4], float)
+    vnorm = math.sqrt(float(np.dot(vals, vals)))
+    coup = vnorm ** exponent * scale if vnorm > 0 else 0.0
+    out = np.empty_like(y)
+    for b in range(0, len(y), 4):
+        v, v1, v2, v3 = y[b], y[b + 1], y[b + 2], y[b + 3]
+        out[b] = v1
+        out[b + 1] = v2
+        out[b + 2] = v3
+        out[b + 3] = coup * v - K3 * v3 - K2 * v2 - K1 * v1 - K0 * v
+    return out
+
+
+def _random_states(rng, p, count):
+    """States over six decades of scale, a tenth of them with V = 0."""
+    ys = rng.standard_normal((count, 4 * p)) * 10.0 ** rng.uniform(-3, 3, (count, 1))
+    ys[: count // 10, 0::4] = 0.0
+    return ys
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_rhs_equals_the_per_element_reference_bit_for_bit(p):
+    rng = np.random.default_rng(p)
+    for n, s in ((5, F(7)), (6, F(4)), (8, F(5, 3)), (8, F(3, 2))):
+        c = oracle_autonomous(n, s, BUILD_SIGMA)
+        ks = [float(c[k]) for k in ("K0", "K1", "K2", "K3")]
+        rhs = make_autonomous_rhs(Params(n, s, p))
+        for y in _random_states(rng, p, 250):
+            ref = _reference_component_rhs(y, float(s) - 1.0, 1.0, *ks)
+            assert rhs(0.0, y).tobytes() == ref.tobytes()
+    for n in (5, 6, 7, 8):
+        polys = printed_nonautonomous_polys(n)
+        fk = [[float(a) for a in polys[k].coeffs] for k in ("K0", "K1", "K2", "K3")]
+        qm1 = float(special_exponents(n).lower) - 1.0
+        rhs = make_nonautonomous_rhs(n)
+        for y, t in zip(_random_states(rng, p, 250), 5.0 * (1.0 - rng.random(250))):
+            u = 1.0 / t
+            ref = _reference_component_rhs(y, qm1, u, *(peval(a, u) for a in fk))
+            assert rhs(t, y).tobytes() == ref.tobytes()
+    auto = make_autonomous_rhs(Params(8, F(3, 2), p))
+    for bad in (np.inf, -np.inf, np.nan):
+        y = np.zeros(4 * p)
+        y[-1] = bad
+        with pytest.raises(DomainError):
+            auto(0.0, y)
