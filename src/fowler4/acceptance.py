@@ -16,23 +16,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from . import ledger as ledger_mod
-from .asymptotics import Regime, classify_regime, fit_log_corrected, fit_power_law, residual_decay_check
 from .coefficients import (BUILD_SIGMA, derive_cyl_coeffs_numeric, oracle_autonomous,
                            printed_appendix_J40, printed_autonomous,
                            printed_critical_values, second_order_chain,
                            second_order_symbol)
-from .integrate import Event, integrate
-from .odes import equilibrium_state, make_autonomous_rhs
+from .levels import (autonomous_level, definitional_p_polys, equilibrium_energy_exact,
+                     p0_large_t_sign)
 from .params import DomainError, Params, special_exponents
-from .pohozaev import (autonomous_level, constant_state_trajectory,
-                       definitional_p_polys, equilibrium_energy_exact,
-                       hamiltonian_radial, monotonicity_check_aviles, p0_large_t_sign,
-                       pohozaev_series)
-from .profiles import AvilesProfile, Bubble, SingularPower, bubble_constant
-from .shooting import critical_constants, find_b
+
+# Criteria that compute on arrays import numpy and the numerical modules
+# in their own body: the exact criteria C01-C03 and C10 load none of them.
 
 
 @dataclass
@@ -57,14 +51,14 @@ def _criterion(cid: int, name: str, budget: float):
     def wrap(fn: Callable[[List[str]], bool]):
         def run() -> CriterionResult:
             details: List[str] = []
-            t0 = time.time()
+            t0 = time.perf_counter()
             try:
                 ok = fn(details)
             except Exception as exc:  # a crash is a failure, not an abort
                 details.append(f"exception: {type(exc).__name__}: {exc}")
                 ok = False
             return CriterionResult(cid=cid, name=name, passed=bool(ok),
-                                   elapsed=time.time() - t0, budget=budget,
+                                   elapsed=time.perf_counter() - t0, budget=budget,
                                    details=details)
         run.cid = cid
         return run
@@ -175,6 +169,8 @@ def criterion_3(details) -> bool:
 
 @_criterion(4, "residual suite: power solutions and bubbles", 5.0)
 def criterion_4(details) -> bool:
+    from .profiles import Bubble, SingularPower, bubble_constant
+
     ok = True
     for (n, s) in ((5, 7.0), (6, 4.0)):
         sp = SingularPower(n, s)
@@ -217,6 +213,9 @@ def criterion_4(details) -> bool:
 
 @_criterion(5, "slice-energy level identity at the constant state", 1.0)
 def criterion_5(details) -> bool:
+    from .odes import equilibrium_state
+    from .pohozaev import hamiltonian_radial
+
     ok = True
     count = 0
     for n in range(5, 9):
@@ -244,6 +243,12 @@ def criterion_5(details) -> bool:
 
 @_criterion(6, "monotonicity of the slice energy along trajectories", 60.0)
 def criterion_6(details) -> bool:
+    import numpy as np
+
+    from .integrate import Event, integrate
+    from .odes import make_autonomous_rhs
+    from .pohozaev import pohozaev_series
+
     ok = True
     rng = np.random.default_rng(0)
     pairs = [(5, Fraction(7)), (6, Fraction(2)), (8, Fraction(5, 3))]
@@ -295,6 +300,8 @@ def criterion_6(details) -> bool:
 
 @_criterion(7, "critical-case periodic orbits by shooting", 120.0)
 def criterion_7(details) -> bool:
+    from .shooting import critical_constants, find_b
+
     ok = True
     for n in (5, 6):
         cc = critical_constants(n)
@@ -324,6 +331,9 @@ def criterion_7(details) -> bool:
 
 @_criterion(8, "log-corrected regime machinery", 60.0)
 def criterion_8(details) -> bool:
+    from .asymptotics import residual_decay_check
+    from .pohozaev import constant_state_trajectory, monotonicity_check_aviles
+
     ok = True
     for n in (5, 8):
         rate = residual_decay_check(n)["rate"]
@@ -356,6 +366,11 @@ def criterion_8(details) -> bool:
 
 @_criterion(9, "regime classifier and profile fits", 10.0)
 def criterion_9(details) -> bool:
+    import numpy as np
+
+    from .asymptotics import Regime, classify_regime, fit_log_corrected, fit_power_law
+    from .profiles import AvilesProfile, Bubble, SingularPower
+
     ok = True
     for n in range(5, 17):
         ex = special_exponents(n)

@@ -18,20 +18,17 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-import numpy as np
-
 from . import acceptance
-from .asymptotics import classify_regime, fit_log_corrected, fit_power_law
 from .coefficients import (BUILD_SIGMA, derive_cyl_coeffs_numeric, oracle_autonomous,
                            printed_autonomous, sign_report)
-from .integrate import integrate
 from .ledger import build_ledger, check_ledger, format_number, ledger_to_csv, ledger_to_json
-from .odes import make_autonomous_rhs
+from .levels import limiting_levels
 from .output import gnuplot_companion, write_csv, write_json
 from .params import DomainError, Params, special_exponents
-from .pohozaev import limiting_levels, pohozaev_series
-from .profiles import AvilesProfile, Bubble, SingularPower
-from .shooting import critical_constants, orbit_table
+
+# Commands that compute on arrays import numpy and the numerical modules in
+# their own body: coeffs, signs, pohozaev and `verify --suite coefficients`
+# or `--suite ledger` load none of them.
 
 
 class UsageError(Exception):
@@ -148,6 +145,8 @@ def cmd_signs(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .asymptotics import classify_regime
+
     ns = _parse_n_range(args.n)
     s = _parse_scalar(args.s)
     results = []
@@ -171,6 +170,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    import numpy as np
+
+    from .integrate import integrate
+    from .odes import make_autonomous_rhs
+    from .pohozaev import pohozaev_series
+
     ns = _parse_n_range(args.n)
     if len(ns) != 1:
         raise UsageError("integrate takes a single dimension")
@@ -221,6 +226,10 @@ def cmd_pohozaev(args) -> int:
 
 
 def cmd_shoot(args) -> int:
+    import numpy as np
+
+    from .shooting import critical_constants, orbit_table
+
     ns = _parse_n_range(args.n)
     if len(ns) != 1:
         raise UsageError("shoot takes a single dimension")
@@ -261,6 +270,11 @@ def cmd_shoot(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    import numpy as np
+
+    from .asymptotics import fit_log_corrected, fit_power_law
+    from .profiles import AvilesProfile, Bubble, SingularPower
+
     ns = _parse_n_range(args.n)
     if len(ns) != 1:
         raise UsageError("fit takes a single dimension")

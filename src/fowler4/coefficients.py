@@ -229,6 +229,18 @@ def radial_weights(n: int) -> Dict[int, int]:
     return {0: 0, 1: -(n - 1) * (n - 3), 2: (n - 1) * (n - 3), 3: 2 * (n - 1), 4: 1}
 
 
+def radial_bilaplacian(n: int, r, derivs) -> float:
+    """sum_j N_j r^{j-4} u^(j) at r, from derivs = (u, u', u'', u''', u'''') at r.
+
+    Summed left to right (the built-in sum compensates from Python 3.12 on).
+    """
+    N = radial_weights(n)
+    acc = 0.0
+    for j in range(5):
+        acc += N[j] * r ** (j - 4) * derivs[j]
+    return float(acc)
+
+
 def angular_weights(n: int) -> Dict[int, int]:
     """Weights M_j of r^{j-4} d_r^j Lap_sigma; the Lap_sigma^2 weight is 1."""
     return {0: -2 * (n - 4), 1: 2 * (n - 3), 2: 2}
@@ -249,15 +261,20 @@ def validate_weights(n: int, beta: Scalar) -> bool:
     return bool(ok_r and ok_a)
 
 
-def _assemble(n: int, rho_rel: Sequence, psi_rel: Sequence) -> Dict[str, object]:
+def _assemble(n: int, rho_rel: Sequence, psi_rel: Sequence, r=None) -> Dict[str, object]:
     """Assemble normalized cylindrical coefficients.
 
     rho_rel[k] = rho^{(k)}/rho * r^k and psi_rel[k] = psi^{(k)} * r^k are
     r-free (the change of variables is r-homogeneous), so the assembled,
     rho*r^{-4}-normalized coefficients come out without any r bookkeeping.
-    Works on floats, Fractions and UPoly alike.
+    Given a radius ``r``, the rows are instead rho^{(k)}/rho and psi^{(k)}
+    at that radius, and row j of the chain-rule matrix carries the
+    operator's r^{j-4} times the normalization's r^4.  Works on floats,
+    Fractions and UPoly alike.
     """
     c = chain_rule_matrix(rho_rel, psi_rel)
+    if r is not None:
+        c = [[r ** j * x for x in row] for j, row in enumerate(c)]
     N = radial_weights(n)
     M = angular_weights(n)
     K = {l: sum(N[j] * c[j][l] for j in range(l, 5)) for l in range(5)}
@@ -315,15 +332,20 @@ def derive_cyl_coeffs_numeric(n: int, r, s: Scalar,
                               sigma: int = BUILD_SIGMA) -> Dict[str, object]:
     """Replay the coordinate-change computation at a concrete radius.
 
-    rho = r^{-gamma(s)}, t = -sigma ln r; the result must be
-    r-independent (that independence is itself a test).  Exact when r and
-    s are rational.  The time-dependent scaling has its exact coefficients
-    in ``nonautonomous_oracle_polys``.
+    rho = r^{-gamma(s)}, t = -sigma ln r: the derivatives rho^{(k)}/rho and
+    psi^{(k)} carry their powers r^{-k}, which the operator's weights and
+    the rho r^{-4} normalization cancel again.  The result must be
+    r-independent (that independence is itself a test: in floats the
+    radii round differently).  Exact when r and s are rational.  The
+    time-dependent scaling has its exact coefficients in
+    ``nonautonomous_oracle_polys``.
     """
     if not (r > 0):
         raise DomainError(f"radius must be positive, got r={r}")
     g = gamma_exponent(as_exact(s))
-    return _assemble(n, _power_rho_rel(g), _psi_rel(sigma))
+    rho = [a / r ** k for k, a in enumerate(_power_rho_rel(g))]
+    psi = [a / r ** k for k, a in enumerate(_psi_rel(sigma), start=1)]
+    return _assemble(n, rho, psi, r)
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,9 @@ def _beyond(mags, guard) -> bool:
     return max(m) > guard and not any(map(math.isnan, m))
 
 
-def _initial_step(rhs, t0, y0, tspan, rel_tol, abs_tol):
+def _initial_step(rhs, t0, y0, f0, tspan, rel_tol, abs_tol):
+    """First step size from f0 = rhs(t0, y0) and one more evaluation."""
     sc = abs_tol + rel_tol * np.abs(y0)
-    f0 = np.asarray(rhs(t0, y0), dtype=float)
     d0 = _rms(y0, sc)
     d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
@@ -219,14 +219,14 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     stage = list(k)                      # row views, written in place
     ay = np.abs(y)
     k[0] = rhs(t, y)
-    h = _initial_step(rhs, t, y, span, rel_tol, abs_tol)
+    h = _initial_step(rhs, t, y, k[0], span, rel_tol, abs_tol)
     ts = [t]
     ys = [y]    # state arrays are never written in place: records share them
     hs: list = []
     ks: list = []   # the stage matrix of each accepted step
     err_old = 1e-4
     nstep = nrej = 0
-    nfev = 3
+    nfev = 2
     status = "reached"
     ev_vals = [e.g(t, y) for e in events]
 

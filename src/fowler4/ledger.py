@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
-from . import pohozaev
+from . import levels
+from .bubble import bubble_constant, bubble_constant_closed_form
 from .coefficients import (BUILD_SIGMA, hat_limits, nonautonomous_oracle_polys,
                            oracle_autonomous, printed_appendix_J40,
                            printed_autonomous, printed_critical_values,
@@ -30,6 +31,7 @@ from .coefficients import (BUILD_SIGMA, hat_limits, nonautonomous_oracle_polys,
                            printed_second_order_nonautonomous_polys,
                            second_order_nonautonomous_oracle_polys,
                            second_order_symbol)
+from .params import Params
 from .polys import UPoly
 
 MATCH = "MATCH"
@@ -176,20 +178,20 @@ def build_ledger() -> Tuple[LedgerEntry, ...]:
     # --- constant-coefficient formulas over the grid -----------------------
     sgrid = {n: [Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5),
                  Fraction(n, n - 4), Fraction(n + 4, n - 4)] for n in ns}
+    # (printed, oracle, oracle under the opposite convention) per grid point
+    grid = [(printed_autonomous(n, s), oracle_autonomous(n, s, sigma),
+             oracle_autonomous(n, s, -sigma)) for n in ns for s in sgrid[n]]
+    names = ("K0", "K1", "K2", "K3", "J0", "J1")
     status: Dict[str, str] = {}
-    for name in ("K0", "K1", "K2", "K3", "J0", "J1"):
-        all_match = all_sigma = True
-        for n in ns:
-            for s in sgrid[n]:
-                pr = printed_autonomous(n, s)[name]
-                om = oracle_autonomous(n, s, sigma)[name]
-                if pr != om:
-                    all_match = False
-                if pr != oracle_autonomous(n, s, -sigma)[name]:
-                    all_sigma = False
-        status[name] = MATCH if all_match else (SIGN_CONVENTION if all_sigma else MISMATCH)
+    for name in names:
+        if all(pr[name] == om[name] for pr, om, _ in grid):
+            status[name] = MATCH
+        elif all(pr[name] == flipped[name] for pr, _, flipped in grid):
+            status[name] = SIGN_CONVENTION
+        else:
+            status[name] = MISMATCH
     wn, ws = 5, Fraction(7)
-    for name in ("K0", "K1", "K2", "K3", "J0", "J1"):
+    for name in names:
         pr = printed_autonomous(wn, ws)[name]
         om = oracle_autonomous(wn, ws, sigma)[name]
         note = f"checked exactly on n in {ns}, rational s grid; witness (n=5, s=7)"
@@ -318,20 +320,19 @@ def build_ledger() -> Tuple[LedgerEntry, ...]:
         note="exact polynomial identity; validates the chain-rule engine"))
 
     # --- slice-energy machinery ---------------------------------------------
-    defs = pohozaev.definitional_p_polys(5)
-    printed_p = pohozaev.aviles_p_coeffs(5, 100.0)["printed"]
+    defs = levels.definitional_p_polys(5)
+    printed_p = levels.aviles_p_coeffs(5, 100.0)["printed"]
     for j in range(4):
         key = f"p{j}(n,t) printed vs definitional"
         pv = printed_p[f"p{j}"]
-        dv = pohozaev._eval_tpoly(defs[f"p{j}"], 100.0)
+        dv = levels._eval_tpoly(defs[f"p{j}"], 100.0)
         entries.append(LedgerEntry(
             symbol=key, location="monotonicity proposition: p-coefficient block",
             printed=format_number(pv), oracle=format_number(dv),
             verdict=MATCH if abs(pv - dv) <= 1e-12 * max(1.0, abs(dv)) else MISMATCH,
             note="values at the witness point (n=5, t=100); exact forms differ "
                  "as recorded in the registry"))
-    from .params import Params
-    L = pohozaev.limiting_levels(Params(5, Fraction(7)))
+    L = levels.limiting_levels(Params(5, Fraction(7)))
     entries.append(LedgerEntry(
         symbol="l*(n) lower-critical level", location="limiting-level lemma",
         printed=format_number(L.l_star_aviles_printed),
@@ -347,7 +348,6 @@ def build_ledger() -> Tuple[LedgerEntry, ...]:
         note="the displayed level expression is nonnegative; all three values recorded"))
 
     # --- measured / display items -------------------------------------------
-    from .profiles import bubble_constant, bubble_constant_closed_form
     entries.append(LedgerEntry(
         symbol="bubble constant c(n)", location="derived: residual ratio",
         printed="not stated in the source",

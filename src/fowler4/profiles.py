@@ -15,7 +15,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coefficients import hat_constant, oracle_autonomous, radial_weights
+# bubble_constant and bubble_constant_closed_form are re-exported here
+from .bubble import (bubble_constant, bubble_constant_closed_form, bubble_radial,
+                     bubble_radial_derivatives)
+from .coefficients import hat_constant, oracle_autonomous, radial_bilaplacian
 from .params import DomainError, gamma_exponent, special_exponents, unit_sphere_area
 
 _RESIDUAL_RMIN = 1e-8
@@ -86,9 +89,7 @@ class RadialProfile:
         return np.array([fd_derivative(self.f, r, k) for k in range(5)])
 
     def bilaplacian(self, n: int, r: float) -> float:
-        d = self.derivatives(r)
-        N = radial_weights(n)
-        return float(sum(N[j] * r ** (j - 4) * d[j] for j in range(5)))
+        return radial_bilaplacian(n, r, self.derivatives(r))
 
     def residual(self, n: int, r: float, rhs_value: float) -> float:
         """|Delta^2 u - rhs| / max(|rhs|, tiny) at radius r."""
@@ -124,7 +125,7 @@ class Bubble:
         return np.zeros(dim or self.n)
 
     def radial(self, r: float) -> float:
-        return float((2 * self.mu / (1 + self.mu**2 * r * r)) ** ((self.n - 4) / 2.0))
+        return bubble_radial(self.n, self.mu, r)
 
     def __call__(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -133,55 +134,10 @@ class Bubble:
 
     def radial_derivatives(self, r: float) -> np.ndarray:
         """Hand-derived (u, u', u'', u''', u'''') of the radial evaluator."""
-        m = self.n - 4
-        mu = self.mu
-        A = (2 * mu) ** (m / 2.0)
-        g = 1 + mu * mu * r * r
-
-        def gp(e):
-            return g ** (-(m + e) / 2.0)
-
-        u0 = A * gp(0)
-        u1 = -A * m * mu**2 * r * gp(2)
-        u2 = -A * m * mu**2 * (gp(2) - (m + 2) * mu**2 * r**2 * gp(4))
-        u3 = A * m * (m + 2) * mu**4 * (3 * r * gp(4) - (m + 4) * mu**2 * r**3 * gp(6))
-        u4 = A * m * (m + 2) * mu**4 * (3 * gp(4) - 6 * (m + 4) * mu**2 * r**2 * gp(6)
-                                        + (m + 4) * (m + 6) * mu**4 * r**4 * gp(8))
-        return np.array([u0, u1, u2, u3, u4])
+        return np.array(bubble_radial_derivatives(self.n, self.mu, r))
 
     def profile(self) -> RadialProfile:
         return RadialProfile(self.radial, self.radial_derivatives)
-
-
-# bubble_constant measures the ratio at radii inside, at and outside the
-# unit bubble's scale; a relative spread above the tolerance means the
-# profile is not a solution there
-_BUBBLE_RADII = (0.5, 1.0, 2.0)
-_BUBBLE_AGREEMENT_TOL = 1e-9
-
-
-def bubble_constant(n: int) -> float:
-    """Normalizing constant c(n) with Delta^2 u = c(n) u^{upper-1}.
-
-    Measured as the residual ratio of the unit bubble at several radii;
-    the evaluations must agree to ``_BUBBLE_AGREEMENT_TOL`` relative.
-    """
-    b = Bubble(n, mu=1.0)
-    prof = b.profile()
-    power = float(special_exponents(n).upper - 1)
-    vals = []
-    for r in _BUBBLE_RADII:
-        lhs = prof.bilaplacian(n, r)
-        vals.append(lhs / b.radial(r) ** power)
-    spread = (max(vals) - min(vals)) / max(abs(v) for v in vals)
-    if spread > _BUBBLE_AGREEMENT_TOL:
-        raise ArithmeticError(f"bubble constant evaluations disagree: {vals}")
-    return float(sum(vals) / len(vals))
-
-
-def bubble_constant_closed_form(n: int) -> float:
-    """n(n-4)(n^2-4)/16, the value the measured ratio reproduces."""
-    return n * (n - 4) * (n * n - 4) / 16.0
 
 
 # ---------------------------------------------------------------------------

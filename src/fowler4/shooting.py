@@ -38,7 +38,7 @@ import numpy as np
 from .coefficients import printed_critical_values
 from .integrate import Trajectory
 from .params import DomainError, special_exponents
-from .profiles import bubble_constant
+from .bubble import bubble_constant
 from .taylor import flow, march
 
 _LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18

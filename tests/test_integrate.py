@@ -143,6 +143,22 @@ def test_stats_are_recorded():
     assert traj.stats["steps"] > 0 and traj.stats["rhs_evals"] > traj.stats["steps"]
 
 
+def test_start_up_evaluates_the_rhs_once_at_the_initial_state():
+    # the FSAL stage k[0] also feeds the initial step size: two start-up
+    # calls, then six per step
+    y0 = np.array([1.0, -2.0])
+    calls = []
+
+    def rhs(t, y):
+        calls.append((t, y.tolist()))
+        return -y
+
+    traj = integrate(rhs, 0.0, y0, 5.0)
+    assert calls.count((0.0, y0.tolist())) == 1
+    assert traj.stats["rejected"] == 0
+    assert traj.stats["rhs_evals"] == len(calls) == 2 + 6 * traj.stats["steps"]
+
+
 def _assert_batch_matches_points(traj):
     lo, hi = sorted((traj.t0, traj.t1))
     rng = np.random.default_rng(3)
@@ -213,7 +229,7 @@ def test_failed_stage_rejects_and_counts_only_evaluated_stages(dtype, threshold,
                      rel_tol=tol, abs_tol=tol)
     assert traj.status == "reached" and traj.y.dtype == np.float64
     assert traj.stats["rejected"] > 0
-    assert traj.stats["rhs_evals"] == calls[0]   # the three start-up calls included
+    assert traj.stats["rhs_evals"] == calls[0]   # the two start-up calls included
     assert nonfinite_inputs[0] == 0
 
 
@@ -293,17 +309,17 @@ def _autonomous_8_5_3_with_hits(backward=False):
 
 # name: (run, digest of t, y, stats and hits, digest of the dense output)
 _PINNED_RUNS = {
-    "probe-orbit-f64": (_probe_orbit, "81edfbe0d8fda3fe", "127a24c64f85ef9a"),
+    "probe-orbit-f64": (_probe_orbit, "3c75fe4d00a7da8a", "127a24c64f85ef9a"),
     "autonomous-p3-cap": (_capped_autonomous_p3,
-                          "d51c257cda5935a8", "5e282d692436f041"),
+                          "d1437b8662ac5b49", "5e282d692436f041"),
     "probe-orbit-f64-backward": (lambda: _probe_orbit(backward=True),
-                                 "e1dfbe40dd53bc39", "fd5ab0fb8f890901"),
+                                 "697d75c8b5184b0d", "fd5ab0fb8f890901"),
     "autonomous-8-5/3-cap": (_capped_autonomous_8_5_3,
-                             "1ba533fc4b79c925", "681fe6f4305592a0"),
+                             "e043c6ea7787e0b2", "681fe6f4305592a0"),
     "autonomous-8-5/3-hits": (_autonomous_8_5_3_with_hits,
-                              "395787ff29d9efda", "73e2d928de476aae"),
+                              "2b0739d0ddccf597", "73e2d928de476aae"),
     "autonomous-8-5/3-hits-backward": (lambda: _autonomous_8_5_3_with_hits(backward=True),
-                                       "5259d1d396f542c2", "cd4f339c9be38065"),
+                                       "e276faeee1ece44e", "cd4f339c9be38065"),
 }
 
 
@@ -314,9 +330,11 @@ def test_step_loop_output_is_bit_pinned(name):
     run: before the trajectory kept its steps as arrays; the (8, 5/3)
     runs: before the RHS and the step loop lost their per-element numpy
     traffic and the dense matrices were built when the run ends); an
-    edit of the hot path must keep them.  Recorded with numpy 2.4
-    (OpenBLAS) on x86-64: a platform that rounds the stage sums
-    differently needs its own record."""
+    edit of the hot path must keep them.  The stats part was re-recorded
+    when the start-up stopped evaluating rhs(t0, y0) twice: each run's
+    rhs_evals fell by one, and its t, y and hits kept every bit.
+    Recorded with numpy 2.4 (OpenBLAS) on x86-64: a platform that rounds
+    the stage sums differently needs its own record."""
     assert _digest(_PINNED_RUNS[name][0]()) == _PINNED_RUNS[name][1]
 
 
