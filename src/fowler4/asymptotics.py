@@ -16,7 +16,7 @@ import numpy as np
 
 from .coefficients import hat_constant, oracle_autonomous
 from .params import DomainError, Scalar, as_exact, gamma_exponent, is_exact, special_exponents
-from .pohozaev import nonautonomous_residual_at_constant
+from .pohozaev import constant_state_residuals
 
 _BOUNDARY_TOL = 1e-12
 # (t_lo, t_hi, num) of residual_decay_check: three decades of the C/t
@@ -153,7 +153,7 @@ def residual_decay_check(n: int) -> Dict[str, float]:
     [0.9, 1.1].
     """
     ts = np.geomspace(*_DECAY_GRID)
-    res = np.array([nonautonomous_residual_at_constant(n, float(t)) for t in ts])
+    res = np.array(constant_state_residuals(n, ts.tolist()))
     if np.all(res == 0.0):
         return {"rate": float("nan"), "exact": 1.0}
     slope, _, rms = _lsq_line(np.log(ts), np.log(res))

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from .params import DomainError, Params, Scalar, as_exact, gamma_exponent, is_exact
 from .polys import UPoly, compose_linear, peval
@@ -168,15 +168,27 @@ def _char_symbol(n: int, s: Scalar, sigma: int) -> CharSymbol:
     if sigma not in (1, -1):
         raise DomainError(f"sigma must be +-1, got {sigma}")
     g = gamma_exponent(s)
-    exact = is_exact(s)
-    one = Fraction(1) if exact else 1.0
     # Q(beta) = beta^4 + 2(n-4) beta^3 + (n^2-10n+20) beta^2 - 2(n-2)(n-4) beta
-    Q = [0 * one, -2 * (n - 2) * (n - 4) * one, (n * n - 10 * n + 20) * one,
-         2 * (n - 4) * one, one]
+    Q = [0, -2 * (n - 2) * (n - 4), n * n - 10 * n + 20, 2 * (n - 4), 1]
     # A(beta) = 2 beta^2 + 2(n-4) beta - 2(n-4)  (coefficient of -nu)
-    A = [-2 * (n - 4) * one, 2 * (n - 4) * one, 2 * one]
-    P = compose_linear(Q, -g, -sigma * one)
-    N = compose_linear(A, -g, -sigma * one)
+    A = [-2 * (n - 4), 2 * (n - 4), 2]
+    if not is_exact(s):
+        # float s keeps this expansion: SingularPower and the fit pins read its bits
+        P = compose_linear([float(q) for q in Q], -g, -sigma * 1.0)
+        N = compose_linear([float(a) for a in A], -g, -sigma * 1.0)
+    elif sigma == 1:
+        # beta = -g - lam is the sigma = -1 argument at -lam: odd coefficients flip
+        m = _char_symbol(n, s, -1)
+        P = [-c if k % 2 else c for k, c in enumerate(m.p_coeffs)]
+        N = [-c if k % 2 else c for k, c in enumerate(m.nu_coeffs)]
+    else:
+        # g = a/b: b^4 Q((-a - sigma b lam)/b) = sum_j Q_j b^(4-j) (-a - sigma b lam)^j,
+        # an integer expansion, and likewise b^2 A with b^(2-j)
+        a, b = g.numerator, g.denominator
+        P = [Fraction(c, b**4) for c in
+             compose_linear([q * b ** (4 - j) for j, q in enumerate(Q)], -a, -sigma * b)]
+        N = [Fraction(c, b**2) for c in
+             compose_linear([x * b ** (2 - j) for j, x in enumerate(A)], -a, -sigma * b)]
     return CharSymbol(n=n, s=s, sigma=sigma, gamma=g,
                       p_coeffs=tuple(P[:5]), nu_coeffs=tuple(N[:3]))
 
@@ -305,11 +317,11 @@ def _log_rho_rel_polys(m0: int, theta: Fraction):
     Uses d/dr [r^m t^theta q(u)] = r^{m-1} t^theta (m q - theta u q + u^2 q')
     with t = -ln r, u = 1/t.
     """
-    q = UPoly([1])
+    q, u, u2 = UPoly([1]), UPoly([0, 1]), UPoly([0, 0, 1])
     out = [q]
     for k in range(4):
         m = m0 - k
-        q = m * q - theta * UPoly([0, 1]) * q + UPoly([0, 0, 1]) * q.deriv()
+        q = m * q - theta * u * q + u2 * q.deriv()
         out.append(q)
     return out
 
@@ -320,12 +332,18 @@ def nonautonomous_oracle_polys(n: int) -> Dict[str, UPoly]:
     Returns the true K~_j, J~_j as polynomials in u = 1/t for the scaling
     rho = r^{4-n} t^{(4-n)/4}, t = -ln r, normalized by rho r^{-4} (every
     zeroth-order u^0 radial entry cancels against the kernel exponent).
+    Derived once per n and process: the dict is the caller's own and its
+    UPoly values are immutable, so no caller can alter the cached result.
     """
+    return dict(_nonautonomous_oracle_polys(n))
+
+
+@functools.cache
+def _nonautonomous_oracle_polys(n: int) -> Tuple[Tuple[str, UPoly], ...]:
     theta = Fraction(4 - n, 4)
     rho_rel = _log_rho_rel_polys(4 - n, theta)
-    psi_rel = tuple(UPoly([c]) for c in _psi_rel(+1))
-    raw = _assemble(n, rho_rel, psi_rel)
-    return {k: v if isinstance(v, UPoly) else UPoly([v]) for k, v in raw.items()}
+    raw = _assemble(n, rho_rel, _psi_rel(+1))
+    return tuple((k, v if isinstance(v, UPoly) else UPoly([v])) for k, v in raw.items())
 
 
 def derive_cyl_coeffs_numeric(n: int, r, s: Scalar,
@@ -364,22 +382,26 @@ class HatLimits:
 
 @functools.lru_cache(maxsize=None, typed=True)
 def hat_limits(n: int) -> HatLimits:
-    printed = printed_nonautonomous_polys(n)["K0"].coeff(1)
-    derived = nonautonomous_oracle_polys(n)["K0"].coeff(1)
-    theorem = Fraction((n - 4) * (n - 2) * (n + 4), 2)
-    return HatLimits(n=n, printed_formula_limit=printed, theorem_value=theorem,
-                     chain_rule_limit=derived)
+    """The three candidate limits at n, computed once per n and process
+    (the frozen result is shared by every caller)."""
+    return HatLimits(n=n, printed_formula_limit=hat_constant(n, "printed-limit"),
+                     theorem_value=hat_constant(n, "theorem"),
+                     chain_rule_limit=hat_constant(n, "chain-rule"))
 
 
 def hat_constant(n: int, variant: str = "theorem") -> Fraction:
-    """K^_0(n) under a named resolution of the limit ambiguity."""
-    h = hat_limits(n)
+    """K^_0(n) under a named resolution of the limit ambiguity.
+
+    "theorem" is the closed form (n-4)(n-2)(n+4)/2 and "printed-limit" the
+    1/t coefficient of the printed K~_0; neither derives anything.
+    "chain-rule" reads the cached, immutable derivation.
+    """
     if variant == "theorem":
-        return h.theorem_value
+        return Fraction((n - 4) * (n - 2) * (n + 4), 2)
     if variant == "printed-limit":
-        return h.printed_formula_limit
+        return printed_nonautonomous_polys(n)["K0"].coeff(1)
     if variant == "chain-rule":
-        return h.chain_rule_limit
+        return nonautonomous_oracle_polys(n)["K0"].coeff(1)
     raise DomainError(f"unknown variant {variant!r}")
 
 
@@ -431,13 +453,22 @@ def printed_second_order_nonautonomous_polys(n: int) -> Dict[str, UPoly]:
 
 
 def second_order_nonautonomous_oracle_polys(n: int) -> Dict[str, UPoly]:
-    """Chain-rule derivation for rho = r^{2-n} t^{(2-n)/2}, t = -ln r."""
+    """Chain-rule derivation for rho = r^{2-n} t^{(2-n)/2}, t = -ln r.
+
+    Derived once per n and process; the dict is the caller's own and its
+    UPoly values are immutable.
+    """
+    return dict(_second_order_nonautonomous_oracle_polys(n))
+
+
+@functools.cache
+def _second_order_nonautonomous_oracle_polys(n: int) -> Tuple[Tuple[str, UPoly], ...]:
     theta = Fraction(2 - n, 2)
     rel = _log_rho_rel_polys(2 - n, theta)[:3]
-    s1, s2, _, _ = tuple(UPoly([c]) for c in _psi_rel(+1))
+    s1, s2, _, _ = _psi_rel(+1)
     K20 = rel[2] + (n - 1) * rel[1]
     K21 = 2 * s1 * rel[1] + s2 + (n - 1) * s1
-    return {"K20": K20, "K21": K21}
+    return (("K20", K20), ("K21", K21))
 
 
 def printed_second_order_critical(n: int) -> Dict[str, Fraction]:

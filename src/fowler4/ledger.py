@@ -191,9 +191,9 @@ def build_ledger() -> Tuple[LedgerEntry, ...]:
         else:
             status[name] = MISMATCH
     wn, ws = 5, Fraction(7)
+    witness_pr, witness_om = printed_autonomous(wn, ws), oracle_autonomous(wn, ws, sigma)
     for name in names:
-        pr = printed_autonomous(wn, ws)[name]
-        om = oracle_autonomous(wn, ws, sigma)[name]
+        pr, om = witness_pr[name], witness_om[name]
         note = f"checked exactly on n in {ns}, rational s grid; witness (n=5, s=7)"
         e = LedgerEntry(symbol=f"{name}(n,s) printed formula",
                         location="main text: constant-coefficient block",
@@ -309,9 +309,8 @@ def build_ledger() -> Tuple[LedgerEntry, ...]:
         oracle=format_number(second_order_symbol(5, low2(5), sigma)["K21"]),
         verdict=SIGN_CONVENTION if ok_low else MISMATCH,
         note="tabulated n-2 matches the t=-ln r convention"))
-    ok_na2 = all(printed_second_order_nonautonomous_polys(n)[k] ==
-                 second_order_nonautonomous_oracle_polys(n)[k]
-                 for n in s2_ns for k in ("K20", "K21"))
+    ok_na2 = all(printed_second_order_nonautonomous_polys(n) ==
+                 second_order_nonautonomous_oracle_polys(n) for n in s2_ns)
     entries.append(LedgerEntry(
         symbol="K~20,K~21 second-order time-dependent block",
         location="appendix: second-order case",

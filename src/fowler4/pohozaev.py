@@ -146,11 +146,11 @@ def constant_state_trajectory(n: int, t0: float, t1: float,
     if not (0 < t0 < t1):
         raise DomainError("need 0 < t0 < t1")
     ts = np.linspace(t0, t1, _CONSTANT_STATE_NODES)
-    K0p = printed_nonautonomous_polys(n)["K0"]
     ys = np.zeros((_CONSTANT_STATE_NODES, 4))
     if quasi_static:
-        for i, t in enumerate(ts):
-            ys[i, 0] = (float(t) * float(K0p(1.0 / float(t)))) ** ((n - 4) / 4.0)
+        # float coefficients round as the Fraction-to-float promotion did
+        K0 = [float(c) for c in printed_nonautonomous_polys(n)["K0"].coeffs]
+        ys[:, 0] = [(t * peval(K0, 1.0 / t)) ** ((n - 4) / 4.0) for t in ts.tolist()]
     else:
         ys[:, 0] = float(hat_constant(n)) ** ((n - 4) / 4.0)
     return Trajectory(t=ts, y=ys, stats={"synthetic": True}, status="synthetic")
@@ -194,7 +194,13 @@ def monotonicity_check_aviles(n: int, traj: Trajectory) -> str:
 def nonautonomous_residual_at_constant(n: int, t: float) -> float:
     """|RHS| of the t-weighted system along the frozen constant state w*
     (the theorem's hat constant)."""
+    return constant_state_residuals(n, [t])[0]
+
+
+def constant_state_residuals(n: int, ts) -> List[float]:
+    """``nonautonomous_residual_at_constant`` at each t in ts, with the RHS
+    and w* built once."""
     rhs = make_nonautonomous_rhs(n)
     w = float(hat_constant(n)) ** ((n - 4) / 4.0)
-    out = rhs(t, np.array([w, 0.0, 0.0, 0.0]))
-    return float(np.max(np.abs(out)))
+    state = np.array([w, 0.0, 0.0, 0.0])
+    return [float(np.max(np.abs(rhs(t, state)))) for t in ts]

@@ -1,30 +1,18 @@
 """Small dense-polynomial helpers over exact or floating scalars.
 
 Polynomials are lists of coefficients in increasing degree, e.g.
-``[c0, c1, c2]`` is c0 + c1 x + c2 x^2.  Works transparently for
-Fraction, int and float coefficients; no trailing-zero guarantees are
-made by the arithmetic, use :func:`trim` when canonical length matters.
+``[c0, c1, c2]`` is c0 + c1 x + c2 x^2.  The list helpers work
+transparently for Fraction, int and float coefficients and make no
+trailing-zero guarantees; :class:`UPoly` is the canonical exact form.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence
 
 Poly = List
-
-
-def trim(p: Sequence) -> Poly:
-    out = list(p)
-    while out and out[-1] == 0:
-        out.pop()
-    return out or [0 * _one_like(p)]
-
-
-def _one_like(p: Sequence):
-    for c in p:
-        return c - c + 1 if not isinstance(c, (int, float, Fraction)) else 1
-    return 1
 
 
 def padd(a: Sequence, b: Sequence) -> Poly:
@@ -73,68 +61,118 @@ def compose_linear(a: Sequence, alpha, beta) -> Poly:
     return out
 
 
-def pequal(a: Sequence, b: Sequence) -> bool:
-    return trim(list(a)) == trim(list(b))
-
-
 class UPoly:
     """Exact univariate polynomial with operator overloading.
 
     Lets scalar-oriented code (the chain-rule assembly) run unchanged on
-    polynomial-valued quantities; coefficients are Fractions.
+    polynomial-valued quantities.  Stored as integer numerators over one
+    positive common denominator, reduced and without trailing zeros, so
+    +, - and x are integer arithmetic and equal polynomials have equal
+    fields.  Immutable: a cached UPoly can be handed to any caller.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs):
         if isinstance(coeffs, UPoly):
-            self.c = list(coeffs.c)
-        elif isinstance(coeffs, (int, Fraction)):
-            self.c = [Fraction(coeffs)]
+            num, den = coeffs._num, coeffs._den
         else:
-            self.c = [Fraction(x) for x in coeffs]
+            fr = [Fraction(x) for x in
+                  ([coeffs] if isinstance(coeffs, (int, Fraction)) else coeffs)]
+            den = math.lcm(*(f.denominator for f in fr))
+            num = [f.numerator * (den // f.denominator) for f in fr]
+        self._set(num, den)
+
+    def _set(self, num, den):
+        num = list(num)
+        while num and num[-1] == 0:
+            num.pop()
+        g = math.gcd(den, *num)
+        object.__setattr__(self, "_num", tuple(x // g for x in num))
+        object.__setattr__(self, "_den", den // g)
+
+    @classmethod
+    def _of(cls, num, den) -> "UPoly":
+        out = object.__new__(cls)
+        out._set(num, den)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("UPoly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("UPoly is immutable")
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, UPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return UPoly._of((other.numerator,), other.denominator)
+        return None
+
+    def _common(self, other):
+        """Both numerator rows over their least common denominator."""
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        return [x * fa for x in self._num], [x * fb for x in other._num], den
 
     def __add__(self, other):
-        other = other if isinstance(other, UPoly) else UPoly(other)
-        return UPoly(padd(self.c, other.c))
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b, den = self._common(other)
+        return UPoly._of(padd(a, b), den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = other if isinstance(other, UPoly) else UPoly(other)
-        return UPoly(padd(self.c, pscale(other.c, -1)))
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b, den = self._common(other)
+        return UPoly._of(padd(a, pscale(b, -1)), den)
 
     def __rsub__(self, other):
-        return (self.__sub__(other)).__neg__()
+        return -self + other
 
     def __neg__(self):
-        return UPoly(pscale(self.c, -1))
+        return UPoly._of(pscale(self._num, -1), self._den)
 
     def __mul__(self, other):
-        other = other if isinstance(other, UPoly) else UPoly(other)
-        return UPoly(pmul(self.c, other.c))
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return UPoly._of(pmul(self._num, other._num), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = other if isinstance(other, UPoly) else UPoly(other)
-        return pequal(self.c, other.c)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash(tuple(trim(self.c)))
+        # a constant hashes as the number it equals
+        if len(self._num) <= 1:
+            return hash(self.coeff(0))
+        return hash((self._num, self._den))
 
     def deriv(self) -> "UPoly":
-        return UPoly(pdiff(self.c))
+        return UPoly._of(pdiff(self._num), self._den)
 
     def __call__(self, x):
-        return peval(self.c, x)
+        return peval(self.coeffs, x)
 
     def coeff(self, k: int) -> Fraction:
-        return Fraction(self.c[k]) if k < len(self.c) else Fraction(0)
+        if 0 <= k < len(self._num):
+            return Fraction(self._num[k], self._den)
+        return Fraction(0)
 
     @property
     def coeffs(self) -> Poly:
-        return trim(self.c)
+        return [Fraction(x, self._den) for x in self._num] or [Fraction(0)]
 
     def __repr__(self):
-        return f"UPoly({trim(self.c)})"
+        return f"UPoly({self.coeffs})"

@@ -1,5 +1,6 @@
 """Regime trichotomy and profile fitting."""
 
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -105,6 +106,23 @@ def test_residual_decay_rate_window():
     for n in (5, 8):
         out = asy.residual_decay_check(n)
         assert 0.9 <= out["rate"] <= 1.1
+
+
+def test_residual_decay_check_is_bit_pinned():
+    want = {5: ("0x1.ff65738d10bdap-1", "0x1.0998a457dd763p-9"),
+            8: ("0x1.001552a870a19p+0", "0x1.955f009e674c7p-12")}
+    for n, (rate, rms) in want.items():
+        out = asy.residual_decay_check(n)
+        assert (out["rate"].hex(), out["rms"].hex(), out["exact"]) == (rate, rms, 0.0)
+
+
+def test_quasi_static_trajectories_of_c08_are_bit_pinned():
+    h = hashlib.sha256()
+    for n in range(5, 10):
+        tr = constant_state_trajectory(n, 100.0, 2000.0, quasi_static=True)
+        assert tr.y.dtype == np.float64 and tr.y.flags.c_contiguous
+        h.update(tr.y.tobytes())
+    assert h.hexdigest() == "6e47776a579d0f33a2b8ad722aa5d1f07ee8e0dafe38411054d57c7b26315b10"
 
 
 def test_quasi_static_trajectory_settles_on_printed_limit_amplitude():

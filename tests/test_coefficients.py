@@ -1,5 +1,6 @@
 """Coefficient oracles vs the printed tables, in exact arithmetic."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fowler4 import coefficients as co
 from fowler4.params import DomainError, Params, gamma_exponent, special_exponents
+from fowler4.polys import compose_linear
 
 
 def test_special_exponents_small_dimensions():
@@ -60,6 +62,37 @@ def test_char_symbol_cache_keeps_the_argument_type():
     assert {type(c) for c in exact.p_coeffs + exact.nu_coeffs} == {F}
     assert {type(c) for c in approx.p_coeffs + approx.nu_coeffs} == {float}
     assert co.char_symbol(5, F(5)) is exact and co.char_symbol(5, "5/1") is exact
+
+
+def _rational_symbol(n, s, sigma):
+    """The symbol expanded in Fraction arithmetic: the reference for the
+    integer expansion and the sign flip."""
+    g, one = gamma_exponent(s), F(1)
+    Q = [0 * one, -2 * (n - 2) * (n - 4) * one, (n * n - 10 * n + 20) * one,
+         2 * (n - 4) * one, one]
+    A = [-2 * (n - 4) * one, 2 * (n - 4) * one, 2 * one]
+    return (tuple(compose_linear(Q, -g, -sigma * one)[:5]),
+            tuple(compose_linear(A, -g, -sigma * one)[:3]))
+
+
+def test_char_symbol_equals_the_rational_expansion():
+    for n in range(5, 17):
+        grid = {F(3, 2), F(2), F(3), F(5), F(n, n - 4), F(n + 4, n - 4), F(7, 3), F(9, 4)}
+        for s in grid:
+            for sigma in (1, -1):
+                sym = co.char_symbol(n, s, sigma)
+                assert (sym.p_coeffs, sym.nu_coeffs) == _rational_symbol(n, s, sigma)
+                assert {type(c) for c in sym.p_coeffs + sym.nu_coeffs} == {F}
+
+
+def test_float_symbol_bits_are_pinned():
+    # sha256 of "n,s,sigma:K0=<float.hex>,...,J1=<float.hex>" joined by ";"
+    text = ";".join(
+        f"{n},{s},{sigma}:" + ",".join(f"{k}={float.hex(v)}" for k, v in
+                                       co.oracle_autonomous(n, s, sigma).items())
+        for n, s in ((5, 7.0), (6, 4.0), (8, 2.5)) for sigma in (-1, 1))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "b03934b1e2831560a66d01eba594e614622c202fefcd9c7538c94d452ae83465"
 
 
 def test_char_symbol_vanishes_at_kernel_exponents():
@@ -199,6 +232,27 @@ def test_printed_nonautonomous_polys_examples():
     # K~3 tends to 2(n-4) = 2 and t * K~0 to 27 as t -> infinity (u = 1/t -> 0)
     assert pr["K3"](0) == 2 and pr["K0"](0) == 0 and pr["K0"].coeff(1) == 27
     assert co.printed_nonautonomous_polys(8)["K2"](1) == -8
+
+
+@pytest.mark.parametrize("derive", [co.nonautonomous_oracle_polys,
+                                    co.second_order_nonautonomous_oracle_polys])
+def test_derived_blocks_are_cached_and_callers_cannot_alter_them(derive):
+    first = derive(7)
+    want = dict(first)
+    first.clear()
+    again = derive(7)
+    assert again == want and again is not first
+    # the values are the cached UPolys themselves, which are immutable
+    assert all(again[k] is v for k, v in derive(7).items())
+
+
+def test_hat_constant_closed_forms_equal_the_blocks():
+    for n in range(5, 17):
+        assert co.hat_constant(n, "printed-limit") == \
+            co.printed_nonautonomous_polys(n)["K0"].coeff(1) == \
+            2 * co.hat_constant(n, "theorem")
+        assert co.hat_constant(n, "chain-rule") == \
+            co.nonautonomous_oracle_polys(n)["K0"].coeff(1) == F((n - 2) * (n - 4) ** 2, 2)
 
 
 def test_hat_limits_three_values():

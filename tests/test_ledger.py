@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -9,7 +10,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from fowler4 import coefficients as co
 from fowler4 import ledger as lg
+from fowler4.asymptotics import classify_regime
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +90,40 @@ def test_format_tpoly():
     from fowler4.polys import UPoly
     assert lg.format_tpoly(UPoly([F(2), F(-1, 2)])) == "2 + -1/2/t"
     assert lg.format_tpoly({1: F(3), -2: F(1, 4)}) == "3*t + 1/4/t^2"
+
+
+@pytest.fixture
+def work_counts(monkeypatch):
+    """Counts of symbol expansions and block derivations, on fresh caches.
+
+    monkeypatch puts every original cache back afterwards, so the
+    process-wide ledger and symbols are untouched."""
+    counts = {"compose_linear": 0, "first_order": 0, "second_order": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(co, "compose_linear", counted("compose_linear", co.compose_linear))
+    monkeypatch.setattr(co, "_char_symbol", functools.lru_cache(maxsize=1024, typed=True)(
+        co._char_symbol.__wrapped__))
+    for name, key in (("_nonautonomous_oracle_polys", "first_order"),
+                      ("_second_order_nonautonomous_oracle_polys", "second_order")):
+        monkeypatch.setattr(co, name, functools.cache(
+            counted(key, getattr(co, name).__wrapped__)))
+    return counts
+
+
+def test_one_build_expands_each_symbol_once_and_derives_each_block_once(work_counts):
+    # 42 distinct (n, s) at sigma = -1, two expansions each; sigma = +1 is
+    # its sign flip.  One chain-rule and one second-order block per n = 5..12.
+    lg.build_ledger.__wrapped__()
+    assert work_counts == {"compose_linear": 84, "first_order": 8, "second_order": 8}
+
+
+def test_regime_classification_derives_no_block(work_counts):
+    for n in range(5, 17):
+        classify_regime(n, F(n, n - 4))
+    assert work_counts["first_order"] == work_counts["second_order"] == 0
