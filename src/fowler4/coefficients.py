@@ -45,8 +45,26 @@ BUILD_SIGMA = -1
 # ---------------------------------------------------------------------------
 
 def printed_autonomous(n: int, s: Scalar) -> Dict[str, Scalar]:
-    """The six constant-coefficient formulas from the main coefficient block."""
+    """The six constant-coefficient formulas from the main coefficient block.
+
+    Computed once per (n, s) and process for exact s (the ledger and C01/C02
+    ask for the same grid), on every call for float s.  The dict is the
+    caller's own and its values are immutable, so no caller can alter the
+    cached result.
+    """
     s = as_exact(s)
+    if is_exact(s):
+        return dict(_printed_autonomous_exact(n, s))
+    return _printed_autonomous(n, s)
+
+
+# bounded as _char_symbol is: a caller's own exact s grid may be long
+@functools.lru_cache(maxsize=1024)
+def _printed_autonomous_exact(n: int, s: Scalar) -> Dict[str, Scalar]:
+    return _printed_autonomous(n, s)
+
+
+def _printed_autonomous(n: int, s: Scalar) -> Dict[str, Scalar]:
     if s == 1:
         raise DomainError("printed coefficients undefined at s = 1")
     m = s - 1

@@ -15,12 +15,18 @@ T = 2 t1.
 
 Every run of the search is the Taylor-series flow of ``taylor``: the
 crash/escape classification, the half-orbit runs behind F and the
-one-period orbit of the root.  A run computes in the scalar type of b,
-with steps whose truncation error stays below its rounding; on the C07
-grid the float64 root closes the period within the target.  Where the
-float64 ULP floor on b and the rounding of the orbit still leave a
-one-period closure defect above tolerance (strong saddle amplification,
-e.g. a = 0.2 a0 at n = 5) the search escalates to extended precision:
+one-period orbit of the root.  The classification and F runs stop as
+soon as their state enters one of two forward-invariant regions of the
+equation (``taylor._fate``): above a0 with v', v'', v''' > 0 the orbit
+escapes and v has no maximum; below a0 with v', v'', v''' < 0 it reaches
+v = 0 before _T_MAX.  That gives the outcome of running on to v <= 0 or
+the |y| guard in about a third of the steps.  A run computes in the
+scalar type of b, with steps whose truncation error stays below its
+rounding; on the C07 grid the float64 root closes the period within the
+target.  Where the float64 ULP floor on b and the rounding of the orbit
+still leave a one-period closure defect above tolerance (strong saddle
+amplification, e.g. a = 0.2 a0 at n = 5) the search escalates to
+extended precision:
 the same Brent search on F with b in longdouble, inside +-1e-9 of the
 float64 root.  A returned root whose defect still misses the target, or
 whose one-period run stops before T, says so in its message.
@@ -52,7 +58,9 @@ _DEFECT_TARGET = 1e-6          # = C07 closure threshold on the period defect
 _RESIDUAL_TOL = 1e-9           # |v'''(T/2)| a converged root may leave
 _DRIFT_TOL = 1e-8              # = C07 threshold on the energy drift
 _T_MAX = 80.0                  # horizon of bracket and F runs, many periods
-                               # long; bounded that long counts as escape
+                               # long; bounded that long counts as escape,
+                               # so a run stops as a crash only where v is
+                               # due at 0 before it
 
 
 @dataclass(frozen=True)
@@ -168,14 +176,20 @@ def _march(consts, a, b, stats, first_max=False):
 
 
 def _classify(consts: CriticalConstants, a: float, b, stats: dict) -> int:
-    """-1: dives to v <= 0; +1: escapes past the guard, or stays bounded to
-    _T_MAX (at or beyond the boundary, treated as upper)."""
-    _, _, y = _march(consts, a, b, stats)
-    return -1 if y[0] <= 0 else 1
+    """-1: crashes (v reaches 0 before _T_MAX); +1: escapes, or stays
+    bounded to _T_MAX (at or beyond the boundary, treated as upper).
+
+    The run stops as soon as ``taylor.march`` decides its fate; a run whose
+    fate stays open ends at v <= 0 (-1), past the |y| guard or at _T_MAX."""
+    status, _, y = _march(consts, a, b, stats)
+    return -1 if status == "crash" or y[0] <= 0 else 1
 
 
 def _first_max(consts: CriticalConstants, a: float, b, stats: dict):
-    """(t1, y(t1)) at the first maximum of v; (None, None) where there is none."""
+    """(t1, y(t1)) at the first maximum of v; (None, None) where there is none.
+
+    An escape-side run stops where ``taylor.march`` decides its escape (from
+    there v' never vanishes), not at the |y| guard."""
     status, te, ye = _march(consts, a, b, stats, first_max=True)
     if status != "event":
         return None, None

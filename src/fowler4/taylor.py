@@ -15,11 +15,12 @@ rejected steps.  A run computes in the scalar type of its initial state:
 plain Python floats, which for 4-vectors are faster than numpy dispatch,
 or ``np.longdouble`` scalars.
 
-``march`` is the step loop and returns its nodes and series as lists in
-the run's type; ``flow`` packages them as a float64 dense-output
-``Trajectory``, whatever the run's type.  Shooting builds dense output only for the one-period orbit it samples:
-its crash/escape and first-maximum runs read the last node of ``march``
-directly.
+``march`` is the step loop of shooting's crash/escape and first-maximum
+runs and returns its nodes and series as lists in the run's type; it
+stops a run as soon as ``_fate`` decides whether v escapes or crashes.
+``flow`` runs the same loop without that stop and packages the result as
+a float64 dense-output ``Trajectory``, whatever the run's type.
+Shooting builds dense output only for the one-period orbit it samples.
 """
 
 from __future__ import annotations
@@ -111,18 +112,53 @@ def _first_root(d1, d2, hi):
     return s
 
 
+def _fate(a0, t, y, t_end):
+    """``"escape"``, ``"crash"`` or None: whether the state y at time t lies
+    in one of two forward-invariant regions of v'''' = c v^P - K2 v'' - K0 v.
+
+    Premise: K0 > 0 > K2, c > 0 and P > 1 (true for every n >= 5).  Then
+    a0 = (K0/c)^(1/(P-1)) is the positive equilibrium and, for v > 0,
+    v'''' = v (c v^(P-1) - K0) + |K2| v''.
+
+    - Escape: v > a0 and v', v'', v''' > 0.  Both terms of v'''' are
+      positive, so v''' grows, and with it v'', v' and v: every component
+      keeps growing, v never returns to 0 and v' never vanishes.
+    - Crash: 0 < v < a0, v', v'', v''' < 0 and t + v/(-v') < t_end.  Both
+      terms are negative while v stays in (0, a0), so v''', v'' and v' keep
+      falling and v' stays at or below its value here: v reaches 0 by
+      t + v/(-v'), before t_end.
+    """
+    v, v1, v2, v3 = y
+    if v1 > 0 and v2 > 0 and v3 > 0 and v > a0:
+        return "escape"
+    if v1 < 0 and v2 < 0 and v3 < 0 and 0 < v < a0 and t + v / -v1 < t_end:
+        return "crash"
+    return None
+
+
 def march(consts, y0, t_end: float, first_max: bool = False):
-    """The step loop of ``flow``: ``(status, ts, ys, hs, coefs)``.
+    """The step loop of shooting's runs: ``(status, ts, ys, hs, coefs)``.
 
     Node i is (ts[i], ys[i]), ys[i] a list of scalars of the run's type;
     step i runs from node i over hs[i] with the series coefs[i] (as
     returned by ``series``) and ends on node i + 1.  With ``first_max`` the
     run stops at the first maximum of v (v' crossing zero downward), with
-    status ``"event"``.  The last node is the run's end or that maximum.
+    status ``"event"``.  It stops with status ``"escape"`` or ``"crash"``
+    at the first node whose fate ``_fate`` decides: from there v grows for
+    ever, or reaches 0 before t_end.  It stops with ``"undefined"`` where
+    v <= 0, |y| passes ``_ORBIT_GUARD`` or the step size collapses.  The
+    last node is the run's end, that maximum or the node where it stopped.
     Builds no arrays.
     """
+    return _steps(consts, y0, t_end, first_max, decide=True)
+
+
+def _steps(consts, y0, t_end, first_max, decide):
+    """``march``; with ``decide`` false a run goes on past a decided fate."""
     scal = np.longdouble if any(isinstance(x, np.longdouble) for x in y0) else float
     tables = _tables(consts, scal)
+    c, _, K0, P = tables[:4]
+    a0 = (K0 / c) ** (1 / (P - 1))
     tol = _TOL[scal]
     t = 0.0
     y = [scal(x) for x in y0]
@@ -133,6 +169,11 @@ def march(consts, y0, t_end: float, first_max: bool = False):
         if not (y[0] > 0 and size <= _ORBIT_GUARD):
             status = "undefined"
             break
+        if decide:
+            fate = _fate(a0, t, y, t_end)
+            if fate:
+                status = fate
+                break
         coef = _series(tables, y)
         h = _step_size(coef, tol * max(1.0, size))
         if not (h > 0 and t + h > t):
@@ -163,11 +204,11 @@ def flow(consts, y0, t_end: float) -> Trajectory:
     ``"undefined"`` where v <= 0, |y| passes ``_ORBIT_GUARD`` or the step
     size collapses.  ``dense[i]`` holds step i's series scaled to powers of
     theta = (t - t[i]) / h[i], so the record is an ordinary dense-output
-    Trajectory of degree ``_ORDER``.  This packaging is the cost over
-    ``march``, the same run without dense output; shooting asks for it
-    only for the one-period orbit.
+    Trajectory of degree ``_ORDER``.  Unlike ``march`` it never stops at a
+    decided crash/escape fate.  The packaging is its cost over ``march``;
+    shooting asks for it only for the one-period orbit.
     """
-    status, ts, ys, hs, coefs = march(consts, y0, t_end)
+    status, ts, ys, hs, coefs = _steps(consts, y0, t_end, False, decide=False)
     h = np.array(hs, dtype=float)
     dense = (np.array(coefs, dtype=float).reshape(len(hs), 4, _ORDER + 1)[:, :, 1:]
              * h[:, None, None] ** np.arange(_ORDER))

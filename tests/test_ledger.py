@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from fowler4 import acceptance
 from fowler4 import coefficients as co
 from fowler4 import ledger as lg
 from fowler4.asymptotics import classify_regime
@@ -121,6 +122,30 @@ def test_one_build_expands_each_symbol_once_and_derives_each_block_once(work_cou
     # its sign flip.  One chain-rule and one second-order block per n = 5..12.
     lg.build_ledger.__wrapped__()
     assert work_counts == {"compose_linear": 84, "first_order": 8, "second_order": 8}
+
+
+def test_printed_coefficients_are_computed_once_per_exact_point(monkeypatch):
+    # the ledger build and then C01/C02, as in one `verify --suite
+    # coefficients` child, on a fresh cache: 42 distinct exact (n, s), asked
+    # for 49 times by the build and 92 more by C01/C02
+    calls = []
+
+    def counted(n, s):
+        calls.append((n, s))
+        return co._printed_autonomous(n, s)
+
+    monkeypatch.setattr(co, "_printed_autonomous_exact", functools.lru_cache(maxsize=1024)(counted))
+    lg.build_ledger.__wrapped__()
+    built = len(calls)
+    assert acceptance.criterion_1().passed and acceptance.criterion_2().passed
+    assert len(calls) == built == len(set(calls)) == 42
+    # each call returns the caller's own dict
+    co.printed_autonomous(5, F(9))["K0"] = 0
+    assert co.printed_autonomous(5, F(9))["K0"] == F(25, 16)
+    # float s is computed on every call, outside the cache
+    cached = len(calls)
+    assert co.printed_autonomous(5, 9.0) == co.printed_autonomous(5, 9.0)
+    assert len(calls) == cached and co._printed_autonomous_exact.cache_info().currsize == cached
 
 
 def test_regime_classification_derives_no_block(work_counts):

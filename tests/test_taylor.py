@@ -171,6 +171,84 @@ def test_escape_side_F_is_undefined_within_bounded_steps(orbit6, consts6, scale)
     assert 0 < stats["float64"]["steps"] <= 100
 
 
+def test_fate_premise_holds_for_every_dimension():
+    # taylor._fate's regions are forward-invariant only where K0 > 0 > K2,
+    # c > 0 and P > 1
+    for n in range(5, 17):
+        for c_mode in ("measured", "unit"):
+            cc = sh.critical_constants(n, c_mode)
+            assert cc.K0 > 0 > cc.K2 and cc.c > 0 and cc.power > 1, (n, c_mode)
+
+
+def test_fate_regions_end_at_the_equilibrium_and_the_horizon():
+    a0, t_end = 0.5, 80.0
+    for v in (0.99 * a0, 1.01 * a0):
+        assert taylor._fate(a0, 0.0, [v, 1.0, 1.0, 1.0], t_end) == ("escape" if v > a0 else None)
+        assert taylor._fate(a0, 0.0, [v, -1.0, -1.0, -1.0], t_end) == ("crash" if v < a0 else None)
+    for i in (1, 2, 3):
+        up, down = [a0 * 2, 1.0, 1.0, 1.0], [a0 / 2, -1.0, -1.0, -1.0]
+        up[i], down[i] = -up[i], -down[i]
+        assert taylor._fate(a0, 0.0, up, t_end) is taylor._fate(a0, 0.0, down, t_end) is None
+    # v = 0 is due at t + v/(-v'): 79.5 is inside the horizon, 81.25 is not
+    assert taylor._fate(a0, 79.0, [a0 / 2, -0.5, -1.0, -1.0], t_end) == "crash"
+    assert taylor._fate(a0, 79.0, [a0 / 2, -0.1, -1.0, -1.0], t_end) is None
+
+
+def test_shooting_runs_stop_at_their_decided_fate(orbit6, consts6):
+    a, a0 = 0.6 * consts6.a0, consts6.a0
+    # above the root: the first-maximum run has no maximum and stops escaping
+    status, ts, ys, _, _ = taylor.march(consts6, (a, 0.0, 2 * orbit6.b, 0.0), sh._T_MAX,
+                                        first_max=True)
+    v, v1, v2, v3 = ys[-1]
+    assert status == "escape" and v > a0 and min(v1, v2, v3) > 0
+    # the one-period flow never decides: the same start runs on to the guard
+    assert taylor.flow(consts6, (a, 0.0, 2 * orbit6.b, 0.0), sh._T_MAX).status == "undefined"
+    # below it: the crash/escape run stops crashing, v due at 0 before _T_MAX
+    status, ts, ys, _, _ = taylor.march(consts6, (a, 0.0, 0.5 * orbit6.b, 0.0), sh._T_MAX)
+    v, v1, v2, v3 = ys[-1]
+    assert status == "crash" and 0 < v < a0 and max(v1, v2, v3) < 0
+    assert ts[-1] + v / -v1 < sh._T_MAX
+    assert sh._classify(consts6, a, 0.5 * orbit6.b, {}) == -1
+
+
+# the five pinned roots, and two dimensions where P = (n+4)/(n-4) is not an
+# integer (11/3 and 13/5)
+_FATE_POINTS = [(5, 0.6), (6, 0.6), (6, 0.999), (5, 0.3), (6, 0.62), (7, 0.5), (9, 0.4)]
+
+
+def test_decided_fates_change_no_shooting_outcome(monkeypatch):
+    """Every b that find_b visits at _FATE_POINTS, and a geometric grid as
+    wide as its bracket grid: the crash/escape side and the first maximum
+    (found or not; t1 and the node bit for bit) equal those of runs that
+    never stop at a decided fate."""
+    starts = []
+    with monkeypatch.context() as m:
+        march = sh._march
+        m.setattr(sh, "_march", lambda consts, a, b, *args, **kw:
+                  starts.append((consts, a, b)) or march(consts, a, b, *args, **kw))
+        for n, frac in _FATE_POINTS:
+            cc = sh.critical_constants(n)
+            sh.find_b(n, frac * cc.a0, consts=cc)
+            starts += [(cc, frac * cc.a0, float(b))
+                       for b in np.geomspace(1e-6, 10.0 * cc.K0 * cc.a0, 40)]
+    starts = list(dict.fromkeys(starts))
+
+    def outcomes(stats):
+        out = []
+        for cc, a, b in starts:
+            t1, y1 = sh._first_max(cc, a, b, stats)
+            first = None if t1 is None else [float.hex(float(x)) for x in (t1, *y1)]
+            out.append((sh._classify(cc, a, b, stats), first))
+        return out
+
+    decided, undecided = {}, {}
+    got = outcomes(decided)
+    monkeypatch.setattr(taylor, "_fate", lambda *args: None)
+    assert got == outcomes(undecided)
+    assert {-1, 1} <= {side for side, _ in got} and any(f is None for _, f in got)
+    assert decided["float64"]["steps"] < undecided["float64"]["steps"] / 2
+
+
 def test_flow_stops_where_v_is_not_positive(consts6):
     tr = taylor.flow(consts6, (0.0, 0.1, 0.2, 0.0), 1.0)
     assert tr.status == "undefined" and tr.stats["steps"] == 0
