@@ -12,7 +12,7 @@ Run:  python demos/02_closed_form_solutions.py
 import numpy as np
 
 from fowler4 import Bubble, SingularPower, bubble_constant, inversion_map
-from fowler4.profiles import bubble_constant_closed_form
+from fowler4.bubble import bubble_constant_closed_form
 
 print("== bubble normalizing constant, measured from the residual ratio ==")
 for n in range(5, 11):

@@ -42,25 +42,20 @@ _EXPORTS = {
     "ledger": ("DOCUMENTED_MISMATCHES", "LedgerEntry", "build_ledger", "check_ledger"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-# the submodules that importing the package used to load along with its names
-_SUBMODULES = frozenset(_EXPORTS) | {"polys", "taylor"}
 
 __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    if name in _HOME:
-        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    elif name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
-    else:
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_HOME) | _SUBMODULES)
+    return sorted(set(globals()) | set(_HOME))
 
 
 class _Package(types.ModuleType):

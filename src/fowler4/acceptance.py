@@ -169,7 +169,8 @@ def criterion_3(details) -> bool:
 
 @_criterion(4, "residual suite: power solutions and bubbles", 5.0)
 def criterion_4(details) -> bool:
-    from .profiles import Bubble, SingularPower, bubble_constant
+    from .bubble import bubble_constant
+    from .profiles import Bubble, SingularPower
 
     ok = True
     for (n, s) in ((5, 7.0), (6, 4.0)):

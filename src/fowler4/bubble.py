@@ -2,8 +2,7 @@
 
 Plain floats, no array code: the ledger and the shooting constants read
 the measured constant c(n) without numpy.  ``profiles.Bubble`` wraps
-these evaluators, and ``profiles`` re-exports ``bubble_constant`` and
-``bubble_constant_closed_form``.
+these evaluators.
 """
 
 from __future__ import annotations

@@ -44,10 +44,15 @@ def _parse_scalar(text: str):
 
 
 def _parse_n_range(text: str) -> List[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """Dimensions from 'n' or an inclusive, non-empty range 'lo:hi'."""
+    lo, hi = text.split(":", 1) if ":" in text else (text, text)
+    try:
+        ns = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        raise UsageError(f"cannot parse --n {text!r}") from None
+    if not ns:
+        raise UsageError(f"empty dimension range --n {text!r}")
+    return ns
 
 
 # Each subcommand registers only the flags it reads (see build_parser).
@@ -88,10 +93,17 @@ def _write(path, text: str):
 def _emit(args, text: str, columns=None):
     if args.out:
         _write(args.out, text)
-        if columns and args.gnuplot:
+        if getattr(args, "gnuplot", False):
             _write(args.out + ".gp", gnuplot_companion(args.out, columns))
     else:
         sys.stdout.write(text)
+
+
+def _table(args, cols, rows, cfg):
+    """Emit rows as CSV, or as JSON objects keyed by column."""
+    text = write_csv(cols, rows, cfg) if args.format == "csv" else \
+        write_json(cfg, [dict(zip(cols, r)) for r in rows])
+    _emit(args, text, cols)
 
 
 def cmd_coeffs(args) -> int:
@@ -109,12 +121,7 @@ def cmd_coeffs(args) -> int:
                          format_number(oracle[key]),
                          format_number(float(numeric[key])), verdict])
     cols = ["n", "s", "symbol", "printed", "oracle", "chain_rule", "verdict"]
-    if args.format == "json":
-        results = [dict(zip(cols, r)) for r in rows]
-        text = write_json(_config(args), results)
-    else:
-        text = write_csv(cols, rows, _config(args))
-    _emit(args, text, cols)
+    _table(args, cols, rows, _config(args))
     return 0
 
 
@@ -137,10 +144,7 @@ def cmd_signs(args) -> int:
                         [rep["signs"][k] for k in ("K0", "K1", "K2", "K3", "J0", "J1")])
     cols = ["n", "s", "in_window", "sgn_K0", "sgn_K1", "sgn_K2", "sgn_K3",
             "sgn_J0", "sgn_J1"]
-    cfg = _config(args, s_grid=grid)
-    text = write_csv(cols, rows, cfg) if args.format == "csv" else \
-        write_json(cfg, [dict(zip(cols, r)) for r in rows])
-    _emit(args, text, cols)
+    _table(args, cols, rows, _config(args, s_grid=grid))
     return 0
 
 
@@ -149,23 +153,16 @@ def cmd_classify(args) -> int:
 
     ns = _parse_n_range(args.n)
     s = _parse_scalar(args.s)
-    results = []
+    rows = []
     for n in ns:
         rep = classify_regime(n, s)
-        results.append({
-            "n": n, "s": str(s), "regime": rep.regime.value,
-            "predicted_exponent": rep.predicted_exponent,
-            "predicted_amplitude": rep.predicted_amplitude,
-            "log_correction_exponent": rep.log_correction_exponent,
-            "description": rep.description,
-            "K0": format_number(oracle_autonomous(n, s, args.sigma)["K0"]),
-        })
-    if args.format == "csv":
-        cols = list(results[0].keys())
-        text = write_csv(cols, [[r[c] for c in cols] for r in results], _config(args))
-    else:
-        text = write_json(_config(args), results)
-    _emit(args, text)
+        rows.append([n, str(s), rep.regime.value, rep.predicted_exponent,
+                     rep.predicted_amplitude, rep.log_correction_exponent,
+                     rep.description,
+                     format_number(oracle_autonomous(n, s, args.sigma)["K0"])])
+    cols = ["n", "s", "regime", "predicted_exponent", "predicted_amplitude",
+            "log_correction_exponent", "description", "K0"]
+    _table(args, cols, rows, _config(args))
     return 0
 
 
@@ -182,7 +179,7 @@ def cmd_integrate(args) -> int:
     n = ns[0]
     s = _parse_scalar(args.s)
     params = Params(n, s, args.p)
-    y0 = np.array([float(Fraction(v)) for v in args.init.split(",")])
+    y0 = np.array([float(_parse_scalar(v)) for v in args.init.split(",")])
     if y0.size != 4 * args.p:
         raise UsageError(f"initial state needs {4 * args.p} entries, got {y0.size}")
     rhs = make_autonomous_rhs(params, args.sigma)
@@ -235,8 +232,7 @@ def cmd_shoot(args) -> int:
         raise UsageError("shoot takes a single dimension")
     n = ns[0]
     cc = critical_constants(n, args.c_mode)
-    fracs = [float(Fraction(v)) for v in args.a_grid.split(",")]
-    a_values = [f * cc.a0 for f in fracs]
+    a_values = [float(_parse_scalar(v)) * cc.a0 for v in args.a_grid.split(",")]
     results = orbit_table(n, a_values, c_mode=args.c_mode)
     rows = [[n, r.a, r.b, r.T, r.energy, r.residual, r.period_defect,
              r.energy_drift, r.min_v, int(r.converged), r.precision]
@@ -258,9 +254,7 @@ def cmd_shoot(args) -> int:
             _write(outdir / f"orbit_{i:02d}.csv",
                    write_csv(["t", "v", "v1", "v2", "v3"], orows,
                              {**cfg, "a": r.a, "b": r.b, "T": r.T}))
-    text = write_csv(cols, rows, cfg) if args.format == "csv" else \
-        write_json(cfg, [dict(zip(cols, r)) for r in rows])
-    _emit(args, text, cols)
+    _table(args, cols, rows, cfg)
     # below a0 a non-empty message names a missed C07 threshold; at a0 it
     # reads "constant orbit"
     misses = [r for r in results if not r.converged or (r.message and r.a < cc.a0)]

@@ -139,11 +139,6 @@ def radial_symbol(n: int, beta):
     return beta * (beta + n - 2) * (beta - 2) * (beta + n - 4)
 
 
-def q_product(n: int, g):
-    """Q written in the root form g(g+2)(n-2-g)(n-4-g) = Q(-g)."""
-    return g * (g + 2) * (n - 2 - g) * (n - 4 - g)
-
-
 @dataclass(frozen=True)
 class CharSymbol:
     """Exact bivariate symbol S(lam, nu) of the reduced cylinder operator.

@@ -189,10 +189,12 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     state component exceeds ``guard`` in absolute value, the run stops
     with ``status="blowup"`` and the truncated trajectory is returned; a
     collapsing step raises StepUnderflowError carrying the partial
-    trajectory.
+    trajectory.  A non-finite t0 or t1 raises DomainError before any step.
     """
     if rel_tol <= 0 or abs_tol <= 0:
         raise DomainError("tolerances must be positive")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DomainError(f"non-finite integration span from {t0} to {t1}")
     if t1 == t0:
         raise DomainError("empty integration span")
     y = np.array(state0, dtype=float, ndmin=1)

@@ -1,9 +1,9 @@
 """Limiting levels and the p-coefficient block of the slice energies.
 
-The scalar half of ``pohozaev``: exact or plain-float arithmetic on the
-coefficient tables, with no array code, so the ledger and the exact
-acceptance criteria load it without numpy.  ``pohozaev`` re-exports
-every public name here.
+The scalar half of the slice energies, beside ``pohozaev``'s array
+half: exact or plain-float arithmetic on the coefficient tables, with no
+array code, so the ledger and the exact acceptance criteria load it
+without numpy.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ All functionals act on radial (ODE) data, where the angular blocks
 vanish identically; the slice integral over the sphere then reduces to
 the surface measure omega_{n-1} times the radial density.  The limiting
 levels and the p-coefficient block are scalar code in ``levels``, which
-loads without numpy; their names are re-exported here.
+loads without numpy.
 """
 
 from __future__ import annotations
@@ -17,11 +17,6 @@ import numpy as np
 from .coefficients import (BUILD_SIGMA, hat_constant, oracle_autonomous,
                            printed_nonautonomous_polys)
 from .integrate import Trajectory
-# the scalar half, re-exported under its names here
-from .levels import (PohozaevLevels, autonomous_level, aviles_p_coeffs,
-                     constant_state_aviles_level, definitional_p_polys,
-                     derived_aviles_level, equilibrium_energy_exact, limiting_levels,
-                     p0_large_t_sign, printed_aviles_level)
 from .odes import make_nonautonomous_rhs
 from .params import DomainError, Params, special_exponents, unit_sphere_area
 from .polys import peval
@@ -191,15 +186,9 @@ def monotonicity_check_aviles(n: int, traj: Trajectory) -> str:
     return "INCONCLUSIVE"
 
 
-def nonautonomous_residual_at_constant(n: int, t: float) -> float:
-    """|RHS| of the t-weighted system along the frozen constant state w*
-    (the theorem's hat constant)."""
-    return constant_state_residuals(n, [t])[0]
-
-
 def constant_state_residuals(n: int, ts) -> List[float]:
-    """``nonautonomous_residual_at_constant`` at each t in ts, with the RHS
-    and w* built once."""
+    """|RHS| of the t-weighted system at each t in ts, along the frozen
+    constant state w* (the theorem's hat constant)."""
     rhs = make_nonautonomous_rhs(n)
     w = float(hat_constant(n)) ** ((n - 4) / 4.0)
     state = np.array([w, 0.0, 0.0, 0.0])

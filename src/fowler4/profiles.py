@@ -15,9 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# bubble_constant and bubble_constant_closed_form are re-exported here
-from .bubble import (bubble_constant, bubble_constant_closed_form, bubble_radial,
-                     bubble_radial_derivatives)
+from .bubble import bubble_radial, bubble_radial_derivatives
 from .coefficients import hat_constant, oracle_autonomous, radial_bilaplacian
 from .params import DomainError, gamma_exponent, special_exponents, unit_sphere_area
 

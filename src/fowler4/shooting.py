@@ -15,12 +15,12 @@ T = 2 t1.
 
 Every run of the search is the Taylor-series flow of ``taylor``: the
 crash/escape classification, the half-orbit runs behind F and the
-one-period orbit of the root.  The classification and F runs stop as
-soon as their state enters one of two forward-invariant regions of the
-equation (``taylor._fate``): above a0 with v', v'', v''' > 0 the orbit
-escapes and v has no maximum; below a0 with v', v'', v''' < 0 it reaches
-v = 0 before _T_MAX.  That gives the outcome of running on to v <= 0 or
-the |y| guard in about a third of the steps.  A run computes in the
+one-period orbit of the root.  Each run stops as soon as its state
+enters one of two forward-invariant regions of the equation
+(``taylor._fate``): above a0 with v', v'', v''' > 0 the orbit escapes and
+v has no maximum; below a0 with v', v'', v''' < 0 it reaches v = 0 before
+_T_MAX.  That gives the outcome of running on to v <= 0 or the |y| guard
+in about a third of the steps; a closing orbit enters neither region.  A run computes in the
 scalar type of b, with steps whose truncation error stays below its
 rounding; on the C07 grid the float64 root closes the period within the
 target.  Where the float64 ULP floor on b and the rounding of the orbit

@@ -15,12 +15,13 @@ rejected steps.  A run computes in the scalar type of its initial state:
 plain Python floats, which for 4-vectors are faster than numpy dispatch,
 or ``np.longdouble`` scalars.
 
-``march`` is the step loop of shooting's crash/escape and first-maximum
-runs and returns its nodes and series as lists in the run's type; it
-stops a run as soon as ``_fate`` decides whether v escapes or crashes.
-``flow`` runs the same loop without that stop and packages the result as
-a float64 dense-output ``Trajectory``, whatever the run's type.
-Shooting builds dense output only for the one-period orbit it samples.
+``march`` is the one step loop of every run and returns its nodes and
+series as lists in the run's type; it stops a run as soon as ``_fate``
+decides whether v escapes or crashes.  ``flow`` packages ``march``'s
+record as a float64 dense-output ``Trajectory``, whatever the run's type.
+A bounded orbit never enters either decided region, so the stop leaves a
+closing one-period orbit as it is.  Shooting builds dense output only
+for the one-period orbit it samples.
 """
 
 from __future__ import annotations
@@ -150,11 +151,6 @@ def march(consts, y0, t_end: float, first_max: bool = False):
     last node is the run's end, that maximum or the node where it stopped.
     Builds no arrays.
     """
-    return _steps(consts, y0, t_end, first_max, decide=True)
-
-
-def _steps(consts, y0, t_end, first_max, decide):
-    """``march``; with ``decide`` false a run goes on past a decided fate."""
     scal = np.longdouble if any(isinstance(x, np.longdouble) for x in y0) else float
     tables = _tables(consts, scal)
     c, _, K0, P = tables[:4]
@@ -169,11 +165,10 @@ def _steps(consts, y0, t_end, first_max, decide):
         if not (y[0] > 0 and size <= _ORBIT_GUARD):
             status = "undefined"
             break
-        if decide:
-            fate = _fate(a0, t, y, t_end)
-            if fate:
-                status = fate
-                break
+        fate = _fate(a0, t, y, t_end)
+        if fate:
+            status = fate
+            break
         coef = _series(tables, y)
         h = _step_size(coef, tol * max(1.0, size))
         if not (h > 0 and t + h > t):
@@ -200,15 +195,14 @@ def flow(consts, y0, t_end: float) -> Trajectory:
 
     The run is in longdouble where any component of ``y0`` is a
     ``np.longdouble``, else in Python floats; its record (``t``, ``y``,
-    ``h``, ``dense``) is float64 either way.  A run stops with status
-    ``"undefined"`` where v <= 0, |y| passes ``_ORBIT_GUARD`` or the step
-    size collapses.  ``dense[i]`` holds step i's series scaled to powers of
-    theta = (t - t[i]) / h[i], so the record is an ordinary dense-output
-    Trajectory of degree ``_ORDER``.  Unlike ``march`` it never stops at a
-    decided crash/escape fate.  The packaging is its cost over ``march``;
-    shooting asks for it only for the one-period orbit.
+    ``h``, ``dense``) is float64 either way.  The run, and its status, are
+    those of ``march(consts, y0, t_end)``.  ``dense[i]`` holds step i's
+    series scaled to powers of theta = (t - t[i]) / h[i], so the record is
+    an ordinary dense-output Trajectory of degree ``_ORDER``.  The
+    packaging is its cost over ``march``; shooting asks for it only for
+    the one-period orbit.
     """
-    status, ts, ys, hs, coefs = _steps(consts, y0, t_end, False, decide=False)
+    status, ts, ys, hs, coefs = march(consts, y0, t_end)
     h = np.array(hs, dtype=float)
     dense = (np.array(coefs, dtype=float).reshape(len(hs), 4, _ORDER + 1)[:, :, 1:]
              * h[:, None, None] ** np.arange(_ORDER))

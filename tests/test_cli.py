@@ -56,6 +56,25 @@ def test_signs_short_or_malformed_grid_exits_2_without_output(tmp_path, grid):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("coeffs", "--n", "7:5", "--s", "7"),
+    ("coeffs", "--n", "x", "--s", "7"),
+    ("signs", "--n", "7:5"),
+    ("classify", "--n", "7:5", "--s", "7"),
+    ("classify", "--n", "5:x", "--s", "7"),
+    ("shoot", "--n", "6", "--a-grid", "junk"),
+    ("shoot", "--n", "6", "--a-grid", "0.6,1/0"),
+    ("integrate", "--n", "5", "--s", "7", "--init", "1,junk,0,0"),
+    ("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--t-end", "nan"),
+    ("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--t-end", "inf"),
+])
+def test_malformed_or_empty_input_exits_2_without_output(tmp_path, capsys, args):
+    target = tmp_path / "out.csv"
+    out = run_cli(capsys, *args, "--out", str(target))
+    assert out.returncode == 2 and out.stderr.startswith("error: ")
+    assert not target.exists()
+
+
 def test_integrate_energy_failure_exits_2_without_output(tmp_path):
     # too short a run for the energy series' stencil: DomainError
     out, energy = tmp_path / "tr.csv", tmp_path / "energy.csv"

@@ -43,7 +43,7 @@ def test_char_symbol_hand_checkable_product():
     # S(0,0) = Q evaluated at gamma = 2: 2*4*1*(-1) = -8
     sym = co.char_symbol(5, F(3))
     assert sym.evaluate(0, 0) == -8
-    assert co.q_product(5, F(2)) == -8
+    assert co.radial_symbol(5, -F(2)) == -8
 
 
 def test_char_symbol_structure():

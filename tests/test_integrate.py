@@ -132,6 +132,16 @@ def test_rejects_bad_inputs():
         integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 1.0, rel_tol=-1.0)
 
 
+@pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0),
+                                    (-np.inf, 0.0)])
+def test_non_finite_span_raises_before_any_step(t0, t1):
+    calls = []
+    rhs = lambda t, y: calls.append(t) or _linear_rhs(t, y)
+    with pytest.raises(DomainError):
+        integrate(rhs, t0, np.array([1.0, 0, 0, 0]), t1)
+    assert calls == []
+
+
 def test_trajectory_span_guard():
     traj = integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 1.0)
     with pytest.raises(DomainError):

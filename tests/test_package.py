@@ -1,6 +1,7 @@
 """The package's public names, resolved on first use, and its numpy-free path."""
 
 import hashlib
+import inspect
 import json
 import os
 import pathlib
@@ -11,8 +12,7 @@ import pytest
 
 import fowler4
 
-# every name the package exported when it imported all its submodules
-# eagerly, by the submodule it came from
+# every name the package exports, by the submodule that defines it
 _EXPORTS = {
     "params": ["DomainError", "Params", "SpecialExponents", "gamma_exponent",
                "special_exponents"],
@@ -23,10 +23,10 @@ _EXPORTS = {
     "odes": ["equilibrium_state", "equilibrium_value", "linearized_spectrum",
              "make_autonomous_rhs", "make_nonautonomous_rhs"],
     "profiles": ["AvilesProfile", "Bubble", "EmdenFowlerProfile", "RadialProfile",
-                 "SingularPower", "bubble_constant", "green_ball", "inversion_map",
-                 "kelvin_transform"],
-    "pohozaev": ["PohozaevLevels", "aviles_hamiltonian", "aviles_p_coeffs",
-                 "hamiltonian_radial", "limiting_levels", "monotonicity_check_aviles",
+                 "SingularPower", "green_ball", "inversion_map", "kelvin_transform"],
+    "bubble": ["bubble_constant"],
+    "levels": ["PohozaevLevels", "aviles_p_coeffs", "limiting_levels"],
+    "pohozaev": ["aviles_hamiltonian", "hamiltonian_radial", "monotonicity_check_aviles",
                  "pohozaev_series"],
     "shooting": ["CriticalConstants", "ShootingResult", "critical_constants", "find_b",
                  "orbit_table"],
@@ -85,6 +85,16 @@ def test_every_export_is_listed():
     assert names <= set(dir(fowler4))
     with pytest.raises(AttributeError):
         fowler4.no_such_name
+
+
+def test_every_exported_function_and_class_is_defined_in_its_home():
+    # a name re-exported from a second module would be listed under a home
+    # that does not define it
+    for home, names in fowler4._EXPORTS.items():
+        for name in names:
+            value = getattr(fowler4, name)
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert value.__module__ == "fowler4." + home, name
 
 
 @pytest.mark.parametrize("suite", ["coefficients", "ledger"])

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from fowler4 import levels
 from fowler4 import pohozaev as po
 from fowler4.coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous_polys
 from fowler4.integrate import Event, Trajectory, integrate
@@ -21,7 +22,7 @@ def test_hamiltonian_equilibrium_equals_minus_level():
     for (n, s) in ((5, F(7)), (6, F(4)), (8, F(5, 2))):
         p = Params(n, s)
         H = po.hamiltonian_radial(p, equilibrium_state(p))
-        assert H == pytest.approx(-po.autonomous_level(n, s), rel=1e-13)
+        assert H == pytest.approx(-levels.autonomous_level(n, s), rel=1e-13)
 
 
 def test_hamiltonian_ray_collapse():
@@ -36,17 +37,17 @@ def test_hamiltonian_ray_collapse():
 
 def test_exact_level_identity():
     for n in range(5, 9):
-        pref_H, pref_l, K0, expo = po.equilibrium_energy_exact(n, F(7)) \
-            if n == 5 else po.equilibrium_energy_exact(n, F(2 * n, n - 4) - 1)
+        pref_H, pref_l, K0, expo = levels.equilibrium_energy_exact(n, F(7)) \
+            if n == 5 else levels.equilibrium_energy_exact(n, F(2 * n, n - 4) - 1)
         assert pref_H == pref_l
         assert K0 > 0 and expo > 1
 
 
 def test_exact_level_identity_rejects_bad_input():
     with pytest.raises(DomainError):
-        po.equilibrium_energy_exact(5, 7.0)        # needs rational s
+        levels.equilibrium_energy_exact(5, 7.0)    # needs rational s
     with pytest.raises(DomainError):
-        po.equilibrium_energy_exact(5, F(3))       # K0 < 0
+        levels.equilibrium_energy_exact(5, F(3))   # K0 < 0
 
 
 def test_series_on_equilibrium_trajectory():
@@ -105,7 +106,7 @@ def test_formula_vs_numeric_on_random_subcritical_data():
 
 
 def test_levels_witness_value():
-    lv = po.limiting_levels(Params(5, F(7)))
+    lv = levels.limiting_levels(Params(5, F(7)))
     assert lv.l_star_autonomous == pytest.approx(
         (6.0 / 16.0) * (112.0 / 81.0) ** (8.0 / 6.0))
     assert lv.aviles_verdict == "MISMATCH"
@@ -115,7 +116,7 @@ def test_levels_witness_value():
 
 
 def test_level_for_subcritical_outside_window_is_none():
-    assert po.autonomous_level(5, F(3)) is None
+    assert levels.autonomous_level(5, F(3)) is None
 
 
 def test_scaling_invariance_proxy_on_power_state():
@@ -179,7 +180,7 @@ def test_aviles_hamiltonian_contract():
 
 
 def test_p_coefficients_printed_vs_definitional():
-    pc = po.aviles_p_coeffs(5, 100.0)
+    pc = levels.aviles_p_coeffs(5, 100.0)
     # p3: 1/t^2 sign flip only
     assert pc["printed"]["p3"] - pc["definitional"]["p3"] == pytest.approx(
         -2 * (5 - 4) / 100.0**2)
@@ -194,11 +195,11 @@ def test_p_coefficients_printed_vs_definitional():
 
 
 def test_p0_sign_split():
-    assert [po.p0_large_t_sign(n) for n in range(5, 10)] == [-1, -1, -1, 1, 1]
+    assert [levels.p0_large_t_sign(n) for n in range(5, 10)] == [-1, -1, -1, 1, 1]
 
 
 def test_definitional_p_polys_structure():
-    d = po.definitional_p_polys(6)
+    d = levels.definitional_p_polys(6)
     assert d["p2"].get(1, 0) < 0              # term linear in t
     assert -2 in d["p0"] and 1 not in d["p0"]  # leading 1/t^2, no t term
 
@@ -228,7 +229,7 @@ def test_monotonicity_check_never_false_passes_unsettled_data():
 
 def test_residual_decay_at_constant_state():
     ts = np.geomspace(10.0, 1e4, 12)
-    res = [po.nonautonomous_residual_at_constant(5, float(t)) for t in ts]
+    res = po.constant_state_residuals(5, ts.tolist())
     assert all(r > 0 for r in res)
     slope = np.polyfit(np.log(ts), np.log(res), 1)[0]
     assert -1.1 <= slope <= -0.9

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fowler4 import bubble
 from fowler4 import profiles as pf
 from fowler4.params import DomainError, special_exponents, unit_sphere_area
 
@@ -42,14 +43,14 @@ def test_bubble_exact_derivatives_vs_finite_differences():
 
 def test_bubble_constant_matches_closed_form():
     for n in range(5, 11):
-        c = pf.bubble_constant(n)
-        assert c == pytest.approx(pf.bubble_constant_closed_form(n), rel=1e-9)
+        c = bubble.bubble_constant(n)
+        assert c == pytest.approx(bubble.bubble_constant_closed_form(n), rel=1e-9)
 
 
 def test_bubble_residual_with_measured_constant():
     for n in (5, 8):
         b = pf.Bubble(n, mu=1.0)
-        c = pf.bubble_constant(n)
+        c = bubble.bubble_constant(n)
         prof = b.profile()
         power = float(special_exponents(n).upper - 1)
         for r in (0.4, 1.1, 2.0):

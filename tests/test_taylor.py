@@ -10,8 +10,8 @@ import pytest
 
 from fowler4 import shooting as sh
 from fowler4 import taylor
+from fowler4.bubble import bubble_constant_closed_form
 from fowler4.integrate import Event, integrate
-from fowler4.profiles import bubble_constant_closed_form
 
 
 @pytest.fixture(scope="module")
@@ -201,8 +201,10 @@ def test_shooting_runs_stop_at_their_decided_fate(orbit6, consts6):
                                         first_max=True)
     v, v1, v2, v3 = ys[-1]
     assert status == "escape" and v > a0 and min(v1, v2, v3) > 0
-    # the one-period flow never decides: the same start runs on to the guard
-    assert taylor.flow(consts6, (a, 0.0, 2 * orbit6.b, 0.0), sh._T_MAX).status == "undefined"
+    # the one-period flow is the same run: it stops escaping on the same node
+    tr = taylor.flow(consts6, (a, 0.0, 2 * orbit6.b, 0.0), sh._T_MAX)
+    _, ts, ys, _, _ = taylor.march(consts6, (a, 0.0, 2 * orbit6.b, 0.0), sh._T_MAX)
+    assert tr.status == "escape" and [tr.t[-1], *tr.y[-1]] == [ts[-1], *ys[-1]]
     # below it: the crash/escape run stops crashing, v due at 0 before _T_MAX
     status, ts, ys, _, _ = taylor.march(consts6, (a, 0.0, 0.5 * orbit6.b, 0.0), sh._T_MAX)
     v, v1, v2, v3 = ys[-1]
