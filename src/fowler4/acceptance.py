@@ -26,7 +26,8 @@ from .levels import (autonomous_level, definitional_p_polys, equilibrium_energy_
 from .params import DomainError, Params, special_exponents
 
 # Criteria that compute on arrays import numpy and the numerical modules
-# in their own body: the exact criteria C01-C03 and C10 load none of them.
+# in their own body: C01-C04, C09 and C10 compute on Python scalars and
+# load none of them.
 
 
 @dataclass
@@ -367,9 +368,8 @@ def criterion_8(details) -> bool:
 
 @_criterion(9, "regime classifier and profile fits", 10.0)
 def criterion_9(details) -> bool:
-    import numpy as np
-
-    from .asymptotics import Regime, classify_regime, fit_log_corrected, fit_power_law
+    from .asymptotics import (Regime, classify_regime, fit_log_corrected, fit_power_law,
+                              geometric_grid)
     from .profiles import AvilesProfile, Bubble, SingularPower
 
     ok = True
@@ -388,7 +388,7 @@ def criterion_9(details) -> bool:
                 details.append(f"(n={n}, s={s}): {got} != {want}")
     # round-trip: power-law fit on the exact singular solution
     sp = SingularPower(5, 7.0)
-    rs = np.geomspace(1e-3, 1e2, 40)
+    rs = geometric_grid(1e-3, 1e2, 40)
     rep = fit_power_law([(r, sp.radial(r)) for r in rs])
     if abs(rep.exponent - sp.gamma) > 1e-10 or \
        abs(rep.amplitude - sp.amplitude) > 1e-10 * sp.amplitude:
@@ -396,14 +396,14 @@ def criterion_9(details) -> bool:
         details.append(f"power round-trip: exponent {rep.exponent}, amp {rep.amplitude}")
     # bubble far field ~ r^{-(n-4)}
     b = Bubble(5, mu=1.0)
-    rs = np.geomspace(1e2, 1e4, 24)
+    rs = geometric_grid(1e2, 1e4, 24)
     repb = fit_power_law([(r, b.radial(r)) for r in rs])
     if abs(repb.exponent - 1.0) > 0.01:
         ok = False
         details.append(f"bubble tail exponent {repb.exponent} not within 1% of n-4=1")
     # log-corrected round-trip and discrimination
     ap = AvilesProfile(5)
-    rs = np.geomspace(1e-9, 1e-4, 40)
+    rs = geometric_grid(1e-9, 1e-4, 40)
     repl = fit_log_corrected([(r, ap(r)) for r in rs], 5)
     if abs(repl.log_exponent - (4 - 5) / 4.0) > 1e-8 or \
        repl.amplitude_distance("theorem") > 1e-8:
@@ -414,7 +414,7 @@ def criterion_9(details) -> bool:
     if abs(rep0.log_exponent) > 1e-10:
         ok = False
         details.append(f"pure power leaks log exponent {rep0.log_exponent}")
-    rs2 = np.geomspace(1e-8, 1e-3, 40)
+    rs2 = geometric_grid(1e-8, 1e-3, 40)
     rep_pow = fit_power_law([(r, ap(r)) for r in rs2])
     if not (abs(rep_pow.exponent - 1.0) < 0.05 and rep_pow.residual > 10 * repl.residual):
         ok = False

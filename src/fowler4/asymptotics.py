@@ -10,15 +10,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import hat_constant, oracle_autonomous
 from .params import DomainError, Scalar, as_exact, gamma_exponent, is_exact, special_exponents
-from .pohozaev import constant_state_residuals
 
 _BOUNDARY_TOL = 1e-12
+# fewest samples each fit takes
+POWER_FIT_MIN_SAMPLES = 8
+LOG_FIT_MIN_SAMPLES = 12
 # (t_lo, t_hi, num) of residual_decay_check: three decades of the C/t
 # tail, geometrically spaced
 _DECAY_GRID = (10.0, 1e4, 25)
@@ -96,48 +96,76 @@ class FitReport:
         return abs(self.amplitude - tgt) / abs(tgt)
 
 
-def _lsq_line(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
-    res = y - (slope * x + intercept)
-    return slope, intercept, float(np.sqrt(np.mean(res**2)))
+def geometric_grid(lo: float, hi: float, num: int) -> List[float]:
+    """num >= 2 points from lo to hi in geometric progression, both ends
+    exact, as np.geomspace gives them.
+
+    lo * (hi/lo)^(i/(num-1)) rounds once in hi/lo and once in the power:
+    it stays within 3 eps (relative) of the exact progression on C09's
+    grids, where the exponential of a sum of logs strays by up to 15 eps.
+    """
+    q = hi / lo
+    return [lo] + [lo * q ** (i / (num - 1)) for i in range(1, num - 1)] + [hi]
+
+
+def _lsq_line(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float, float]:
+    """Least-squares line y ~ slope x + intercept and the RMS of its residuals.
+
+    The closed form on centred data, each sum correctly rounded by
+    math.fsum: the bits depend on no BLAS build, and exact data on a line
+    give its slope to the last bit or so.
+    """
+    m = len(x)
+    xm, ym = math.fsum(x) / m, math.fsum(y) / m
+    dx = [v - xm for v in x]
+    dy = [v - ym for v in y]
+    sxx = math.fsum(a * a for a in dx)
+    if not sxx > 0:
+        raise DomainError("a line fit needs two distinct abscissae")
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
+    rss = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    return slope, ym - slope * xm, math.sqrt(rss / m)
+
+
+def _samples(samples: Sequence[Tuple[float, float]], minimum: int):
+    """(radii, values) as float lists, at least ``minimum`` of them, all finite."""
+    rs = [float(r) for r, _ in samples]
+    vs = [float(v) for _, v in samples]
+    if len(rs) < minimum:
+        raise DomainError(f"need at least {minimum} samples")
+    if not all(map(math.isfinite, rs + vs)):
+        raise DomainError("samples must be finite")
+    return rs, vs
 
 
 def fit_power_law(samples: Sequence[Tuple[float, float]]) -> FitReport:
     """Ordinary least squares of ln(value) on ln(r); value ~ A r^{-exponent}.
 
-    Needs >= 8 positive samples spanning at least two decades.
+    Needs >= 8 finite positive samples spanning at least two decades.
     """
-    rs = np.array([p[0] for p in samples], dtype=float)
-    vs = np.array([p[1] for p in samples], dtype=float)
-    if rs.size < 8:
-        raise DomainError("need at least 8 samples")
-    if np.any(vs <= 0) or np.any(rs <= 0):
+    rs, vs = _samples(samples, POWER_FIT_MIN_SAMPLES)
+    if min(vs) <= 0 or min(rs) <= 0:
         raise DomainError("power-law fit needs positive radii and values")
-    if np.max(rs) / np.min(rs) < 99.0:
+    if max(rs) / min(rs) < 99.0:
         raise DomainError("samples must span at least two decades in r")
-    slope, intercept, res = _lsq_line(np.log(rs), np.log(vs))
+    slope, intercept, res = _lsq_line([math.log(r) for r in rs],
+                                      [math.log(v) for v in vs])
     return FitReport(exponent=-slope, amplitude=math.exp(intercept), residual=res)
 
 
 def fit_log_corrected(samples: Sequence[Tuple[float, float]], n: int) -> FitReport:
     """Fit value * r^{n-4} = A (-ln r)^q by regression in ln(-ln r).
 
-    Requires r < e^{-2} throughout and >= 12 samples; reports q, A and
-    the distance of A to each ledgered amplitude variant.
+    Requires finite samples with 0 < r < e^{-2} throughout and >= 12 of them;
+    reports q, A and the distance of A to each ledgered amplitude variant.
     """
-    rs = np.array([p[0] for p in samples], dtype=float)
-    vs = np.array([p[1] for p in samples], dtype=float)
-    if rs.size < 12:
-        raise DomainError("need at least 12 samples")
-    if np.any(rs >= math.exp(-2.0)):
-        raise DomainError("log-corrected fit requires r < e^{-2}")
-    if np.any(vs <= 0):
+    rs, vs = _samples(samples, LOG_FIT_MIN_SAMPLES)
+    if min(rs) <= 0 or max(rs) >= math.exp(-2.0):
+        raise DomainError("log-corrected fit requires 0 < r < e^{-2}")
+    if min(vs) <= 0:
         raise DomainError("values must be positive")
-    reduced = vs * rs ** (n - 4.0)
-    ts = -np.log(rs)
-    slope, intercept, res = _lsq_line(np.log(ts), np.log(reduced))
+    slope, intercept, res = _lsq_line([math.log(-math.log(r)) for r in rs],
+                                      [math.log(v * r ** (n - 4.0)) for r, v in zip(rs, vs)])
     A = math.exp(intercept)
     targets = {v: float(hat_constant(n, v)) ** ((n - 4) / 4.0)
                for v in ("theorem", "printed-limit", "chain-rule")}
@@ -152,9 +180,11 @@ def residual_decay_check(n: int) -> Dict[str, float]:
     negative log-log slope over ``_DECAY_GRID`` and should land in
     [0.9, 1.1].
     """
-    ts = np.geomspace(*_DECAY_GRID)
-    res = np.array(constant_state_residuals(n, ts.tolist()))
-    if np.all(res == 0.0):
+    from .pohozaev import constant_state_residuals
+
+    ts = geometric_grid(*_DECAY_GRID)
+    res = constant_state_residuals(n, ts)
+    if not any(res):
         return {"rate": float("nan"), "exact": 1.0}
-    slope, _, rms = _lsq_line(np.log(ts), np.log(res))
+    slope, _, rms = _lsq_line([math.log(t) for t in ts], [math.log(r) for r in res])
     return {"rate": -slope, "rms": rms, "exact": 0.0}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -27,8 +28,8 @@ from .output import gnuplot_companion, write_csv, write_json
 from .params import DomainError, Params, special_exponents
 
 # Commands that compute on arrays import numpy and the numerical modules in
-# their own body: coeffs, signs, pohozaev and `verify --suite coefficients`
-# or `--suite ledger` load none of them.
+# their own body: coeffs, signs, classify, pohozaev, fit and `verify --suite`
+# coefficients, profiles, asymptotics or ledger load none of them.
 
 
 class UsageError(Exception):
@@ -52,6 +53,8 @@ def _parse_n_range(text: str) -> List[int]:
         raise UsageError(f"cannot parse --n {text!r}") from None
     if not ns:
         raise UsageError(f"empty dimension range --n {text!r}")
+    if ns[0] < 5:
+        raise UsageError(f"dimension n={ns[0]} is below 5")
     return ns
 
 
@@ -264,15 +267,19 @@ def cmd_shoot(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    import numpy as np
-
-    from .asymptotics import fit_log_corrected, fit_power_law
+    from .asymptotics import (LOG_FIT_MIN_SAMPLES, POWER_FIT_MIN_SAMPLES, fit_log_corrected,
+                              fit_power_law, geometric_grid)
     from .profiles import AvilesProfile, Bubble, SingularPower
 
     ns = _parse_n_range(args.n)
     if len(ns) != 1:
         raise UsageError("fit takes a single dimension")
     n = ns[0]
+    if not 0 < args.r_lo < args.r_hi < math.inf:
+        raise UsageError(f"need 0 < --r-lo < --r-hi < inf, got {args.r_lo} and {args.r_hi}")
+    minimum = LOG_FIT_MIN_SAMPLES if args.profile == "aviles" else POWER_FIT_MIN_SAMPLES
+    if args.num < minimum:
+        raise UsageError(f"--profile {args.profile} needs --num >= {minimum}, got {args.num}")
     if args.profile == "power":
         s = _parse_scalar(args.s) if args.s else Fraction(7)
         value, r_lo, r_hi = SingularPower(n, float(s)).radial, args.r_lo, args.r_hi
@@ -284,7 +291,7 @@ def cmd_fit(args) -> int:
         value, r_hi = Bubble(n).radial, max(args.r_hi, 1e2 * r_lo)
     else:
         raise UsageError(f"unknown profile {args.profile!r}")
-    samples = [(float(r), value(float(r))) for r in np.geomspace(r_lo, r_hi, args.num)]
+    samples = [(r, value(r)) for r in geometric_grid(r_lo, r_hi, args.num)]
     if args.profile == "aviles":
         rep = fit_log_corrected(samples, n)
     else:
@@ -298,7 +305,7 @@ def cmd_fit(args) -> int:
     if args.samples_out:
         if rep.log_exponent is not None and args.profile == "aviles":
             model = lambda r: rep.amplitude * r ** (4.0 - n) * \
-                (-np.log(r)) ** rep.log_exponent
+                (-math.log(r)) ** rep.log_exponent
         else:
             model = lambda r: rep.amplitude * r ** (-rep.exponent)
         rows = []

@@ -191,7 +191,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     collapsing step raises StepUnderflowError carrying the partial
     trajectory.  A non-finite t0 or t1 raises DomainError before any step.
     """
-    if rel_tol <= 0 or abs_tol <= 0:
+    if not (rel_tol > 0 and abs_tol > 0):
         raise DomainError("tolerances must be positive")
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise DomainError(f"non-finite integration span from {t0} to {t1}")

@@ -4,16 +4,19 @@ Everything here is a plain radial evaluator plus, where available,
 hand-derived radial derivatives up to fourth order, so the biharmonic
 residual can be computed to near machine precision.  Profiles without
 exact derivatives fall back to compact-stencil finite differences with
-Richardson extrapolation.
+Richardson extrapolation.  The radial path works on Python floats and
+loads no numpy; the vector-valued helpers import it where they run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import sys
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .bubble import bubble_radial, bubble_radial_derivatives
 from .coefficients import hat_constant, oracle_autonomous, radial_bilaplacian
@@ -49,7 +52,7 @@ def fd_derivative(f: Callable[[float], float], r: float, order: int) -> float:
         return f(r)
     if order not in _FD:
         raise DomainError(f"derivative order {order} unsupported")
-    eps = np.finfo(float).eps
+    eps = sys.float_info.epsilon
     h = max(abs(r), 1e-3) * eps ** (1.0 / (8.0 + order))
     base, w0, ws = _FD[order]
 
@@ -78,13 +81,13 @@ class RadialProfile:
             raise DomainError("radial profiles are defined for r > 0")
         return self.f(r)
 
-    def derivatives(self, r: float) -> np.ndarray:
+    def derivatives(self, r: float) -> Tuple[float, ...]:
         """(u, u', u'', u''', u'''') at r, exact when available."""
         if r <= 0:
             raise DomainError("radial profiles are defined for r > 0")
         if self.derivs is not None:
-            return np.asarray(self.derivs(r), dtype=float)
-        return np.array([fd_derivative(self.f, r, k) for k in range(5)])
+            return tuple(map(float, self.derivs(r)))
+        return tuple(fd_derivative(self.f, r, k) for k in range(5))
 
     def bilaplacian(self, n: int, r: float) -> float:
         return radial_bilaplacian(n, r, self.derivatives(r))
@@ -109,7 +112,7 @@ class Bubble:
 
     n: int
     mu: float = 1.0
-    x0: Optional[np.ndarray] = None
+    x0: Optional[Sequence[float]] = None
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -118,6 +121,8 @@ class Bubble:
             raise DomainError("bubbles need n >= 5")
 
     def center(self, dim: Optional[int] = None) -> np.ndarray:
+        import numpy as np
+
         if self.x0 is not None:
             return np.asarray(self.x0, dtype=float)
         return np.zeros(dim or self.n)
@@ -126,13 +131,15 @@ class Bubble:
         return bubble_radial(self.n, self.mu, r)
 
     def __call__(self, x) -> float:
+        import numpy as np
+
         x = np.atleast_1d(np.asarray(x, dtype=float))
         r = float(np.linalg.norm(x - self.center(x.size)))
         return self.radial(r)
 
-    def radial_derivatives(self, r: float) -> np.ndarray:
+    def radial_derivatives(self, r: float) -> Tuple[float, ...]:
         """Hand-derived (u, u', u'', u''', u'''') of the radial evaluator."""
-        return np.array(bubble_radial_derivatives(self.n, self.mu, r))
+        return bubble_radial_derivatives(self.n, self.mu, r)
 
     def profile(self) -> RadialProfile:
         return RadialProfile(self.radial, self.radial_derivatives)
@@ -148,15 +155,15 @@ class SingularPower:
 
     n: int
     s: float
-    lam: np.ndarray = field(default_factory=lambda: np.array([1.0]))
+    lam: Tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        if np.any(lam < 0):
-            raise DomainError("direction vector must be nonnegative")
-        nrm = float(np.linalg.norm(lam))
+        lam = tuple(map(float, self.lam))
+        nrm = math.hypot(*lam)
+        if any(v < 0 for v in lam) or not nrm > 0:
+            raise DomainError("direction vector must be nonnegative and nonzero")
         if abs(nrm - 1.0) > 1e-12:
-            lam = lam / nrm
+            lam = tuple(v / nrm for v in lam)
         object.__setattr__(self, "lam", lam)
         ex = special_exponents(self.n)
         K0 = oracle_autonomous(self.n, self.s)["K0"]
@@ -178,10 +185,12 @@ class SingularPower:
         return self.amplitude * r ** (-self.gamma)
 
     def __call__(self, x) -> np.ndarray:
-        r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-        return self.lam * self.radial(r)
+        import numpy as np
 
-    def radial_derivatives(self, r: float) -> np.ndarray:
+        r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+        return np.array(self.lam) * self.radial(r)
+
+    def radial_derivatives(self, r: float) -> Tuple[float, ...]:
         g = self.gamma
         A = self.amplitude
         out = [A * r ** (-g)]
@@ -189,7 +198,7 @@ class SingularPower:
         for k in range(4):
             fall *= (-g - k)
             out.append(A * fall * r ** (-g - k - 1))
-        return np.array(out)
+        return tuple(out)
 
     def profile(self) -> RadialProfile:
         return RadialProfile(self.radial, self.radial_derivatives)
@@ -276,6 +285,8 @@ class EmdenFowlerProfile:
 
 def inversion_map(x0, mu: float, x) -> np.ndarray:
     """I(x) = x0 + (mu/|x-x0|)^2 (x - x0)."""
+    import numpy as np
+
     if mu <= 0:
         raise DomainError("inversion radius must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -289,6 +300,8 @@ def inversion_map(x0, mu: float, x) -> np.ndarray:
 
 def kelvin_transform(profile: Callable, x0, mu: float, n: int) -> Callable:
     """x -> (mu/|x-x0|)^{n-4} profile(I(x))."""
+    import numpy as np
+
     if mu <= 0:
         raise DomainError("mu must be positive")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -311,6 +324,8 @@ def green_ball(n: int, x, y):
     (symmetric, vanishing on the boundary); H1 is the Poisson kernel
     (1-|x|^2) / (omega_{n-1} |x-y|^n) for |y| = 1.
     """
+    import numpy as np
+
     if n < 3:
         raise DomainError("kernels need n >= 3")
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -1,7 +1,9 @@
 """Regime trichotomy and profile fitting."""
 
+import decimal
 import hashlib
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -109,8 +111,8 @@ def test_residual_decay_rate_window():
 
 
 def test_residual_decay_check_is_bit_pinned():
-    want = {5: ("0x1.ff65738d10bdap-1", "0x1.0998a457dd763p-9"),
-            8: ("0x1.001552a870a19p+0", "0x1.955f009e674c7p-12")}
+    want = {5: ("0x1.ff65738d10bdap-1", "0x1.0998a457dd682p-9"),
+            8: ("0x1.001552a870a1ap+0", "0x1.955f009e675bfp-12")}
     for n, (rate, rms) in want.items():
         out = asy.residual_decay_check(n)
         assert (out["rate"].hex(), out["rms"].hex(), out["exact"]) == (rate, rms, 0.0)
@@ -138,3 +140,42 @@ def test_quasi_static_trajectory_settles_on_printed_limit_amplitude():
     rep = asy.fit_log_corrected(samples, n)
     assert rep.amplitude_distance("printed-limit") < 0.05
     assert rep.amplitude_distance("theorem") > 0.05
+
+
+def test_fits_on_exact_data_recover_the_exponents_to_the_last_bit():
+    # C09's grids: the fsum-based fit is exact on both (lstsq gave
+    # 0.6666666666666671 and -0.25000000000000006)
+    sp = SingularPower(5, 7.0)
+    rep = asy.fit_power_law([(r, sp.radial(r)) for r in asy.geometric_grid(1e-3, 1e2, 40)])
+    assert rep.exponent == sp.gamma == 2.0 / 3.0
+    ap = AvilesProfile(5)
+    repl = asy.fit_log_corrected([(r, ap(r)) for r in asy.geometric_grid(1e-9, 1e-4, 40)], 5)
+    assert repl.log_exponent == -0.25
+
+
+@pytest.mark.parametrize("lo, hi, num", [(1e-3, 1e2, 40), (1e2, 1e4, 24), (1e-9, 1e-4, 40),
+                                         (1e-8, 1e-3, 40), (10.0, 1e4, 25), (1e2, 1e4, 2)])
+def test_geometric_grid_hits_both_ends_and_the_exact_progression(lo, hi, num):
+    grid = asy.geometric_grid(lo, hi, num)
+    assert len(grid) == num and grid[0] == lo and grid[-1] == hi
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        log_q = (decimal.Decimal(hi) / decimal.Decimal(lo)).ln()
+        exact = [decimal.Decimal(lo) * (log_q * i / (num - 1)).exp() for i in range(num)]
+        worst = max(abs(decimal.Decimal(g) / e - 1) for g, e in zip(grid, exact))
+    assert worst <= 3 * sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fits_reject_non_finite_samples(bad):
+    rs = asy.geometric_grid(1e-9, 1e-4, 16)
+    for i in (0, 7):
+        samples = [(r, 1.0) for r in rs]
+        samples[i] = (samples[i][0], bad)
+        with pytest.raises(DomainError, match="finite"):
+            asy.fit_power_law(samples)
+        with pytest.raises(DomainError, match="finite"):
+            asy.fit_log_corrected(samples, 5)
+        samples[i] = (bad, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            asy.fit_power_law(samples)

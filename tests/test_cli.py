@@ -67,6 +67,18 @@ def test_signs_short_or_malformed_grid_exits_2_without_output(tmp_path, grid):
     ("integrate", "--n", "5", "--s", "7", "--init", "1,junk,0,0"),
     ("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--t-end", "nan"),
     ("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--t-end", "inf"),
+    ("coeffs", "--n", "4", "--s", "7"),
+    ("coeffs", "--n", "0", "--s", "7"),
+    ("coeffs", "--n", "-3", "--s", "7"),
+    ("fit", "--n", "5", "--r-lo", "-1"),
+    ("fit", "--n", "5", "--r-lo", "nan"),
+    ("fit", "--n", "5", "--r-hi", "inf"),
+    ("fit", "--n", "5", "--r-lo", "1", "--r-hi", "1"),
+    ("fit", "--n", "5", "--r-lo", "10", "--r-hi", "1"),
+    ("fit", "--n", "5", "--num", "7"),
+    ("fit", "--n", "5", "--profile", "aviles", "--num", "11"),
+    ("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--rel-tol", "nan"),
+    ("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--abs-tol", "nan"),
 ])
 def test_malformed_or_empty_input_exits_2_without_output(tmp_path, capsys, args):
     target = tmp_path / "out.csv"
@@ -241,12 +253,15 @@ _PINNED_ARTIFACTS = {
                  ["f580b574a1bf7f3b"]),
     "pohozaev": (("pohozaev", "--n", "5:7", "--s", "7"), None,
                  ["037c1274c706bdcb"]),
+    # re-recorded when the fits left LAPACK's lstsq for the fsum-based
+    # closed form and the sample grid left np.geomspace: the grid radii and
+    # every fitted float moved in the last bits
     "fit-power": (("fit", "--n", "5", "--s", "7", "--profile", "power"), "--samples-out",
-                  ["8b81bf81e9835b71", "a5d8c0bc4daafe99"]),
+                  ["fd2b88c18acd7f91", "b82f6bb83582c4e6"]),
     "fit-aviles": (("fit", "--n", "5", "--profile", "aviles"), "--samples-out",
-                   ["fa642fbabce1a9a0", "e42458fde3110302"]),
+                   ["76380a0dae066a62", "34ddf88860d3c0dd"]),
     "fit-bubble": (("fit", "--n", "6", "--profile", "bubble"), "--samples-out",
-                   ["02d8597cf6708b90", "cae886ca8b838035"]),
+                   ["1faf8a311c47ecf7", "2369b91a4fb24e94"]),
     "integrate": (_INTEGRATE, "--energy-out",
                   ["cd8c3f75d736cade", "553e6b9ac35528b9"]),
     # p = 3: the energy's dot products sum three terms, so a reordered sum

@@ -142,6 +142,16 @@ def test_non_finite_span_raises_before_any_step(t0, t1):
     assert calls == []
 
 
+@pytest.mark.parametrize("rel_tol, abs_tol", [(np.nan, 1e-11), (1e-9, np.nan),
+                                              (0.0, 1e-11), (1e-9, -1.0)])
+def test_nan_or_nonpositive_tolerance_raises_before_any_step(rel_tol, abs_tol):
+    calls = []
+    rhs = lambda t, y: calls.append(t) or _linear_rhs(t, y)
+    with pytest.raises(DomainError, match="tolerances must be positive"):
+        integrate(rhs, 0.0, np.array([1.0, 0, 0, 0]), 1.0, rel_tol=rel_tol, abs_tol=abs_tol)
+    assert calls == []
+
+
 def test_trajectory_span_guard():
     traj = integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 1.0)
     with pytest.raises(DomainError):

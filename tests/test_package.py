@@ -97,7 +97,7 @@ def test_every_exported_function_and_class_is_defined_in_its_home():
                 assert value.__module__ == "fowler4." + home, name
 
 
-@pytest.mark.parametrize("suite", ["coefficients", "ledger"])
+@pytest.mark.parametrize("suite", ["coefficients", "ledger", "profiles", "asymptotics"])
 def test_exact_suites_verify_without_numpy(tmp_path, suite):
     ledger = tmp_path / "ledger.csv"
     out = run_fresh("import sys\n"
@@ -108,3 +108,25 @@ def test_exact_suites_verify_without_numpy(tmp_path, suite):
     assert out.stdout.splitlines()[-1] == "0 False"
     assert hashlib.sha256(ledger.read_bytes()).hexdigest() == \
         "4d489e697ca1859d9da24f8bcf65ab200291bc5197618c9b38845c8ade199d88"
+
+
+
+@pytest.mark.parametrize("profile", ["power", "aviles", "bubble"])
+def test_fit_runs_without_numpy_and_writes_the_in_process_bytes(tmp_path, profile):
+    from fowler4 import cli
+
+    def argv(d):
+        d.mkdir()
+        return ["fit", "--n", "5", "--profile", profile, "--out", str(d / "fit.json"),
+                "--samples-out", str(d / "samples.csv")]
+
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    out = run_fresh("import json, sys\n"
+                    "from fowler4 import cli\n"
+                    "code = cli.main(json.loads(sys.argv[1]))\n"
+                    "print(code, 'numpy' in sys.modules)", json.dumps(argv(fresh)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert cli.main(argv(here)) == 0
+    for name in ("fit.json", "samples.csv"):
+        assert (fresh / name).read_bytes() == (here / name).read_bytes()

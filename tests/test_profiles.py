@@ -74,7 +74,7 @@ def test_singular_power_amplitude_and_eval():
 
 def test_singular_power_scalar_reduction():
     sp = pf.SingularPower(5, 7.0, lam=[1.0])
-    assert sp.lam.shape == (1,)
+    assert len(sp.lam) == 1
     assert sp.system_residual(1.0) < 1e-10
 
 
