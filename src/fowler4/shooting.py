@@ -15,19 +15,22 @@ T = 2 t1.
 
 Every run of the search is the Taylor-series flow of ``taylor``: the
 crash/escape classification, the half-orbit runs behind F and the
-one-period orbit of the root.  Each run stops as soon as its state
-enters one of two forward-invariant regions of the equation
-(``taylor._fate``): above a0 with v', v'', v''' > 0 the orbit escapes and
-v has no maximum; below a0 with v', v'', v''' < 0 it reaches v = 0 before
-_T_MAX.  That gives the outcome of running on to v <= 0 or the |y| guard
-in about a third of the steps; a closing orbit enters neither region.  A run computes in the
-scalar type of b, with steps whose truncation error stays below its
-rounding; on the C07 grid the float64 root closes the period within the
-target.  Where the float64 ULP floor on b and the rounding of the orbit
-still leave a one-period closure defect above tolerance (strong saddle
-amplification, e.g. a = 0.2 a0 at n = 5) the search escalates to
-extended precision:
-the same Brent search on F with b in longdouble, inside +-1e-9 of the
+one-period orbit of the root.  A crash/escape run also records the first
+maximum it crosses, the node a half-orbit run ends on, bit for bit; F
+reads that record at every b the bracket has run, so within one search
+no b is integrated twice, the one-period orbit apart.  Each run stops as
+soon as its state enters one of two forward-invariant regions of the
+equation (``taylor._fate``): above a0 with v', v'', v''' > 0 the orbit
+escapes and v has no maximum; below a0 with v', v'', v''' < 0 it reaches
+v = 0 before _T_MAX.  That gives the outcome of running on to v <= 0 or
+the |y| guard in about a third of the steps; a closing orbit enters
+neither region.  A run computes in the scalar type of b, with steps
+whose truncation error stays below its rounding; on the C07 grid the
+float64 root closes the period within the target.  Where the float64
+ULP floor on b and the rounding of the orbit still leave a one-period
+closure defect above tolerance (strong saddle amplification, e.g.
+a = 0.2 a0 at n = 5) the search escalates to extended precision: the
+same Brent search on F with b in longdouble, inside +-1e-9 of the
 float64 root.  A returned root whose defect still misses the target, or
 whose one-period run stops before T, says so in its message.
 """
@@ -76,8 +79,8 @@ class CriticalConstants:
     @cached_property
     def power(self) -> float:
         """The critical power P = (n+4)/(n-4) as a float, computed once per
-        instance (the exact exponent algebra costs microseconds, and
-        ``orbit_energy`` reads it on every row)."""
+        instance (the exact exponent algebra costs microseconds, and every
+        energy reads it)."""
         return float(special_exponents(self.n).upper - 1)
 
     def linearized_frequency(self) -> float:
@@ -134,7 +137,8 @@ class ShootingResult:
     precision: str = "float64"         # tier of the returned root
     message: str = ""
     # per precision tier, summed over every Taylor run the search made:
-    # "float64" and "longdouble", each {"integrations", "steps"}
+    # "float64" and "longdouble", each {"integrations", "steps"}; a b runs
+    # once per tier, the one-period orbit of the root a second time
     stats: dict = field(default_factory=dict)
 
 
@@ -154,10 +158,14 @@ def _failed(a: float, b, message: str, stats: Optional[dict] = None) -> Shooting
 
 def orbit_energy(consts: CriticalConstants, y) -> float:
     """Conserved Hamiltonian of the critical equation."""
-    v, v1, v2, v3 = (float(y[0]), float(y[1]), float(y[2]), float(y[3]))
-    q = consts.power
-    return (-v3 * v1 + 0.5 * (v2**2 - consts.K2 * v1**2 - consts.K0 * v**2)
-            + consts.c * abs(v) ** (q + 1) / (q + 1))
+    return _energies(consts, [[float(x) for x in y[:4]]])[0]
+
+
+def _energies(consts: CriticalConstants, rows) -> List[float]:
+    """``orbit_energy`` of each state row (v, v', v'', v''') of Python floats."""
+    K2, K0, c, q1 = consts.K2, consts.K0, consts.c, consts.power + 1
+    return [-v3 * v1 + 0.5 * (v2**2 - K2 * v1**2 - K0 * v**2) + c * abs(v) ** q1 / q1
+            for v, v1, v2, v3 in rows]
 
 
 def _tally(stats: dict, b, steps: int) -> None:
@@ -169,41 +177,41 @@ def _tally(stats: dict, b, steps: int) -> None:
 
 def _march(consts, a, b, stats, first_max=False):
     """Taylor run from the orbit minimum (a, 0, b, 0) in the scalar type of b,
-    to _T_MAX, without dense output: its status and last node (t, y)."""
-    status, ts, ys, hs, _ = march(consts, (a, 0.0, b, 0.0), _T_MAX, first_max)
+    to _T_MAX, without dense output: its status, its last state and the
+    first maximum of v as (t1, y(t1)), (None, None) where it crosses none."""
+    status, _, ys, hs, _, first = march(consts, (a, 0.0, b, 0.0), _T_MAX, first_max)
     _tally(stats, b, len(hs))
-    return status, ts[-1], ys[-1]
+    return status, ys[-1], (float(first[0]), first[1]) if first else (None, None)
 
 
-def _classify(consts: CriticalConstants, a: float, b, stats: dict) -> int:
+def _classify(consts: CriticalConstants, a: float, b, stats: dict, firsts: dict) -> int:
     """-1: crashes (v reaches 0 before _T_MAX); +1: escapes, or stays
     bounded to _T_MAX (at or beyond the boundary, treated as upper).
 
     The run stops as soon as ``taylor.march`` decides its fate; a run whose
-    fate stays open ends at v <= 0 (-1), past the |y| guard or at _T_MAX."""
-    status, _, y = _march(consts, a, b, stats)
+    fate stays open ends at v <= 0 (-1), past the |y| guard or at _T_MAX.
+    The first maximum it crosses on the way, the one ``_first_max`` finds,
+    goes to ``firsts[b]``."""
+    status, y, firsts[b] = _march(consts, a, b, stats)
     return -1 if status == "crash" or y[0] <= 0 else 1
 
 
 def _first_max(consts: CriticalConstants, a: float, b, stats: dict):
     """(t1, y(t1)) at the first maximum of v; (None, None) where there is none.
 
-    An escape-side run stops where ``taylor.march`` decides its escape (from
-    there v' never vanishes), not at the |y| guard."""
-    status, te, ye = _march(consts, a, b, stats, first_max=True)
-    if status != "event":
-        return None, None
-    return float(te), ye
+    The run stops there.  An escape-side run stops where ``taylor.march``
+    decides its escape (from there v' never vanishes), not at the |y| guard."""
+    return _march(consts, a, b, stats, first_max=True)[2]
 
 
-def _residual(consts, a, stats):
+def _residual(consts, a, stats, firsts: dict):
     """F(b) = v'''(t1) in the precision of b; None where v has no maximum
     before blow-up.
 
-    Evaluations are kept per b in the returned dict, so bracket ends are
-    integrated once and the root's (t1, y(t1)) needs no second run.
+    First maxima are kept per b in ``firsts``, which ``_classify`` fills
+    too, so a bracket end needs no run of its own and the root's
+    (t1, y(t1)) no second one.
     """
-    firsts = {}
 
     def F(b):
         if b not in firsts:
@@ -211,7 +219,7 @@ def _residual(consts, a, stats):
         t1, y1 = firsts[b]
         return None if t1 is None else y1[3]
 
-    return F, firsts
+    return F
 
 
 def _changes_sign(fa, fb) -> bool:
@@ -220,7 +228,8 @@ def _changes_sign(fa, fb) -> bool:
     return fa == 0 or fb == 0 or (fa < 0) != (fb < 0)
 
 
-def _bisect(consts, a, blo, bhi, iters, stats, until: Callable = lambda lo, hi: False):
+def _bisect(consts, a, blo, bhi, iters, stats, firsts,
+            until: Callable = lambda lo, hi: False):
     """Bisect the crash/escape dichotomy ``iters`` times or until ``until(lo, hi)``."""
     for _ in range(iters):
         if until(blo, bhi):
@@ -228,7 +237,7 @@ def _bisect(consts, a, blo, bhi, iters, stats, until: Callable = lambda lo, hi: 
         mid = (blo + bhi) / 2
         if mid == blo or mid == bhi:
             break
-        if _classify(consts, a, mid, stats) < 0:
+        if _classify(consts, a, mid, stats, firsts) < 0:
             blo = mid
         else:
             bhi = mid
@@ -321,13 +330,14 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
                               converged=True, message="constant orbit")
 
     stats: dict = {}
+    firsts: dict = {}   # first maximum per float64 b, from any run of this call
     # bracket on a geometric grid, then bisect the crash/escape boundary
     b_max = 10.0 * consts.K0 * a0
     grid = np.geomspace(1e-6, b_max, 25)
     prev = None
     blo = bhi = None
     for b in grid:
-        o = _classify(consts, a, float(b), stats)
+        o = _classify(consts, a, float(b), stats, firsts)
         if prev is not None and prev[1] < 0 and o > 0:
             blo, bhi = prev[0], float(b)
             break
@@ -338,9 +348,9 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
             f"diagnostic sweep outcomes all {prev[1] if prev else 'undefined'}")
     # ten plain steps, then until F changes sign across the bracket; the
     # prefix fixes the bracket Brent starts from, and so the root's last ULP
-    blo, bhi = _bisect(consts, a, blo, bhi, 10, stats)
-    F, firsts = _residual(consts, a, stats)
-    blo, bhi = _bisect(consts, a, blo, bhi, 60, stats,
+    blo, bhi = _bisect(consts, a, blo, bhi, 10, stats, firsts)
+    F = _residual(consts, a, stats, firsts)
+    blo, bhi = _bisect(consts, a, blo, bhi, 60, stats, firsts,
                        until=lambda lo, hi: _changes_sign(F(lo), F(hi)))
     try:
         b = _brent(F, blo, bhi)
@@ -354,7 +364,9 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
     else:
         ld = np.longdouble
         margin = ld(_LD_MARGIN)
-        F_ld, firsts_ld = _residual(consts, a, stats)
+        # a dict of its own: a longdouble b equal to a float64 one is a new run
+        firsts_ld: dict = {}
+        F_ld = _residual(consts, a, stats, firsts_ld)
         try:
             b_ld = _brent(F_ld, ld(b) * (1 - margin), ld(b) * (1 + margin))
         except ArithmeticError as exc:
@@ -394,7 +406,7 @@ def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
     # row by row in Python floats: numpy's power and its x*x square round
     # some rows differently from libm pow, which moves energy_drift at some a.
     # One row list at a time: vals.tolist() would hold all 1601 at once
-    energies = np.array([orbit_energy(consts, yv) for yv in map(np.ndarray.tolist, vals)])
+    energies = np.array(_energies(consts, map(np.ndarray.tolist, vals)))
     E0 = float(energies[0])
     drift = float(np.max(np.abs(energies - E0))) / (1.0 + abs(E0))
     taus = np.linspace(0.0, min(t1, T - t1), 101)[1:]

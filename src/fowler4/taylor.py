@@ -16,7 +16,8 @@ plain Python floats, which for 4-vectors are faster than numpy dispatch,
 or ``np.longdouble`` scalars.
 
 ``march`` is the one step loop of every run and returns its nodes and
-series as lists in the run's type; it stops a run as soon as ``_fate``
+series as lists in the run's type, and the first maximum of v it
+crosses; it stops a run there when asked, else as soon as ``_fate``
 decides whether v escapes or crashes.  ``flow`` packages ``march``'s
 record as a float64 dense-output ``Trajectory``, whatever the run's type.
 A bounded orbit never enters either decided region, so the stop leaves a
@@ -138,17 +139,22 @@ def _fate(a0, t, y, t_end):
 
 
 def march(consts, y0, t_end: float, first_max: bool = False):
-    """The step loop of shooting's runs: ``(status, ts, ys, hs, coefs)``.
+    """The step loop of shooting's runs: ``(status, ts, ys, hs, coefs, first)``.
 
     Node i is (ts[i], ys[i]), ys[i] a list of scalars of the run's type;
     step i runs from node i over hs[i] with the series coefs[i] (as
-    returned by ``series``) and ends on node i + 1.  With ``first_max`` the
-    run stops at the first maximum of v (v' crossing zero downward), with
-    status ``"event"``.  It stops with status ``"escape"`` or ``"crash"``
-    at the first node whose fate ``_fate`` decides: from there v grows for
+    returned by ``series``) and ends on node i + 1.  ``first`` is the first
+    maximum of v (v' crossing zero downward) as ``(t1, y(t1))``, evaluated
+    on the series of the step that crosses it, or None where the run
+    crosses none.  With ``first_max`` the run stops there, with status
+    ``"event"``, and that maximum is its last node; without, it keeps the
+    full step and runs on.  Up to that step both kinds of run take the
+    same steps, so a run records the maximum a ``first_max`` run ends on,
+    bit for bit.  A run stops with status ``"escape"`` or ``"crash"`` at
+    the first node whose fate ``_fate`` decides: from there v grows for
     ever, or reaches 0 before t_end.  It stops with ``"undefined"`` where
     v <= 0, |y| passes ``_ORBIT_GUARD`` or the step size collapses.  The
-    last node is the run's end, that maximum or the node where it stopped.
+    last node is the run's end, the maximum or the node where it stopped.
     Builds no arrays.
     """
     scal = np.longdouble if any(isinstance(x, np.longdouble) for x in y0) else float
@@ -159,7 +165,7 @@ def march(consts, y0, t_end: float, first_max: bool = False):
     t = 0.0
     y = [scal(x) for x in y0]
     ts, ys, hs, coefs = [t], [y], [], []
-    status = "reached"
+    status, first = "reached", None
     while t < t_end:
         size = max(map(abs, y))
         if not (y[0] > 0 and size <= _ORBIT_GUARD):
@@ -177,17 +183,22 @@ def march(consts, y0, t_end: float, first_max: bool = False):
         last = t + h >= t_end
         if last:
             h = t_end - t
-        if first_max and y[1] > 0 and peval(coef[1], h) <= 0:
-            h, last, status = _first_root(coef[1], coef[2], h), False, "event"
+        if first is None and y[1] > 0 and peval(coef[1], h) <= 0:
+            h1 = _first_root(coef[1], coef[2], h)
+            first = (t + h1, [peval(cs, h1) for cs in coef])
+            if first_max:
+                hs.append(h1)
+                coefs.append(coef)
+                ts.append(first[0])
+                ys.append(first[1])
+                return "event", ts, ys, hs, coefs, first
         hs.append(h)
         coefs.append(coef)
         y = [peval(cs, h) for cs in coef]
         t = t_end if last else t + h
         ts.append(t)
         ys.append(y)
-        if status == "event":
-            break
-    return status, ts, ys, hs, coefs
+    return status, ts, ys, hs, coefs, first
 
 
 def flow(consts, y0, t_end: float) -> Trajectory:
@@ -202,7 +213,7 @@ def flow(consts, y0, t_end: float) -> Trajectory:
     packaging is its cost over ``march``; shooting asks for it only for
     the one-period orbit.
     """
-    status, ts, ys, hs, coefs = march(consts, y0, t_end)
+    status, ts, ys, hs, coefs, _ = march(consts, y0, t_end)
     h = np.array(hs, dtype=float)
     dense = (np.array(coefs, dtype=float).reshape(len(hs), 4, _ORDER + 1)[:, :, 1:]
              * h[:, None, None] ** np.arange(_ORDER))

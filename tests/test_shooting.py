@@ -207,7 +207,10 @@ def test_empty_message_exactly_when_every_c07_threshold_holds():
 # float.hex of find_b's fields and its (integrations, steps) in float64,
 # recorded before the step loop was split from the dense-output packaging;
 # the steps alone re-recorded when shooting runs began to stop at a decided
-# crash/escape fate (625, 378, 400, 797 and 341 steps before).
+# crash/escape fate (625, 378, 400, 797 and 341 steps before).  The counts
+# re-recorded when crash/escape runs began to record the first maximum, so
+# that no b runs twice: the same runs minus repeats, (42, 231), (37, 170),
+# (36, 114), (49, 351) and (37, 169) before.
 # The first four points are C07's.  At (6, 0.62 a0) an array-form energy
 # (numpy's power in place of the row-wise Python one) moves energy_drift;
 # at the C07 points the rows it changes are not the largest.
@@ -216,19 +219,19 @@ _PINNED_FIELDS = ("b", "T", "energy", "energy_drift", "period_defect", "min_v",
 _PINNED_ROOTS = {
     (5, 0.6): (("0x1.ed0177e623ff4p-4", "0x1.afca6aa99cad1p+2", "-0x1.822b51d56a5e7p-3",
                 "0x1.ff8b31dd334b9p-52", "0x1.fb5bad3680000p-32", "0x1.00c0b2236e07fp-1",
-                "0x1.f962800000000p-36"), (42, 231)),
+                "0x1.f962800000000p-36"), (38, 197)),
     (6, 0.6): (("0x1.6d2f56286cae1p-2", "0x1.17ac600274863p+2", "-0x1.c56cd8d41c171p-1",
                 "0x1.6462cf932c427p-50", "0x1.88d6315000000p-32", "0x1.e0cb427844328p-2",
-                "0x1.866a800000000p-37"), (37, 170)),
+                "0x1.866a800000000p-37"), (35, 156)),
     (6, 0.999): (("0x1.1fb196ccdf5ffp-9", "0x1.dfc0df001f776p+1", "-0x1.d64c70d796d3ep+0",
                   "0x1.0eb2d63ed4f4ep-51", "0x1.20a2374000000p-36", "0x1.9042d04bcc777p-1",
-                  "0x1.9360000000000p-42"), (36, 114)),
+                  "0x1.9360000000000p-42"), (34, 108)),
     (5, 0.3): (("0x1.0081659b22a55p-4", "0x1.348498f116e66p+3", "-0x1.8249848442fa8p-5",
                 "0x1.57c9f604081d7p-51", "0x1.1689bacac8000p-21", "0x1.00c0afe985165p-2",
-                "0x1.1cf478d000000p-25"), (49, 351)),
+                "0x1.1cf478d000000p-25"), (41, 274)),
     (6, 0.62): (("0x1.6e0f5d03c0aeep-2", "0x1.141226f843e1dp+2", "-0x1.e2ec98e79dc4cp-1",
                  "0x1.8b38d93f75176p-51", "0x1.0c0d240000000p-33", "0x1.f0d208f3bdeffp-2",
-                 "0x1.06d7000000000p-38"), (37, 169)),
+                 "0x1.06d7000000000p-38"), (35, 155)),
 }
 
 
@@ -247,7 +250,15 @@ def test_find_b_is_bit_pinned(point):
 
 
 @pytest.mark.parametrize("point", list(_PINNED_ROOTS), ids="{0[0]}-{0[1]}".format)
-def test_find_b_counts_every_taylor_run_once(point):
+def test_find_b_counts_every_taylor_run_once(point, monkeypatch):
     integrations, steps = _PINNED_ROOTS[point][1]
     assert _pinned_result(*point).stats == {
         "float64": {"integrations": integrations, "steps": steps}}
+    # every run of the search goes through _march, and none repeats a start
+    # b; the one-period orbit of the root is the one run that does not
+    starts = []
+    march = sh._march
+    monkeypatch.setattr(sh, "_march", lambda consts, a, b, *args, **kw:
+                        starts.append(b) or march(consts, a, b, *args, **kw))
+    _pinned_result.__wrapped__(*point)
+    assert len(set(starts)) == len(starts) == integrations - 1

@@ -73,7 +73,7 @@ def test_classify_matches_dormand_prince_on_the_bracket_grid(n, frac):
     cc = sh.critical_constants(n)
     a = frac * cc.a0
     grid = np.geomspace(1e-6, 10.0 * cc.K0 * cc.a0, 25)
-    sides = [sh._classify(cc, a, float(b), {}) for b in grid]
+    sides = [sh._classify(cc, a, float(b), {}, {}) for b in grid]
     assert sides == [_dopri_classify(cc, a, float(b)) for b in grid]
     assert -1 in sides and 1 in sides
 
@@ -152,8 +152,8 @@ def test_flow_follows_the_closed_form_homoclinic(n, scal):
     P = Fraction(n + 4, n - 4)
     eps = max(float(np.finfo(scal).eps), float(abs(Fraction(cc.power) - P) / P))
     # the nodes of the step loop, in the run's type (flow rounds them to float64)
-    status, ts, ys, _, _ = taylor.march(cc, [scal(x) for x in (1.0, 0.0, -k, 0.0)],
-                                        math.log(1e6) / rate)
+    status, ts, ys, _, _, _ = taylor.march(cc, [scal(x) for x in (1.0, 0.0, -k, 0.0)],
+                                           math.log(1e6) / rate)
     t, y = np.array(ts, scal), np.array(ys, scal)
     assert status == "reached" and y.dtype == np.dtype(scal)
     ref = _homoclinic(n, t)
@@ -197,20 +197,20 @@ def test_fate_regions_end_at_the_equilibrium_and_the_horizon():
 def test_shooting_runs_stop_at_their_decided_fate(orbit6, consts6):
     a, a0 = 0.6 * consts6.a0, consts6.a0
     # above the root: the first-maximum run has no maximum and stops escaping
-    status, ts, ys, _, _ = taylor.march(consts6, (a, 0.0, 2 * orbit6.b, 0.0), sh._T_MAX,
-                                        first_max=True)
+    status, ts, ys, _, _, _ = taylor.march(consts6, (a, 0.0, 2 * orbit6.b, 0.0), sh._T_MAX,
+                                           first_max=True)
     v, v1, v2, v3 = ys[-1]
     assert status == "escape" and v > a0 and min(v1, v2, v3) > 0
     # the one-period flow is the same run: it stops escaping on the same node
     tr = taylor.flow(consts6, (a, 0.0, 2 * orbit6.b, 0.0), sh._T_MAX)
-    _, ts, ys, _, _ = taylor.march(consts6, (a, 0.0, 2 * orbit6.b, 0.0), sh._T_MAX)
+    _, ts, ys, _, _, _ = taylor.march(consts6, (a, 0.0, 2 * orbit6.b, 0.0), sh._T_MAX)
     assert tr.status == "escape" and [tr.t[-1], *tr.y[-1]] == [ts[-1], *ys[-1]]
     # below it: the crash/escape run stops crashing, v due at 0 before _T_MAX
-    status, ts, ys, _, _ = taylor.march(consts6, (a, 0.0, 0.5 * orbit6.b, 0.0), sh._T_MAX)
+    status, ts, ys, _, _, _ = taylor.march(consts6, (a, 0.0, 0.5 * orbit6.b, 0.0), sh._T_MAX)
     v, v1, v2, v3 = ys[-1]
     assert status == "crash" and 0 < v < a0 and max(v1, v2, v3) < 0
     assert ts[-1] + v / -v1 < sh._T_MAX
-    assert sh._classify(consts6, a, 0.5 * orbit6.b, {}) == -1
+    assert sh._classify(consts6, a, 0.5 * orbit6.b, {}, {}) == -1
 
 
 # the five pinned roots, and two dimensions where P = (n+4)/(n-4) is not an
@@ -222,7 +222,8 @@ def test_decided_fates_change_no_shooting_outcome(monkeypatch):
     """Every b that find_b visits at _FATE_POINTS, and a geometric grid as
     wide as its bracket grid: the crash/escape side and the first maximum
     (found or not; t1 and the node bit for bit) equal those of runs that
-    never stop at a decided fate."""
+    never stop at a decided fate.  With or without fates, the first maximum
+    the crash/escape run records is the one the first-maximum run ends on."""
     starts = []
     with monkeypatch.context() as m:
         march = sh._march
@@ -235,19 +236,26 @@ def test_decided_fates_change_no_shooting_outcome(monkeypatch):
                        for b in np.geomspace(1e-6, 10.0 * cc.K0 * cc.a0, 40)]
     starts = list(dict.fromkeys(starts))
 
+    def hexed(first):
+        t1, y1 = first
+        return None if t1 is None else [float.hex(float(x)) for x in (t1, *y1)]
+
     def outcomes(stats):
         out = []
         for cc, a, b in starts:
-            t1, y1 = sh._first_max(cc, a, b, stats)
-            first = None if t1 is None else [float.hex(float(x)) for x in (t1, *y1)]
-            out.append((sh._classify(cc, a, b, stats), first))
+            firsts = {}
+            side = sh._classify(cc, a, b, stats, firsts)
+            first = hexed(sh._first_max(cc, a, b, stats))
+            assert hexed(firsts[b]) == first, (cc.n, a, b)
+            out.append((side, first))
         return out
 
     decided, undecided = {}, {}
     got = outcomes(decided)
     monkeypatch.setattr(taylor, "_fate", lambda *args: None)
     assert got == outcomes(undecided)
-    assert {-1, 1} <= {side for side, _ in got} and any(f is None for _, f in got)
+    assert {-1, 1} <= {side for side, _ in got}
+    assert {True, False} == {f is None for _, f in got}
     assert decided["float64"]["steps"] < undecided["float64"]["steps"] / 2
 
 
