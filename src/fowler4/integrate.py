@@ -189,15 +189,21 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     state component exceeds ``guard`` in absolute value, the run stops
     with ``status="blowup"`` and the truncated trajectory is returned; a
     collapsing step raises StepUnderflowError carrying the partial
-    trajectory.  A non-finite t0 or t1 raises DomainError before any step.
+    trajectory.  NaN or non-positive tolerances or guard (``inf`` turns the
+    guard off), a non-finite t0 or t1 and an empty or non-finite initial
+    state raise DomainError before any RHS call.
     """
     if not (rel_tol > 0 and abs_tol > 0):
         raise DomainError("tolerances must be positive")
+    if not guard > 0:
+        raise DomainError(f"blow-up guard must be positive, got {guard}")
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise DomainError(f"non-finite integration span from {t0} to {t1}")
     if t1 == t0:
         raise DomainError("empty integration span")
     y = np.array(state0, dtype=float, ndmin=1)
+    if not y.size:
+        raise DomainError("empty initial state")
     if not _all_finite(y):
         raise DomainError("non-finite initial state")
     direction = 1 if t1 > t0 else -1
@@ -235,7 +241,9 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     def finish(stat):
         tr_t = np.array(ts)
         tr_h = np.array(hs, dtype=float)
-        # one stacked product: the same bits as k.T @ _P step by step
+        # one stacked product: the same bits as k.T @ _P step by step on the
+        # BLAS kernel numpy's OpenBLAS picks for the host CPU, whose bits the
+        # dense pins record (they fail under OPENBLAS_CORETYPE=Haswell)
         tr_Q = np.array(ks).reshape(len(hs), 7, y.size).transpose(0, 2, 1) @ _P
         hits = ev_hits
         if direction < 0:
@@ -257,7 +265,9 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
             h = tB - t
             last = True
         # one conversion of h serves the seven products below; ndarray.dot
-        # is np.dot's gemv, bits included, without np.dot's dispatch wrapper
+        # is np.dot's gemv without np.dot's dispatch wrapper.  The step-loop
+        # pins record the bits of the gemv kernel numpy's OpenBLAS picks for
+        # the host CPU (they fail under OPENBLAS_CORETYPE=Haswell)
         h_arr = np.array(h)
         failed_stage = False
         for i in range(1, 7):

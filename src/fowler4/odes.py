@@ -3,18 +3,21 @@
 States are component-major: for p components the vector is
 (v_1, v_1', v_1'', v_1''', v_2, ...), length 4p.  The autonomous system
 uses the oracle coefficient route with the build sign convention; the
-time-dependent system uses the printed coefficient polynomials.
+time-dependent system uses the printed coefficient polynomials.  The
+linearization at the constant level is biquadratic, so its spectrum has
+a closed form and needs no eigensolver.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous_polys
-from .params import DomainError, Params, special_exponents
+from .params import DomainError, Params, gamma_exponent, special_exponents
 from .polys import peval
 
 
@@ -36,9 +39,10 @@ def _component_rhs(y, ys, exponent: float, scale: float, K0, K1, K2, K3) -> np.n
     the coupling term is continued by 0.  |V|^2 is the BLAS ddot of
     np.dot (called as the ndarray method, which skips np.dot's dispatch
     wrapper); for one block it is v*v, which is what a dot product of one
-    pair rounds to.  The rest is Python float arithmetic on ys, left to
-    right, with the bits of the same expression on numpy float64 scalars.
-    The result is built once from a list.
+    pair rounds to; for more, the bits are those of the ddot kernel that
+    numpy's OpenBLAS picks for the host CPU.  The rest is Python float
+    arithmetic on ys, left to right, with the bits of the same expression
+    on numpy float64 scalars.  The result is built once from a list.
     """
     if len(ys) == 4:
         vsq = ys[0] * ys[0]
@@ -114,36 +118,23 @@ def equilibrium_state(params: Params, sigma: int = BUILD_SIGMA,
     return ray_state((v, 0.0, 0.0, 0.0), lam)
 
 
-def linearized_spectrum(params: Params, sigma: int = BUILD_SIGMA) -> np.ndarray:
-    """Roots of P(lambda) - s K0, the linearization at the constant level.
+def linearized_spectrum(params: Params, sigma: int = BUILD_SIGMA) -> Tuple[complex, ...]:
+    """Roots of P(lambda) - s K0, the linearization at the constant level,
+    sorted by real part and then by imaginary part.
 
-    Companion-matrix eigenvalues polished by a few Newton steps; the
-    roots reproduce the quartic to ~1e-12 backward error.
+    The radial symbol beta (beta - 2) (beta + n - 2) (beta + n - 4) is even
+    about beta = -(n-4)/2, so with c = gamma - (n-4)/2, P(-sigma c + mu) is
+    (mu^2 - (n-4)^2/4) (mu^2 - n^2/4) exactly, and the roots are
+    lambda = -sigma c +- sqrt(h +- r), h = (n^2 - 4n + 8)/4,
+    r = sqrt((n-2)^2 + s K0).  For exact s, c, h and (n-2)^2 + s K0 are
+    exact: floats enter only at the square roots.
     """
-    c = oracle_autonomous(params.n, params.s, sigma)
-    K0 = float(c["K0"])
+    K0 = oracle_autonomous(params.n, params.s, sigma)["K0"]
     if not K0 > 0:
         raise DomainError("nontrivial equilibrium requires K0 > 0")
-    s = float(params.s)
-    # leading-first for numpy.roots
-    poly = np.array([1.0, float(c["K3"]), float(c["K2"]), float(c["K1"]),
-                     K0 - s * K0])
-    roots = np.roots(poly)
-    dpoly = np.polyder(poly)
-    for _ in range(4):
-        fv = np.polyval(poly, roots)
-        dv = np.polyval(dpoly, roots)
-        mask = np.abs(dv) > 1e-30
-        roots[mask] = roots[mask] - fv[mask] / dv[mask]
-    return np.sort_complex(roots)
-
-
-def spectrum_backward_error(params: Params, roots: np.ndarray,
-                            sigma: int = BUILD_SIGMA) -> float:
-    c = oracle_autonomous(params.n, params.s, sigma)
-    K0 = float(c["K0"])
-    s = float(params.s)
-    poly = np.array([1.0, float(c["K3"]), float(c["K2"]), float(c["K1"]),
-                     K0 - s * K0])
-    scale = max(1.0, float(np.max(np.abs(roots))) ** 4)
-    return float(np.max(np.abs(np.polyval(poly, roots)))) / scale
+    n = params.n
+    c = float(2 * gamma_exponent(params.s) - n + 4) / 2
+    h = (n * n - 4 * n + 8) / 4
+    r = math.sqrt((n - 2) ** 2 + params.s * K0)
+    roots = [-sigma * c + w for x in (h + r, h - r) for w in (cmath.sqrt(x), -cmath.sqrt(x))]
+    return tuple(sorted(roots, key=lambda z: (z.real, z.imag)))

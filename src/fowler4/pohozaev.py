@@ -36,11 +36,13 @@ def _blocks(ys):
     return ys[:, 0::4], ys[:, 1::4], ys[:, 2::4], ys[:, 3::4]
 
 
-# The row energies below keep the bits of a one-row evaluation with np.dot:
-# np.vecdot runs the same BLAS ddot per row (a column-wise sum rounds
+# The row energies below keep the bits of a one-row evaluation with np.dot
+# on the BLAS kernel numpy's OpenBLAS picks for the host CPU: there np.vecdot
+# sums each row as np.dot's ddot does (a column-wise sum rounds
 # differently), sqrt(vecdot(v, v)) is np.linalg.norm of the row (norm with
 # axis=1 is not), and |V|^e is a Python float power per row, which numpy's
-# vectorised power does not match in the last bit.
+# vectorised power does not match in the last bit.  Under another kernel
+# (OPENBLAS_CORETYPE=Prescott) np.vecdot and np.dot differ in the last bits.
 
 def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
@@ -98,6 +100,8 @@ def pohozaev_series(params: Params, traj: Trajectory, num: int = 201,
     """
     if len(traj.t) < 5:
         raise DomainError("trajectory too short for an energy series")
+    if num < 5:
+        raise DomainError(f"the derivative stencil needs num >= 5 samples, got {num}")
     ts = np.linspace(float(traj.t[0]), float(traj.t[-1]), num)
     dt = float(ts[1] - ts[0])
     Hs, dHf = _radial_rows(params, traj(ts), _autonomous_floats(params, sigma))

@@ -255,8 +255,8 @@ class EmdenFowlerProfile:
     """
 
     def __init__(self, n: int, orbit, period: float, shift: float = 0.0):
-        if period <= 0:
-            raise DomainError("period must be positive")
+        if not period > 0:
+            raise DomainError(f"period must be positive, got {period}")
         self.n = n
         self.orbit = orbit
         self.period = float(period)

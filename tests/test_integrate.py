@@ -152,6 +152,28 @@ def test_nan_or_nonpositive_tolerance_raises_before_any_step(rel_tol, abs_tol):
     assert calls == []
 
 
+@pytest.mark.parametrize("state0, guard, match", [
+    (np.array([]), 1e8, "empty initial state"),
+    ([], 1e8, "empty initial state"),
+    (np.array([1.0, 0, 0, 0]), np.nan, "guard must be positive"),
+    (np.array([1.0, 0, 0, 0]), 0.0, "guard must be positive"),
+    (np.array([1.0, 0, 0, 0]), -1.0, "guard must be positive"),
+], ids=["empty-array", "empty-list", "nan-guard", "zero-guard", "negative-guard"])
+def test_empty_state_or_nan_or_nonpositive_guard_raises_before_any_step(state0, guard, match):
+    # an empty state divided by zero in _rms, and a NaN guard never stopped a blow-up
+    calls = []
+    rhs = lambda t, y: calls.append(t) or y
+    with pytest.raises(DomainError, match=match):
+        integrate(rhs, 0.0, state0, 100.0, guard=guard)
+    assert calls == []
+
+
+def test_infinite_guard_turns_the_blowup_stop_off():
+    traj = integrate(lambda t, y: y, 0.0, np.array([1.0]), 50.0, guard=np.inf)
+    assert traj.status == "reached"
+    assert traj.y[-1, 0] == pytest.approx(math.exp(50.0), rel=1e-6)
+
+
 def test_trajectory_span_guard():
     traj = integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 1.0)
     with pytest.raises(DomainError):

@@ -6,13 +6,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from fowler4.coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous_polys
+from fowler4.coefficients import (BUILD_SIGMA, char_symbol, oracle_autonomous,
+                                  printed_nonautonomous_polys)
 from fowler4.integrate import integrate
 from fowler4.odes import (equilibrium_state, equilibrium_value, linearized_spectrum,
-                          make_autonomous_rhs, make_nonautonomous_rhs, ray_state,
-                          spectrum_backward_error)
-from fowler4.params import DomainError, Params, special_exponents
-from fowler4.polys import peval
+                          make_autonomous_rhs, make_nonautonomous_rhs, ray_state)
+from fowler4.params import DomainError, Params, gamma_exponent, special_exponents
+from fowler4.polys import compose_linear, peval
 
 
 def test_equilibrium_is_a_fixed_point():
@@ -83,25 +83,75 @@ def test_equilibrium_value_window():
         equilibrium_state(Params(5, F(3)))
 
 
+def _ledger_s_grid(n):
+    """The ledger's exact s values for dimension n."""
+    return [F(3, 2), F(2), F(3), F(5), F(n, n - 4), F(n + 4, n - 4)]
+
+
+def _spectrum_backward_error(params, roots, sigma=BUILD_SIGMA):
+    """max |P(lambda) - s K0| over the roots, relative to max(1, |lambda|^4):
+    the reference check of the closed form, through numpy's Horner form."""
+    c = oracle_autonomous(params.n, params.s, sigma)
+    K0 = float(c["K0"])
+    s = float(params.s)
+    poly = np.array([1.0, float(c["K3"]), float(c["K2"]), float(c["K1"]),
+                     K0 - s * K0])
+    scale = max(1.0, float(np.max(np.abs(roots))) ** 4)
+    return float(np.max(np.abs(np.polyval(poly, roots)))) / scale
+
+
 def test_spectrum_reproduces_polynomial():
-    p = Params(5, F(7))
-    roots = linearized_spectrum(p)
-    assert roots.shape == (4,)
-    assert spectrum_backward_error(p, roots) < 1e-10
-    # closed under conjugation
-    conj = np.sort_complex(np.conj(roots))
-    assert np.allclose(np.sort_complex(roots), conj, atol=1e-9)
+    # the closed form over the ledger grid in both conventions, and float s;
+    # the largest backward error measured there is 2.8e-16
+    cases = [(Params(n, s), sigma) for n in range(5, 17) for s in _ledger_s_grid(n)
+             for sigma in (1, -1)]
+    cases += [(Params(n, s), BUILD_SIGMA) for n, s in ((5, 7.0), (6, 4.0), (8, 2.5), (7, 3.3))]
+    checked = 0
+    for p, sigma in cases:
+        if not oracle_autonomous(p.n, p.s, sigma)["K0"] > 0:
+            with pytest.raises(DomainError):
+                linearized_spectrum(p, sigma)
+            continue
+        roots = linearized_spectrum(p, sigma)
+        assert len(roots) == 4 and {type(r) for r in roots} == {complex}
+        assert list(roots) == sorted(roots, key=lambda r: (r.real, r.imag))
+        assert _spectrum_backward_error(p, roots, sigma) < 1e-15
+        # closed under conjugation, exactly
+        assert {r.conjugate() for r in roots} == set(roots)
+        checked += 1
+    assert checked == 106
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_shifted_symbol_is_biquadratic(sigma):
+    # P(-sigma c + mu) = (mu^2 - (n-4)^2/4) (mu^2 - n^2/4), c = gamma - (n-4)/2,
+    # exactly: the identity behind linearized_spectrum's closed form
+    for n in range(5, 17):
+        a2, b2 = F(n - 4, 2) ** 2, F(n, 2) ** 2
+        for s in _ledger_s_grid(n):
+            c = gamma_exponent(s) - F(n - 4, 2)
+            shifted = compose_linear(char_symbol(n, s, sigma).p_coeffs, -sigma * c, 1)
+            assert shifted == [a2 * b2, 0, -(a2 + b2), 0, 1]
+
+
+def test_window_ends_are_spectral_events():
+    # K0 = 0 at s = n/(n-4): no constant level; c = 0 at s = (n+4)/(n-4):
+    # the complex pair sits on the imaginary axis
+    for n in range(5, 17):
+        lower, critical = F(n, n - 4), F(n + 4, n - 4)
+        assert oracle_autonomous(n, lower)["K0"] == 0
+        assert gamma_exponent(critical) - F(n - 4, 2) == 0
 
 
 def test_spectrum_critical_case_structure():
     # constant term K0(1 - s) < 0 forces a positive real root; the
-    # oscillatory pair is purely imaginary (recorded, |Re| checked)
+    # oscillatory pair is purely imaginary, as c = 0 at s = (n+4)/(n-4)
     p = Params(5, F(9))
     roots = linearized_spectrum(p)
     assert max(r.real for r in roots) > 0
     imag_pair = [r for r in roots if abs(r.imag) > 0.5]
     assert len(imag_pair) == 2
-    assert max(abs(r.real) for r in imag_pair) < 1e-8
+    assert max(abs(r.real) for r in imag_pair) == 0.0
 
 
 def test_growth_rate_matches_spectrum():

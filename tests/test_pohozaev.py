@@ -173,6 +173,20 @@ def test_series_fields_are_python_floats():
         assert {type(x) for x in (q.t, q.H, q.dH_formula, q.dH_numeric)} == {float}
 
 
+def test_series_rejects_too_few_samples_or_nodes():
+    # num < 5 leaves the derivative stencil nothing to act on: num 0 and 1
+    # raised IndexError, 2-4 gave a series without one numeric derivative
+    p = Params(5, F(7))
+    traj = integrate(make_autonomous_rhs(p), 0.0, equilibrium_state(p), 1.0)
+    assert len(po.pohozaev_series(p, traj, num=5)) == 5
+    for num in range(5):
+        with pytest.raises(DomainError, match="num >= 5"):
+            po.pohozaev_series(p, traj, num=num)
+    four_nodes = Trajectory(t=np.arange(4.0), y=np.zeros((4, 4)), stats={})
+    with pytest.raises(DomainError, match="too short"):
+        po.pohozaev_series(p, four_nodes, num=9)
+
+
 def test_aviles_hamiltonian_contract():
     assert po.aviles_hamiltonian(5, np.zeros(4), 50.0) == 0.0
     with pytest.raises(DomainError):

@@ -214,6 +214,13 @@ def test_wrapper_constant_orbit_is_a_pure_power():
         assert w(r) == pytest.approx(0.83 * r ** ((4 - n) / 2.0), rel=1e-12)
 
 
+def test_wrapper_rejects_nonpositive_or_nan_period():
+    orbit = _constant_orbit(1.0)
+    for period in (0.0, -2.0, float("nan")):
+        with pytest.raises(DomainError, match="period must be positive"):
+            pf.EmdenFowlerProfile(5, orbit, period=period)
+
+
 def test_wrapper_periodic_extension_and_shift():
     n = 5
     orbit = _constant_orbit(1.0, 0.0, 3.0)

@@ -29,12 +29,15 @@ def test_constants_identity(consts6):
     assert consts6.a0 == pytest.approx(a0_formula, rel=1e-10)
 
 
-def test_linearized_period_matches_spectrum(consts6):
-    # the imaginary pair of the c=1 linearization is normalization-free
+def test_linearized_period_matches_spectrum():
+    # linearized_frequency forms the imaginary pair at s = (n+4)/(n-4) from
+    # the printed critical K0 and K2 (it does not depend on the normalization
+    # c); it has the bits of linearized_spectrum's closed form
     from fractions import Fraction
-    roots = linearized_spectrum(Params(6, Fraction(5)))
-    om = max(abs(r.imag) for r in roots)
-    assert consts6.linearized_frequency() == pytest.approx(om, rel=1e-10)
+    for n in range(5, 17):
+        roots = linearized_spectrum(Params(n, Fraction(n + 4, n - 4)))
+        om = max(abs(r.imag) for r in roots)
+        assert sh.critical_constants(n, c_mode="unit").linearized_frequency() == om
 
 
 def test_critical_rhs_structure(consts6):
