@@ -11,6 +11,7 @@ from typing import Tuple
 
 from .coefficients import radial_bilaplacian
 from .params import DomainError, special_exponents
+from .polys import psum
 
 # bubble_constant measures the ratio at radii inside, at and outside the
 # unit bubble's scale; a relative spread above the tolerance means the
@@ -58,11 +59,7 @@ def bubble_constant(n: int) -> float:
     spread = (max(vals) - min(vals)) / max(abs(v) for v in vals)
     if spread > _BUBBLE_AGREEMENT_TOL:
         raise ArithmeticError(f"bubble constant evaluations disagree: {vals}")
-    # summed left to right: the built-in sum compensates from Python 3.12 on
-    total = 0.0
-    for v in vals:
-        total += v
-    return total / len(vals)
+    return psum(vals) / len(vals)
 
 
 def bubble_constant_closed_form(n: int) -> float:

@@ -37,11 +37,14 @@ class UsageError(Exception):
 
 
 def _parse_scalar(text: str):
-    """Exact parse: 'p/q', integers and decimal strings all become Fractions."""
+    """Exact parse: 'p/q', integers and decimal strings all become
+    Fractions; a value beyond float range is a usage error."""
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        value = Fraction(text.strip())
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"cannot parse scalar {text!r}: {exc}") from None
+    return value
 
 
 def _parse_n_range(text: str) -> List[int]:

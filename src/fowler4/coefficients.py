@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .params import DomainError, Params, Scalar, as_exact, gamma_exponent, is_exact
-from .polys import UPoly, compose_linear, peval
+from .polys import UPoly, compose_linear, peval, psum
 
 BUILD_SIGMA = -1
 
@@ -255,15 +255,10 @@ def radial_weights(n: int) -> Dict[int, int]:
 
 
 def radial_bilaplacian(n: int, r, derivs) -> float:
-    """sum_j N_j r^{j-4} u^(j) at r, from derivs = (u, u', u'', u''', u'''') at r.
-
-    Summed left to right (the built-in sum compensates from Python 3.12 on).
-    """
+    """sum_j N_j r^{j-4} u^(j) at r, from derivs = (u, u', u'', u''', u'''') at r,
+    summed left to right."""
     N = radial_weights(n)
-    acc = 0.0
-    for j in range(5):
-        acc += N[j] * r ** (j - 4) * derivs[j]
-    return float(acc)
+    return float(psum(N[j] * r ** (j - 4) * derivs[j] for j in range(5)))
 
 
 def angular_weights(n: int) -> Dict[int, int]:
@@ -278,8 +273,8 @@ def validate_weights(n: int, beta: Scalar) -> bool:
     fall = [1]
     for k in range(4):
         fall.append(fall[-1] * (beta - k))
-    radial = sum(N[j] * fall[j] for j in range(5))
-    angular = sum(M[j] * fall[j] for j in range(3))
+    radial = psum(N[j] * fall[j] for j in range(5))
+    angular = psum(M[j] * fall[j] for j in range(3))
     ok_r = radial == radial_symbol(n, beta)
     # coefficient of -nu in the mode symbol
     ok_a = angular == 2 * beta * beta + 2 * (n - 4) * beta - 2 * (n - 4)
@@ -302,8 +297,8 @@ def _assemble(n: int, rho_rel: Sequence, psi_rel: Sequence, r=None) -> Dict[str,
         c = [[r ** j * x for x in row] for j, row in enumerate(c)]
     N = radial_weights(n)
     M = angular_weights(n)
-    K = {l: sum(N[j] * c[j][l] for j in range(l, 5)) for l in range(5)}
-    J = {l: sum(M[j] * c[j][l] for j in range(l, 3)) for l in range(3)}
+    K = {l: psum(N[j] * c[j][l] for j in range(l, 5)) for l in range(5)}
+    J = {l: psum(M[j] * c[j][l] for j in range(l, 3)) for l in range(3)}
     out = {f"K{l}": K[l] for l in range(5)}
     out.update({f"J{l}": J[l] for l in range(3)})
     return out

@@ -6,8 +6,14 @@ dense output in one place.  The run is in float64: a state of any other
 dtype is converted on entry.  The Butcher tableau and the quartic
 interpolant matrix are the standard published constants, each rounded
 once from its exact ratio.  The step loop keeps each accepted step's
-stage matrix; the dense matrices are built when the run ends, in one
-stacked product, and inside a step only where an event crossed.
+stages; the dense matrices are built when the run ends, and inside a
+step only where an event crossed.
+
+Arithmetic rule: the step loop works on lists of Python floats, each sum
+left to right; the dense matrices and every dense-output query (Horner in
+theta) are elementwise numpy.  Nothing goes through BLAS, whose kernel,
+and so the order of a sum, numpy picks per CPU at run time: a run has the
+same bits on any CPU and BLAS build (powers come from the C library).
 """
 
 from __future__ import annotations
@@ -22,32 +28,31 @@ import numpy as np
 from .params import DomainError
 
 
-def _ratios(entries):
-    return [float(Fraction(e)) for e in entries]
+def _ratios(entries: str):
+    return [float(Fraction(e)) for e in entries.split()]
 
 
-_A = [np.array(_ratios(row)) for row in [
-    [],
-    ["1/5"],
-    ["3/40", "9/40"],
-    ["44/45", "-56/15", "32/9"],
-    ["19372/6561", "-25360/2187", "64448/6561", "-212/729"],
-    ["9017/3168", "-355/33", "46732/5247", "49/176", "-5103/18656"],
-    ["35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84"],
-]]
-_C = _ratios(["0", "1/5", "3/10", "4/5", "8/9", "1", "1"])
-# b5 - b4 (local error weights)
-_E = np.array(_ratios(["71/57600", "0", "-71/16695", "71/1920", "-17253/339200", "22/525",
-                       "-1/40"]))
-# quartic dense-output matrix (Shampine interpolant)
+# Butcher tableau: the nodes and rows of the stages after the first, and
+# b5 - b4 (the local error weights), each with its zero entries left out
+# (a61 = e1 = 0); the last two stages sit at c = 1
+_C1, _C2, _C3, _C4 = _ratios("1/5 3/10 4/5 8/9")
+_A10, = _ratios("1/5")
+_A20, _A21 = _ratios("3/40 9/40")
+_A30, _A31, _A32 = _ratios("44/45 -56/15 32/9")
+_A40, _A41, _A42, _A43 = _ratios("19372/6561 -25360/2187 64448/6561 -212/729")
+_A50, _A51, _A52, _A53, _A54 = _ratios("9017/3168 -355/33 46732/5247 49/176 -5103/18656")
+_A60, _A62, _A63, _A64, _A65 = _ratios("35/384 500/1113 125/192 -2187/6784 11/84")
+_E0, _E2, _E3, _E4, _E5, _E6 = _ratios("71/57600 -71/16695 71/1920 -17253/339200 22/525 -1/40")
+# quartic dense-output matrix (Shampine interpolant): row i weighs stage i,
+# column m is the coefficient of theta^(m+1)
 _P = np.array([_ratios(row) for row in [
-    ["1", "-8048581381/2820520608", "8663915743/2820520608", "-12715105075/11282082432"],
-    ["0", "0", "0", "0"],
-    ["0", "131558114200/32700410799", "-68118460800/10900136933", "87487479700/32700410799"],
-    ["0", "-1754552775/470086768", "14199869525/1410260304", "-10690763975/1880347072"],
-    ["0", "127303824393/49829197408", "-318862633887/49829197408", "701980252875/199316789632"],
-    ["0", "-282668133/205662961", "2019193451/616988883", "-1453857185/822651844"],
-    ["0", "40617522/29380423", "-110615467/29380423", "69997945/29380423"],
+    "1 -8048581381/2820520608 8663915743/2820520608 -12715105075/11282082432",
+    "0 0 0 0",
+    "0 131558114200/32700410799 -68118460800/10900136933 87487479700/32700410799",
+    "0 -1754552775/470086768 14199869525/1410260304 -10690763975/1880347072",
+    "0 127303824393/49829197408 -318862633887/49829197408 701980252875/199316789632",
+    "0 -282668133/205662961 2019193451/616988883 -1453857185/822651844",
+    "0 40617522/29380423 -110615467/29380423 69997945/29380423",
 ]])
 
 _SAFETY = 0.9
@@ -133,8 +138,7 @@ class Trajectory:
         idx = np.clip(idx, 0, len(starts) - 1)
         hs = self.h[idx]
         th = np.clip((tqs - starts[idx]) / hs, 0.0, 1.0)
-        powers = th[:, None] ** np.arange(1, self.dense.shape[-1] + 1)
-        return self.y[idx] + hs[:, None] * (self.dense[idx] @ powers[:, :, None])[:, :, 0]
+        return self.y[idx] + hs[:, None] * _horner(self.dense[idx], th[:, None])
 
     def _node_rows(self, tqs):
         order = np.argsort(self.t, kind="stable")
@@ -146,33 +150,59 @@ class Trajectory:
         return yn[idx] + w * (yn[idx + 1] - yn[idx])
 
 
+def _horner(Q, th):
+    """sum over m of Q[..., m] th^(m+1) by Horner's rule, elementwise."""
+    acc = Q[..., -1]
+    for m in range(Q.shape[-1] - 2, -1, -1):
+        acc = acc * th + Q[..., m]
+    return acc * th
+
+
+def _dense_matrices(K):
+    """The quartic matrices (steps, dim, 4) of the stages K (steps, 7, dim):
+    each stage times its row of _P, added in stage order, elementwise."""
+    Q = K[:, 0, :, None] * _P[0]
+    for i in range(1, 7):
+        Q = Q + K[:, i, :, None] * _P[i]
+    return Q
+
+
 def _rms(v, sc):
-    # np.sqrt(np.mean(w ** 2)) bit for bit; np.dot would sum in another order
-    w = v / sc
-    return math.sqrt(float(np.add.reduce(w * w)) / w.size)
+    """sqrt(mean((v / sc)^2)), summed left to right."""
+    acc = 0.0
+    for a, s in zip(v, sc):
+        w = a / s
+        acc += w * w
+    return math.sqrt(acc / len(v))
 
 
-def _all_finite(a) -> bool:
-    """All entries finite, as np.isfinite(a).all() decides."""
-    return all(map(math.isfinite, a.tolist()))
+def _stages(f, t, h, y, k0):
+    """``(y6, [k0, ..., k6])`` for one step of size h from (t, y), y6 the
+    5th-order solution (FSAL layout).  Each stage input is one left-to-right
+    pass over its tableau row's nonzero entries.  f passes a non-finite input
+    on, so a non-finite stage makes k6 one."""
+    k1 = f(t + _C1 * h, [a + h * (_A10 * b0) for a, b0 in zip(y, k0)])
+    k2 = f(t + _C2 * h, [a + h * (_A20 * b0 + _A21 * b1) for a, b0, b1 in zip(y, k0, k1)])
+    k3 = f(t + _C3 * h, [a + h * (_A30 * b0 + _A31 * b1 + _A32 * b2)
+                         for a, b0, b1, b2 in zip(y, k0, k1, k2)])
+    k4 = f(t + _C4 * h, [a + h * (_A40 * b0 + _A41 * b1 + _A42 * b2 + _A43 * b3)
+                         for a, b0, b1, b2, b3 in zip(y, k0, k1, k2, k3)])
+    k5 = f(t + h, [a + h * (_A50 * b0 + _A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
+                   for a, b0, b1, b2, b3, b4 in zip(y, k0, k1, k2, k3, k4)])
+    y6 = [a + h * (_A60 * b0 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
+          for a, b0, b2, b3, b4, b5 in zip(y, k0, k2, k3, k4, k5)]
+    return y6, [k0, k1, k2, k3, k4, k5, f(t + h, y6)]
 
 
-def _beyond(mags, guard) -> bool:
-    """max(mags) > guard as np.max decides it: a NaN anywhere is no blow-up."""
-    m = mags.tolist()
-    return max(m) > guard and not any(map(math.isnan, m))
-
-
-def _initial_step(rhs, t0, y0, f0, tspan, rel_tol, abs_tol):
-    """First step size from f0 = rhs(t0, y0) and one more evaluation."""
-    sc = abs_tol + rel_tol * np.abs(y0)
+def _initial_step(f, t0, y0, f0, tspan, rel_tol, abs_tol):
+    """First step size from f0 = f(t0, y0) and one more evaluation."""
+    sc = [abs_tol + rel_tol * abs(a) for a in y0]
     d0 = _rms(y0, sc)
     d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * tspan)
-    y1 = y0 + h0 * f0
-    f1 = np.asarray(rhs(t0 + h0, y1), dtype=float)
-    d2 = _rms(f1 - f0, sc) / h0
+    f1 = f(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
+    d2 = _rms([a - b for a, b in zip(f1, f0)], sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -185,31 +215,34 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
               events: Optional[Sequence[Event]] = None) -> Trajectory:
     """Integrate state' = rhs(t, state) from t0 to t1 adaptively, in float64.
 
-    Backward runs (t1 < t0) are handled by time reflection.  When any
-    state component exceeds ``guard`` in absolute value, the run stops
-    with ``status="blowup"`` and the truncated trajectory is returned; a
-    collapsing step raises StepUnderflowError carrying the partial
-    trajectory.  NaN or non-positive tolerances or guard (``inf`` turns the
-    guard off), a non-finite t0 or t1 and an empty or non-finite initial
-    state raise DomainError before any RHS call.
+    rhs and the event functions receive the state as a float64 array; rhs
+    returns a list of floats, used as it is, or what numpy reads as a
+    float64 array.  Backward runs (t1 < t0) are handled by time reflection.
+    When any state component exceeds ``guard`` in absolute value, the run
+    stops with ``status="blowup"`` and the truncated trajectory is
+    returned; a collapsing step raises StepUnderflowError carrying the
+    partial trajectory.  NaN, infinite or non-positive tolerances, a NaN or
+    non-positive guard (``inf`` turns the guard off), a non-finite t0 or t1
+    and an empty or non-finite initial state raise DomainError before any
+    RHS call, and a non-finite rhs(t0, state0) right after it.
     """
-    if not (rel_tol > 0 and abs_tol > 0):
-        raise DomainError("tolerances must be positive")
+    if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
+        raise DomainError("tolerances must be positive and finite")
     if not guard > 0:
         raise DomainError(f"blow-up guard must be positive, got {guard}")
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise DomainError(f"non-finite integration span from {t0} to {t1}")
     if t1 == t0:
         raise DomainError("empty integration span")
-    y = np.array(state0, dtype=float, ndmin=1)
-    if not y.size:
+    y = np.array(state0, dtype=float, ndmin=1).tolist()
+    if not y:
         raise DomainError("empty initial state")
-    if not _all_finite(y):
+    if not all(map(math.isfinite, y)):
         raise DomainError("non-finite initial state")
     direction = 1 if t1 > t0 else -1
     if direction < 0:
         fwd = rhs
-        rhs = lambda s, y: -np.asarray(fwd(t0 - s, y))
+        rhs = lambda s, x: -np.asarray(fwd(t0 - s, x), dtype=float)
         events = [Event(g=(lambda s, y, g0=e.g: g0(t0 - s, y)),
                         direction=-e.direction, terminal=e.terminal)
                   for e in (events or [])]
@@ -220,36 +253,37 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     span = tB - t
     events = list(events or [])
     ev_hits: List[list] = [[] for _ in events]
-    theta_pows = np.arange(1, 5)
+    nstep = nrej = nfev = 0
 
-    k = np.empty((7, y.size))            # row 0 is the FSAL stage of the step
-    k_rows = [k[:i] for i in range(7)]   # stage i combines rows k[:i]
-    stage = list(k)                      # row views, written in place
-    ay = np.abs(y)
-    k[0] = rhs(t, y)
-    h = _initial_step(rhs, t, y, k[0], span, rel_tol, abs_tol)
+    def f(s, x):   # rhs(s, x) as floats; a non-finite x fails its step unevaluated
+        nonlocal nfev
+        if not all(map(math.isfinite, x)):
+            return x
+        nfev += 1
+        k = rhs(s, np.array(x))
+        return k if type(k) is list else np.asarray(k, dtype=float).tolist()
+
+    ay = [abs(a) for a in y]
+    k0 = f(t, y)
+    if not all(map(math.isfinite, k0)):
+        raise DomainError("non-finite derivative at the initial state")
+    h = _initial_step(f, t, y, k0, span, rel_tol, abs_tol)
     ts = [t]
-    ys = [y]    # state arrays are never written in place: records share them
-    hs: list = []
-    ks: list = []   # the stage matrix of each accepted step
+    ys = [y]    # states are never written in place: records share them
+    hs, kss = [], []   # per accepted step: its size and its stages
     err_old = 1e-4
-    nstep = nrej = 0
-    nfev = 2
     status = "reached"
-    ev_vals = [e.g(t, y) for e in events]
+    ev_vals = [e.g(t, np.array(y)) for e in events]
 
     def finish(stat):
         tr_t = np.array(ts)
         tr_h = np.array(hs, dtype=float)
-        # one stacked product: the same bits as k.T @ _P step by step on the
-        # BLAS kernel numpy's OpenBLAS picks for the host CPU, whose bits the
-        # dense pins record (they fail under OPENBLAS_CORETYPE=Haswell)
-        tr_Q = np.array(ks).reshape(len(hs), 7, y.size).transpose(0, 2, 1) @ _P
+        tr_Q = _dense_matrices(np.array(kss, dtype=float).reshape(len(hs), 7, len(y)))
         hits = ev_hits
         if direction < 0:
             tr_t, tr_h, tr_Q = t0 - tr_t, -tr_h, -tr_Q
             hits = [[(t0 - te, ye) for (te, ye) in lst] for lst in ev_hits]
-        return Trajectory(t=tr_t, y=np.array(ys), h=tr_h, dense=tr_Q,
+        return Trajectory(t=tr_t, y=np.array(ys, dtype=float), h=tr_h, dense=tr_Q,
                           stats={"steps": nstep, "rejected": nrej, "rhs_evals": nfev},
                           status=stat, events=hits, direction=direction)
 
@@ -264,29 +298,16 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         if t + h >= tB:
             h = tB - t
             last = True
-        # one conversion of h serves the seven products below; ndarray.dot
-        # is np.dot's gemv without np.dot's dispatch wrapper.  The step-loop
-        # pins record the bits of the gemv kernel numpy's OpenBLAS picks for
-        # the host CPU (they fail under OPENBLAS_CORETYPE=Haswell)
-        h_arr = np.array(h)
-        failed_stage = False
-        for i in range(1, 7):
-            yi = y + h_arr * _A[i].dot(k_rows[i])
-            stage[i][...] = rhs(t + _C[i] * h, yi)
-            # per stage: a non-finite stage must not reach the next RHS call
-            if not _all_finite(stage[i]):
-                failed_stage = True
-                break
-        nfev += i
-        if failed_stage:
+        y_new, ks = _stages(f, t, h, y, k0)
+        if not all(map(math.isfinite, ks[6])):
             nrej += 1
             h = h * 0.25
             last = False
             continue
-        y_new = yi  # the stage-7 input is the 5th-order solution (FSAL layout)
-        ay_new = np.abs(y_new)
-        sc = abs_tol + rel_tol * np.maximum(ay, ay_new)
-        err = _rms(h_arr * _E.dot(k), sc)
+        ay_new = [abs(a) for a in y_new]
+        sc = [abs_tol + rel_tol * (b if b > a else a) for a, b in zip(ay, ay_new)]
+        err = _rms([h * (_E0 * b0 + _E2 * b2 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6)
+                    for b0, b2, b3, b4, b5, b6 in zip(ks[0], *ks[2:])], sc)
         nstep += 1
         if err > 1.0:
             nrej += 1
@@ -295,25 +316,22 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         Q = None   # the dense matrix, here only where an event crossed
         t_new = tB if last else t + h
         stop_here = None
+        y_arr = np.array(y_new) if events else None
         for ie, ev in enumerate(events):
             v_old = ev_vals[ie]
-            v_new = ev.g(t_new, y_new)
+            v_new = ev.g(t_new, y_arr)
             crossed = ((v_old < 0 <= v_new) and ev.direction >= 0) or \
                       ((v_old > 0 >= v_new) and ev.direction <= 0)
             if crossed and v_old != 0:
                 if Q is None:
-                    Q = k.T @ _P
+                    Q = _dense_matrices(np.array([ks]))[0]
+                    y_start = np.array(y)
                 th_lo, th_hi, g_lo = 0.0, 1.0, v_old
-
-                def g_at(th):
-                    yq = y + h * (Q @ (th ** theta_pows))
-                    return ev.g(t + th * h, yq)
-
                 for _ in range(90):
                     mid = (th_lo + th_hi) / 2
                     if mid == th_lo or mid == th_hi:
                         break
-                    gm = g_at(mid)
+                    gm = ev.g(t + mid * h, y_start + h * _horner(Q, mid))
                     if gm == 0.0:
                         th_lo = th_hi = mid
                         break
@@ -323,24 +341,23 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                         th_lo, g_lo = mid, gm
                 th = (th_lo + th_hi) / 2
                 te = t + th * h
-                ye = y + h * (Q @ (th ** theta_pows))
-                ev_hits[ie].append((te, ye.copy()))
+                ye = y_start + h * _horner(Q, th)
+                ev_hits[ie].append((te, ye))
                 if ev.terminal and (stop_here is None or te < stop_here[0]):
                     stop_here = (te, ye)
             ev_vals[ie] = v_new
         hs.append(h)
-        ks.append(k.copy())
+        kss.append(ks)
         if stop_here is not None:
             ts.append(stop_here[0])
-            ys.append(stop_here[1])
+            ys.append(stop_here[1].tolist())
             status = "event"
             break
         t = t_new
-        y, ay = y_new, ay_new
-        k[0] = k[6]
+        y, ay, k0 = y_new, ay_new, ks[6]
         ts.append(t)
         ys.append(y)
-        if _beyond(ay, guard):
+        if max(ay) > guard:   # no NaN: an accepted state is finite
             status = "blowup"
             break
         fac = _SAFETY * err ** -_EXPO * err_old ** _BETA if err > 0 else _FAC_MAX

@@ -86,7 +86,7 @@ class LedgerEntry:
     verdict: str
     note: str = ""
 
-    def require_valid(self):
+    def __post_init__(self):
         if self.verdict == SIGN_CONVENTION and not any(
                 self.symbol.startswith(p) for p in _SIGN_FAMILY_PREFIXES):
             raise ValueError(
@@ -153,14 +153,12 @@ def _entry_formula(symbol: str, location: str, printed, oracle, sigma_flip=None,
             "matches the opposite sign convention (odd coefficient)"
     else:
         verdict = MISMATCH
-    e = LedgerEntry(symbol=symbol, location=location,
-                    printed=format_tpoly(printed) if isinstance(printed, (UPoly, dict))
-                    else format_number(printed),
-                    oracle=format_tpoly(oracle) if isinstance(oracle, (UPoly, dict))
-                    else format_number(oracle),
-                    verdict=verdict, note=note)
-    e.require_valid()
-    return e
+    return LedgerEntry(symbol=symbol, location=location,
+                       printed=format_tpoly(printed) if isinstance(printed, (UPoly, dict))
+                       else format_number(printed),
+                       oracle=format_tpoly(oracle) if isinstance(oracle, (UPoly, dict))
+                       else format_number(oracle),
+                       verdict=verdict, note=note)
 
 
 @functools.cache
@@ -195,12 +193,10 @@ def build_ledger() -> Tuple[LedgerEntry, ...]:
     for name in names:
         pr, om = witness_pr[name], witness_om[name]
         note = f"checked exactly on n in {ns}, rational s grid; witness (n=5, s=7)"
-        e = LedgerEntry(symbol=f"{name}(n,s) printed formula",
-                        location="main text: constant-coefficient block",
-                        printed=format_number(pr), oracle=format_number(om),
-                        verdict=status[name], note=note)
-        e.require_valid()
-        entries.append(e)
+        entries.append(LedgerEntry(symbol=f"{name}(n,s) printed formula",
+                                   location="main text: constant-coefficient block",
+                                   printed=format_number(pr), oracle=format_number(om),
+                                   verdict=status[name], note=note))
     entries.append(_entry_formula(
         "J40(n,s) appendix formula", "appendix: fourth-order table",
         printed_appendix_J40(5, Fraction(9)), oracle_autonomous(5, Fraction(9), sigma)["J0"],

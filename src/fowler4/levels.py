@@ -15,7 +15,7 @@ from typing import Dict, Optional
 from .coefficients import (BUILD_SIGMA, hat_constant, oracle_autonomous,
                            printed_nonautonomous_polys)
 from .params import DomainError, Params, Scalar, as_exact, is_exact, special_exponents
-from .polys import UPoly
+from .polys import UPoly, psum
 
 
 @dataclass(frozen=True)
@@ -173,11 +173,7 @@ def definitional_p_polys(n: int) -> Dict[str, dict]:
 
 
 def _eval_tpoly(tmap: dict, t: float) -> float:
-    # summed left to right: the built-in sum compensates from Python 3.12 on
-    acc = 0.0
-    for k, c in tmap.items():
-        acc += float(c) * float(t) ** k
-    return acc
+    return float(psum(float(c) * float(t) ** k for k, c in tmap.items()))
 
 
 def p0_large_t_sign(n: int) -> int:

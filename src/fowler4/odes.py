@@ -23,39 +23,26 @@ from .polys import peval
 
 def ray_state(scalars, lam: np.ndarray) -> np.ndarray:
     """Embed a scalar state (v, v', v'', v''') along a direction lam."""
-    lam = np.asarray(lam, dtype=float)
-    out = np.empty(4 * lam.size)
-    for i, li in enumerate(lam):
-        out[4 * i: 4 * i + 4] = li * np.asarray(scalars, dtype=float)
-    return out
+    return np.outer(np.asarray(lam, dtype=float), np.asarray(scalars, dtype=float)).ravel()
 
 
-def _component_rhs(y, ys, exponent: float, scale: float, K0, K1, K2, K3) -> np.ndarray:
-    """The derivative of each 4-block (v, v', v'', v''') of a float64 state
-    y, whose Python floats are ys, with
-    v'''' = scale |V|^exponent v - K3 v''' - K2 v'' - K1 v' - K0 v.
-
-    |V| is the Euclidean norm over the v entries of all blocks; at V = 0
-    the coupling term is continued by 0.  |V|^2 is the BLAS ddot of
-    np.dot (called as the ndarray method, which skips np.dot's dispatch
-    wrapper); for one block it is v*v, which is what a dot product of one
-    pair rounds to; for more, the bits are those of the ddot kernel that
-    numpy's OpenBLAS picks for the host CPU.  The rest is Python float
-    arithmetic on ys, left to right, with the bits of the same expression
-    on numpy float64 scalars.  The result is built once from a list.
+def _component_rhs(ys, exponent: float, scale: float, K0, K1, K2, K3) -> list:
+    """The derivative of each 4-block (v, v', v'', v''') of the state ys, with
+    v'''' = scale |V|^exponent v - K3 v''' - K2 v'' - K1 v' - K0 v; ys and
+    the result are lists of Python floats.  |V| is the Euclidean norm over
+    the v entries of all blocks, its square summed left to right; at V = 0
+    the coupling term is continued by 0.
     """
-    if len(ys) == 4:
-        vsq = ys[0] * ys[0]
-    else:
-        vals = y[0::4]
-        vsq = float(vals.dot(vals))
+    vsq = 0.0
+    for v in ys[0::4]:
+        vsq += v * v
     vnorm = math.sqrt(vsq)
     coup = vnorm ** exponent * scale if vnorm > 0 else 0.0
     out = []
     for b in range(0, len(ys), 4):
         v, v1, v2, v3 = ys[b:b + 4]
         out += (v1, v2, v3, coup * v - K3 * v3 - K2 * v2 - K1 * v1 - K0 * v)
-    return np.array(out)
+    return out
 
 
 def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
@@ -63,18 +50,17 @@ def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
 
     |V| is the Euclidean norm over the component values.  At V = 0 the
     product |V|^{s-1} v_i is continued by 0 (s > 1).  Any real state is
-    read as float64, and the result is float64.
+    read as float64, and the result is a list of Python floats.
     """
     c = oracle_autonomous(params.n, params.s, sigma)
     K0, K1, K2, K3 = (float(c["K0"]), float(c["K1"]), float(c["K2"]), float(c["K3"]))
     sm1 = float(params.s) - 1.0
 
     def rhs(t, y):
-        y = np.asarray(y, dtype=float)
-        ys = y.tolist()
+        ys = np.asarray(y, dtype=float).tolist()
         if not all(map(math.isfinite, ys)):
             raise DomainError("non-finite state")
-        return _component_rhs(y, ys, sm1, 1.0, K0, K1, K2, K3)
+        return _component_rhs(ys, sm1, 1.0, K0, K1, K2, K3)
 
     return rhs
 
@@ -83,7 +69,7 @@ def make_nonautonomous_rhs(n: int) -> Callable:
     """w_i'''' = t^{-1} |W|^{q-1} w_i - K~3 w''' - K~2 w'' - K~1 w' - K~0 w,
 
     with q the lower exponent n/(n-4); defined for t > 0 only.  Any real
-    state is read as float64, and the result is float64.
+    state is read as float64, and the result is a list of Python floats.
     """
     polys = printed_nonautonomous_polys(n)
     qm1 = float(special_exponents(n).lower) - 1.0
@@ -93,8 +79,8 @@ def make_nonautonomous_rhs(n: int) -> Callable:
         if t <= 0:
             raise DomainError(f"time-dependent system requires t > 0, got t={t}")
         u = 1.0 / float(t)
-        y = np.asarray(y, dtype=float)
-        return _component_rhs(y, y.tolist(), qm1, u, peval(fk["K0"], u), peval(fk["K1"], u),
+        return _component_rhs(np.asarray(y, dtype=float).tolist(), qm1, u,
+                              peval(fk["K0"], u), peval(fk["K1"], u),
                               peval(fk["K2"], u), peval(fk["K3"], u))
 
     return rhs

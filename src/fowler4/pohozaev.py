@@ -19,7 +19,7 @@ from .coefficients import (BUILD_SIGMA, hat_constant, oracle_autonomous,
 from .integrate import Trajectory
 from .odes import make_nonautonomous_rhs
 from .params import DomainError, Params, special_exponents, unit_sphere_area
-from .polys import peval
+from .polys import peval, psum
 
 # monotonicity_check_aviles: the shortest span it judges, and the relative
 # spread of |W| (and bound on |W'|) on the tail that counts as settled
@@ -36,16 +36,17 @@ def _blocks(ys):
     return ys[:, 0::4], ys[:, 1::4], ys[:, 2::4], ys[:, 3::4]
 
 
-# The row energies below keep the bits of a one-row evaluation with np.dot
-# on the BLAS kernel numpy's OpenBLAS picks for the host CPU: there np.vecdot
-# sums each row as np.dot's ddot does (a column-wise sum rounds
-# differently), sqrt(vecdot(v, v)) is np.linalg.norm of the row (norm with
-# axis=1 is not), and |V|^e is a Python float power per row, which numpy's
-# vectorised power does not match in the last bit.  Under another kernel
-# (OPENBLAS_CORETYPE=Prescott) np.vecdot and np.dot differ in the last bits.
+# The row energies below are elementwise numpy over the rows, each dot
+# product summed left to right, so every row has the bits of one state's
+# evaluation on any CPU.  |V|^e is a Python float power per row: numpy's
+# vectorised power may pick another routine, and rounding, per CPU.
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return psum(a[:, j] * b[:, j] for j in range(a.shape[1]))
+
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.vecdot(v, v))
+    return np.sqrt(_dots(v, v))
 
 
 def _norm_powers(v: np.ndarray, e: float) -> np.ndarray:
@@ -61,9 +62,9 @@ def _radial_rows(params: Params, ys, c: Dict[str, float]) -> Tuple[np.ndarray, n
     """H and its monotonicity density K1 |V'|^2 - K3 |V''|^2 on each row."""
     v, v1, v2, v3 = _blocks(ys)
     s = float(params.s)
-    d11, d22 = np.vecdot(v1, v1), np.vecdot(v2, v2)
-    H = (-(np.vecdot(v3, v1) + c["K3"] * np.vecdot(v2, v1))
-         + 0.5 * (d22 - c["K2"] * d11 - c["K0"] * np.vecdot(v, v))
+    d11, d22 = _dots(v1, v1), _dots(v2, v2)
+    H = (-(_dots(v3, v1) + c["K3"] * _dots(v2, v1))
+         + 0.5 * (d22 - c["K2"] * d11 - c["K0"] * _dots(v, v))
          + _norm_powers(v, s + 1) / (s + 1))
     return H, c["K1"] * d11 - c["K3"] * d22
 
@@ -122,9 +123,9 @@ def _aviles_rows(n: int, ys, ts: np.ndarray) -> np.ndarray:
     K0, K2, K3 = (peval([float(c) for c in polys[k].coeffs], u) for k in ("K0", "K2", "K3"))
     w, w1, w2, w3 = _blocks(ys)
     q = float(special_exponents(n).lower)
-    return (-ts * (np.vecdot(w3, w1) + K3 * np.vecdot(w2, w1))
-            + 0.5 * ts * (np.vecdot(w2, w2) - K2 * np.vecdot(w1, w1)
-                          - K0 * np.vecdot(w, w))
+    return (-ts * (_dots(w3, w1) + K3 * _dots(w2, w1))
+            + 0.5 * ts * (_dots(w2, w2) - K2 * _dots(w1, w1)
+                          - K0 * _dots(w, w))
             + _norm_powers(w, q + 1) / (q + 1))
 
 

@@ -20,6 +20,14 @@ def padd(a: Sequence, b: Sequence) -> Poly:
     return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
 
 
+def psum(terms):
+    """sum() left to right (the built-in compensates floats from 3.12 on)."""
+    acc = 0
+    for x in terms:
+        acc = acc + x
+    return acc
+
+
 def pscale(a: Sequence, c) -> Poly:
     return [c * ai for ai in a]
 

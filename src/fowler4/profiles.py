@@ -21,6 +21,7 @@ if TYPE_CHECKING:
 from .bubble import bubble_radial, bubble_radial_derivatives
 from .coefficients import hat_constant, oracle_autonomous, radial_bilaplacian
 from .params import DomainError, gamma_exponent, special_exponents, unit_sphere_area
+from .polys import psum
 
 _RESIDUAL_RMIN = 1e-8
 _RESIDUAL_RMAX = 1e8
@@ -58,11 +59,11 @@ def fd_derivative(f: Callable[[float], float], r: float, order: int) -> float:
 
     def diff(hh):
         if order % 2:
-            acc = sum(w * (f(r + k * hh) - f(r - k * hh))
-                      for k, w in zip((1, 2, 3, 4), ws))
+            acc = psum(w * (f(r + k * hh) - f(r - k * hh))
+                       for k, w in zip((1, 2, 3, 4), ws))
         else:
-            acc = w0 * f(r) + sum(w * (f(r + k * hh) + f(r - k * hh))
-                                  for k, w in zip((1, 2, 3, 4), ws))
+            acc = w0 * f(r) + psum(w * (f(r + k * hh) + f(r - k * hh))
+                                   for k, w in zip((1, 2, 3, 4), ws))
         return acc / hh**order
 
     fac = 2.0 ** base

@@ -79,6 +79,19 @@ def test_signs_short_or_malformed_grid_exits_2_without_output(tmp_path, grid):
     ("fit", "--n", "5", "--profile", "aviles", "--num", "11"),
     ("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--rel-tol", "nan"),
     ("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--abs-tol", "nan"),
+    # a scalar beyond float range (these exited 1 on OverflowError, classify 0)
+    ("coeffs", "--n", "5", "--s", "1e400"),
+    ("pohozaev", "--n", "5", "--s", "1e400"),
+    ("fit", "--n", "5", "--s", "1e400"),
+    ("classify", "--n", "5", "--s", "1e400"),
+    ("integrate", "--n", "5", "--s", "1e400", "--init", "1,0,0,0"),
+    ("integrate", "--n", "5", "--s", "7", "--init", "1e400,0,0,0"),
+    ("shoot", "--n", "6", "--a-grid", "1e400"),
+    # an infinite tolerance
+    ("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--rel-tol", "1e400"),
+    ("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--abs-tol", "inf"),
+    # |V|^2 overflows: the derivative at the initial state is not finite
+    ("integrate", "--n", "5", "--s", "7", "--init", "1e200,0,0,0"),
 ])
 def test_malformed_or_empty_input_exits_2_without_output(tmp_path, capsys, args):
     target = tmp_path / "out.csv"
@@ -262,14 +275,16 @@ _PINNED_ARTIFACTS = {
                    ["76380a0dae066a62", "34ddf88860d3c0dd"]),
     "fit-bubble": (("fit", "--n", "6", "--profile", "bubble"), "--samples-out",
                    ["1faf8a311c47ecf7", "2369b91a4fb24e94"]),
+    # re-recorded when the integrator, the RHS and the row energies left
+    # BLAS for one left-to-right arithmetic: both files moved in the last bits
     "integrate": (_INTEGRATE, "--energy-out",
-                  ["cd8c3f75d736cade", "553e6b9ac35528b9"]),
+                  ["26906b9b30bf02eb", "8a752c106046c90f"]),
     # p = 3: the energy's dot products sum three terms, so a reordered sum
     # shows here where the p = 1 pin's single products cannot
     "integrate-p3": (("integrate", "--n", "5", "--s", "7", "--p", "3", "--init",
                       "0.3,-0.2,0.1,0.25,-0.15,0.05,0.2,-0.1,0.1,0.3,-0.25,0.05",
                       "--t-end", "2"), "--energy-out",
-                     ["0f802e02162a5be4", "31c345d4e7ec9065"]),
+                     ["f3506d567fddcf1e", "3ebac64a0aa31996"]),
     # recorded while Dormand-Prince still ran the crash/escape bracket; the
     # CSV's 17 significant digits pin the float64 roots bit for bit
     "shoot": (("shoot", "--n", "6", "--a-grid", "3/5,9/10"), None,

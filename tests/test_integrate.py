@@ -3,6 +3,10 @@
 import hashlib
 import importlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -143,7 +147,8 @@ def test_non_finite_span_raises_before_any_step(t0, t1):
 
 
 @pytest.mark.parametrize("rel_tol, abs_tol", [(np.nan, 1e-11), (1e-9, np.nan),
-                                              (0.0, 1e-11), (1e-9, -1.0)])
+                                              (0.0, 1e-11), (1e-9, -1.0),
+                                              (np.inf, 1e-11), (1e-9, np.inf)])
 def test_nan_or_nonpositive_tolerance_raises_before_any_step(rel_tol, abs_tol):
     calls = []
     rhs = lambda t, y: calls.append(t) or _linear_rhs(t, y)
@@ -166,6 +171,15 @@ def test_empty_state_or_nan_or_nonpositive_guard_raises_before_any_step(state0, 
     with pytest.raises(DomainError, match=match):
         integrate(rhs, 0.0, state0, 100.0, guard=guard)
     assert calls == []
+
+
+def test_non_finite_initial_derivative_raises_after_one_call():
+    # it left the first step size 0: a division by zero in the start-up
+    calls = []
+    rhs = lambda t, y: calls.append(t) or np.array([y[1], np.inf])
+    with pytest.raises(DomainError, match="non-finite derivative"):
+        integrate(rhs, 0.0, np.array([1.0, 0.0]), 1.0)
+    assert calls == [0.0]
 
 
 def test_infinite_guard_turns_the_blowup_stop_off():
@@ -275,6 +289,36 @@ def test_failed_stage_rejects_and_counts_only_evaluated_stages(dtype, threshold,
     assert nonfinite_inputs[0] == 0
 
 
+def test_an_overflowing_state_is_never_accepted():
+    # y' = 1e300 overflows float64 at t ~ 1.8e8: a stage input that
+    # overflows fails its step, so no RHS call sees it and the run stops
+    # on its last finite state (before, the run went on with y = inf and
+    # ended "reached")
+    inputs = []
+
+    def rhs(t, y):
+        inputs.append(y.tolist())
+        return np.full_like(y, 1e300)
+
+    with pytest.raises(StepUnderflowError) as exc:
+        integrate(rhs, 0.0, np.array([0.0]), 1e9, rel_tol=1e-6, abs_tol=1e290,
+                  guard=np.inf)
+    part = exc.value.trajectory
+    assert np.all(np.isfinite(part.y)) and part.y[-1, 0] > 1e308
+    assert all(map(math.isfinite, (v for x in inputs for v in x)))
+    assert part.stats["rhs_evals"] == len(inputs)
+
+
+def test_a_list_and_an_array_rhs_value_give_the_same_run():
+    # a list is used as it is, an array read through tolist()
+    y0 = np.array([1.0, 0.3, -0.2, 0.1])
+    as_array = integrate(_linear_rhs, 0.0, y0, 5.0, rel_tol=1e-10, abs_tol=1e-12)
+    as_list = integrate(lambda t, y: _linear_rhs(t, y).tolist(), 0.0, y0, 5.0,
+                        rel_tol=1e-10, abs_tol=1e-12)
+    assert _digest(as_list) == _digest(as_array)
+    assert _dense_digest(as_list) == _dense_digest(as_array)
+
+
 def _hi_lo(a):
     """A float64 hi/lo split: the padding bytes of a longdouble are undefined."""
     a = np.asarray(a)
@@ -351,39 +395,71 @@ def _autonomous_8_5_3_with_hits(backward=False):
 
 # name: (run, digest of t, y, stats and hits, digest of the dense output)
 _PINNED_RUNS = {
-    "probe-orbit-f64": (_probe_orbit, "3c75fe4d00a7da8a", "127a24c64f85ef9a"),
+    "probe-orbit-f64": (_probe_orbit, "5cc30b3e0b2aa3db", "707c5558ad800ed8"),
     "autonomous-p3-cap": (_capped_autonomous_p3,
-                          "d1437b8662ac5b49", "5e282d692436f041"),
+                          "c85da01766ae9375", "0ef2621b830f05ec"),
     "probe-orbit-f64-backward": (lambda: _probe_orbit(backward=True),
-                                 "697d75c8b5184b0d", "fd5ab0fb8f890901"),
+                                 "404b4ddd04712606", "eb92677019e60b0f"),
     "autonomous-8-5/3-cap": (_capped_autonomous_8_5_3,
-                             "e043c6ea7787e0b2", "681fe6f4305592a0"),
+                             "9a6eae34dc7807ec", "57b01a8626b092e6"),
     "autonomous-8-5/3-hits": (_autonomous_8_5_3_with_hits,
-                              "2b0739d0ddccf597", "73e2d928de476aae"),
+                              "6308b47fee500284", "187a456ba6c2b299"),
     "autonomous-8-5/3-hits-backward": (lambda: _autonomous_8_5_3_with_hits(backward=True),
-                                       "e276faeee1ece44e", "cd4f339c9be38065"),
+                                       "0914d80148f2c878", "6cd8c7974827b068"),
 }
 
 
 @pytest.mark.parametrize("name", list(_PINNED_RUNS))
 def test_step_loop_output_is_bit_pinned(name):
-    """Every bit of t, y, stats and event hits of fixed runs, as recorded
-    before the step loop lost its numpy reduction wrappers (the backward
-    run: before the trajectory kept its steps as arrays; the (8, 5/3)
-    runs: before the RHS and the step loop lost their per-element numpy
-    traffic and the dense matrices were built when the run ends); an
-    edit of the hot path must keep them.  The stats part was re-recorded
-    when the start-up stopped evaluating rhs(t0, y0) twice: each run's
-    rhs_evals fell by one, and its t, y and hits kept every bit.
-    Recorded with numpy 2.4 (OpenBLAS) on x86-64: a platform that rounds
-    the stage sums differently needs its own record."""
+    """Every bit of t, y, stats and event hits of fixed runs; an edit of
+    the hot path must keep them.  Re-recorded once when the stage sums,
+    the error norm and the RHS's |V|^2 left BLAS for left-to-right Python
+    float sums and event location moved to the dense output's Horner form.
+    No BLAS kernel touches these bits, so they hold on any CPU."""
     assert _digest(_PINNED_RUNS[name][0]()) == _PINNED_RUNS[name][1]
 
 
 @pytest.mark.parametrize("name", list(_PINNED_RUNS))
 def test_dense_output_is_bit_pinned(name):
-    """Every bit of 1601 dense-output rows of the same runs, as recorded
-    before the trajectory kept its steps as stacked arrays (the (8, 5/3)
-    runs: before its dense matrices came from one stacked product);
-    recorded on the same platform as the step-loop pins."""
+    """Every bit of 1601 dense-output rows of the same runs.  Re-recorded
+    with the step-loop pins, when the dense matrices became elementwise
+    sums and the query Horner's rule in theta."""
     assert _dense_digest(_PINNED_RUNS[name][0]()) == _PINNED_RUNS[name][2]
+
+
+_KERNEL_PINS = """
+import pathlib, tempfile
+import test_cli, test_integrate, test_shooting
+for name, (run, steps, dense) in test_integrate._PINNED_RUNS.items():
+    traj = run()
+    assert test_integrate._digest(traj) == steps, name
+    assert test_integrate._dense_digest(traj) == dense, name
+test_shooting.test_find_b_is_bit_pinned((6, 0.62))
+with tempfile.TemporaryDirectory() as tmp:
+    for name in ("integrate", "integrate-p3"):
+        args, side, want = test_cli._PINNED_ARTIFACTS[name]
+        assert test_cli._artifact_digests(pathlib.Path(tmp), args, side) == want, name
+"""
+
+
+def test_bit_pins_hold_under_every_openblas_kernel():
+    """The pins that once followed the BLAS kernel (the runs above, find_b
+    at (6, 0.62 a0) and the integrate artifacts), recomputed in one fresh
+    process per kernel: the one OpenBLAS picks for this CPU, Haswell (AVX2)
+    and Prescott (SSE3).  OPENBLAS_CORETYPE does nothing where numpy's BLAS
+    is not a DYNAMIC_ARCH OpenBLAS; there the three processes agree
+    trivially."""
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    procs = {}
+    for kernel in ("", "Haswell", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = path
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        procs[kernel or "default"] = subprocess.Popen(
+            [sys.executable, "-c", _KERNEL_PINS], env=env, cwd=tests,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for kernel, proc in procs.items():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, (kernel, err)

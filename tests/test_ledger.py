@@ -33,12 +33,27 @@ def test_no_silent_match_for_known_mismatches(entries):
 
 
 def test_sign_convention_only_on_odd_family(entries):
+    odd = ("K1", "K3", "J1", "K21")
+    assert any(e.verdict == lg.SIGN_CONVENTION for e in entries)
     for e in entries:
-        e.require_valid()
-    bad = lg.LedgerEntry(symbol="K0 somewhere", location="x", printed="1",
-                         oracle="-1", verdict=lg.SIGN_CONVENTION)
-    with pytest.raises(ValueError):
-        bad.require_valid()
+        assert e.verdict != lg.SIGN_CONVENTION or e.symbol.startswith(odd), e.symbol
+    for prefix in odd:
+        lg.LedgerEntry(symbol=f"{prefix} somewhere", location="x", printed="1",
+                       oracle="-1", verdict=lg.SIGN_CONVENTION)
+
+
+@pytest.mark.parametrize("symbol", ["K0 somewhere", "K2 at lower exponent (table)",
+                                    "J0(n,s) printed formula"])
+def test_even_coefficient_sign_convention_entry_raises_at_construction(symbol):
+    # every entry checks itself when made, however it is made: most ledger
+    # entries were built without the explicit check
+    with pytest.raises(ValueError, match="only admissible for odd-order"):
+        lg.LedgerEntry(symbol=symbol, location="x", printed="1", oracle="-1",
+                       verdict=lg.SIGN_CONVENTION)
+    ok = lg.LedgerEntry(symbol=symbol, location="x", printed="1", oracle="-1",
+                        verdict=lg.MISMATCH)
+    with pytest.raises(ValueError, match="only admissible for odd-order"):
+        dataclasses.replace(ok, verdict=lg.SIGN_CONVENTION)
 
 
 def test_headline_items_present(entries):

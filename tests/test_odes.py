@@ -15,6 +15,12 @@ from fowler4.params import DomainError, Params, gamma_exponent, special_exponent
 from fowler4.polys import compose_linear, peval
 
 
+def _bits(xs):
+    """Python floats, bit for bit (float.hex keeps the sign of zero)."""
+    assert {type(x) for x in xs} == {float}
+    return [float.hex(x) for x in xs]
+
+
 def test_equilibrium_is_a_fixed_point():
     p = Params(5, F(7))
     rhs = make_autonomous_rhs(p)
@@ -35,8 +41,7 @@ def test_zero_state_with_s_below_two():
     # |V|^{s-1} is singular at V = 0 for s < 2; the product is continued by 0
     p = Params(8, 1.5)
     rhs = make_autonomous_rhs(p)
-    out = rhs(0.0, np.zeros(4))
-    assert np.all(out == 0.0)
+    assert _bits(rhs(0.0, np.zeros(4))) == _bits([0.0] * 4)
 
 
 def test_rhs_fills_every_component_block():
@@ -44,7 +49,7 @@ def test_rhs_fills_every_component_block():
     y = np.array([0.7, -0.2, 0.1, 0.3, -0.4, 0.25, -0.6, 0.05])
     one = make_autonomous_rhs(Params(5, F(7), p=1))(0.0, y)
     two = make_autonomous_rhs(Params(5, F(7), p=2))(0.0, y)
-    assert one.tobytes() == two.tobytes()
+    assert _bits(one) == _bits(two)
 
 
 def test_rejects_nonfinite_state():
@@ -69,7 +74,7 @@ def test_ray_invariance_of_trajectories():
 
 def test_nonautonomous_rhs_contract():
     rhs = make_nonautonomous_rhs(5)
-    assert np.all(rhs(10.0, np.zeros(4)) == 0.0)
+    assert _bits(rhs(10.0, np.zeros(4))) == _bits([0.0] * 4)
     with pytest.raises(DomainError):
         rhs(0.0, np.ones(4))
     with pytest.raises(DomainError):
@@ -172,36 +177,38 @@ def test_growth_rate_matches_spectrum():
 
 
 def test_rhs_returns_float64_for_any_real_state():
-    # an integer, float32 or longdouble state is read as its float64 value:
-    # the result is the float64 state's, bit for bit (an integer state was
-    # truncated and a float32 one kept its dtype)
+    # an integer, float32 or longdouble state is read as its float64 value,
+    # and the result is a list of Python floats (float64): the float64
+    # state's, bit for bit
     auto = make_autonomous_rhs(Params(5, F(7)))
     nonauto = make_nonautonomous_rhs(5)
     y_int = np.array([1, 0, 0, 0])
     out = auto(0.0, y_int)
-    assert out.dtype == np.float64
+    assert type(out) is list
     assert out[3] == pytest.approx(-31.0 / 81.0, abs=1e-14)
     assert nonauto(1.0, y_int)[3] == -25.31640625
     y = np.array([0.7, -0.2, 0.1, 0.3])
-    for yd in (y_int, y.astype(np.float32), y.astype(np.longdouble)):
+    for yd in (y_int, y.astype(np.float32), y.astype(np.longdouble), y.tolist()):
         for rhs, t in ((auto, 0.0), (nonauto, 1.5)):
-            got = rhs(t, yd)
-            assert got.dtype == np.float64
-            assert got.tobytes() == rhs(t, yd.astype(np.float64)).tobytes()
+            want = _bits(rhs(t, np.asarray(yd, dtype=np.float64)))
+            assert _bits(rhs(t, yd)) == want
 
 
 def _reference_component_rhs(y, exponent, scale, K0, K1, K2, K3):
-    # the per-element numpy form the list form replaced, kept as its bit reference
-    vals = np.asarray(y[0::4], float)
-    vnorm = math.sqrt(float(np.dot(vals, vals)))
-    coup = vnorm ** exponent * scale if vnorm > 0 else 0.0
-    out = np.empty_like(y)
+    # the defining formula element by element, with |V|^2 summed left to
+    # right: the bit reference of the RHS factories
+    y = [float(x) for x in y]
+    vsq = 0.0
     for b in range(0, len(y), 4):
-        v, v1, v2, v3 = y[b], y[b + 1], y[b + 2], y[b + 3]
-        out[b] = v1
-        out[b + 1] = v2
-        out[b + 2] = v3
-        out[b + 3] = coup * v - K3 * v3 - K2 * v2 - K1 * v1 - K0 * v
+        vsq = vsq + y[b] * y[b]
+    vnorm = math.sqrt(vsq)
+    coup = vnorm ** exponent * scale if vnorm > 0 else 0.0
+    out = [0.0] * len(y)
+    for b in range(0, len(y), 4):
+        out[b] = y[b + 1]
+        out[b + 1] = y[b + 2]
+        out[b + 2] = y[b + 3]
+        out[b + 3] = coup * y[b] - K3 * y[b + 3] - K2 * y[b + 2] - K1 * y[b + 1] - K0 * y[b]
     return out
 
 
@@ -221,16 +228,16 @@ def test_rhs_equals_the_per_element_reference_bit_for_bit(p):
         rhs = make_autonomous_rhs(Params(n, s, p))
         for y in _random_states(rng, p, 250):
             ref = _reference_component_rhs(y, float(s) - 1.0, 1.0, *ks)
-            assert rhs(0.0, y).tobytes() == ref.tobytes()
+            assert _bits(rhs(0.0, y)) == _bits(ref)
     for n in (5, 6, 7, 8):
         polys = printed_nonautonomous_polys(n)
         fk = [[float(a) for a in polys[k].coeffs] for k in ("K0", "K1", "K2", "K3")]
         qm1 = float(special_exponents(n).lower) - 1.0
         rhs = make_nonautonomous_rhs(n)
-        for y, t in zip(_random_states(rng, p, 250), 5.0 * (1.0 - rng.random(250))):
+        for y, t in zip(_random_states(rng, p, 250), (5.0 * (1.0 - rng.random(250))).tolist()):
             u = 1.0 / t
             ref = _reference_component_rhs(y, qm1, u, *(peval(a, u) for a in fk))
-            assert rhs(t, y).tobytes() == ref.tobytes()
+            assert _bits(rhs(t, y)) == _bits(ref)
     auto = make_autonomous_rhs(Params(8, F(3, 2), p))
     for bad in (np.inf, -np.inf, np.nan):
         y = np.zeros(4 * p)

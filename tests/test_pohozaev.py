@@ -128,14 +128,22 @@ def test_scaling_invariance_proxy_on_power_state():
     assert max(vals) - min(vals) == 0.0
 
 
+def _dot(a, b):
+    # left to right in plain float steps
+    acc = 0.0
+    for x, y in zip(a.tolist(), b.tolist()):
+        acc = acc + x * y
+    return acc
+
+
 def _hamiltonian_by_dot(params, y):
-    # H of one state as np.dot and np.linalg.norm give it, term by term
+    # H of one state, term by term, on left-to-right dot products
     c = {k: float(v) for k, v in oracle_autonomous(params.n, params.s).items()}
     v, v1, v2, v3 = y[0::4], y[1::4], y[2::4], y[3::4]
     s = float(params.s)
-    return float(-(np.dot(v3, v1) + c["K3"] * np.dot(v2, v1))
-                 + 0.5 * (np.dot(v2, v2) - c["K2"] * np.dot(v1, v1) - c["K0"] * np.dot(v, v))
-                 + float(np.linalg.norm(v)) ** (s + 1) / (s + 1))
+    return (-(_dot(v3, v1) + c["K3"] * _dot(v2, v1))
+            + 0.5 * (_dot(v2, v2) - c["K2"] * _dot(v1, v1) - c["K0"] * _dot(v, v))
+            + math.sqrt(_dot(v, v)) ** (s + 1) / (s + 1))
 
 
 def _aviles_by_dot(n, y, t):
@@ -143,9 +151,9 @@ def _aviles_by_dot(n, y, t):
     K0, K2, K3 = (float(co[k](1.0 / t)) for k in ("K0", "K2", "K3"))
     w, w1, w2, w3 = y[0::4], y[1::4], y[2::4], y[3::4]
     q = float(special_exponents(n).lower)
-    return float(-t * (np.dot(w3, w1) + K3 * np.dot(w2, w1))
-                 + 0.5 * t * (np.dot(w2, w2) - K2 * np.dot(w1, w1) - K0 * np.dot(w, w))
-                 + float(np.linalg.norm(w)) ** (q + 1) / (q + 1))
+    return (-t * (_dot(w3, w1) + K3 * _dot(w2, w1))
+            + 0.5 * t * (_dot(w2, w2) - K2 * _dot(w1, w1) - K0 * _dot(w, w))
+            + math.sqrt(_dot(w, w)) ** (q + 1) / (q + 1))
 
 
 @pytest.mark.parametrize("p", [1, 3])
