@@ -10,10 +10,14 @@ stages; the dense matrices are built when the run ends, and inside a
 step only where an event crossed.
 
 Arithmetic rule: the step loop works on lists of Python floats, each sum
-left to right; the dense matrices and every dense-output query (Horner in
-theta) are elementwise numpy.  Nothing goes through BLAS, whose kernel,
-and so the order of a sum, numpy picks per CPU at run time: a run has the
-same bits on any CPU and BLAS build (powers come from the C library).
+left to right, and so does event location, which evaluates the step's
+quartic by Horner's rule in theta on Python floats.  An RHS with a
+``floats`` hook is called on those lists directly; any other goes through
+an array adapter.  The dense matrices and every dense-output query
+(Horner in theta, the same operations in the same order) are elementwise
+numpy.  Nothing goes through BLAS, whose kernel, and so the order of a
+sum, numpy picks per CPU at run time: a run has the same bits on any CPU
+and BLAS build (powers come from the C library).
 """
 
 from __future__ import annotations
@@ -167,6 +171,13 @@ def _dense_matrices(K):
     return Q
 
 
+def _quartic_row(y, h, Q, th):
+    """The dense output y + h * _horner(Q, th) of one step at theta th, on
+    Python floats: the same operations in the same order as the array form."""
+    return [a + h * ((((q3 * th + q2) * th + q1) * th + q0) * th)
+            for a, (q0, q1, q2, q3) in zip(y, Q)]
+
+
 def _rms(v, sc):
     """sqrt(mean((v / sc)^2)), summed left to right."""
     acc = 0.0
@@ -217,14 +228,23 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
 
     rhs and the event functions receive the state as a float64 array; rhs
     returns a list of floats, used as it is, or what numpy reads as a
-    float64 array.  Backward runs (t1 < t0) are handled by time reflection.
+    float64 array.  Where rhs has an attribute ``floats``, the step loop
+    calls ``rhs.floats(t, xs)`` instead, on a list of finite Python floats,
+    and uses the list it returns; it must compute what rhs computes (as
+    ``odes.make_autonomous_rhs`` provides it).  Event functions get an
+    array, also at each halving of the bisection that locates a crossing
+    on the step's quartic.  Backward runs (t1 < t0) are handled by time
+    reflection.
     When any state component exceeds ``guard`` in absolute value, the run
     stops with ``status="blowup"`` and the truncated trajectory is
-    returned; a collapsing step raises StepUnderflowError carrying the
-    partial trajectory.  NaN, infinite or non-positive tolerances, a NaN or
-    non-positive guard (``inf`` turns the guard off), a non-finite t0 or t1
-    and an empty or non-finite initial state raise DomainError before any
-    RHS call, and a non-finite rhs(t0, state0) right after it.
+    returned; a step that collapses below 1e-14 times the magnitude of the
+    current time (or of 1, if larger) raises StepUnderflowError carrying
+    the partial trajectory.  A step whose stages leave float range is
+    rejected and retried at a quarter of its size.  NaN, infinite or
+    non-positive tolerances, a NaN or non-positive guard (``inf`` turns the
+    guard off), a non-finite t0 or t1 and an empty or non-finite initial
+    state raise DomainError before any RHS call, and a non-finite
+    rhs(t0, state0) right after it.
     """
     if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
         raise DomainError("tolerances must be positive and finite")
@@ -239,10 +259,15 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         raise DomainError("empty initial state")
     if not all(map(math.isfinite, y)):
         raise DomainError("non-finite initial state")
+    fl = getattr(rhs, "floats", None)
+    if fl is None:
+        def fl(s, x):   # the array contract: an array in, a list out
+            k = rhs(s, np.array(x))
+            return k if type(k) is list else np.asarray(k, dtype=float).tolist()
     direction = 1 if t1 > t0 else -1
     if direction < 0:
-        fwd = rhs
-        rhs = lambda s, x: -np.asarray(fwd(t0 - s, x), dtype=float)
+        fwd = fl
+        fl = lambda s, x: [-a for a in fwd(t0 - s, x)]
         events = [Event(g=(lambda s, y, g0=e.g: g0(t0 - s, y)),
                         direction=-e.direction, terminal=e.terminal)
                   for e in (events or [])]
@@ -250,7 +275,6 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     else:
         t, tB = float(t0), float(t1)
 
-    span = tB - t
     events = list(events or [])
     ev_hits: List[list] = [[] for _ in events]
     nstep = nrej = nfev = 0
@@ -260,14 +284,13 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         if not all(map(math.isfinite, x)):
             return x
         nfev += 1
-        k = rhs(s, np.array(x))
-        return k if type(k) is list else np.asarray(k, dtype=float).tolist()
+        return fl(s, x)
 
     ay = [abs(a) for a in y]
     k0 = f(t, y)
     if not all(map(math.isfinite, k0)):
         raise DomainError("non-finite derivative at the initial state")
-    h = _initial_step(f, t, y, k0, span, rel_tol, abs_tol)
+    h = _initial_step(f, t, y, k0, tB - t, rel_tol, abs_tol)
     ts = [t]
     ys = [y]    # states are never written in place: records share them
     hs, kss = [], []   # per accepted step: its size and its stages
@@ -291,9 +314,11 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         if nstep >= _MAX_STEPS:
             status = "max_steps"
             break
-        if h < 1e-14 * max(abs(t), abs(span), 1.0):
+        # a backward run steps on the reflected clock t and is at time t0 - t
+        now = t if direction > 0 else t0 - t
+        if h < 1e-14 * max(abs(t), abs(now), 1.0):
             raise StepUnderflowError(
-                f"step size underflow at t={t:.6g} (h={h:.3e})", finish("underflow"))
+                f"step size underflow at t={now:.6g} (h={h:.3e})", finish("underflow"))
         last = False
         if t + h >= tB:
             h = tB - t
@@ -305,9 +330,12 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
             last = False
             continue
         ay_new = [abs(a) for a in y_new]
-        sc = [abs_tol + rel_tol * (b if b > a else a) for a, b in zip(ay, ay_new)]
-        err = _rms([h * (_E0 * b0 + _E2 * b2 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6)
-                    for b0, b2, b3, b4, b5, b6 in zip(ks[0], *ks[2:])], sc)
+        acc = 0.0   # the scaled RMS of the error estimate, summed left to right
+        for a, b, b0, b2, b3, b4, b5, b6 in zip(ay, ay_new, ks[0], *ks[2:]):
+            w = (h * (_E0 * b0 + _E2 * b2 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6)
+                 / (abs_tol + rel_tol * (b if b > a else a)))
+            acc += w * w
+        err = math.sqrt(acc / len(y))
         nstep += 1
         if err > 1.0:
             nrej += 1
@@ -324,14 +352,13 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                       ((v_old > 0 >= v_new) and ev.direction <= 0)
             if crossed and v_old != 0:
                 if Q is None:
-                    Q = _dense_matrices(np.array([ks]))[0]
-                    y_start = np.array(y)
+                    Q = _dense_matrices(np.array([ks]))[0].tolist()
                 th_lo, th_hi, g_lo = 0.0, 1.0, v_old
                 for _ in range(90):
                     mid = (th_lo + th_hi) / 2
                     if mid == th_lo or mid == th_hi:
                         break
-                    gm = ev.g(t + mid * h, y_start + h * _horner(Q, mid))
+                    gm = ev.g(t + mid * h, np.array(_quartic_row(y, h, Q, mid)))
                     if gm == 0.0:
                         th_lo = th_hi = mid
                         break
@@ -341,7 +368,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                         th_lo, g_lo = mid, gm
                 th = (th_lo + th_hi) / 2
                 te = t + th * h
-                ye = y_start + h * _horner(Q, th)
+                ye = np.array(_quartic_row(y, h, Q, th))
                 ev_hits[ie].append((te, ye))
                 if ev.terminal and (stop_here is None or te < stop_here[0]):
                     stop_here = (te, ye)

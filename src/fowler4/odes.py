@@ -31,13 +31,18 @@ def _component_rhs(ys, exponent: float, scale: float, K0, K1, K2, K3) -> list:
     v'''' = scale |V|^exponent v - K3 v''' - K2 v'' - K1 v' - K0 v; ys and
     the result are lists of Python floats.  |V| is the Euclidean norm over
     the v entries of all blocks, its square summed left to right; at V = 0
-    the coupling term is continued by 0.
+    the coupling term is continued by 0.  scale is positive; where
+    |V|^exponent leaves float range the coupling is inf, so the result is
+    non-finite (no error).
     """
     vsq = 0.0
     for v in ys[0::4]:
         vsq += v * v
     vnorm = math.sqrt(vsq)
-    coup = vnorm ** exponent * scale if vnorm > 0 else 0.0
+    try:
+        coup = vnorm ** exponent * scale if vnorm > 0 else 0.0
+    except OverflowError:   # float ** raises where the power leaves float range
+        coup = math.inf
     out = []
     for b in range(0, len(ys), 4):
         v, v1, v2, v3 = ys[b:b + 4]
@@ -50,18 +55,26 @@ def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
 
     |V| is the Euclidean norm over the component values.  At V = 0 the
     product |V|^{s-1} v_i is continued by 0 (s > 1).  Any real state is
-    read as float64, and the result is a list of Python floats.
+    read as float64, and a non-finite one raises DomainError; the result
+    is a list of Python floats, non-finite where |V|^{s-1} overflows.  The
+    function's attribute ``floats(t, xs)`` is the same computation on a
+    list of finite Python floats, with no conversion and no check:
+    ``integrate`` calls it in its step loop.
     """
     c = oracle_autonomous(params.n, params.s, sigma)
     K0, K1, K2, K3 = (float(c["K0"]), float(c["K1"]), float(c["K2"]), float(c["K3"]))
     sm1 = float(params.s) - 1.0
 
+    def floats(t, xs):
+        return _component_rhs(xs, sm1, 1.0, K0, K1, K2, K3)
+
     def rhs(t, y):
         ys = np.asarray(y, dtype=float).tolist()
         if not all(map(math.isfinite, ys)):
             raise DomainError("non-finite state")
-        return _component_rhs(ys, sm1, 1.0, K0, K1, K2, K3)
+        return floats(t, ys)
 
+    rhs.floats = floats
     return rhs
 
 

@@ -92,6 +92,8 @@ def test_signs_short_or_malformed_grid_exits_2_without_output(tmp_path, grid):
     ("integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0", "--abs-tol", "inf"),
     # |V|^2 overflows: the derivative at the initial state is not finite
     ("integrate", "--n", "5", "--s", "7", "--init", "1e200,0,0,0"),
+    # |V|^6 overflows (this exited 1 on OverflowError)
+    ("integrate", "--n", "5", "--s", "7", "--init", "1e100,0,0,0"),
 ])
 def test_malformed_or_empty_input_exits_2_without_output(tmp_path, capsys, args):
     target = tmp_path / "out.csv"

@@ -103,6 +103,26 @@ def test_step_underflow_carries_partial_trajectory():
     assert len(part.h) == len(part.dense) == len(part.t) - 1
 
 
+def test_step_underflow_scales_with_the_time_not_the_span():
+    # the same blow-up over a span of 1e300: the guard stops it near t = 1;
+    # a test scaled by the span called any step below 1e286 an underflow
+    traj = integrate(lambda t, y: y * y, 0.0, np.array([1.0]), 1e300,
+                     rel_tol=1e-10, abs_tol=1e-12, guard=1e8)
+    assert traj.status == "blowup"
+    assert 0.9 < traj.t[-1] <= 1.0
+
+
+def test_an_overflowing_coupling_fails_its_step():
+    # |V|^6 leaves float range in the early stages from v = 1e30: each such
+    # step is rejected as non-finite (before, OverflowError escaped the run)
+    rhs = make_autonomous_rhs(Params(5, Fraction(7)))
+    with pytest.raises(StepUnderflowError) as exc:
+        integrate(rhs, 0.0, np.array([1e30, 0.0, 0.0, 0.0]), 1.0, rel_tol=1e-6,
+                  abs_tol=1e250, guard=np.inf)
+    stats = exc.value.trajectory.stats
+    assert stats["steps"] == 0 and stats["rejected"] > 0
+
+
 def test_step_cap_stops_with_max_steps_status(monkeypatch):
     monkeypatch.setattr(integ_module, "_MAX_STEPS", 7)
     traj = integrate(_linear_rhs, 0.0, np.array([1.0, 0, 0, 0]), 100.0,
@@ -317,6 +337,41 @@ def test_a_list_and_an_array_rhs_value_give_the_same_run():
                         rel_tol=1e-10, abs_tol=1e-12)
     assert _digest(as_list) == _digest(as_array)
     assert _dense_digest(as_list) == _dense_digest(as_array)
+
+
+_CAP_STATES = {
+    1: [0.4, -0.3, 0.2, 0.45],
+    3: [0.4, -0.3, 0.2, 0.45, -0.2, 0.1, 0.3, -0.4, 0.1, 0.35, -0.25, 0.2],
+}
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("p", [1, 3])
+def test_the_float_hook_and_the_array_contract_give_the_same_run(p, backward):
+    # C06's capped run at (5, 7): integrate calls the factory's floats hook;
+    # a plain function around the same rhs takes the array contract
+    rhs = make_autonomous_rhs(Params(5, Fraction(7), p))
+    calls = []
+    hook = rhs.floats
+
+    def counted(t, xs):
+        calls.append(t)
+        return hook(t, xs)
+
+    rhs.floats = counted
+    t0, t1 = (2.0, 0.0) if backward else (0.0, 2.0)
+    # growth of max |y| along the run is a downcrossing in t forward, an
+    # upcrossing in t backward
+    cap = Event(g=lambda t, y: 3.0 - float(np.max(np.abs(y))),
+                direction=1 if backward else -1, terminal=True)
+    runs = [integrate(f, t0, np.array(_CAP_STATES[p]), t1, rel_tol=1e-12, abs_tol=1e-14,
+                      guard=1e4, events=[cap])
+            for f in (rhs, lambda t, y: rhs(t, y))]
+    assert runs[0].status == "event"
+    assert runs[0].stats["rhs_evals"] == len(calls)
+    assert runs[0].stats == runs[1].stats
+    assert _digest(runs[0]) == _digest(runs[1])
+    assert _dense_digest(runs[0]) == _dense_digest(runs[1])
 
 
 def _hi_lo(a):

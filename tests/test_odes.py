@@ -58,6 +58,16 @@ def test_rejects_nonfinite_state():
         rhs(0.0, np.array([np.inf, 0, 0, 0]))
 
 
+def test_an_overflowing_coupling_gives_a_non_finite_derivative():
+    # |V|^6 = 1e600 leaves float range: the coupling is inf, not OverflowError
+    auto = make_autonomous_rhs(Params(5, F(7)))
+    for rhs, y in ((auto, np.array([1e100, 0.0, 0.0, 0.0])),
+                   (auto.floats, [1e100, 0.0, 0.0, 0.0]),
+                   (make_nonautonomous_rhs(5), np.array([1e100, 0.0, 0.0, 0.0]))):
+        out = rhs(1.0, y)
+        assert out[:3] == [0.0, 0.0, 0.0] and out[3] == math.inf
+
+
 def test_ray_invariance_of_trajectories():
     p = Params(5, F(7), p=2)
     rhs = make_autonomous_rhs(p)
