@@ -48,17 +48,24 @@ def bubble_constant(n: int) -> float:
 
     Measured as the residual ratio of the unit bubble at several radii;
     the evaluations must agree to ``_BUBBLE_AGREEMENT_TOL`` relative.
+    Where they do not, or leave float range, the float evaluation has
+    failed and DomainError says so: the bubble's factors at r = 2 reach
+    subnormal range near n = 900 (the ratio there loses its digits),
+    underflow to 0 near n = 2000 and overflow from n = 2100.
     """
     if n < 5:
         raise DomainError("bubbles need n >= 5")
     power = float(special_exponents(n).upper - 1)
     vals = []
-    for r in _BUBBLE_RADII:
-        lhs = radial_bilaplacian(n, r, bubble_radial_derivatives(n, 1.0, r))
-        vals.append(lhs / bubble_radial(n, 1.0, r) ** power)
+    try:
+        for r in _BUBBLE_RADII:
+            lhs = radial_bilaplacian(n, r, bubble_radial_derivatives(n, 1.0, r))
+            vals.append(lhs / bubble_radial(n, 1.0, r) ** power)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"bubble constant c({n}) leaves float range: {exc}") from None
     spread = (max(vals) - min(vals)) / max(abs(v) for v in vals)
-    if spread > _BUBBLE_AGREEMENT_TOL:
-        raise ArithmeticError(f"bubble constant evaluations disagree: {vals}")
+    if not spread <= _BUBBLE_AGREEMENT_TOL:
+        raise DomainError(f"bubble constant c({n}) evaluations disagree in float: {vals}")
     return psum(vals) / len(vals)
 
 

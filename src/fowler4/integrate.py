@@ -206,12 +206,18 @@ def _stages(f, t, h, y, k0):
 
 
 def _initial_step(f, t0, y0, f0, tspan, rel_tol, abs_tol):
-    """First step size from f0 = f(t0, y0) and one more evaluation."""
+    """First step size from f0 = f(t0, y0) and one more evaluation.
+
+    Raises DomainError where the trial step h0 is 0: the scaled norm of
+    f0 overflows, or a tenth of the span underflows."""
     sc = [abs_tol + rel_tol * abs(a) for a in y0]
     d0 = _rms(y0, sc)
     d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, 0.1 * tspan)
+    if not h0 > 0:
+        raise DomainError(f"first step size is 0 (derivative's scaled norm {d1:.3g}, "
+                          f"span {tspan:.3g})")
     f1 = f(t0 + h0, [a + h0 * b for a, b in zip(y0, f0)])
     d2 = _rms([a - b for a, b in zip(f1, f0)], sc) / h0
     if max(d1, d2) <= 1e-15:
@@ -244,7 +250,8 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     non-positive tolerances, a NaN or non-positive guard (``inf`` turns the
     guard off), a non-finite t0 or t1 and an empty or non-finite initial
     state raise DomainError before any RHS call, and a non-finite
-    rhs(t0, state0) right after it.
+    rhs(t0, state0), or one whose scaled norm overflows, right after it, as
+    does a span too short for a first step.
     """
     if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
         raise DomainError("tolerances must be positive and finite")

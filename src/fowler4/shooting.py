@@ -158,14 +158,23 @@ def _failed(a: float, b, message: str, stats: Optional[dict] = None) -> Shooting
 
 def orbit_energy(consts: CriticalConstants, y) -> float:
     """Conserved Hamiltonian of the critical equation."""
-    return _energies(consts, [[float(x) for x in y[:4]]])[0]
+    return float(_energies(consts, np.array([y[:4]], dtype=float))[0])
 
 
-def _energies(consts: CriticalConstants, rows) -> List[float]:
-    """``orbit_energy`` of each state row (v, v', v'', v''') of Python floats."""
+def _energies(consts: CriticalConstants, vals) -> np.ndarray:
+    """``orbit_energy`` of each row (v, v', v'', v''') of the float64 array vals.
+
+    The four powers are Python's float ``**`` (libm pow), one column list
+    at a time: numpy's power and its x*x square round some values
+    differently, which moves energy_drift at some a.  The rest is
+    elementwise numpy, each row's operations in the order of
+    -v3 v1 + 0.5 (v2^2 - K2 v1^2 - K0 v^2) + c |v|^q1 / q1.
+    """
     K2, K0, c, q1 = consts.K2, consts.K0, consts.c, consts.power + 1
-    return [-v3 * v1 + 0.5 * (v2**2 - K2 * v1**2 - K0 * v**2) + c * abs(v) ** q1 / q1
-            for v, v1, v2, v3 in rows]
+    v, v1, v2, v3 = vals.T
+    sq, sq1, sq2 = (np.array([x ** 2 for x in col.tolist()]) for col in (v, v1, v2))
+    pq = np.array([abs(x) ** q1 for x in v.tolist()])
+    return -v3 * v1 + 0.5 * (sq2 - K2 * sq1 - K0 * sq) + c * pq / q1
 
 
 def _tally(stats: dict, b, steps: int) -> None:
@@ -403,10 +412,7 @@ def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
     ts = np.linspace(0.0, T, 1601)
     vals = orbit(ts)
     vmin = float(np.min(vals[:, 0]))
-    # row by row in Python floats: numpy's power and its x*x square round
-    # some rows differently from libm pow, which moves energy_drift at some a.
-    # One row list at a time: vals.tolist() would hold all 1601 at once
-    energies = np.array(_energies(consts, map(np.ndarray.tolist, vals)))
+    energies = _energies(consts, vals)
     E0 = float(energies[0])
     drift = float(np.max(np.abs(energies - E0))) / (1.0 + abs(E0))
     taus = np.linspace(0.0, min(t1, T - t1), 101)[1:]

@@ -8,6 +8,15 @@ computing the coefficients w_k of w = v^P by the power recurrence
 
     w_k = sum_{j<k} (P (k - j) - j) v_{k-j} w_j / (k v_0).
 
+Each sum runs left to right in plain float steps.  Every shooting run
+starts at a turning point, the orbit minimum (a, 0, b, 0): there
+v' = v''' = 0, and the equation is reversible, so the solution is even
+in t.  Its odd v_k and w_k vanish, and each term of an odd w_k, and each
+odd-j term of an even one, is a product with a zero factor.  A running
+sum that starts at +0.0 never becomes -0.0 (x + (-0.0) is x, and
++0.0 + (-0.0) is +0.0), so skipping those terms changes no bit: an odd
+w_k is exactly +0, and an even w_k sums its even-j terms only.
+
 The step size bounds the truncation error of all four components by the
 last two terms of their series, so a step is exact to about the
 ``_TOL`` of its scalar type relative to max(1, |y|); there are no
@@ -48,13 +57,14 @@ def _tables(consts, scal):
     """Equation constants and the recurrence and series tables, in type scal."""
     P = scal(consts.power)
     rows = [()] + [tuple((P * (k - j) - j) / k for j in range(k)) for k in range(1, _ORDER)]
+    erows = [r[::2] for r in rows]   # the even-j terms, a turning point's
     # v_{k+4} = (c w_k - K2 (k+1)(k+2) v_{k+2} - K0 v_k) / ((k+1)(k+2)(k+3)(k+4))
     k2 = tuple(float((k + 1) * (k + 2)) for k in range(_ORDER))
     den = tuple(scal(1) / ((k + 1) * (k + 2) * (k + 3) * (k + 4)) for k in range(_ORDER))
     # the m-th coefficient of the i-th derivative is v_{m+i} (m+1)...(m+i)
     fac = tuple(tuple(float(math.prod(range(m + 1, m + i + 1))) for m in range(_ORDER + 1))
                 for i in range(4))
-    return scal(consts.c), scal(consts.K2), scal(consts.K0), P, rows, k2, den, fac
+    return scal(consts.c), scal(consts.K2), scal(consts.K0), P, rows, erows, k2, den, fac
 
 
 def series(consts, y):
@@ -68,19 +78,29 @@ def series(consts, y):
 
 
 def _series(tables, y):
-    c, K2, K0, P, rows, k2, den, fac = tables
+    c, K2, K0, P, rows, erows, k2, den, fac = tables
     v = [y[0], y[1], 0.5 * y[2], y[3] / 6.0]
-    w = [v[0] ** P]
+    wk = v[0] ** P
     inv_v0 = 1.0 / v[0]
+    even = not (y[1] or y[3])   # a turning point: odd w_k are +0
+    if even:
+        rows = erows
+    w = [wk]   # the w_j a sum reads: all of them, or the even ones
+    rv = []    # their v_{k-j}: v[k:0:-1], or v[k:1:-2]
     for k in range(_ORDER):
         if k:
-            # left to right in plain float steps: the built-in sum
-            # compensates from Python 3.12 on, which would move the bits
-            acc = 0.0
-            for r, vk, wj in zip(rows[k], v[k:0:-1], w):
-                acc += r * vk * wj
-            w.append(acc * inv_v0)
-        v.append((c * w[k] - K2 * k2[k] * v[k + 2] - K0 * v[k]) * den[k])
+            if even and k % 2:
+                wk = 0.0 * inv_v0
+            else:
+                rv.insert(0, v[k])
+                # left to right in plain float steps: the built-in sum
+                # compensates from Python 3.12 on, which would move the bits
+                acc = 0.0
+                for r, vk, wj in zip(rows[k], rv, w):
+                    acc += r * vk * wj
+                wk = acc * inv_v0
+                w.append(wk)
+        v.append((c * wk - K2 * k2[k] * v[k + 2] - K0 * v[k]) * den[k])
     return [list(map(mul, fac[i], v[i:i + _ORDER + 1])) for i in range(4)]
 
 
@@ -92,6 +112,19 @@ def _step_size(coef, eps):
             if cs[m]:
                 h = min(h, (eps / abs(cs[m])) ** (1.0 / m))
     return h
+
+
+def _state(coef, h):
+    """``[peval(cs, h) for cs in coef]`` in one pass over the orders: each
+    component starts at 0 and takes peval's steps, so it has its bits."""
+    c0, c1, c2, c3 = coef
+    a0 = a1 = a2 = a3 = 0
+    for m in range(_ORDER, -1, -1):
+        a0 = a0 * h + c0[m]
+        a1 = a1 * h + c1[m]
+        a2 = a2 * h + c2[m]
+        a3 = a3 * h + c3[m]
+    return [a0, a1, a2, a3]
 
 
 def _first_root(d1, d2, hi):
@@ -183,9 +216,10 @@ def march(consts, y0, t_end: float, first_max: bool = False):
         last = t + h >= t_end
         if last:
             h = t_end - t
-        if first is None and y[1] > 0 and peval(coef[1], h) <= 0:
+        y_new = _state(coef, h)
+        if first is None and y[1] > 0 and y_new[1] <= 0:
             h1 = _first_root(coef[1], coef[2], h)
-            first = (t + h1, [peval(cs, h1) for cs in coef])
+            first = (t + h1, _state(coef, h1))
             if first_max:
                 hs.append(h1)
                 coefs.append(coef)
@@ -194,7 +228,7 @@ def march(consts, y0, t_end: float, first_max: bool = False):
                 return "event", ts, ys, hs, coefs, first
         hs.append(h)
         coefs.append(coef)
-        y = [peval(cs, h) for cs in coef]
+        y = y_new
         t = t_end if last else t + h
         ts.append(t)
         ys.append(y)

@@ -94,6 +94,17 @@ def test_signs_short_or_malformed_grid_exits_2_without_output(tmp_path, grid):
     ("integrate", "--n", "5", "--s", "7", "--init", "1e200,0,0,0"),
     # |V|^6 overflows (this exited 1 on OverflowError)
     ("integrate", "--n", "5", "--s", "7", "--init", "1e100,0,0,0"),
+    # the first step size is 0: the derivative's scaled norm overflows, or a
+    # tenth of the span underflows (these exited 1 on ZeroDivisionError)
+    ("integrate", "--n", "5", "--s", "7", "--init", "1e30,0,0,0"),
+    ("integrate", "--n", "5", "--s", "7", "--init", "1,1e300,0,0"),
+    ("integrate", "--n", "5", "--s", "7", "--init", "0,0,0,1e300"),
+    ("integrate", "--n", "5", "--s", "7", "--init", "0.1,0,0,0", "--t-end", "5e-324"),
+    # c(n) cannot be measured in float (these exited 1 on ArithmeticError,
+    # ZeroDivisionError and OverflowError)
+    ("shoot", "--n", "900", "--a-grid", "0.5"),
+    ("shoot", "--n", "2000", "--a-grid", "0.5"),
+    ("shoot", "--n", "9999", "--a-grid", "0.5"),
 ])
 def test_malformed_or_empty_input_exits_2_without_output(tmp_path, capsys, args):
     target = tmp_path / "out.csv"

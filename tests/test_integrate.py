@@ -202,6 +202,31 @@ def test_non_finite_initial_derivative_raises_after_one_call():
     assert calls == [0.0]
 
 
+@pytest.mark.parametrize("y0, f0, tspan", [
+    ([1e30, 0.0], [1e300, 0.0], 40.0),
+    ([1.0, 1e300], [1e300, 0.0], 40.0),
+    ([0.1, 0.0], [1.0, 0.0], 5e-324),
+], ids=["square-overflows", "quotient-overflows", "tiny-span"])
+def test_initial_step_raises_where_its_trial_step_is_zero(y0, f0, tspan):
+    # the scaled norm of f0 overflows (h0 = 0.01 d0 / inf), or a tenth of
+    # the span underflows: each divided by h0 = 0 in the second evaluation
+    calls = []
+    f = lambda t, x: calls.append(t) or x
+    with pytest.raises(DomainError, match="first step size is 0"):
+        integ_module._initial_step(f, 0.0, y0, f0, tspan, 1e-9, 1e-11)
+    assert calls == []
+
+
+def test_initial_step_of_a_linear_decay():
+    # y' = -y from 1: d0 = d1 = 1/sc, h0 = 0.01, and the second evaluation
+    # gives d2 = 1/sc too, so the step is (0.01 sc)^(1/5) with sc = 1e-11 + 1e-9
+    calls = []
+    f = lambda t, x: calls.append(t) or [-a for a in x]
+    h = integ_module._initial_step(f, 0.0, [1.0], [-1.0], 10.0, 1e-9, 1e-11)
+    assert calls == [0.01]
+    assert h == pytest.approx((0.01 * (1e-11 + 1e-9)) ** 0.2, rel=1e-12)
+
+
 def test_infinite_guard_turns_the_blowup_stop_off():
     traj = integrate(lambda t, y: y, 0.0, np.array([1.0]), 50.0, guard=np.inf)
     assert traj.status == "reached"

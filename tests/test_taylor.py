@@ -12,6 +12,7 @@ from fowler4 import shooting as sh
 from fowler4 import taylor
 from fowler4.bubble import bubble_constant_closed_form
 from fowler4.integrate import Event, integrate
+from fowler4.polys import peval
 
 
 @pytest.fixture(scope="module")
@@ -273,3 +274,62 @@ def test_series_bits_do_not_depend_on_the_builtin_sum(monkeypatch):
     before = [taylor.series(cc, y) for y in states]
     monkeypatch.setattr(taylor, "sum", math.fsum, raising=False)
     assert [taylor.series(cc, y) for y in states] == before
+
+
+def _reference_series(tables, y):
+    """The power recurrence with every term of every sum, as ``_series``
+    computes it off a turning point: the reference its shortcuts must meet."""
+    c, K2, K0, P, rows, _, k2, den, fac = tables
+    v = [y[0], y[1], 0.5 * y[2], y[3] / 6.0]
+    w = [v[0] ** P]
+    inv_v0 = 1.0 / v[0]
+    for k in range(taylor._ORDER):
+        if k:
+            acc = 0.0
+            for r, vk, wj in zip(rows[k], v[k:0:-1], w):
+                acc += r * vk * wj
+            w.append(acc * inv_v0)
+        v.append((c * w[k] - K2 * k2[k] * v[k + 2] - K0 * v[k]) * den[k])
+    return [[f * x for f, x in zip(fac[i], v[i:])] for i in range(4)]
+
+
+def _reprs(coef):
+    # repr tells -0.0 from +0.0, and np.longdouble's repr is exact
+    return [[repr(x) for x in cs] for cs in coef]
+
+
+@pytest.mark.parametrize("scal", [float, np.longdouble], ids=["float", "longdouble"])
+@pytest.mark.parametrize("n", range(5, 13))
+def test_turning_point_series_equals_the_full_recurrence_bit_for_bit(n, scal):
+    """At a turning point (v' = v''' = 0) every odd w_k is a sum of zero
+    products, and every even one gets the bits of its nonzero terms: a
+    running sum from +0.0 never becomes -0.0.  Zeros of every sign: with
+    v''' = -0.0 and v' = +0.0, an odd w_1 of -0.0 would flip v_5 to -0.0."""
+    cc = sh.critical_constants(n)
+    tables = taylor._tables(cc, scal)
+    for frac in (0.05, 0.3, 0.999, 1.5):
+        for b in (0.1 * cc.K0 * cc.a0, 1e-3, 2.5):
+            for sign in (1, -1):
+                for y1 in (0.0, -0.0):
+                    for y3 in (0.0, -0.0):
+                        y = [scal(x) for x in (frac * cc.a0, y1, sign * b, y3)]
+                        assert (_reprs(taylor._series(tables, y))
+                                == _reprs(_reference_series(tables, y))), (frac, b, sign, y1, y3)
+                # off a turning point the running list of v_{k-j} is the slice
+                y = [scal(x) for x in (frac * cc.a0, 0.02 * sign, b, -0.05)]
+                assert _reprs(taylor._series(tables, y)) == _reprs(_reference_series(tables, y))
+
+
+@pytest.mark.parametrize("scal", [float, np.longdouble], ids=["float", "longdouble"])
+def test_one_pass_state_equals_peval_per_component(scal):
+    cc = sh.critical_constants(5)
+    for y in ([0.3 * cc.a0, 0.0, 0.12, 0.0], [0.3 * cc.a0, 0.02, 0.1, -0.05],
+              [1.2 * cc.a0, -0.0, -0.3, 0.0]):
+        coef = taylor.series(cc, [scal(x) for x in y])
+        h = taylor._step_size(coef, taylor._TOL[scal])
+        for x in (h, 0.5 * h, scal(0.3) * h, 0.0):
+            assert (_reprs([taylor._state(coef, x)])
+                    == _reprs([[peval(cs, x) for cs in coef]]))
+    # peval starts at 0, so a series of -0.0 sums to +0.0
+    zeros = [[scal(-0.0)] * (taylor._ORDER + 1)] * 4
+    assert _reprs([taylor._state(zeros, 0.5)]) == _reprs([[scal(0.0)] * 4])
