@@ -19,7 +19,7 @@ from fowler4 import (Params, hamiltonian_radial, integrate, make_autonomous_rhs,
 from fowler4.integrate import Event
 from fowler4.pohozaev import constant_state_trajectory
 
-cap = Event(g=lambda t, y: 3.0 - float(np.max(np.abs(y))), direction=-1, terminal=True)
+cap = Event(g=lambda t, y: 3.0 - max(map(abs, y)), direction=-1, terminal=True)
 rng = np.random.default_rng(0)
 
 print("== subcritical window (n=5, s=7): dH/dt >= 0 along the flow ==")

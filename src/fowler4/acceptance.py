@@ -263,8 +263,7 @@ def criterion_6(details) -> bool:
         min_dH = float("inf")
         # cap the state at a moderate level: the stencil error scales with
         # the fifth time derivative of H, which grows like |V|^{s+1}
-        cap = Event(g=lambda t, y: 3.0 - float(np.max(np.abs(y))),
-                    direction=-1, terminal=True)
+        cap = Event(g=lambda t, y: 3.0 - max(map(abs, y)), direction=-1, terminal=True)
         for _ in range(20):
             y0 = rng.uniform(-0.5, 0.5, size=4)
             try:

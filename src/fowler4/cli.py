@@ -175,7 +175,7 @@ def cmd_classify(args) -> int:
 def cmd_integrate(args) -> int:
     import numpy as np
 
-    from .integrate import integrate
+    from .integrate import StepUnderflowError, integrate
     from .odes import make_autonomous_rhs
     from .pohozaev import pohozaev_series
 
@@ -189,8 +189,13 @@ def cmd_integrate(args) -> int:
     if y0.size != 4 * args.p:
         raise UsageError(f"initial state needs {4 * args.p} entries, got {y0.size}")
     rhs = make_autonomous_rhs(params, args.sigma)
-    traj = integrate(rhs, 0.0, y0, args.t_end, rel_tol=args.rel_tol,
-                     abs_tol=args.abs_tol)
+    try:
+        traj = integrate(rhs, 0.0, y0, args.t_end, rel_tol=args.rel_tol,
+                         abs_tol=args.abs_tol)
+    except StepUnderflowError as exc:
+        # a guarded stop, like the guard's blowup: the partial record is the result
+        print(f"integrate: {exc}", file=sys.stderr)
+        traj = exc.trajectory
     cfg = _config(args, t_end=args.t_end, status=traj.status)
     rows = []
     steps = np.diff(traj.t, append=traj.t[-1])

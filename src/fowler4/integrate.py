@@ -13,11 +13,14 @@ Arithmetic rule: the step loop works on lists of Python floats, each sum
 left to right, and so does event location, which evaluates the step's
 quartic by Horner's rule in theta on Python floats.  An RHS with a
 ``floats`` hook is called on those lists directly; any other goes through
-an array adapter.  The dense matrices and every dense-output query
-(Horner in theta, the same operations in the same order) are elementwise
-numpy.  Nothing goes through BLAS, whose kernel, and so the order of a
-sum, numpy picks per CPU at run time: a run has the same bits on any CPU
-and BLAS build (powers come from the C library).
+an array adapter.  Event functions get the state as a tuple of Python
+floats, and event hits keep theirs as a list, so the step loop builds no
+array but the dense matrix of a step where an event crossed.  The dense
+matrices and every dense-output query (Horner in theta, the same
+operations in the same order) are elementwise numpy.  Nothing goes
+through BLAS, whose kernel, and so the order of a sum, numpy picks per
+CPU at run time: a run has the same bits on any CPU and BLAS build
+(powers come from the C library).
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ class StepUnderflowError(RuntimeError):
 class Event:
     """Sign-change detector g(t, y) located on the dense output.
 
+    g takes the time and the state as a tuple of Python floats, and
+    returns a float.
     direction: +1 upcrossings only, -1 downcrossings only, 0 both.
     terminal: stop the integration at the located event.
     """
@@ -232,21 +237,24 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
               events: Optional[Sequence[Event]] = None) -> Trajectory:
     """Integrate state' = rhs(t, state) from t0 to t1 adaptively, in float64.
 
-    rhs and the event functions receive the state as a float64 array; rhs
-    returns a list of floats, used as it is, or what numpy reads as a
-    float64 array.  Where rhs has an attribute ``floats``, the step loop
-    calls ``rhs.floats(t, xs)`` instead, on a list of finite Python floats,
-    and uses the list it returns; it must compute what rhs computes (as
-    ``odes.make_autonomous_rhs`` provides it).  Event functions get an
-    array, also at each halving of the bisection that locates a crossing
-    on the step's quartic.  Backward runs (t1 < t0) are handled by time
-    reflection.
+    rhs receives the state as a float64 array and returns a list of floats,
+    used as it is, or what numpy reads as a float64 array.  Where rhs has
+    an attribute ``floats``, the step loop calls ``rhs.floats(t, xs)``
+    instead, on a list of finite Python floats, and uses the list it
+    returns; it must compute what rhs computes (as
+    ``odes.make_autonomous_rhs`` provides it).  Event functions get the
+    state as a tuple of Python floats: at the initial state, at each
+    accepted step and at each halving of the bisection that locates a
+    crossing on the step's quartic.  Each hit is recorded in
+    ``Trajectory.events`` as ``(t, y)``, a float and a list of floats.
+    Backward runs (t1 < t0) are handled by time reflection.
     When any state component exceeds ``guard`` in absolute value, the run
     stops with ``status="blowup"`` and the truncated trajectory is
     returned; a step that collapses below 1e-14 times the magnitude of the
     current time (or of 1, if larger) raises StepUnderflowError carrying
-    the partial trajectory.  A step whose stages leave float range is
-    rejected and retried at a quarter of its size.  NaN, infinite or
+    the partial trajectory, unless it ends the span: a span that fits in
+    one step is integrated however short it is.  A step whose stages leave
+    float range is rejected and retried at a quarter of its size.  NaN, infinite or
     non-positive tolerances, a NaN or non-positive guard (``inf`` turns the
     guard off), a non-finite t0 or t1 and an empty or non-finite initial
     state raise DomainError before any RHS call, and a non-finite
@@ -303,7 +311,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     hs, kss = [], []   # per accepted step: its size and its stages
     err_old = 1e-4
     status = "reached"
-    ev_vals = [e.g(t, np.array(y)) for e in events]
+    ev_vals = [e.g(t, tuple(y)) for e in events]
 
     def finish(stat):
         tr_t = np.array(ts)
@@ -323,7 +331,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
             break
         # a backward run steps on the reflected clock t and is at time t0 - t
         now = t if direction > 0 else t0 - t
-        if h < 1e-14 * max(abs(t), abs(now), 1.0):
+        if h < 1e-14 * max(abs(t), abs(now), 1.0) and t + h < tB:
             raise StepUnderflowError(
                 f"step size underflow at t={now:.6g} (h={h:.3e})", finish("underflow"))
         last = False
@@ -351,10 +359,9 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         Q = None   # the dense matrix, here only where an event crossed
         t_new = tB if last else t + h
         stop_here = None
-        y_arr = np.array(y_new) if events else None
         for ie, ev in enumerate(events):
             v_old = ev_vals[ie]
-            v_new = ev.g(t_new, y_arr)
+            v_new = ev.g(t_new, tuple(y_new))
             crossed = ((v_old < 0 <= v_new) and ev.direction >= 0) or \
                       ((v_old > 0 >= v_new) and ev.direction <= 0)
             if crossed and v_old != 0:
@@ -365,7 +372,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                     mid = (th_lo + th_hi) / 2
                     if mid == th_lo or mid == th_hi:
                         break
-                    gm = ev.g(t + mid * h, np.array(_quartic_row(y, h, Q, mid)))
+                    gm = ev.g(t + mid * h, tuple(_quartic_row(y, h, Q, mid)))
                     if gm == 0.0:
                         th_lo = th_hi = mid
                         break
@@ -375,7 +382,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                         th_lo, g_lo = mid, gm
                 th = (th_lo + th_hi) / 2
                 te = t + th * h
-                ye = np.array(_quartic_row(y, h, Q, th))
+                ye = _quartic_row(y, h, Q, th)
                 ev_hits[ie].append((te, ye))
                 if ev.terminal and (stop_here is None or te < stop_here[0]):
                     stop_here = (te, ye)
@@ -384,7 +391,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         kss.append(ks)
         if stop_here is not None:
             ts.append(stop_here[0])
-            ys.append(stop_here[1].tolist())
+            ys.append(stop_here[1])
             status = "event"
             break
         t = t_new

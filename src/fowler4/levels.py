@@ -8,6 +8,7 @@ without numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
@@ -38,13 +39,26 @@ class PohozaevLevels:
         return "MISMATCH"
 
 
+def _in_range(what: str, n: int, level) -> float:
+    """level() as a float; DomainError where it leaves float range, by an
+    OverflowError or by a non-finite result."""
+    try:
+        value = level()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{what} at n={n} leaves float range")
+    return value
+
+
 def autonomous_level(n: int, s: Scalar, sigma: int = BUILD_SIGMA):
     """l*(n,s) = (s-1)/(2(s+1)) K0^{(s+1)/(s-1)}; None when K0 <= 0."""
     K0 = oracle_autonomous(n, s, sigma)["K0"]
     if not K0 > 0:
         return None
     s = float(s)
-    return (s - 1) / (2 * (s + 1)) * float(K0) ** ((s + 1) / (s - 1))
+    return _in_range("autonomous level", n,
+                     lambda: (s - 1) / (2 * (s + 1)) * float(K0) ** ((s + 1) / (s - 1)))
 
 
 def equilibrium_energy_exact(n: int, s):
@@ -74,12 +88,20 @@ def printed_aviles_level(n: int) -> float:
     return (a + b) / (16.0 * (n - 2))
 
 
-def derived_aviles_level(n: int, variant: str = "theorem") -> float:
-    """(q+1)^{-1} Lam^{q+1} + K^0 Lam^2 at Lam = K^0^{(n-4)/4}, q = lower."""
+def _aviles_terms(n: int, variant: str):
+    """(Lam^{q+1}/(q+1), K^0 Lam^2) at Lam = K^0^{(n-4)/4}, q = lower."""
     K0h = float(hat_constant(n, variant))
     q = float(special_exponents(n).lower)
     lam = K0h ** ((n - 4) / 4.0)
-    return lam ** (q + 1) / (q + 1) + K0h * lam * lam
+    return lam ** (q + 1) / (q + 1), K0h * lam * lam
+
+
+def derived_aviles_level(n: int, variant: str = "theorem") -> float:
+    """(q+1)^{-1} Lam^{q+1} + K^0 Lam^2 at Lam = K^0^{(n-4)/4}, q = lower."""
+    def level():
+        a, b = _aviles_terms(n, variant)
+        return a + b
+    return _in_range("derived lower-critical level", n, level)
 
 
 def constant_state_aviles_level(n: int, variant: str = "theorem") -> float:
@@ -88,10 +110,10 @@ def constant_state_aviles_level(n: int, variant: str = "theorem") -> float:
     The t-weighted quadratic term contributes with a minus sign, giving
     Lam^{q+1}/(q+1) - K^0 Lam^2 < 0 (consistent with the \"-l*\" branch).
     """
-    K0h = float(hat_constant(n, variant))
-    q = float(special_exponents(n).lower)
-    lam = K0h ** ((n - 4) / 4.0)
-    return lam ** (q + 1) / (q + 1) - K0h * lam * lam
+    def level():
+        a, b = _aviles_terms(n, variant)
+        return a - b
+    return _in_range("constant-state lower-critical level", n, level)
 
 
 def limiting_levels(params: Params, sigma: int = BUILD_SIGMA) -> PohozaevLevels:

@@ -1,5 +1,6 @@
 """Command-line contract: exact output, exit codes, determinism."""
 
+import functools
 import hashlib
 import json
 import subprocess
@@ -105,6 +106,12 @@ def test_signs_short_or_malformed_grid_exits_2_without_output(tmp_path, grid):
     ("shoot", "--n", "900", "--a-grid", "0.5"),
     ("shoot", "--n", "2000", "--a-grid", "0.5"),
     ("shoot", "--n", "9999", "--a-grid", "0.5"),
+    # a limiting level leaves float range (104 wrote the non-JSON token
+    # Infinity; the others exited 1 on OverflowError)
+    ("pohozaev", "--n", "104", "--s", "7"),
+    ("pohozaev", "--n", "105", "--s", "7"),
+    ("pohozaev", "--n", "9999", "--s", "7"),
+    ("pohozaev", "--n", "200", "--s", "201/196"),
 ])
 def test_malformed_or_empty_input_exits_2_without_output(tmp_path, capsys, args):
     target = tmp_path / "out.csv"
@@ -120,6 +127,84 @@ def test_integrate_energy_failure_exits_2_without_output(tmp_path):
             "--out", str(out), "--energy-out", str(energy)]
     assert cli.main(argv) == 2
     assert not out.exists() and not energy.exists()
+
+
+@pytest.mark.parametrize("t_end", ["1e-30", "1e-300"])
+def test_integrate_a_span_of_one_step_is_reached(capsys, t_end):
+    # the first step equals the span (this exited 1 on StepUnderflowError)
+    out = run_cli(capsys, "integrate", "--n", "5", "--s", "7", "--init", "1,0,0,0",
+                  "--t-end", t_end, check=True)
+    assert "# status: reached" in out.stdout and out.stderr == ""
+    rows = [l.split(",") for l in out.stdout.splitlines() if l[:1].isdigit()]
+    assert [float(r[0]) for r in rows] == [0.0, float(t_end)]
+
+
+@pytest.mark.parametrize("init, h, row", [("1,1e30,0,0", "6.551e-33", "0,1,1e+30,0,0,0"),
+                                          ("0,0,0,1e30", "1.000e-32", "0,0,0,0,1e+30,0")])
+def test_integrate_step_underflow_writes_the_partial_record(tmp_path, capsys, init, h, row):
+    # a guarded stop, like the blowup guard's (this exited 1 on StepUnderflowError)
+    target = tmp_path / "traj.csv"
+    out = run_cli(capsys, "integrate", "--n", "5", "--s", "7", "--init", init,
+                  "--out", str(target), check=True)
+    assert out.stderr == f"integrate: step size underflow at t=0 (h={h})\n"
+    text = target.read_text()
+    assert "# status: underflow" in text
+    assert [l for l in text.splitlines() if l[:1].isdigit()] == [row]
+
+
+# the edge classes of every numeric flag; --n also takes the dimension edges
+_EDGES = ("5", "0", "-1", "1e400", "nan", "inf", "-inf", "1e-300", "5e-324", "1e300",
+          "1e30", "1e-30", "7/3", "1/0", "", "2", "1", "3/2")
+_N_EDGES = _EDGES + ("4", "100", "5:4", "5:5", "6.5", "9999")
+_INIT_P1 = ("0.3", "-0.2", "0.1", "0.25")
+_INIT_P2 = _INIT_P1 + ("0.1", "0.05", "-0.1", "0.2")
+
+# (base command, flags swept one at a time); "--init:i" is slot i of --init
+_SWEEP = (
+    (("coeffs", "--n", "5", "--s", "7"), ("--n", "--s", "--sigma")),
+    (("signs", "--n", "5", "--s-grid", "4"), ("--n", "--s-grid", "--sigma")),
+    (("classify", "--n", "5", "--s", "7"), ("--n", "--s", "--sigma")),
+    (("pohozaev", "--n", "5", "--s", "7"), ("--n", "--s", "--sigma")),
+    (("shoot", "--n", "6", "--a-grid", "0.9"), ("--n", "--a-grid")),
+    (("fit", "--n", "5"), ("--n", "--s", "--r-lo", "--r-hi", "--num")),
+    (("integrate", "--n", "5", "--s", "7", "--init", ",".join(_INIT_P1), "--t-end", "0.05"),
+     ("--n", "--s", "--p", "--rel-tol", "--abs-tol", "--sigma", "--t-end",
+      "--init:0", "--init:1", "--init:2", "--init:3")),
+    (("integrate", "--n", "5", "--s", "7", "--p", "2", "--init", ",".join(_INIT_P2),
+      "--t-end", "0.05"), ("--init:0", "--init:5")),
+)
+
+
+def _sweep_cases():
+    for base, flags in _SWEEP:
+        for flag in flags:
+            for value in _N_EDGES if flag == "--n" else _EDGES:
+                argv = list(base)
+                name, _, slot = flag.partition(":")
+                if slot:
+                    entries = argv[argv.index(name) + 1].split(",")
+                    entries[int(slot)] = value
+                    value = ",".join(entries)
+                if name in argv:
+                    argv[argv.index(name) + 1] = value
+                else:
+                    argv += [name, value]
+                yield argv
+
+
+def test_every_numeric_flag_at_its_edge_values_exits_0_or_2(monkeypatch, capsys):
+    # in process; the parser is built once, as each build costs more than
+    # most of these commands.  shoot exits 1 where a row misses a C07
+    # threshold, and says which on stderr
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache()(cli.build_parser))
+    bad = []
+    for argv in _sweep_cases():
+        out = run_cli(capsys, *argv)
+        missed = (argv[0] == "shoot" and out.returncode == 1 and
+                  all(l.startswith("shoot: n=") for l in out.stderr.splitlines()))
+        if not (out.returncode in (0, 2) or missed) or "failure:" in out.stderr:
+            bad.append((argv, out.returncode, out.stderr.strip()))
+    assert bad == []
 
 
 def test_missing_subcommand_is_usage_error():
@@ -217,6 +302,14 @@ def test_verify_subset_suite_exits_zero(tmp_path, capsys):
     assert any(e["symbol"] == "J40(n,s) appendix formula" for e in doc)
 
 
+def test_verify_ledger_csv_has_its_pinned_digest(tmp_path, capsys):
+    # the ledger's entries and verdicts, byte for byte
+    target = tmp_path / "ledger.csv"
+    run_cli(capsys, "verify", "--suite", "ledger", "--out", str(target), check=True)
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == \
+        "4d489e697ca1859d9da24f8bcf65ab200291bc5197618c9b38845c8ade199d88"
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert run_cli(capsys, "verify", "--suite", "nope").returncode == 2
 
@@ -246,6 +339,27 @@ def test_shoot_exits_1_where_a_row_misses_a_c07_threshold(capsys, grid, code):
         assert "closure defect 4.645e-06 above target 1.0e-06" in out.stderr
     else:
         assert out.stderr == ""
+
+
+def test_shoot_orbit_dir_writes_one_orbit_per_point_with_an_orbit(tmp_path, capsys):
+    # a = a0 is the constant orbit: no orbit file
+    orbits = tmp_path / "orbits"
+    out = run_cli(capsys, "shoot", "--n", "6", "--a-grid", "3/5,1", "--orbit-dir",
+                  str(orbits), check=True)
+    assert sorted(p.name for p in orbits.iterdir()) == ["orbit_00.csv"]
+    text = (orbits / "orbit_00.csv").read_text()
+    header = dict(l[2:].split(": ", 1) for l in text.splitlines() if l.startswith("# "))
+    table = dict(l[2:].split(": ", 1) for l in out.stdout.splitlines() if l.startswith("# "))
+    row = [l for l in out.stdout.splitlines() if l.startswith("6,")][0].split(",")
+    assert header == {**table, "a": row[1], "b": row[2], "T": row[3]}
+    assert {"n", "c_mode", "a0", "c", "a_grid"} <= set(table)
+    lines = text.splitlines()
+    assert lines[len(header)] == "t,v,v1,v2,v3"
+    rows = [[float(x) for x in l.split(",")] for l in lines[len(header) + 1:]]
+    assert len(rows) == 801
+    assert rows[0] == [0.0, float(row[1]), 0.0, float(row[2]), 0.0]
+    assert rows[-1][0] == float(row[3])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4b7a8664e5ac19c2"
 
 
 def _artifact_digests(tmp_path, args, side_flag=None):

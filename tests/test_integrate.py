@@ -112,6 +112,17 @@ def test_step_underflow_scales_with_the_time_not_the_span():
     assert 0.9 < traj.t[-1] <= 1.0
 
 
+@pytest.mark.parametrize("span", [1e-30, 1e-300])
+def test_a_span_that_fits_in_one_step_is_no_underflow(span):
+    # the first step equals the span, far below 1e-14: it ends the run
+    rhs = make_autonomous_rhs(Params(5, Fraction(7)))
+    traj = integrate(rhs, 0.0, np.array([1.0, 0.0, 0.0, 0.0]), span,
+                     rel_tol=1e-10, abs_tol=1e-12)
+    assert traj.status == "reached"
+    assert traj.t.tolist() == [0.0, span]
+    assert traj.stats["steps"] == 1
+
+
 def test_an_overflowing_coupling_fails_its_step():
     # |V|^6 leaves float range in the early stages from v = 1e30: each such
     # step is rejected as non-finite (before, OverflowError escaped the run)
@@ -145,6 +156,65 @@ def test_event_location_on_dense_output():
     te, ye = traj.events[0][0]
     assert te == pytest.approx(np.pi / 2, abs=1e-9)
     assert abs(ye[0]) < 1e-9
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_event_functions_get_a_tuple_of_floats_and_hits_keep_floats(backward):
+    # cos t crosses 0 at pi/2 (downward) and 3 pi/2 (upward); each call is the
+    # start state, an accepted node or a bisection halving inside a step
+    seen = []
+
+    def g(t, y):
+        seen.append((t, type(y), {type(a) for a in y}))
+        return y[0]
+
+    t0, t1 = (5.0, 0.0) if backward else (0.0, 5.0)
+    y0 = [math.cos(t0), -math.sin(t0)]
+    traj = integrate(lambda t, y: np.array([y[1], -y[0]]), t0, np.array(y0), t1,
+                     rel_tol=1e-10, abs_tol=1e-12, events=[Event(g=g)])
+    assert {(ty, *tys) for _, ty, tys in seen} == {(tuple, float)}
+    nodes = set(traj.t.tolist())
+    assert seen[0][0] == t0
+    assert sum(t in nodes for t, _, _ in seen) == len(nodes) == len(traj.t)
+    assert sum(t not in nodes for t, _, _ in seen) > 40   # the halvings
+    hits = traj.events[0]
+    assert len(hits) == 2
+    for te, ye in hits:
+        assert type(te) is float and type(ye) is list
+        assert {type(a) for a in ye} == {float}
+        assert abs(ye[0]) < 1e-9
+    assert sorted(te for te, _ in hits) == pytest.approx([np.pi / 2, 3 * np.pi / 2],
+                                                         abs=1e-9)
+
+
+def test_event_location_builds_no_array_per_step(monkeypatch):
+    # a capped C06 run at two tolerances: the arrays integrate builds are the
+    # initial state's, the record's and one dense matrix per crossing, however
+    # many steps and halvings the run takes
+    class CountingNumpy:
+        def __init__(self):
+            self.arrays = 0
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, *args, **kwargs):
+            self.arrays += 1
+            return np.array(*args, **kwargs)
+
+    rhs = make_autonomous_rhs(Params(5, Fraction(7)))
+    cap = Event(g=lambda t, y: 3.0 - max(map(abs, y)), direction=-1, terminal=True)
+    counts = []
+    for rel_tol in (1e-8, 1e-13):
+        counting = CountingNumpy()
+        monkeypatch.setattr(integ_module, "np", counting)
+        traj = integrate(rhs, 0.0, _CAP_STATES[1], 2.0, rel_tol=rel_tol,
+                         abs_tol=1e-14, guard=1e4, events=[cap])
+        assert traj.status == "event" and len(traj.events[0]) == 1
+        counts.append((counting.arrays, traj.stats["steps"]))
+    (arrays_lo, steps_lo), (arrays_hi, steps_hi) = counts
+    assert steps_hi > 4 * steps_lo
+    assert arrays_lo == arrays_hi <= 6
 
 
 def test_rejects_bad_inputs():
