@@ -9,6 +9,8 @@ and the Kelvin transform passes its involution identities.
 Run:  python demos/02_closed_form_solutions.py
 """
 
+import math
+
 import numpy as np
 
 from fowler4 import Bubble, SingularPower, bubble_constant, inversion_map
@@ -44,8 +46,7 @@ for _ in range(100):
     mu = float(rng.uniform(0.5, 2.0))
     I1 = inversion_map(x0, mu, x)
     worst_inv = max(worst_inv, float(np.max(np.abs(inversion_map(x0, mu, I1) - x))))
-    worst_prod = max(worst_prod,
-                     abs(np.linalg.norm(I1 - x0) * np.linalg.norm(x - x0) - mu * mu))
+    worst_prod = max(worst_prod, abs(math.dist(I1, x0) * math.dist(x, x0) - mu * mu))
 print(f"  involution defect <= {worst_inv:.2e}, radius product defect <= {worst_prod:.2e}")
 
 print()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -98,7 +99,8 @@ class FitReport:
 
 def geometric_grid(lo: float, hi: float, num: int) -> List[float]:
     """num >= 2 points from lo to hi in geometric progression, both ends
-    exact, as np.geomspace gives them.
+    exact, by the C library's pow on Python floats: the same bits on every
+    CPU, where numpy picks its power loop per CPU.
 
     lo * (hi/lo)^(i/(num-1)) rounds once in hi/lo and once in the power:
     it stays within 3 eps (relative) of the exact progression on C09's
@@ -156,16 +158,22 @@ def fit_power_law(samples: Sequence[Tuple[float, float]]) -> FitReport:
 def fit_log_corrected(samples: Sequence[Tuple[float, float]], n: int) -> FitReport:
     """Fit value * r^{n-4} = A (-ln r)^q by regression in ln(-ln r).
 
-    Requires finite samples with 0 < r < e^{-2} throughout and >= 12 of them;
+    Requires an integer n >= 5 and finite samples with 0 < r < e^{-2}
+    throughout, >= 12 of them, each value * r^{n-4} positive in float;
     reports q, A and the distance of A to each ledgered amplitude variant.
     """
+    if not (isinstance(n, numbers.Integral) and n >= 5):
+        raise DomainError(f"log-corrected fit needs an integer n >= 5, got {n}")
     rs, vs = _samples(samples, LOG_FIT_MIN_SAMPLES)
     if min(rs) <= 0 or max(rs) >= math.exp(-2.0):
         raise DomainError("log-corrected fit requires 0 < r < e^{-2}")
     if min(vs) <= 0:
         raise DomainError("values must be positive")
+    scaled = [v * r ** (n - 4.0) for r, v in zip(rs, vs)]
+    if min(scaled) == 0:
+        raise DomainError("a value * r^(n-4) underflows to 0")
     slope, intercept, res = _lsq_line([math.log(-math.log(r)) for r in rs],
-                                      [math.log(v * r ** (n - 4.0)) for r, v in zip(rs, vs)])
+                                      [math.log(x) for x in scaled])
     A = math.exp(intercept)
     targets = {v: float(hat_constant(n, v)) ** ((n - 4) / 4.0)
                for v in ("theorem", "printed-limit", "chain-rule")}

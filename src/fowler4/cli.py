@@ -243,7 +243,12 @@ def cmd_shoot(args) -> int:
         raise UsageError("shoot takes a single dimension")
     n = ns[0]
     cc = critical_constants(n, args.c_mode)
-    a_values = [float(_parse_scalar(v)) * cc.a0 for v in args.a_grid.split(",")]
+    a_values = []
+    for text in args.a_grid.split(","):
+        a = float(_parse_scalar(text)) * cc.a0
+        if not 0 < a <= cc.a0:
+            raise UsageError(f"--a-grid entries are fractions of a0 in (0, 1], got {text!r}")
+        a_values.append(a)
     results = orbit_table(n, a_values, c_mode=args.c_mode)
     rows = [[n, r.a, r.b, r.T, r.energy, r.residual, r.period_defect,
              r.energy_drift, r.min_v, int(r.converged), r.precision]
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("shoot", help="periodic critical-case orbits")
     _add_flags(p, "n", "c-mode", "format", "out", "gnuplot")
     p.add_argument("--a-grid", default="0.3,0.6,0.9",
-                   help="comma-separated fractions of a0")
+                   help="comma-separated fractions of a0, each in (0, 1]")
     p.add_argument("--orbit-dir", default=None,
                    help="also write one orbit CSV per grid entry here")
     p.set_defaults(fn=cmd_shoot)

@@ -17,10 +17,13 @@ an array adapter.  Event functions get the state as a tuple of Python
 floats, and event hits keep theirs as a list, so the step loop builds no
 array but the dense matrix of a step where an event crossed.  The dense
 matrices and every dense-output query (Horner in theta, the same
-operations in the same order) are elementwise numpy.  Nothing goes
-through BLAS, whose kernel, and so the order of a sum, numpy picks per
-CPU at run time: a run has the same bits on any CPU and BLAS build
-(powers come from the C library).
+operations in the same order) are elementwise numpy + - * / and sqrt,
+which round the same on every CPU.  No numpy ufunc loop or BLAS kernel
+that numpy picks per CPU at run time runs under a result: a BLAS kernel
+fixes the order of its sums, and numpy's AVX-512 power loop rounds some
+values differently from its baseline one.  Powers come from the C
+library's pow on Python floats, so a run has the same bits on any CPU
+and BLAS build.
 """
 
 from __future__ import annotations
@@ -237,8 +240,9 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
               events: Optional[Sequence[Event]] = None) -> Trajectory:
     """Integrate state' = rhs(t, state) from t0 to t1 adaptively, in float64.
 
-    rhs receives the state as a float64 array and returns a list of floats,
-    used as it is, or what numpy reads as a float64 array.  Where rhs has
+    rhs receives the state as a float64 array and returns what numpy reads
+    as a float64 array (a list too); the step loop converts each result to
+    a list of Python floats.  Where rhs has
     an attribute ``floats``, the step loop calls ``rhs.floats(t, xs)``
     instead, on a list of finite Python floats, and uses the list it
     returns; it must compute what rhs computes (as
@@ -276,9 +280,8 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         raise DomainError("non-finite initial state")
     fl = getattr(rhs, "floats", None)
     if fl is None:
-        def fl(s, x):   # the array contract: an array in, a list out
-            k = rhs(s, np.array(x))
-            return k if type(k) is list else np.asarray(k, dtype=float).tolist()
+        def fl(s, x):   # the array contract: an array in, a list of floats out
+            return np.asarray(rhs(s, np.array(x)), dtype=float).tolist()
     direction = 1 if t1 > t0 else -1
     if direction < 0:
         fwd = fl

@@ -9,6 +9,7 @@ loads without numpy.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -101,8 +102,8 @@ def pohozaev_series(params: Params, traj: Trajectory, num: int = 201,
     """
     if len(traj.t) < 5:
         raise DomainError("trajectory too short for an energy series")
-    if num < 5:
-        raise DomainError(f"the derivative stencil needs num >= 5 samples, got {num}")
+    if not (isinstance(num, numbers.Integral) and num >= 5):
+        raise DomainError(f"the derivative stencil needs an integer num >= 5, got {num}")
     ts = np.linspace(float(traj.t[0]), float(traj.t[-1]), num)
     dt = float(ts[1] - ts[0])
     Hs, dHf = _radial_rows(params, traj(ts), _autonomous_floats(params, sigma))

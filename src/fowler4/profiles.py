@@ -5,7 +5,9 @@ hand-derived radial derivatives up to fourth order, so the biharmonic
 residual can be computed to near machine precision.  Profiles without
 exact derivatives fall back to compact-stencil finite differences with
 Richardson extrapolation.  The radial path works on Python floats and
-loads no numpy; the vector-valued helpers import it where they run.
+loads no numpy; the vector-valued helpers import it where they run, and
+sum their dot products left to right on Python floats, not in BLAS,
+whose kernel numpy picks per CPU.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ class Bubble:
         import numpy as np
 
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        r = float(np.linalg.norm(x - self.center(x.size)))
+        r = math.sqrt(psum(d * d for d in (x - self.center(x.size)).tolist()))
         return self.radial(r)
 
     def radial_derivatives(self, r: float) -> Tuple[float, ...]:
@@ -188,8 +190,8 @@ class SingularPower:
     def __call__(self, x) -> np.ndarray:
         import numpy as np
 
-        r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-        return np.array(self.lam) * self.radial(r)
+        x = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+        return np.array(self.lam) * self.radial(math.sqrt(psum(v * v for v in x)))
 
     def radial_derivatives(self, r: float) -> Tuple[float, ...]:
         g = self.gamma
@@ -293,7 +295,7 @@ def inversion_map(x0, mu: float, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x - x0
-    q = float(np.dot(d, d))
+    q = psum(v * v for v in d.tolist())
     if q == 0:
         raise DomainError("inversion undefined at the center")
     return x0 + (mu * mu / q) * d
@@ -309,8 +311,7 @@ def kelvin_transform(profile: Callable, x0, mu: float, n: int) -> Callable:
 
     def transformed(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        d = x - x0
-        dist = float(np.linalg.norm(d))
+        dist = math.sqrt(psum(d * d for d in (x - x0).tolist()))
         if dist == 0:
             raise DomainError("Kelvin transform undefined at the center")
         return (mu / dist) ** (n - 4) * profile(inversion_map(x0, mu, x))
@@ -331,17 +332,19 @@ def green_ball(n: int, x, y):
         raise DomainError("kernels need n >= 3")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+    xs, ys = x.tolist(), y.tolist()
+    rx, ry = math.sqrt(psum(v * v for v in xs)), math.sqrt(psum(v * v for v in ys))
     if rx >= 1 + 1e-14:
         raise DomainError("x must lie in the closed unit ball")
-    d = float(np.linalg.norm(x - y))
+    d = math.sqrt(psum(v * v for v in (x - y).tolist()))
     om = unit_sphere_area(n)
     G1 = None
     if ry <= 1 + 1e-12:
         if d == 0:
             raise DomainError("G1 undefined at coincident points")
         # |x| |y - x/|x|^2| = sqrt(|x|^2 |y|^2 - 2 x.y + 1), symmetric in x, y
-        image = math.sqrt(max(rx * rx * ry * ry - 2 * float(np.dot(x, y)) + 1.0, 0.0))
+        xy = psum(a * b for a, b in zip(xs, ys, strict=True))
+        image = math.sqrt(max(rx * rx * ry * ry - 2 * xy + 1.0, 0.0))
         G1 = (d ** (2 - n) - image ** (2 - n)) / ((n - 2) * om)
     H1 = None
     if abs(ry - 1.0) <= 1e-12:

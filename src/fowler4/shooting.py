@@ -44,6 +44,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from .asymptotics import geometric_grid
 from .coefficients import printed_critical_values
 from .integrate import Trajectory
 from .params import DomainError, special_exponents
@@ -324,7 +325,10 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
     exactly when the result meets every C07 threshold (converged,
     residual, closure defect, energy drift, orbit minimum); otherwise it
     says which one misses and, for the defect, whether the longdouble
-    refinement was kept.
+    refinement was kept.  Raises DomainError for an a outside (0, a0], and
+    ArithmeticError ("no crash/escape bracket ...") where no b on the
+    bracket grid crashes below one that escapes (tiny a, for one);
+    ``orbit_table`` records either as a failed row.
     """
     consts = consts if consts is not None else critical_constants(n)
     a0 = consts.a0
@@ -340,17 +344,18 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
 
     stats: dict = {}
     firsts: dict = {}   # first maximum per float64 b, from any run of this call
-    # bracket on a geometric grid, then bisect the crash/escape boundary
+    # bracket on a geometric grid of Python float powers, the same on every
+    # CPU (its bits fix the root's last ULP), then bisect the crash/escape
+    # boundary
     b_max = 10.0 * consts.K0 * a0
-    grid = np.geomspace(1e-6, b_max, 25)
     prev = None
     blo = bhi = None
-    for b in grid:
-        o = _classify(consts, a, float(b), stats, firsts)
+    for b in geometric_grid(1e-6, b_max, 25):
+        o = _classify(consts, a, b, stats, firsts)
         if prev is not None and prev[1] < 0 and o > 0:
-            blo, bhi = prev[0], float(b)
+            blo, bhi = prev[0], b
             break
-        prev = (float(b), o)
+        prev = (b, o)
     if blo is None:
         raise ArithmeticError(
             f"no crash/escape bracket for a={a} in (1e-6, {b_max:.3g}); "

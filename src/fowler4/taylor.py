@@ -249,7 +249,10 @@ def flow(consts, y0, t_end: float) -> Trajectory:
     """
     status, ts, ys, hs, coefs, _ = march(consts, y0, t_end)
     h = np.array(hs, dtype=float)
+    # h^m by the C library's pow on Python floats: numpy's power loop is
+    # picked per CPU, and its AVX-512 one rounds some h^m differently
+    powers = np.array([[x ** m for m in range(_ORDER)] for x in h.tolist()])
     dense = (np.array(coefs, dtype=float).reshape(len(hs), 4, _ORDER + 1)[:, :, 1:]
-             * h[:, None, None] ** np.arange(_ORDER))
+             * powers.reshape(len(hs), 1, _ORDER))
     return Trajectory(t=np.array(ts, dtype=float), y=np.array(ys, dtype=float),
                       stats={"steps": len(hs)}, h=h, dense=dense, status=status)

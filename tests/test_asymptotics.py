@@ -90,6 +90,15 @@ def test_log_fit_on_pure_power_gives_zero_log_exponent():
     assert abs(rep.log_exponent) < 1e-10
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 4, 5.0, 6.5])
+def test_log_fit_rejects_a_dimension_that_is_no_integer_from_5(n):
+    # n = 2 raised ZeroDivisionError, and -1, 0, 1, 3 and 4 returned a report
+    # built on hat_constant(n), as no other n-taking entry does
+    rs = asy.geometric_grid(1e-6, 1e-2, 14)
+    with pytest.raises(DomainError, match="integer n >= 5"):
+        asy.fit_log_corrected([(r, r ** -1.0) for r in rs], n)
+
+
 def test_log_fit_rejects_large_radii():
     with pytest.raises(DomainError):
         asy.fit_log_corrected([(0.5, 1.0)] * 15, 5)

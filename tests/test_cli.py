@@ -112,6 +112,11 @@ def test_signs_short_or_malformed_grid_exits_2_without_output(tmp_path, grid):
     ("pohozaev", "--n", "105", "--s", "7"),
     ("pohozaev", "--n", "9999", "--s", "7"),
     ("pohozaev", "--n", "200", "--s", "201/196"),
+    # a fraction of a0 outside (0, 1] (these exited 1 with a row of NaN and inf)
+    ("shoot", "--n", "6", "--a-grid", "0"),
+    ("shoot", "--n", "6", "--a-grid", "-1"),
+    ("shoot", "--n", "6", "--a-grid", "3/2"),
+    ("shoot", "--n", "6", "--a-grid", "1e30"),
 ])
 def test_malformed_or_empty_input_exits_2_without_output(tmp_path, capsys, args):
     target = tmp_path / "out.csv"
@@ -341,11 +346,17 @@ def test_shoot_exits_1_where_a_row_misses_a_c07_threshold(capsys, grid, code):
         assert out.stderr == ""
 
 
+# a = a0 is the constant orbit: no orbit file
+_ORBIT_DIR_ARGS = ("shoot", "--n", "6", "--a-grid", "3/5,1", "--orbit-dir")
+# sha256 prefix of its orbit_00.csv, re-recorded when taylor.flow's h^m left
+# numpy's power loop for the C library's pow: 4b7a8664e5ac19c2 before, which
+# only numpy's AVX-512 loop computed; every other CPU computed this one
+_ORBIT_DIR_DIGEST = "43de2b93affc497a"
+
+
 def test_shoot_orbit_dir_writes_one_orbit_per_point_with_an_orbit(tmp_path, capsys):
-    # a = a0 is the constant orbit: no orbit file
     orbits = tmp_path / "orbits"
-    out = run_cli(capsys, "shoot", "--n", "6", "--a-grid", "3/5,1", "--orbit-dir",
-                  str(orbits), check=True)
+    out = run_cli(capsys, *_ORBIT_DIR_ARGS, str(orbits), check=True)
     assert sorted(p.name for p in orbits.iterdir()) == ["orbit_00.csv"]
     text = (orbits / "orbit_00.csv").read_text()
     header = dict(l[2:].split(": ", 1) for l in text.splitlines() if l.startswith("# "))
@@ -359,7 +370,7 @@ def test_shoot_orbit_dir_writes_one_orbit_per_point_with_an_orbit(tmp_path, caps
     assert len(rows) == 801
     assert rows[0] == [0.0, float(row[1]), 0.0, float(row[2]), 0.0]
     assert rows[-1][0] == float(row[3])
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4b7a8664e5ac19c2"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _ORBIT_DIR_DIGEST
 
 
 def _artifact_digests(tmp_path, args, side_flag=None):

@@ -161,30 +161,33 @@ def test_event_location_on_dense_output():
 @pytest.mark.parametrize("backward", [False, True])
 def test_event_functions_get_a_tuple_of_floats_and_hits_keep_floats(backward):
     # cos t crosses 0 at pi/2 (downward) and 3 pi/2 (upward); each call is the
-    # start state, an accepted node or a bisection halving inside a step
-    seen = []
-
-    def g(t, y):
-        seen.append((t, type(y), {type(a) for a in y}))
-        return y[0]
-
+    # start state, an accepted node or a bisection halving inside a step.  A
+    # plain RHS may return an array or a list; on the adapter's array a list
+    # holds numpy scalars, which the adapter turns into floats too
     t0, t1 = (5.0, 0.0) if backward else (0.0, 5.0)
     y0 = [math.cos(t0), -math.sin(t0)]
-    traj = integrate(lambda t, y: np.array([y[1], -y[0]]), t0, np.array(y0), t1,
-                     rel_tol=1e-10, abs_tol=1e-12, events=[Event(g=g)])
-    assert {(ty, *tys) for _, ty, tys in seen} == {(tuple, float)}
-    nodes = set(traj.t.tolist())
-    assert seen[0][0] == t0
-    assert sum(t in nodes for t, _, _ in seen) == len(nodes) == len(traj.t)
-    assert sum(t not in nodes for t, _, _ in seen) > 40   # the halvings
-    hits = traj.events[0]
-    assert len(hits) == 2
-    for te, ye in hits:
-        assert type(te) is float and type(ye) is list
-        assert {type(a) for a in ye} == {float}
-        assert abs(ye[0]) < 1e-9
-    assert sorted(te for te, _ in hits) == pytest.approx([np.pi / 2, 3 * np.pi / 2],
-                                                         abs=1e-9)
+    for rhs in (lambda t, y: np.array([y[1], -y[0]]), lambda t, y: [y[1], -y[0]]):
+        seen = []
+
+        def g(t, y):
+            seen.append((t, type(y), {type(a) for a in y}))
+            return y[0]
+
+        traj = integrate(rhs, t0, np.array(y0), t1, rel_tol=1e-10, abs_tol=1e-12,
+                         events=[Event(g=g)])
+        assert {(ty, *tys) for _, ty, tys in seen} == {(tuple, float)}
+        nodes = set(traj.t.tolist())
+        assert seen[0][0] == t0
+        assert sum(t in nodes for t, _, _ in seen) == len(nodes) == len(traj.t)
+        assert sum(t not in nodes for t, _, _ in seen) > 40   # the halvings
+        hits = traj.events[0]
+        assert len(hits) == 2
+        for te, ye in hits:
+            assert type(te) is float and type(ye) is list
+            assert {type(a) for a in ye} == {float}
+            assert abs(ye[0]) < 1e-9
+        assert sorted(te for te, _ in hits) == pytest.approx([np.pi / 2, 3 * np.pi / 2],
+                                                             abs=1e-9)
 
 
 def test_event_location_builds_no_array_per_step(monkeypatch):
@@ -578,35 +581,57 @@ def test_dense_output_is_bit_pinned(name):
 
 
 _KERNEL_PINS = """
-import pathlib, tempfile
-import test_cli, test_integrate, test_shooting
+import hashlib, os, pathlib, tempfile
+from numpy._core._multiarray_umath import __cpu_features__
+import test_cli, test_integrate, test_profiles, test_shooting
+off = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+assert not any(__cpu_features__.get(f) for f in off), off
 for name, (run, steps, dense) in test_integrate._PINNED_RUNS.items():
     traj = run()
     assert test_integrate._digest(traj) == steps, name
     assert test_integrate._dense_digest(traj) == dense, name
-test_shooting.test_find_b_is_bit_pinned((6, 0.62))
+for point in test_shooting._PINNED_ROOTS:
+    test_shooting.test_find_b_is_bit_pinned(point)
+assert test_profiles._vector_helpers_digest() == test_profiles._VECTOR_HELPERS_DIGEST
 with tempfile.TemporaryDirectory() as tmp:
+    tmp = pathlib.Path(tmp)
     for name in ("integrate", "integrate-p3"):
         args, side, want = test_cli._PINNED_ARTIFACTS[name]
-        assert test_cli._artifact_digests(pathlib.Path(tmp), args, side) == want, name
+        assert test_cli._artifact_digests(tmp, args, side) == want, name
+    argv = [*test_cli._ORBIT_DIR_ARGS, str(tmp / "orbits"), "--out", str(tmp / "table")]
+    assert test_cli.cli.main(argv) == 0
+    text = (tmp / "orbits" / "orbit_00.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest()[:16] == test_cli._ORBIT_DIR_DIGEST
 """
 
 
 def test_bit_pins_hold_under_every_openblas_kernel():
-    """The pins that once followed the BLAS kernel (the runs above, find_b
-    at (6, 0.62 a0) and the integrate artifacts), recomputed in one fresh
-    process per kernel: the one OpenBLAS picks for this CPU, Haswell (AVX2)
-    and Prescott (SSE3).  OPENBLAS_CORETYPE does nothing where numpy's BLAS
-    is not a DYNAMIC_ARCH OpenBLAS; there the three processes agree
-    trivially."""
+    """The pins that once followed a kernel picked per CPU at run time (the
+    runs above, every pinned find_b root, the integrate artifacts, the shoot
+    orbit file and profiles' vector helpers), recomputed in one fresh
+    process per stand-in CPU.  Each fixes OpenBLAS's kernel and numpy's
+    dispatch level: this CPU as it is; Haswell (AVX2) with numpy's AVX-512
+    targets disabled; Prescott (SSE3) with every target in numpy's
+    ``__cpu_dispatch__`` disabled, which leaves numpy at its baseline.  The
+    target names differ between numpy versions (AVX512_SKX, ... before 2.4;
+    X86_V3, X86_V4, ... from 2.4), so they are read from numpy.
+    OPENBLAS_CORETYPE does nothing where numpy's BLAS is not a DYNAMIC_ARCH
+    OpenBLAS; each process checks that numpy reports its disabled targets
+    off."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    avx512 = [t for t in __cpu_dispatch__ if "AVX512" in t or t == "X86_V4"]
     tests = pathlib.Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
     procs = {}
-    for kernel in ("", "Haswell", "Prescott"):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    for kernel, off in (("", []), ("Haswell", avx512), ("Prescott", __cpu_dispatch__)):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
         env["PYTHONPATH"] = path
         if kernel:
             env["OPENBLAS_CORETYPE"] = kernel
+        if off:
+            env["NPY_DISABLE_CPU_FEATURES"] = " ".join(off)
         procs[kernel or "default"] = subprocess.Popen(
             [sys.executable, "-c", _KERNEL_PINS], env=env, cwd=tests,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)

@@ -1,5 +1,6 @@
 """Closed-form solutions, kernels and residual verification."""
 
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -194,6 +195,36 @@ def test_green_rejects_coincident_points():
     x = np.array([0.2, 0, 0, 0, 0])
     with pytest.raises(DomainError):
         pf.green_ball(5, x, x)
+
+
+def _vector_helpers_digest():
+    """sha256 prefix of 1,500 calls of green_ball, inversion_map and
+    kelvin_transform (on a bubble) at seeded points in dimensions 5..9.  The
+    points come from uniform draws and a correctly rounded norm, so their
+    bits depend on no CPU either."""
+    rng = np.random.default_rng(28)
+    h = hashlib.sha256()
+    for i in range(500):
+        n = 5 + i % 5
+        x = rng.uniform(-0.3, 0.3, n)
+        y = rng.uniform(-0.3, 0.3, n)
+        if i % 2:   # on the unit sphere, where H1 is defined too
+            y = y / math.sqrt(math.fsum(y * y))
+        x0, mu = rng.uniform(-1.0, 1.0, n), float(rng.uniform(0.3, 2.0))
+        h.update(repr(pf.green_ball(n, x, y)).encode())
+        h.update(pf.inversion_map(x0, mu, x).tobytes())
+        h.update(float.hex(pf.kelvin_transform(pf.Bubble(n), x0, mu, n)(x)).encode())
+    return h.hexdigest()[:16]
+
+
+# recorded when the helpers' dot products left BLAS for left-to-right sums
+_VECTOR_HELPERS_DIGEST = "cc05920083475c64"
+
+
+def test_vector_helpers_are_bit_pinned():
+    """No src pin reads these helpers; this one makes their bits a contract.
+    Under BLAS's ddot the digest followed OpenBLAS's kernel."""
+    assert _vector_helpers_digest() == _VECTOR_HELPERS_DIGEST
 
 
 # --------------------------------------------------------------- wrappers

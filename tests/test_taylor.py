@@ -10,6 +10,7 @@ import pytest
 
 from fowler4 import shooting as sh
 from fowler4 import taylor
+from fowler4.asymptotics import geometric_grid
 from fowler4.bubble import bubble_constant_closed_form
 from fowler4.integrate import Event, integrate
 from fowler4.polys import peval
@@ -73,9 +74,9 @@ def _dopri_classify(cc, a, b):
 def test_classify_matches_dormand_prince_on_the_bracket_grid(n, frac):
     cc = sh.critical_constants(n)
     a = frac * cc.a0
-    grid = np.geomspace(1e-6, 10.0 * cc.K0 * cc.a0, 25)
-    sides = [sh._classify(cc, a, float(b), {}, {}) for b in grid]
-    assert sides == [_dopri_classify(cc, a, float(b)) for b in grid]
+    grid = geometric_grid(1e-6, 10.0 * cc.K0 * cc.a0, 25)   # find_b's
+    sides = [sh._classify(cc, a, b, {}, {}) for b in grid]
+    assert sides == [_dopri_classify(cc, a, b) for b in grid]
     assert -1 in sides and 1 in sides
 
 
