@@ -307,11 +307,9 @@ def criterion_7(details) -> bool:
     for n in (5, 6):
         cc = critical_constants(n)
         for frac in (0.3, 0.6, 0.9):
+            # find_b's message is empty exactly when every C07 threshold holds
             r = find_b(n, frac * cc.a0, consts=cc)
-            good = (r.converged and r.residual <= 1e-9 and r.period_defect <= 1e-6
-                    and r.energy_drift <= 1e-8
-                    and r.min_v >= frac * cc.a0 - 1e-6)
-            if not good:
+            if r.message:
                 ok = False
                 details.append(f"n={n}, a={frac}a0: resid={r.residual:.2e} "
                                f"defect={r.period_defect:.2e} drift={r.energy_drift:.2e} "

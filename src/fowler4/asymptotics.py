@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -46,12 +45,10 @@ class RegimeReport:
 
 def classify_regime(n: int, s: Scalar) -> RegimeReport:
     """Exact trichotomy in s: below/at/above the lower exponent, critical."""
+    ex = special_exponents(n)
     s = as_exact(s)
-    if n < 5:
-        raise DomainError("classification needs n >= 5")
     if not s > 1:
         raise DomainError("classification needs s > 1")
-    ex = special_exponents(n)
     if is_exact(s):
         below = s < ex.lower
         at_lower = s == ex.lower
@@ -158,12 +155,12 @@ def fit_power_law(samples: Sequence[Tuple[float, float]]) -> FitReport:
 def fit_log_corrected(samples: Sequence[Tuple[float, float]], n: int) -> FitReport:
     """Fit value * r^{n-4} = A (-ln r)^q by regression in ln(-ln r).
 
-    Requires an integer n >= 5 and finite samples with 0 < r < e^{-2}
-    throughout, >= 12 of them, each value * r^{n-4} positive in float;
-    reports q, A and the distance of A to each ledgered amplitude variant.
+    Requires an admissible dimension (see ``special_exponents``) and finite
+    samples with 0 < r < e^{-2} throughout, >= 12 of them, each
+    value * r^{n-4} positive in float; reports q, A and the distance of A
+    to each ledgered amplitude variant.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 5):
-        raise DomainError(f"log-corrected fit needs an integer n >= 5, got {n}")
+    special_exponents(n)
     rs, vs = _samples(samples, LOG_FIT_MIN_SAMPLES)
     if min(rs) <= 0 or max(rs) >= math.exp(-2.0):
         raise DomainError("log-corrected fit requires 0 < r < e^{-2}")

@@ -53,8 +53,6 @@ def bubble_constant(n: int) -> float:
     subnormal range near n = 900 (the ratio there loses its digits),
     underflow to 0 near n = 2000 and overflow from n = 2100.
     """
-    if n < 5:
-        raise DomainError("bubbles need n >= 5")
     power = float(special_exponents(n).upper - 1)
     vals = []
     try:

@@ -56,8 +56,7 @@ def _parse_n_range(text: str) -> List[int]:
         raise UsageError(f"cannot parse --n {text!r}") from None
     if not ns:
         raise UsageError(f"empty dimension range --n {text!r}")
-    if ns[0] < 5:
-        raise UsageError(f"dimension n={ns[0]} is below 5")
+    special_exponents(ns[0])
     return ns
 
 

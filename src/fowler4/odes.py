@@ -84,8 +84,8 @@ def make_nonautonomous_rhs(n: int) -> Callable:
     with q the lower exponent n/(n-4); defined for t > 0 only.  Any real
     state is read as float64, and the result is a list of Python floats.
     """
-    polys = printed_nonautonomous_polys(n)
     qm1 = float(special_exponents(n).lower) - 1.0
+    polys = printed_nonautonomous_polys(n)
     fk = {k: [float(c) for c in polys[k].coeffs] for k in ("K0", "K1", "K2", "K3")}
 
     def rhs(t, y):

@@ -10,6 +10,7 @@ exact arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -54,8 +55,7 @@ class Params:
 
     def __post_init__(self):
         object.__setattr__(self, "s", as_exact(self.s))
-        if self.n < 5:
-            raise DomainError(f"dimension n={self.n} is below 5")
+        special_exponents(self.n)
         if not self.s > 1:
             raise DomainError(f"power s={self.s} must exceed 1")
         if self.p < 1:
@@ -68,6 +68,9 @@ class SpecialExponents:
 
     upper = 2n/(n-4), lower = n/(n-4); gamma(s) = 4/(s-1) satisfies
     gamma(lower) = n-4 and gamma(upper - 1) = (n-4)/2.
+
+    The one test of an admissible dimension, an integer n >= 5 (a numpy
+    integer too): any other n, a float or NaN included, raises DomainError.
     """
 
     n: int
@@ -75,8 +78,8 @@ class SpecialExponents:
     lower: Fraction = field(init=False)
 
     def __post_init__(self):
-        if self.n < 5:
-            raise DomainError(f"dimension n={self.n} is below 5")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 5):
+            raise DomainError(f"dimension must be an integer n >= 5, got {self.n!r}")
         object.__setattr__(self, "upper", Fraction(2 * self.n, self.n - 4))
         object.__setattr__(self, "lower", Fraction(self.n, self.n - 4))
 

@@ -120,8 +120,7 @@ class Bubble:
     def __post_init__(self):
         if self.mu <= 0:
             raise DomainError("bubble scale mu must be positive")
-        if self.n < 5:
-            raise DomainError("bubbles need n >= 5")
+        special_exponents(self.n)
 
     def center(self, dim: Optional[int] = None) -> np.ndarray:
         import numpy as np

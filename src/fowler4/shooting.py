@@ -95,6 +95,7 @@ class CriticalConstants:
 
 
 def critical_constants(n: int, c_mode: str = "measured") -> CriticalConstants:
+    power = float(special_exponents(n).upper - 1)
     pc = printed_critical_values(n)
     K0, K2 = float(pc["K0"]), float(pc["K2"])
     if c_mode == "measured":
@@ -103,7 +104,6 @@ def critical_constants(n: int, c_mode: str = "measured") -> CriticalConstants:
         c = 1.0
     else:
         raise DomainError(f"unknown c mode {c_mode!r}")
-    power = float(special_exponents(n).upper - 1)
     a0 = (K0 / c) ** (1.0 / (power - 1.0))
     return CriticalConstants(n=n, K0=K0, K2=K2, c=c, a0=a0)
 
@@ -394,7 +394,7 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
                 why = f"longdouble refinement reached {defect:.3e}, not kept"
             else:
                 why = f"longdouble refinement not kept: {refined.message}"
-    if result.period_defect > _DEFECT_TARGET:
+    if not result.period_defect <= _DEFECT_TARGET:
         note = (f"closure defect {result.period_defect:.3e} above target "
                 f"{_DEFECT_TARGET:.1e} ({why})")
         result.message = f"{result.message}; {note}" if result.message else note
@@ -424,10 +424,10 @@ def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
     sym = float(np.max(np.abs(orbit(t1 + taus)[:, 0] - orbit(t1 - taus)[:, 0])))
     converged = residual <= _RESIDUAL_TOL and math.isfinite(defect)
     msg = "" if converged else f"residual {residual:.3e} above tol {_RESIDUAL_TOL:.1e}"
-    if vmin < a - 1e-6:
+    if not vmin >= a - 1e-6:
         converged = False
         msg = f"orbit minimum {vmin:.9g} undercuts a={a:.9g} (wrong branch)"
-    if drift > _DRIFT_TOL:
+    if not drift <= _DRIFT_TOL:
         note = f"energy drift {drift:.3e} above tol {_DRIFT_TOL:.1e}"
         msg = f"{msg}; {note}" if msg else note
     return ShootingResult(a=a, b=float(b), T=T, energy=E0, residual=residual,

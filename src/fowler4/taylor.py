@@ -151,7 +151,7 @@ def _fate(a0, t, y, t_end):
     """``"escape"``, ``"crash"`` or None: whether the state y at time t lies
     in one of two forward-invariant regions of v'''' = c v^P - K2 v'' - K0 v.
 
-    Premise: K0 > 0 > K2, c > 0 and P > 1 (true for every n >= 5).  Then
+    Premise: K0 > 0 > K2, c > 0 and P > 1 (true for each admissible n).  Then
     a0 = (K0/c)^(1/(P-1)) is the positive equilibrium and, for v > 0,
     v'''' = v (c v^(P-1) - K0) + |K2| v''.
 

@@ -4,18 +4,25 @@ Each call returns, or raises DomainError; ``integrate`` may also raise its
 documented StepUnderflowError, and ``find_b`` the ArithmeticError of a
 sweep that finds no crash/escape bracket, which ``orbit_table`` records.
 Nothing else may escape: no bare ZeroDivisionError, OverflowError,
-TypeError or math domain error.  Cases may be added, not dropped.
+TypeError or math domain error.  Every entry that takes a dimension
+returns for an integer n >= 5 and raises the DomainError of
+``special_exponents`` for any other n.  Cases may be added, not dropped.
 """
 
 import math
 from fractions import Fraction
 
-from fowler4.asymptotics import fit_log_corrected, fit_power_law, geometric_grid
+import numpy as np
+
+from fowler4.asymptotics import (classify_regime, fit_log_corrected, fit_power_law,
+                                 geometric_grid)
+from fowler4.bubble import bubble_constant
 from fowler4.integrate import StepUnderflowError, integrate
-from fowler4.odes import make_autonomous_rhs
-from fowler4.params import DomainError, Params
+from fowler4.odes import make_autonomous_rhs, make_nonautonomous_rhs
+from fowler4.params import DomainError, Params, special_exponents
 from fowler4.pohozaev import pohozaev_series
-from fowler4.shooting import critical_constants, find_b
+from fowler4.profiles import Bubble, SingularPower
+from fowler4.shooting import critical_constants, find_b, orbit_table
 
 EDGES = (5, 0, -1, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 1e300, 1e30, 1e-30,
          7 / 3, 2, 1, 1.5)
@@ -84,4 +91,41 @@ def test_public_entries_at_their_edge_values_return_or_raise_domain_error():
                 bad.append((name, repr(exc)))
         except Exception as exc:   # anything else escaped
             bad.append((name, repr(exc)))
+    assert bad == []
+
+
+# every public entry that takes a dimension, called with that n
+_DIMENSION_ENTRIES = {
+    "Params": lambda n: Params(n, 7),
+    "special_exponents": special_exponents,
+    "classify_regime": lambda n: classify_regime(n, 7),
+    "critical_constants": critical_constants,
+    "find_b": lambda n: find_b(n, 0.5),
+    "orbit_table": lambda n: orbit_table(n, [0.5]),
+    "bubble_constant": bubble_constant,
+    "Bubble": Bubble,
+    "SingularPower": lambda n: SingularPower(n, 7.0),
+    "make_nonautonomous_rhs": make_nonautonomous_rhs,
+    "fit_log_corrected": lambda n: fit_log_corrected(_LOG, n),
+}
+_DIMENSIONS = EDGES + (4, 5.5, 6.5, 5.0, True, np.int64(6))
+
+
+def test_dimension_entries_return_for_an_integer_from_5_and_reject_every_other_n():
+    # Params and Bubble accepted nan, 5.5, 6.5, 5.0 and every float above 5;
+    # the others raised a bare TypeError from Fraction for a float n
+    bad = []
+    for n in _DIMENSIONS:
+        admissible = type(n) in (int, np.int64) and n >= 5
+        for name, call in _DIMENSION_ENTRIES.items():
+            try:
+                call(n)
+            except DomainError as exc:
+                if admissible or "integer n >= 5" not in str(exc):
+                    bad.append((name, n, repr(exc)))
+            except Exception as exc:   # anything else escaped
+                bad.append((name, n, repr(exc)))
+            else:
+                if not admissible:
+                    bad.append((name, n, "returned"))
     assert bad == []

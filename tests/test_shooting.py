@@ -191,11 +191,13 @@ def test_find_b_reports_closure_shortfall_without_longdouble(consts5, monkeypatc
 
 
 def test_empty_message_exactly_when_every_c07_threshold_holds():
-    """find_b answers at small a.  At (5, 0.03 a0) the one-period run of
-    the float64 root stops before T: the result keeps Brent's root and
-    says why, and it is tagged longdouble only when the refinement was
-    kept.  Without an 80-bit longdouble, (5, 0.2 a0) carries a message."""
-    for n, frac in ((5, 0.03), (5, 0.2), (6, 0.02), (6, 0.03)):
+    """find_b answers at small a and at C07's six points, whose pass test
+    is an empty message.  At (5, 0.03 a0) the one-period run of the
+    float64 root stops before T: the result keeps Brent's root and says
+    why, and it is tagged longdouble only when the refinement was kept.
+    Without an 80-bit longdouble, (5, 0.2 a0) carries a message."""
+    for n, frac in ((5, 0.03), (5, 0.2), (6, 0.02), (6, 0.03),
+                    (5, 0.3), (5, 0.6), (5, 0.9), (6, 0.3), (6, 0.6), (6, 0.9)):
         cc = sh.critical_constants(n)
         a = frac * cc.a0
         r = sh.find_b(n, a, consts=cc)
