@@ -342,7 +342,7 @@ def criterion_8(details) -> bool:
         else:
             details.append(f"n={n}: residual decay rate {rate:.3f}")
     for n in (5, 6, 7, 8, 9):
-        tr = constant_state_trajectory(n, 100.0, 2000.0, quasi_static=True)
+        tr = constant_state_trajectory(n, 100.0, 2000.0)
         verdict = monotonicity_check_aviles(n, tr)
         want = "NONINCREASING" if n <= 7 else "NONDECREASING"
         if verdict != want:

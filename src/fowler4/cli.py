@@ -164,7 +164,7 @@ def cmd_classify(args) -> int:
         rows.append([n, str(s), rep.regime.value, rep.predicted_exponent,
                      rep.predicted_amplitude, rep.log_correction_exponent,
                      rep.description,
-                     format_number(oracle_autonomous(n, s, args.sigma)["K0"])])
+                     format_number(oracle_autonomous(n, s)["K0"])])
     cols = ["n", "s", "regime", "predicted_exponent", "predicted_amplitude",
             "log_correction_exponent", "description", "K0"]
     _table(args, cols, rows, _config(args))
@@ -219,7 +219,7 @@ def cmd_pohozaev(args) -> int:
     s = _parse_scalar(args.s)
     results = []
     for n in ns:
-        lv = limiting_levels(Params(n, s), args.sigma)
+        lv = limiting_levels(Params(n, s))
         results.append({
             "n": n, "s": str(s),
             "l_star_autonomous": lv.l_star_autonomous,
@@ -287,6 +287,8 @@ def cmd_fit(args) -> int:
     if len(ns) != 1:
         raise UsageError("fit takes a single dimension")
     n = ns[0]
+    if args.s is not None and args.profile != "power":
+        raise UsageError(f"--s is read by --profile power only, not {args.profile}")
     if not 0 < args.r_lo < args.r_hi < math.inf:
         raise UsageError(f"need 0 < --r-lo < --r-hi < inf, got {args.r_lo} and {args.r_hi}")
     minimum = LOG_FIT_MIN_SAMPLES if args.profile == "aviles" else POWER_FIT_MIN_SAMPLES
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_signs)
 
     p = add("classify", help="asymptotic regime of (n, s)")
-    _add_flags(p, "n", "s", "sigma", "format", "out")
+    _add_flags(p, "n", "s", "format", "out")
     p.set_defaults(fn=cmd_classify)
 
     p = add("integrate", help="integrate the constant-coefficient system")
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_integrate)
 
     p = add("pohozaev", help="limiting energy levels (JSON)")
-    _add_flags(p, "n", "s", "sigma", "out")
+    _add_flags(p, "n", "s", "out")
     p.set_defaults(fn=cmd_pohozaev)
 
     p = add("shoot", help="periodic critical-case orbits")

@@ -388,10 +388,8 @@ class HatLimits:
     chain_rule_limit: Fraction        # u-coefficient of the derived K~_0
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def hat_limits(n: int) -> HatLimits:
-    """The three candidate limits at n, computed once per n and process
-    (the frozen result is shared by every caller)."""
+    """The three candidate limits at n."""
     return HatLimits(n=n, printed_formula_limit=hat_constant(n, "printed-limit"),
                      theorem_value=hat_constant(n, "theorem"),
                      chain_rule_limit=hat_constant(n, "chain-rule"))
@@ -461,22 +459,12 @@ def printed_second_order_nonautonomous_polys(n: int) -> Dict[str, UPoly]:
 
 
 def second_order_nonautonomous_oracle_polys(n: int) -> Dict[str, UPoly]:
-    """Chain-rule derivation for rho = r^{2-n} t^{(2-n)/2}, t = -ln r.
-
-    Derived once per n and process; the dict is the caller's own and its
-    UPoly values are immutable.
-    """
-    return dict(_second_order_nonautonomous_oracle_polys(n))
-
-
-@functools.cache
-def _second_order_nonautonomous_oracle_polys(n: int) -> Tuple[Tuple[str, UPoly], ...]:
+    """Chain-rule derivation for rho = r^{2-n} t^{(2-n)/2}, t = -ln r."""
     theta = Fraction(2 - n, 2)
     rel = _log_rho_rel_polys(2 - n, theta)[:3]
     s1, s2, _, _ = _psi_rel(+1)
-    K20 = rel[2] + (n - 1) * rel[1]
-    K21 = 2 * s1 * rel[1] + s2 + (n - 1) * s1
-    return (("K20", K20), ("K21", K21))
+    return {"K20": rel[2] + (n - 1) * rel[1],
+            "K21": 2 * s1 * rel[1] + s2 + (n - 1) * s1}
 
 
 def printed_second_order_critical(n: int) -> Dict[str, Fraction]:

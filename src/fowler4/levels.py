@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
 
-from .coefficients import (BUILD_SIGMA, hat_constant, oracle_autonomous,
-                           printed_nonautonomous_polys)
+from .coefficients import hat_constant, oracle_autonomous, printed_nonautonomous_polys
 from .params import DomainError, Params, Scalar, as_exact, is_exact, special_exponents
 from .polys import UPoly, psum
 
@@ -51,9 +50,10 @@ def _in_range(what: str, n: int, level) -> float:
     return value
 
 
-def autonomous_level(n: int, s: Scalar, sigma: int = BUILD_SIGMA):
-    """l*(n,s) = (s-1)/(2(s+1)) K0^{(s+1)/(s-1)}; None when K0 <= 0."""
-    K0 = oracle_autonomous(n, s, sigma)["K0"]
+def autonomous_level(n: int, s: Scalar):
+    """l*(n,s) = (s-1)/(2(s+1)) K0^{(s+1)/(s-1)}, the same in either sign
+    convention; None when K0 <= 0."""
+    K0 = oracle_autonomous(n, s)["K0"]
     if not K0 > 0:
         return None
     s = float(s)
@@ -116,11 +116,11 @@ def constant_state_aviles_level(n: int, variant: str = "theorem") -> float:
     return _in_range("constant-state lower-critical level", n, level)
 
 
-def limiting_levels(params: Params, sigma: int = BUILD_SIGMA) -> PohozaevLevels:
+def limiting_levels(params: Params) -> PohozaevLevels:
     variants = ("theorem", "printed-limit")
     return PohozaevLevels(
         n=params.n, s=params.s,
-        l_star_autonomous=autonomous_level(params.n, params.s, sigma),
+        l_star_autonomous=autonomous_level(params.n, params.s),
         l_star_aviles_printed=printed_aviles_level(params.n),
         l_star_aviles_derived={v: derived_aviles_level(params.n, v) for v in variants},
         l_star_aviles_constant_state={v: constant_state_aviles_level(params.n, v)

@@ -99,22 +99,21 @@ def make_nonautonomous_rhs(n: int) -> Callable:
     return rhs
 
 
-def equilibrium_value(params: Params, sigma: int = BUILD_SIGMA):
-    """The nontrivial constant level K0^{1/(s-1)}; None when K0 <= 0."""
-    K0 = oracle_autonomous(params.n, params.s, sigma)["K0"]
+def equilibrium_value(params: Params):
+    """The nontrivial constant level K0^{1/(s-1)}, the same in either sign
+    convention; None when K0 <= 0."""
+    K0 = oracle_autonomous(params.n, params.s)["K0"]
     if not K0 > 0:
         return None
     return float(K0) ** (1.0 / (float(params.s) - 1.0))
 
 
-def equilibrium_state(params: Params, sigma: int = BUILD_SIGMA,
-                      lam=None) -> np.ndarray:
-    v = equilibrium_value(params, sigma)
+def equilibrium_state(params: Params) -> np.ndarray:
+    """The constant level along the diagonal direction (1, ..., 1)/sqrt(p)."""
+    v = equilibrium_value(params)
     if v is None:
         raise DomainError("only the zero equilibrium exists (K0 <= 0)")
-    if lam is None:
-        lam = np.ones(params.p) / np.sqrt(params.p)
-    return ray_state((v, 0.0, 0.0, 0.0), lam)
+    return ray_state((v, 0.0, 0.0, 0.0), np.ones(params.p) / np.sqrt(params.p))
 
 
 def linearized_spectrum(params: Params, sigma: int = BUILD_SIGMA) -> Tuple[complex, ...]:

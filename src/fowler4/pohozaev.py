@@ -79,11 +79,6 @@ def hamiltonian_radial(params: Params, y, sigma: int = BUILD_SIGMA) -> float:
     return float(_radial_rows(params, [y], _autonomous_floats(params, sigma))[0][0])
 
 
-def hamiltonian_derivative_formula(params: Params, y, sigma: int = BUILD_SIGMA) -> float:
-    """K1 |V'|^2 - K3 |V''|^2, the radial monotonicity density."""
-    return float(_radial_rows(params, [y], _autonomous_floats(params, sigma))[1][0])
-
-
 @dataclass
 class EnergySample:
     t: float
@@ -137,23 +132,16 @@ def aviles_hamiltonian(n: int, y, t: float) -> float:
     return float(_aviles_rows(n, [y], np.array([float(t)]))[0])
 
 
-def constant_state_trajectory(n: int, t0: float, t1: float,
-                              quasi_static: bool = False) -> Trajectory:
-    """Synthetic settled trajectory at the constant level w*.
-
-    w* uses the theorem's hat constant; quasi_static=True follows the
-    slowly varying balance w(t) = (t K~0(t))^{(n-4)/4} instead.
-    """
+def constant_state_trajectory(n: int, t0: float, t1: float) -> Trajectory:
+    """Synthetic settled trajectory along the quasi-static balance
+    w(t) = (t K~0(t))^{(n-4)/4}, the slowly varying constant level."""
     if not (0 < t0 < t1):
         raise DomainError("need 0 < t0 < t1")
     ts = np.linspace(t0, t1, _CONSTANT_STATE_NODES)
     ys = np.zeros((_CONSTANT_STATE_NODES, 4))
-    if quasi_static:
-        # float coefficients round as the Fraction-to-float promotion did
-        K0 = [float(c) for c in printed_nonautonomous_polys(n)["K0"].coeffs]
-        ys[:, 0] = [(t * peval(K0, 1.0 / t)) ** ((n - 4) / 4.0) for t in ts.tolist()]
-    else:
-        ys[:, 0] = float(hat_constant(n)) ** ((n - 4) / 4.0)
+    # float coefficients round as the Fraction-to-float promotion did
+    K0 = [float(c) for c in printed_nonautonomous_polys(n)["K0"].coeffs]
+    ys[:, 0] = [(t * peval(K0, 1.0 / t)) ** ((n - 4) / 4.0) for t in ts.tolist()]
     return Trajectory(t=ts, y=ys, stats={"synthetic": True}, status="synthetic")
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -153,7 +154,9 @@ class Bubble:
 
 @dataclass(frozen=True)
 class SingularPower:
-    """Lam * K0^{1/(s-1)} |x|^{-gamma(s)} on the Gidas--Spruck window."""
+    """Lam * K0^{1/(s-1)} |x|^{-gamma(s)}, a solution wherever K0(n, s) > 0:
+    s in (-1, 1), (1, (n+2)/(n-2)) or (n/(n-4), inf), so the Gidas--Spruck
+    window and the supercritical powers alike."""
 
     n: int
     s: float
@@ -171,7 +174,8 @@ class SingularPower:
         K0 = oracle_autonomous(self.n, self.s)["K0"]
         if not K0 > 0:
             raise DomainError(
-                f"amplitude requires K0 > 0, i.e. s in ({ex.lower}, {ex.critical_power}); "
+                f"amplitude requires K0 > 0, i.e. s in (-1, 1), "
+                f"(1, {Fraction(self.n + 2, self.n - 2)}) or ({ex.lower}, inf); "
                 f"got s={self.s} with K0={K0}")
 
     @property

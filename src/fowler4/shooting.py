@@ -317,7 +317,8 @@ def _brent(f: Callable, lo, hi):
 def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> ShootingResult:
     """Locate b(a) and the fundamental period for one Fowler parameter.
 
-    ``consts`` defaults to the measured-c constants of dimension n.
+    ``consts`` defaults to the measured-c constants of dimension n; constants
+    of another dimension raise DomainError.
     0 < a < a0 shoots; a == a0 returns the constant orbit with the
     linearized period.  Escalates to extended precision when the
     one-period closure defect of the float64 root exceeds the target, or
@@ -330,7 +331,10 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
     bracket grid crashes below one that escapes (tiny a, for one);
     ``orbit_table`` records either as a failed row.
     """
-    consts = consts if consts is not None else critical_constants(n)
+    if consts is None:
+        consts = critical_constants(n)
+    elif special_exponents(n).n != consts.n:
+        raise DomainError(f"constants of dimension {consts.n} given for n={n}")
     a0 = consts.a0
     if not (0 < a <= a0 * (1 + 1e-12)):
         raise DomainError(f"Fowler parameter must lie in (0, a0={a0:.12g}], got a={a}")

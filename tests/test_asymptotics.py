@@ -127,21 +127,21 @@ def test_residual_decay_check_is_bit_pinned():
         assert (out["rate"].hex(), out["rms"].hex(), out["exact"]) == (rate, rms, 0.0)
 
 
-def test_quasi_static_trajectories_of_c08_are_bit_pinned():
+def test_constant_state_trajectories_of_c08_are_bit_pinned():
     h = hashlib.sha256()
     for n in range(5, 10):
-        tr = constant_state_trajectory(n, 100.0, 2000.0, quasi_static=True)
+        tr = constant_state_trajectory(n, 100.0, 2000.0)
         assert tr.y.dtype == np.float64 and tr.y.flags.c_contiguous
         h.update(tr.y.tobytes())
     assert h.hexdigest() == "6e47776a579d0f33a2b8ad722aa5d1f07ee8e0dafe38411054d57c7b26315b10"
 
 
-def test_quasi_static_trajectory_settles_on_printed_limit_amplitude():
+def test_constant_state_trajectory_settles_on_printed_limit_amplitude():
     # map the slowly varying balance back through the transform and fit:
     # the amplitude lands on the printed-block limit variant.  The time
     # span is capped where r^{4-n} = e^{(n-4)t} stays representable.
     n = 8
-    tr = constant_state_trajectory(n, 50.0, 170.0, quasi_static=True)
+    tr = constant_state_trajectory(n, 50.0, 170.0)
     samples = []
     for t, w in zip(tr.t, tr.y[:, 0]):
         r = math.exp(-float(t))

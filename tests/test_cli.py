@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -168,8 +169,8 @@ _INIT_P2 = _INIT_P1 + ("0.1", "0.05", "-0.1", "0.2")
 _SWEEP = (
     (("coeffs", "--n", "5", "--s", "7"), ("--n", "--s", "--sigma")),
     (("signs", "--n", "5", "--s-grid", "4"), ("--n", "--s-grid", "--sigma")),
-    (("classify", "--n", "5", "--s", "7"), ("--n", "--s", "--sigma")),
-    (("pohozaev", "--n", "5", "--s", "7"), ("--n", "--s", "--sigma")),
+    (("classify", "--n", "5", "--s", "7"), ("--n", "--s")),
+    (("pohozaev", "--n", "5", "--s", "7"), ("--n", "--s")),
     (("shoot", "--n", "6", "--a-grid", "0.9"), ("--n", "--a-grid")),
     (("fit", "--n", "5"), ("--n", "--s", "--r-lo", "--r-hi", "--num")),
     (("integrate", "--n", "5", "--s", "7", "--init", ",".join(_INIT_P1), "--t-end", "0.05"),
@@ -223,9 +224,93 @@ def test_missing_subcommand_is_usage_error():
     ("shoot", "--n", "6", "--rel-tol", "1e-3"),
     ("fit", "--n", "5", "--format", "csv"),
     ("verify", "--n", "5"),
+    # K0 and the levels do not depend on the sign convention; fit reads --s
+    # only for the power profile (these exited 0 and echoed the flag)
+    ("classify", "--n", "5", "--s", "7", "--sigma", "1"),
+    ("pohozaev", "--n", "5", "--s", "7", "--sigma", "1"),
+    ("fit", "--n", "5", "--profile", "aviles", "--s", "9"),
+    ("fit", "--n", "6", "--profile", "bubble", "--s", "3/2"),
 ])
 def test_flag_the_subcommand_does_not_read_is_usage_error(args, capsys):
     assert run_cli(capsys, *args).returncode == 2
+
+
+# flags that only say where or how a result is written
+_ROUTING = {"--out", "--format", "--gnuplot", "--energy-out", "--orbit-dir", "--samples-out"}
+_INTEGRATE_SHORT = ("integrate", "--n", "5", "--s", "7", "--t-end", "0.05")
+_INTEGRATE_P1 = _INTEGRATE_SHORT + ("--init", ",".join(_INIT_P1))
+_FIT_POWER = ("fit", "--n", "5", "--profile", "power")
+_FIT_AVILES = ("fit", "--n", "5", "--profile", "aviles")
+
+# (subcommand, flag) -> (base command, two values that must give two
+# results); a value that is a tuple is the flag's value and more arguments
+_FLAG_MOVES = {
+    ("coeffs", "--n"): (("coeffs", "--s", "7"), "5", "6"),
+    ("coeffs", "--s"): (("coeffs", "--n", "5"), "7", "9"),
+    ("coeffs", "--sigma"): (("coeffs", "--n", "5", "--s", "7"), "1", "-1"),
+    ("signs", "--n"): (("signs", "--s-grid", "4"), "5", "6"),
+    ("signs", "--s-grid"): (("signs", "--n", "5"), "4", "5"),
+    ("signs", "--sigma"): (("signs", "--n", "5", "--s-grid", "4"), "1", "-1"),
+    ("classify", "--n"): (("classify", "--s", "7"), "5", "6"),
+    ("classify", "--s"): (("classify", "--n", "5"), "7", "9"),
+    ("integrate", "--n"): (_INTEGRATE_P1, "5", "6"),
+    ("integrate", "--s"): (_INTEGRATE_P1, "7", "9"),
+    ("integrate", "--p"): (_INTEGRATE_SHORT, ("1", "--init", ",".join(_INIT_P1)),
+                           ("2", "--init", ",".join(_INIT_P2))),
+    ("integrate", "--rel-tol"): (_INTEGRATE_P1, "1e-10", "1e-6"),
+    ("integrate", "--abs-tol"): (_INTEGRATE_P1, "1e-12", "1e-6"),
+    ("integrate", "--sigma"): (_INTEGRATE_P1, "1", "-1"),
+    ("integrate", "--init"): (_INTEGRATE_SHORT, ",".join(_INIT_P1), "0.3,0,0,0"),
+    ("integrate", "--t-end"): (_INTEGRATE_P1, "0.05", "0.04"),
+    ("pohozaev", "--n"): (("pohozaev", "--s", "7"), "5", "6"),
+    ("pohozaev", "--s"): (("pohozaev", "--n", "5"), "7", "9"),
+    ("shoot", "--n"): (("shoot", "--a-grid", "0.9"), "5", "6"),
+    ("shoot", "--c-mode"): (("shoot", "--n", "6", "--a-grid", "0.9"), "measured", "unit"),
+    ("shoot", "--a-grid"): (("shoot", "--n", "6"), "0.9", "0.6"),
+    ("fit", "--n"): (_FIT_POWER, "5", "6"),
+    ("fit", "--s"): (_FIT_POWER, "7", "9"),
+    ("fit", "--profile"): (("fit", "--n", "5"), "power", "aviles"),
+    ("fit", "--r-lo"): (_FIT_AVILES, "1e-3", "1e-4"),
+    ("fit", "--r-hi"): (_FIT_AVILES, "1e-2", "5e-2"),
+    ("fit", "--num"): (_FIT_AVILES, "40", "41"),
+    ("verify", "--suite"): (("verify",), "coefficients", "asymptotics"),
+}
+# fit reads --s for the power profile only
+_FLAG_REFUSED = (
+    (_FIT_AVILES, "--s", "9"),
+    (("fit", "--n", "6", "--profile", "bubble"), "--s", "3/2"),
+)
+_TIMING = re.compile(r" \[[0-9.]+s / budget [^]]*\]")
+
+
+def _result(capsys, argv):
+    """The exit code and what the command computed, without its header:
+    the CSV rows, the JSON results, or verify's lines without timings."""
+    code = cli.main(list(argv))
+    out = capsys.readouterr().out
+    if argv[0] == "verify":
+        return code, _TIMING.sub("", out).splitlines()
+    if out.startswith("{"):
+        return code, json.loads(out)["results"]
+    return code, [l for l in out.splitlines() if not l.startswith("#")]
+
+
+def test_every_flag_a_subcommand_reads_moves_its_result(capsys):
+    sub = next(a for a in cli.build_parser()._actions if a.choices)
+    registered = {(name, flag) for name, parser in sub.choices.items()
+                  for action in parser._actions for flag in action.option_strings
+                  if flag.startswith("--") and flag not in _ROUTING | {"--help"}}
+    bad = [f"{name} {flag}: not in the table" for name, flag in
+           sorted(registered - set(_FLAG_MOVES))]
+    for (name, flag), (base, a, b) in _FLAG_MOVES.items():
+        runs = [_result(capsys, base + (flag,) + (v if isinstance(v, tuple) else (v,)))
+                for v in (a, b)]
+        if [code for code, _ in runs] != [0, 0] or runs[0][1] == runs[1][1]:
+            bad.append(f"{name} {flag}: {a} and {b} give the same result, or fail")
+    for base, flag, value in _FLAG_REFUSED:
+        if _result(capsys, base + (flag, value))[0] != 2:
+            bad.append(f"{' '.join(base)} {flag} {value}: not refused")
+    assert bad == []
 
 
 def test_classify_reports_regime_and_amplitude(capsys):
@@ -400,10 +485,13 @@ _PINNED_ARTIFACTS = {
                     ["f68c635f9d2e7bbd"]),
     "signs": (("signs", "--n", "5:6", "--s-grid", "8"), None,
               ["94e62e965e92c7d3"]),
+    # re-recorded when classify and pohozaev stopped taking --sigma: each
+    # equals the earlier artifact (f580b574a1bf7f3b, 037c1274c706bdcb)
+    # without its sigma key
     "classify": (("classify", "--n", "5:9", "--s", "7"), None,
-                 ["f580b574a1bf7f3b"]),
+                 ["8a52014bc2029cd1"]),
     "pohozaev": (("pohozaev", "--n", "5:7", "--s", "7"), None,
-                 ["037c1274c706bdcb"]),
+                 ["bc4250ee65b4438a"]),
     # re-recorded when the fits left LAPACK's lstsq for the fsum-based
     # closed form and the sample grid left np.geomspace: the grid radii and
     # every fitted float moved in the last bits

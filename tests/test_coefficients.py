@@ -234,8 +234,7 @@ def test_printed_nonautonomous_polys_examples():
     assert co.printed_nonautonomous_polys(8)["K2"](1) == -8
 
 
-@pytest.mark.parametrize("derive", [co.nonautonomous_oracle_polys,
-                                    co.second_order_nonautonomous_oracle_polys])
+@pytest.mark.parametrize("derive", [co.nonautonomous_oracle_polys])
 def test_derived_blocks_are_cached_and_callers_cannot_alter_them(derive):
     first = derive(7)
     want = dict(first)

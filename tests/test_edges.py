@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from fowler4.asymptotics import (classify_regime, fit_log_corrected, fit_power_law,
                                  geometric_grid)
@@ -129,3 +130,13 @@ def test_dimension_entries_return_for_an_integer_from_5_and_reject_every_other_n
                 if not admissible:
                     bad.append((name, n, "returned"))
     assert bad == []
+
+
+def test_find_b_refuses_constants_of_another_dimension():
+    # n was read only where consts is None: n = 5 with the n = 6 constants
+    # returned the n = 6 root with an empty message, and a float n passed
+    cc6 = critical_constants(6)
+    with pytest.raises(DomainError, match="constants of dimension 6 given for n=5"):
+        find_b(5, 0.6 * cc6.a0, consts=cc6)
+    with pytest.raises(DomainError, match="integer n >= 5"):
+        find_b(6.0, 0.6 * cc6.a0, consts=cc6)

@@ -125,10 +125,12 @@ def work_counts(monkeypatch):
     monkeypatch.setattr(co, "compose_linear", counted("compose_linear", co.compose_linear))
     monkeypatch.setattr(co, "_char_symbol", functools.lru_cache(maxsize=1024, typed=True)(
         co._char_symbol.__wrapped__))
-    for name, key in (("_nonautonomous_oracle_polys", "first_order"),
-                      ("_second_order_nonautonomous_oracle_polys", "second_order")):
-        monkeypatch.setattr(co, name, functools.cache(
-            counted(key, getattr(co, name).__wrapped__)))
+    monkeypatch.setattr(co, "_nonautonomous_oracle_polys", functools.cache(
+        counted("first_order", co._nonautonomous_oracle_polys.__wrapped__)))
+    # uncached, and the ledger calls it through its own binding
+    second = counted("second_order", co.second_order_nonautonomous_oracle_polys)
+    for module in (co, lg):
+        monkeypatch.setattr(module, "second_order_nonautonomous_oracle_polys", second)
     return counts
 
 

@@ -146,6 +146,13 @@ def _hamiltonian_by_dot(params, y):
             + math.sqrt(_dot(v, v)) ** (s + 1) / (s + 1))
 
 
+def _density_by_dot(params, y):
+    # the monotonicity density K1 |V'|^2 - K3 |V''|^2 of one state
+    c = {k: float(v) for k, v in oracle_autonomous(params.n, params.s).items()}
+    v1, v2 = y[1::4], y[2::4]
+    return c["K1"] * _dot(v1, v1) - c["K3"] * _dot(v2, v2)
+
+
 def _aviles_by_dot(n, y, t):
     co = printed_nonautonomous_polys(n)
     K0, K2, K3 = (float(co[k](1.0 / t)) for k in ("K0", "K2", "K3"))
@@ -167,7 +174,7 @@ def test_stacked_row_energies_equal_the_one_row_functions_bit_for_bit(p):
         H, dH = po._radial_rows(params, ys, po._autonomous_floats(params, BUILD_SIGMA))
         assert H.tolist() == [po.hamiltonian_radial(params, y) for y in ys]
         assert H.tolist() == [_hamiltonian_by_dot(params, y) for y in ys]
-        assert dH.tolist() == [po.hamiltonian_derivative_formula(params, y) for y in ys]
+        assert dH.tolist() == [_density_by_dot(params, y) for y in ys]
     for n in (5, 9):
         P = po._aviles_rows(n, ys, ts)
         assert P.tolist() == [po.aviles_hamiltonian(n, y, t) for y, t in zip(ys, ts)]
@@ -228,7 +235,7 @@ def test_definitional_p_polys_structure():
 
 def test_monotonicity_check_verdicts():
     for n, want in ((5, "NONINCREASING"), (8, "NONDECREASING")):
-        tr = po.constant_state_trajectory(n, 100.0, 2000.0, quasi_static=True)
+        tr = po.constant_state_trajectory(n, 100.0, 2000.0)
         assert po.monotonicity_check_aviles(n, tr) == want
     zero = po.constant_state_trajectory(5, 100.0, 2000.0)
     zero.y[:] = 0.0

@@ -96,6 +96,23 @@ def test_singular_power_rejects_outside_window():
         pf.SingularPower(5, 7.0, lam=[1.0, -0.5])
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_singular_power_is_built_exactly_where_k0_is_positive(n):
+    # K0 = g (g + 2) (n - 2 - g) (n - 4 - g) at g = 4/(s-1): positive for s in
+    # (-1, 1), (1, (n+2)/(n-2)) and above n/(n-4), the supercritical powers
+    # included; one s inside each band between the roots
+    serrin, lower = (n + 2) / (n - 2), n / (n - 4)
+    crit = (n + 4) / (n - 4)
+    built = (0.5, (1 + serrin) / 2, (lower + crit) / 2, 2 * crit)
+    refused = (-2.0, (serrin + lower) / 2)
+    for s in built:
+        sp = pf.SingularPower(n, s)
+        assert max(sp.system_residual(r) for r in (0.1, 1.0, 10.0)) <= 1e-10
+    for s in refused:
+        with pytest.raises(DomainError, match=r"K0 > 0, i\.e\. s in \(-1, 1\), \(1, "):
+            pf.SingularPower(n, s)
+
+
 def test_residual_sampling_range_hygiene():
     sp = pf.SingularPower(5, 7.0)
     with pytest.raises(DomainError):
