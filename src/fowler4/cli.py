@@ -295,7 +295,9 @@ def cmd_fit(args) -> int:
     if args.num < minimum:
         raise UsageError(f"--profile {args.profile} needs --num >= {minimum}, got {args.num}")
     if args.profile == "power":
-        s = _parse_scalar(args.s) if args.s else Fraction(7)
+        if args.s is None:
+            args.s = "7"   # the default, echoed in the header like a given --s
+        s = _parse_scalar(args.s)
         value, r_lo, r_hi = SingularPower(n, float(s)).radial, args.r_lo, args.r_hi
     elif args.profile == "aviles":
         value, r_lo, r_hi = AvilesProfile(n), args.r_lo, min(args.r_hi, 0.1)

@@ -11,11 +11,18 @@ step only where an event crossed.
 
 Arithmetic rule: the step loop works on lists of Python floats, each sum
 left to right, and so does event location, which evaluates the step's
-quartic by Horner's rule in theta on Python floats.  An RHS with a
-``floats`` hook is called on those lists directly; any other goes through
-an array adapter.  Event functions get the state as a tuple of Python
-floats, and event hits keep theirs as a list, so the step loop builds no
-array but the dense matrix of a step where an event crossed.  The dense
+quartic by Horner's rule in theta on Python floats.  A step's stage
+inputs, its 5th-order solution y6, |y6| and the scaled error sum run in a
+straight-line kernel generated from the tableau once per state dimension
+(``_step_kernel``): written out component by component, it does the same
+operations in the same order as a loop over the components, so it gives
+the same bits without the interpreter's per-component loop overhead, the
+bulk of a step's cost at the small dimensions the lab integrates.  An RHS
+with a ``floats`` hook is called on those lists directly; any other goes
+through an array adapter.  Event functions get the state as a tuple of
+Python floats, and event hits keep theirs as a list, so the step loop
+builds no array but the dense matrix of a step where an event crossed.
+The dense
 matrices and every dense-output query (Horner in theta, the same
 operations in the same order) are elementwise numpy + - * / and sqrt,
 which round the same on every CPU.  No numpy ufunc loop or BLAS kernel
@@ -28,6 +35,7 @@ and BLAS build.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,17 +50,22 @@ def _ratios(entries: str):
     return [float(Fraction(e)) for e in entries.split()]
 
 
-# Butcher tableau: the nodes and rows of the stages after the first, and
-# b5 - b4 (the local error weights), each with its zero entries left out
-# (a61 = e1 = 0); the last two stages sit at c = 1
-_C1, _C2, _C3, _C4 = _ratios("1/5 3/10 4/5 8/9")
-_A10, = _ratios("1/5")
-_A20, _A21 = _ratios("3/40 9/40")
-_A30, _A31, _A32 = _ratios("44/45 -56/15 32/9")
-_A40, _A41, _A42, _A43 = _ratios("19372/6561 -25360/2187 64448/6561 -212/729")
-_A50, _A51, _A52, _A53, _A54 = _ratios("9017/3168 -355/33 46732/5247 49/176 -5103/18656")
-_A60, _A62, _A63, _A64, _A65 = _ratios("35/384 500/1113 125/192 -2187/6784 11/84")
-_E0, _E2, _E3, _E4, _E5, _E6 = _ratios("71/57600 -71/16695 71/1920 -17253/339200 22/525 -1/40")
+# Butcher tableau, each entry rounded once from its exact ratio, as
+# (stage, coefficient) pairs with the zero entries left out: the nodes of
+# stages 1-4 (stages 5 and 6 sit at c = 1), the rows of stages 1-5, the row
+# of y6, the 5th-order solution (FSAL: a61 = 0), and b5 - b4, the local
+# error weights (e1 = 0)
+_NODES = _ratios("1/5 3/10 4/5 8/9")
+_ROWS = [list(enumerate(_ratios(row))) for row in [
+    "1/5",
+    "3/40 9/40",
+    "44/45 -56/15 32/9",
+    "19372/6561 -25360/2187 64448/6561 -212/729",
+    "9017/3168 -355/33 46732/5247 49/176 -5103/18656",
+]]
+_Y6 = list(zip((0, 2, 3, 4, 5), _ratios("35/384 500/1113 125/192 -2187/6784 11/84")))
+_ERR = list(zip((0, 2, 3, 4, 5, 6),
+                _ratios("71/57600 -71/16695 71/1920 -17253/339200 22/525 -1/40")))
 # quartic dense-output matrix (Shampine interpolant): row i weighs stage i,
 # column m is the coefficient of theta^(m+1)
 _P = np.array([_ratios(row) for row in [
@@ -195,22 +208,52 @@ def _rms(v, sc):
     return math.sqrt(acc / len(v))
 
 
-def _stages(f, t, h, y, k0):
-    """``(y6, [k0, ..., k6])`` for one step of size h from (t, y), y6 the
-    5th-order solution (FSAL layout).  Each stage input is one left-to-right
-    pass over its tableau row's nonzero entries.  f passes a non-finite input
-    on, so a non-finite stage makes k6 one."""
-    k1 = f(t + _C1 * h, [a + h * (_A10 * b0) for a, b0 in zip(y, k0)])
-    k2 = f(t + _C2 * h, [a + h * (_A20 * b0 + _A21 * b1) for a, b0, b1 in zip(y, k0, k1)])
-    k3 = f(t + _C3 * h, [a + h * (_A30 * b0 + _A31 * b1 + _A32 * b2)
-                         for a, b0, b1, b2 in zip(y, k0, k1, k2)])
-    k4 = f(t + _C4 * h, [a + h * (_A40 * b0 + _A41 * b1 + _A42 * b2 + _A43 * b3)
-                         for a, b0, b1, b2, b3 in zip(y, k0, k1, k2, k3)])
-    k5 = f(t + h, [a + h * (_A50 * b0 + _A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
-                   for a, b0, b1, b2, b3, b4 in zip(y, k0, k1, k2, k3, k4)])
-    y6 = [a + h * (_A60 * b0 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
-          for a, b0, b2, b3, b4, b5 in zip(y, k0, k2, k3, k4, k5)]
-    return y6, [k0, k1, k2, k3, k4, k5, f(t + h, y6)]
+@functools.lru_cache(maxsize=32)
+def _step_kernel(dim: int):
+    """One Dormand-Prince step for states of length dim, as straight-line
+    Python generated from the tableau: ``kernel(f, t, h, y, k0, ay, abs_tol,
+    rel_tol)`` returns ``(y6, |y6|, [k0, ..., k6], acc)`` for the step of
+    size h from (t, y), with k0 = f(t, y), ay = |y| and acc the sum of the
+    squared scaled error estimates, or None where k6 is non-finite (f
+    passes a non-finite input on, so a non-finite stage makes k6 one).
+
+    Each stage input, y6 and each error term is its row's sum left to
+    right, component by component, as the loop form computed it; acc adds
+    the components' squares left to right from the first (0.0 + w*w is
+    w*w), one statement each, so no expression nests deeper with dim.  The
+    source is built from dim and the tableau alone."""
+    ix = range(dim)
+
+    def row(pairs, m):
+        return " + ".join(f"{a!r} * k{j}_{m}" for j, a in pairs)
+
+    def unpack(name):
+        return f"    [{''.join(f'{name}_{m}, ' for m in ix)}] = {name}"
+
+    lines = ["def kernel(f, t, h, y, k0, ay, abs_tol, rel_tol):",
+             unpack("y"), unpack("ay"), unpack("k0")]
+    for i, pairs in enumerate(_ROWS, 1):
+        at = f"t + {_NODES[i - 1]!r} * h" if i <= len(_NODES) else "t + h"
+        lines += [f"    k{i} = f({at}, [" + ", ".join(f"y_{m} + h * ({row(pairs, m)})"
+                                               for m in ix) + "])",
+                  unpack(f"k{i}")]
+    lines += [f"    y6_{m} = y_{m} + h * ({row(_Y6, m)})" for m in ix]
+    lines += ["    y6 = [" + ", ".join(f"y6_{m}" for m in ix) + "]",
+              "    k6 = f(t + h, y6)",
+              "    if not all(map(isfinite, k6)):",
+              "        return None",
+              unpack("k6")]
+    for m in ix:
+        lines += [f"    b_{m} = abs(y6_{m})",
+                  f"    w = h * ({row(_ERR, m)}) / (abs_tol + rel_tol * "
+                  f"(b_{m} if b_{m} > ay_{m} else ay_{m}))",
+                  "    acc += w * w" if m else "    acc = w * w"]
+    lines += ["    return (y6, [" + ", ".join(f"b_{m}" for m in ix) + "], "
+              "[k0, k1, k2, k3, k4, k5, k6], acc)"]
+    namespace = {"isfinite": math.isfinite}
+    exec(compile("\n".join(lines) + "\n", f"<dopri5 step kernel, dim {dim}>", "exec"),
+         namespace)
+    return namespace["kernel"]
 
 
 def _initial_step(f, t0, y0, f0, tspan, rel_tol, abs_tol):
@@ -258,11 +301,12 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     current time (or of 1, if larger) raises StepUnderflowError carrying
     the partial trajectory, unless it ends the span: a span that fits in
     one step is integrated however short it is.  A step whose stages leave
-    float range is rejected and retried at a quarter of its size.  NaN, infinite or
-    non-positive tolerances, a NaN or non-positive guard (``inf`` turns the
-    guard off), a non-finite t0 or t1 and an empty or non-finite initial
-    state raise DomainError before any RHS call, and a non-finite
-    rhs(t0, state0), or one whose scaled norm overflows, right after it, as
+    float range is rejected and retried at a quarter of its size.  NaN,
+    infinite or non-positive tolerances, a NaN or non-positive guard
+    (``inf`` turns the guard off), a non-finite t0 or t1 and an empty or
+    non-finite initial state raise DomainError before any RHS call, and an
+    rhs(t0, state0) with another number of values than the state, a
+    non-finite one or one whose scaled norm overflows, right after it, as
     does a span too short for a first step.
     """
     if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
@@ -306,8 +350,11 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
 
     ay = [abs(a) for a in y]
     k0 = f(t, y)
+    if len(k0) != len(y):
+        raise DomainError(f"rhs returned {len(k0)} values for a state of {len(y)}")
     if not all(map(math.isfinite, k0)):
         raise DomainError("non-finite derivative at the initial state")
+    step = _step_kernel(len(y))
     h = _initial_step(f, t, y, k0, tB - t, rel_tol, abs_tol)
     ts = [t]
     ys = [y]    # states are never written in place: records share them
@@ -341,18 +388,13 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         if t + h >= tB:
             h = tB - t
             last = True
-        y_new, ks = _stages(f, t, h, y, k0)
-        if not all(map(math.isfinite, ks[6])):
+        out = step(f, t, h, y, k0, ay, abs_tol, rel_tol)
+        if out is None:
             nrej += 1
             h = h * 0.25
             last = False
             continue
-        ay_new = [abs(a) for a in y_new]
-        acc = 0.0   # the scaled RMS of the error estimate, summed left to right
-        for a, b, b0, b2, b3, b4, b5, b6 in zip(ay, ay_new, ks[0], *ks[2:]):
-            w = (h * (_E0 * b0 + _E2 * b2 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6)
-                 / (abs_tol + rel_tol * (b if b > a else a)))
-            acc += w * w
+        y_new, ay_new, ks, acc = out
         err = math.sqrt(acc / len(y))
         nstep += 1
         if err > 1.0:

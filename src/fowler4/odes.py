@@ -6,11 +6,19 @@ uses the oracle coefficient route with the build sign convention; the
 time-dependent system uses the printed coefficient polynomials.  The
 linearization at the constant level is biquadratic, so its spectrum has
 a closed form and needs no eigensolver.
+
+Arithmetic rule: both systems evaluate on lists of Python floats in a
+straight-line kernel generated once per block count (``_rhs_kernel``).
+Written out block by block, it does the same operations in the same order
+as a loop over the blocks, so it gives the same bits without the loop's
+slicing and per-block interpreter overhead, most of an evaluation's cost
+at the few components the lab integrates.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable, Tuple
 
@@ -26,28 +34,40 @@ def ray_state(scalars, lam: np.ndarray) -> np.ndarray:
     return np.outer(np.asarray(lam, dtype=float), np.asarray(scalars, dtype=float)).ravel()
 
 
-def _component_rhs(ys, exponent: float, scale: float, K0, K1, K2, K3) -> list:
-    """The derivative of each 4-block (v, v', v'', v''') of the state ys, with
+@functools.lru_cache(maxsize=32)
+def _rhs_kernel(blocks: int):
+    """``kernel(ys, exponent, scale, K0, K1, K2, K3)``: the derivative of
+    each 4-block (v, v', v'', v''') of a state ys of length 4 * blocks, with
     v'''' = scale |V|^exponent v - K3 v''' - K2 v'' - K1 v' - K0 v; ys and
-    the result are lists of Python floats.  |V| is the Euclidean norm over
-    the v entries of all blocks, its square summed left to right; at V = 0
-    the coupling term is continued by 0.  scale is positive; where
-    |V|^exponent leaves float range the coupling is inf, so the result is
-    non-finite (no error).
+    the result are lists of Python floats, and ys of another length raises
+    ValueError.  |V| is the Euclidean norm over the v entries of all
+    blocks, its square summed left to right from the first term (0.0 + v*v
+    is v*v), one statement per block; at V = 0 the coupling term is
+    continued by 0.  scale is positive; where |V|^exponent leaves float
+    range the coupling is inf, so the result is non-finite (no error).
+    Straight-line Python, generated from blocks alone.
     """
-    vsq = 0.0
-    for v in ys[0::4]:
-        vsq += v * v
-    vnorm = math.sqrt(vsq)
-    try:
-        coup = vnorm ** exponent * scale if vnorm > 0 else 0.0
-    except OverflowError:   # float ** raises where the power leaves float range
-        coup = math.inf
-    out = []
-    for b in range(0, len(ys), 4):
-        v, v1, v2, v3 = ys[b:b + 4]
-        out += (v1, v2, v3, coup * v - K3 * v3 - K2 * v2 - K1 * v1 - K0 * v)
-    return out
+    ix = range(blocks)
+    src = "\n".join([
+        "def kernel(ys, exponent, scale, K0, K1, K2, K3):",
+        f"    [{''.join(f'v{b}, a{b}, c{b}, d{b}, ' for b in ix)}] = ys",
+        *([f"    vsq {'+=' if b else '='} v{b} * v{b}" for b in ix] or ["    vsq = 0.0"]),
+        "    vnorm = sqrt(vsq)",
+        "    try:",
+        "        coup = vnorm ** exponent * scale if vnorm > 0 else 0.0",
+        "    except OverflowError:   # float ** raises where the power leaves float range",
+        "        coup = inf",
+        "    return [" + ", ".join(f"a{b}, c{b}, d{b}, coup * v{b} - K3 * d{b} - K2 * c{b}"
+                                   f" - K1 * a{b} - K0 * v{b}" for b in ix) + "]",
+        ""])
+    namespace = {"sqrt": math.sqrt, "inf": math.inf}
+    exec(compile(src, f"<cylinder rhs kernel, {blocks} blocks>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _component_rhs(ys, exponent: float, scale: float, K0, K1, K2, K3) -> list:
+    """The kernel of the block count of ys applied to ys (``_rhs_kernel``)."""
+    return _rhs_kernel(len(ys) // 4)(ys, exponent, scale, K0, K1, K2, K3)
 
 
 def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
@@ -64,8 +84,11 @@ def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
     c = oracle_autonomous(params.n, params.s, sigma)
     K0, K1, K2, K3 = (float(c["K0"]), float(c["K1"]), float(c["K2"]), float(c["K3"]))
     sm1 = float(params.s) - 1.0
+    dim, kernel = 4 * params.p, _rhs_kernel(params.p)
 
-    def floats(t, xs):
+    def floats(t, xs):   # p does not bound the state: another length takes its own kernel
+        if len(xs) == dim:
+            return kernel(xs, sm1, 1.0, K0, K1, K2, K3)
         return _component_rhs(xs, sm1, 1.0, K0, K1, K2, K3)
 
     def rhs(t, y):

@@ -45,10 +45,12 @@ def test_coeffs_zero_row_at_lower_exponent(capsys):
 
 
 def test_malformed_s_exits_2_without_output(tmp_path, capsys):
+    # an empty --s is malformed too, not the default
     target = tmp_path / "out.csv"
-    out = run_cli(capsys, "coeffs", "--n", "5", "--s", "junk", "--out", str(target))
-    assert out.returncode == 2
-    assert not target.exists()
+    for argv in (("coeffs", "--n", "5", "--s", "junk"), ("fit", "--n", "5", "--s", "")):
+        out = run_cli(capsys, *argv, "--out", str(target))
+        assert out.returncode == 2
+        assert not target.exists()
 
 
 @pytest.mark.parametrize("grid", ["1", "0", "-3", "junk"])
@@ -360,6 +362,17 @@ def test_fit_power_json(capsys):
     out = run_cli(capsys, "fit", "--n", "5", "--s", "7", "--profile", "power", check=True)
     doc = json.loads(out.stdout)
     assert doc["results"]["exponent"] == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+
+def test_fit_echoes_the_default_s_as_a_given_one(tmp_path):
+    # the header lists the s the power fit read, defaulted or not
+    texts = []
+    for argv in (("fit", "--n", "5"), ("fit", "--n", "5", "--s", "7", "--profile", "power")):
+        target = tmp_path / "fit.json"
+        assert cli.main([*argv, "--out", str(target)]) == 0
+        texts.append(target.read_bytes())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["config"]["s"] == "7"
 
 
 def test_fit_bubble_default_flags_recovers_far_field_exponent(capsys):

@@ -427,6 +427,142 @@ def test_an_overflowing_state_is_never_accepted():
     assert part.stats["rhs_evals"] == len(inputs)
 
 
+def _q(entries):
+    return [float(Fraction(e)) for e in entries.split()]
+
+
+# the tableau as the loop form named it, each entry rounded once from its
+# exact ratio, zero entries (a61, e1) left out
+_C1, _C2, _C3, _C4 = _q("1/5 3/10 4/5 8/9")
+_A10, = _q("1/5")
+_A20, _A21 = _q("3/40 9/40")
+_A30, _A31, _A32 = _q("44/45 -56/15 32/9")
+_A40, _A41, _A42, _A43 = _q("19372/6561 -25360/2187 64448/6561 -212/729")
+_A50, _A51, _A52, _A53, _A54 = _q("9017/3168 -355/33 46732/5247 49/176 -5103/18656")
+_A60, _A62, _A63, _A64, _A65 = _q("35/384 500/1113 125/192 -2187/6784 11/84")
+_E0, _E2, _E3, _E4, _E5, _E6 = _q("71/57600 -71/16695 71/1920 -17253/339200 22/525 -1/40")
+
+
+def _reference_step(f, t, h, y, k0, ay, abs_tol, rel_tol):
+    """One step in the loop form the generated step kernel replaced: each
+    stage input one left-to-right pass over its row's nonzero entries, then
+    the scaled error sum accumulated from 0.0.  The bit reference of
+    ``_step_kernel``, with its signature and result."""
+    k1 = f(t + _C1 * h, [a + h * (_A10 * b0) for a, b0 in zip(y, k0)])
+    k2 = f(t + _C2 * h, [a + h * (_A20 * b0 + _A21 * b1) for a, b0, b1 in zip(y, k0, k1)])
+    k3 = f(t + _C3 * h, [a + h * (_A30 * b0 + _A31 * b1 + _A32 * b2)
+                         for a, b0, b1, b2 in zip(y, k0, k1, k2)])
+    k4 = f(t + _C4 * h, [a + h * (_A40 * b0 + _A41 * b1 + _A42 * b2 + _A43 * b3)
+                         for a, b0, b1, b2, b3 in zip(y, k0, k1, k2, k3)])
+    k5 = f(t + h, [a + h * (_A50 * b0 + _A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4)
+                   for a, b0, b1, b2, b3, b4 in zip(y, k0, k1, k2, k3, k4)])
+    y6 = [a + h * (_A60 * b0 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5)
+          for a, b0, b2, b3, b4, b5 in zip(y, k0, k2, k3, k4, k5)]
+    ks = [k0, k1, k2, k3, k4, k5, f(t + h, y6)]
+    if not all(map(math.isfinite, ks[6])):
+        return None
+    ay6 = [abs(a) for a in y6]
+    acc = 0.0
+    for a, b, b0, b2, b3, b4, b5, b6 in zip(ay, ay6, ks[0], *ks[2:]):
+        w = (h * (_E0 * b0 + _E2 * b2 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6)
+             / (abs_tol + rel_tol * (b if b > a else a)))
+        acc += w * w
+    return y6, ay6, ks, acc
+
+
+def _guarded(fl):
+    """fl as integrate wraps it: a non-finite input is passed on
+    unevaluated, and the evaluations are counted."""
+    count = [0]
+
+    def f(s, x):
+        if not all(map(math.isfinite, x)):
+            return x
+        count[0] += 1
+        return fl(s, x)
+
+    return f, count
+
+
+def _hex(xs):
+    assert {type(x) for x in xs} <= {float}
+    return [float.hex(x) for x in xs]
+
+
+def _step_bits(step, fl, t, h, y, abs_tol, rel_tol):
+    """The bits of one step from (t, y), and the RHS evaluations it made."""
+    f, count = _guarded(fl)
+    out = step(f, t, h, y, f(t, y), [abs(a) for a in y], abs_tol, rel_tol)
+    if out is not None:
+        y6, ay6, ks, acc = out
+        assert len(ks) == 7
+        out = (_hex(y6), _hex(ay6), [_hex(k) for k in ks], float.hex(acc))
+    return out, count[0]
+
+
+@pytest.mark.parametrize("dim", [*range(1, 14), 40])
+def test_step_kernel_equals_the_loop_form_bit_for_bit(dim):
+    # a nonlinear RHS that couples neighbouring components, states over six
+    # decades, steps over four
+    rng = np.random.default_rng(dim)
+    c = rng.standard_normal(dim).tolist()
+
+    def fl(s, x):
+        return [c[m] * x[m - 1] - s * x[m] + 1e-4 * x[m] * x[(m + 1) % dim]
+                for m in range(dim)]
+
+    kernel = integ_module._step_kernel(dim)
+    for _ in range(25):
+        y = (rng.standard_normal(dim) * 10.0 ** rng.uniform(-3, 3, dim)).tolist()
+        t, h = float(rng.uniform(-2, 2)), float(10.0 ** rng.uniform(-4, 0))
+        abs_tol = float(10.0 ** rng.uniform(-14, -6))
+        rel_tol = float(10.0 ** rng.uniform(-12, -3))
+        want = _step_bits(_reference_step, fl, t, h, y, abs_tol, rel_tol)
+        assert want[0] is not None
+        assert _step_bits(kernel, fl, t, h, y, abs_tol, rel_tol) == want
+
+
+def _failing(call, index, bad):
+    """y' = -y, with bad in one component of the call-th evaluation."""
+    calls = [0]
+
+    def fl(s, x):
+        calls[0] += 1
+        out = [-a for a in x]
+        if calls[0] == call:
+            out[index] = bad
+        return out
+
+    return fl
+
+
+def test_step_kernel_rejects_where_the_loop_form_does():
+    # the RHS turns non-finite at each stage in turn (k0 is call 1), or a
+    # stage input overflows: the step is rejected after the same evaluations
+    for dim in (1, 4, 13):
+        kernel = integ_module._step_kernel(dim)
+        y = [0.5 - 0.1 * m for m in range(dim)]
+        for stage in range(1, 7):
+            for bad in (math.inf, -math.inf, math.nan):
+                runs = [_step_bits(step, _failing(stage + 1, dim // 2, bad), 0.0, 0.1, y,
+                                   1e-12, 1e-9)
+                        for step in (kernel, _reference_step)]
+                assert runs[0] == runs[1] == (None, stage + 1)
+        runs = [_step_bits(step, lambda s, x: list(x), 0.0, 10.0, [1e308] * dim, 1e-12, 1e-9)
+                for step in (kernel, _reference_step)]
+        assert runs[0] == runs[1] == (None, 1)
+
+
+@pytest.mark.parametrize("values", [3, 5])
+def test_an_rhs_of_another_length_than_the_state_raises_at_once(values):
+    # a value list of another length would truncate or misalign every stage
+    calls = []
+    rhs = lambda t, y: calls.append(t) or [1.0, 2.0, 3.0, 4.0, 5.0][:values]
+    with pytest.raises(DomainError, match=f"rhs returned {values} values for a state of 4"):
+        integrate(rhs, 0.0, [0.0] * 4, 1.0)
+    assert calls == [0.0]
+
+
 def test_a_list_and_an_array_rhs_value_give_the_same_run():
     # a list is used as it is, an array read through tolist()
     y0 = np.array([1.0, 0.3, -0.2, 0.1])

@@ -229,8 +229,9 @@ def _random_states(rng, p, count):
     return ys
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
 def test_rhs_equals_the_per_element_reference_bit_for_bit(p):
+    # each block count runs its own generated kernel
     rng = np.random.default_rng(p)
     for n, s in ((5, F(7)), (6, F(4)), (8, F(5, 3)), (8, F(3, 2))):
         c = oracle_autonomous(n, s, BUILD_SIGMA)
@@ -254,3 +255,9 @@ def test_rhs_equals_the_per_element_reference_bit_for_bit(p):
         y[-1] = bad
         with pytest.raises(DomainError):
             auto(0.0, y)
+    # an empty state has an empty derivative; a partial block is refused
+    for rhs, t in ((auto, 0.0), (auto.floats, 0.0), (make_nonautonomous_rhs(5), 1.0)):
+        assert rhs(t, []) == []
+        for length in (4 * p - 1, 4 * p + 1, 4 * p + 3):
+            with pytest.raises(ValueError):
+                rhs(t, [0.5] * length)
