@@ -13,7 +13,7 @@ and print the verdict for each constant.  Run:  python demos/01_coefficient_orac
 from fractions import Fraction
 
 from fowler4 import (BUILD_SIGMA, build_ledger, derive_cyl_coeffs_numeric,
-                     hat_limits, oracle_autonomous, printed_autonomous)
+                     hat_constant, oracle_autonomous, printed_autonomous)
 
 n, s = 5, Fraction(7)
 print(f"== constant-coefficient block at n={n}, s={s} (sigma={BUILD_SIGMA}) ==")
@@ -29,10 +29,9 @@ for key in ("K0", "K1", "K2", "K3", "J0", "J1"):
 print()
 print("== the three candidate values of lim t*K~0(n,t) ==")
 for nn in (5, 6, 8):
-    h = hat_limits(nn)
-    print(f"n={nn}: printed block -> {h.printed_formula_limit}, "
-          f"theorem constant -> {h.theorem_value}, "
-          f"chain rule -> {h.chain_rule_limit}")
+    print(f"n={nn}: printed block -> {hat_constant(nn, 'printed-limit')}, "
+          f"theorem constant -> {hat_constant(nn, 'theorem')}, "
+          f"chain rule -> {hat_constant(nn, 'chain-rule')}")
 
 print()
 print("== discrepancy ledger (mismatches only) ==")

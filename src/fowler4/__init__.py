@@ -24,15 +24,15 @@ _EXPORTS = {
     "params": ("DomainError", "Params", "SpecialExponents", "gamma_exponent",
                "special_exponents"),
     "coefficients": ("BUILD_SIGMA", "CharSymbol", "char_symbol", "chain_rule_matrix",
-                     "derive_cyl_coeffs_numeric", "hat_constant", "hat_limits",
-                     "oracle_autonomous", "printed_autonomous", "sign_report"),
+                     "derive_cyl_coeffs_numeric", "hat_constant", "oracle_autonomous",
+                     "printed_autonomous", "sign_report"),
     "integrate": ("Event", "StepUnderflowError", "Trajectory", "integrate"),
-    "odes": ("equilibrium_state", "equilibrium_value", "linearized_spectrum",
-             "make_autonomous_rhs", "make_nonautonomous_rhs"),
+    "odes": ("equilibrium_state", "linearized_spectrum", "make_autonomous_rhs",
+             "make_nonautonomous_rhs"),
     "profiles": ("AvilesProfile", "Bubble", "EmdenFowlerProfile", "RadialProfile",
                  "SingularPower", "green_ball", "inversion_map", "kelvin_transform"),
     "bubble": ("bubble_constant",),
-    "levels": ("PohozaevLevels", "aviles_p_coeffs", "limiting_levels"),
+    "levels": ("PohozaevLevels", "aviles_p_coeffs", "constant_level", "limiting_levels"),
     "pohozaev": ("aviles_hamiltonian", "hamiltonian_radial", "monotonicity_check_aviles",
                  "pohozaev_series"),
     "shooting": ("CriticalConstants", "ShootingResult", "critical_constants", "find_b",

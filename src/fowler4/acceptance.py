@@ -196,7 +196,7 @@ def criterion_4(details) -> bool:
         c = bubble_constant(n)
         b = Bubble(n, mu=1.0)
         prof = b.profile()
-        power = float(special_exponents(n).upper - 1)
+        power = float(special_exponents(n).critical_power)
         worst = max(prof.residual(n, r, c * b.radial(r) ** power)
                     for r in (0.4, 1.0, 2.3))
         a0_pred = (float(printed_critical_values(n)["K0"]) / c) ** ((n - 4) / 8.0)
@@ -224,7 +224,7 @@ def criterion_5(details) -> bool:
         ex = special_exponents(n)
         svals = [s for s in (Fraction(7), Fraction(4), Fraction(7, 2), Fraction(5, 2),
                              Fraction(9, 4), (ex.lower + ex.critical_power) / 2)
-                 if ex.lower < s < ex.critical_power]
+                 if ex.in_window(s)]
         for s in svals:
             pref_H, pref_neg_l, K0, expo = equilibrium_energy_exact(n, s)
             if pref_H != pref_neg_l:
@@ -257,8 +257,7 @@ def criterion_6(details) -> bool:
     for (n, s) in pairs:
         p = Params(n, s)
         rhs = make_autonomous_rhs(p)
-        ex = special_exponents(n)
-        in_window = ex.lower < s < ex.critical_power
+        in_window = special_exponents(n).in_window(s)
         worst_match = 0.0
         min_dH = float("inf")
         # cap the state at a moderate level: the stencil error scales with

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coefficients import hat_constant, oracle_autonomous
+from .levels import aviles_amplitude, constant_level
 from .params import DomainError, Scalar, as_exact, gamma_exponent, is_exact, special_exponents
 
 _BOUNDARY_TOL = 1e-12
@@ -64,8 +64,7 @@ def classify_regime(n: int, s: Scalar) -> RegimeReport:
         return RegimeReport(Regime.SERRIN_LIONS, n, s, float(n - 4), None, None,
                             "fundamental-solution growth |x|^{4-n}")
     if at_lower:
-        amp = float(hat_constant(n, "theorem")) ** ((n - 4) / 4.0)
-        return RegimeReport(Regime.AVILES, n, s, float(n - 4), amp,
+        return RegimeReport(Regime.AVILES, n, s, float(n - 4), aviles_amplitude(n),
                             (4 - n) / 4.0,
                             "log-corrected profile |x|^{4-n} (-ln|x|)^{(4-n)/4}")
     if at_critical:
@@ -74,10 +73,8 @@ def classify_regime(n: int, s: Scalar) -> RegimeReport:
     if above_crit:
         return RegimeReport(Regime.SUPERCRITICAL, n, s, float("nan"), None, None,
                             "outside the studied range")
-    g = float(gamma_exponent(s))
-    K0 = float(oracle_autonomous(n, s)["K0"])
-    amp = K0 ** (1.0 / (float(s) - 1.0)) if K0 > 0 else 0.0
-    return RegimeReport(Regime.GIDAS_SPRUCK, n, s, g, amp, None,
+    return RegimeReport(Regime.GIDAS_SPRUCK, n, s, float(gamma_exponent(s)),
+                        constant_level(n, s) or 0.0, None,
                         "pure power profile K0^{1/(s-1)} |x|^{-4/(s-1)}")
 
 
@@ -172,8 +169,7 @@ def fit_log_corrected(samples: Sequence[Tuple[float, float]], n: int) -> FitRepo
     slope, intercept, res = _lsq_line([math.log(-math.log(r)) for r in rs],
                                       [math.log(x) for x in scaled])
     A = math.exp(intercept)
-    targets = {v: float(hat_constant(n, v)) ** ((n - 4) / 4.0)
-               for v in ("theorem", "printed-limit", "chain-rule")}
+    targets = {v: aviles_amplitude(n, v) for v in ("theorem", "printed-limit", "chain-rule")}
     return FitReport(exponent=float(n - 4), amplitude=A, residual=res,
                      log_exponent=slope, amplitude_targets=targets)
 

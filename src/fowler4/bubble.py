@@ -53,7 +53,7 @@ def bubble_constant(n: int) -> float:
     subnormal range near n = 900 (the ratio there loses its digits),
     underflow to 0 near n = 2000 and overflow from n = 2100.
     """
-    power = float(special_exponents(n).upper - 1)
+    power = float(special_exponents(n).critical_power)
     vals = []
     try:
         for r in _BUBBLE_RADII:

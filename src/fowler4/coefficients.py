@@ -90,7 +90,7 @@ def printed_appendix_J40(n: int, s: Scalar) -> Scalar:
 
 
 def printed_critical_values(n: int) -> Dict[str, Fraction]:
-    """Special values tabulated at s = upper - 1 (the critical power)."""
+    """Special values tabulated at the critical power s = (n+4)/(n-4)."""
     return {
         "K0": Fraction(n * n * (n - 4) ** 2, 16),
         "K1": Fraction(0),
@@ -378,23 +378,6 @@ def derive_cyl_coeffs_numeric(n: int, r, s: Scalar,
 # limits of t * K~_0 and the amplitude constant of the log-corrected regime
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HatLimits:
-    """The three candidate values of lim t K~_0(n, t)."""
-
-    n: int
-    printed_formula_limit: Fraction   # u-coefficient of the printed K~_0
-    theorem_value: Fraction           # constant displayed in the asymptotic theorem
-    chain_rule_limit: Fraction        # u-coefficient of the derived K~_0
-
-
-def hat_limits(n: int) -> HatLimits:
-    """The three candidate limits at n."""
-    return HatLimits(n=n, printed_formula_limit=hat_constant(n, "printed-limit"),
-                     theorem_value=hat_constant(n, "theorem"),
-                     chain_rule_limit=hat_constant(n, "chain-rule"))
-
-
 def hat_constant(n: int, variant: str = "theorem") -> Fraction:
     """K^_0(n) under a named resolution of the limit ambiguity.
 
@@ -487,10 +470,7 @@ def sign_report(params: Params, sigma: int = BUILD_SIGMA) -> Dict[str, object]:
     """
     from .params import special_exponents
     coeffs = oracle_autonomous(params.n, params.s, sigma)
-    ex = special_exponents(params.n)
-    s = as_exact(params.s)
-    in_window = bool(ex.lower < s < ex.critical_power) if is_exact(s) else \
-        bool(float(ex.lower) < float(s) < float(ex.critical_power))
+    in_window = special_exponents(params.n).in_window(params.s)
     signs = {k: (0 if v == 0 else (1 if v > 0 else -1)) for k, v in coeffs.items()}
     report = {"n": params.n, "s": params.s, "sigma": sigma, "in_window": in_window,
               "signs": signs, "values": coeffs}

@@ -284,8 +284,8 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     """Integrate state' = rhs(t, state) from t0 to t1 adaptively, in float64.
 
     rhs receives the state as a float64 array and returns what numpy reads
-    as a float64 array (a list too); the step loop converts each result to
-    a list of Python floats.  Where rhs has
+    as a float64 array (a list too, or a scalar for a one-component state);
+    the step loop converts each result to a list of Python floats.  Where rhs has
     an attribute ``floats``, the step loop calls ``rhs.floats(t, xs)``
     instead, on a list of finite Python floats, and uses the list it
     returns; it must compute what rhs computes (as
@@ -324,8 +324,9 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         raise DomainError("non-finite initial state")
     fl = getattr(rhs, "floats", None)
     if fl is None:
-        def fl(s, x):   # the array contract: an array in, a list of floats out
-            return np.asarray(rhs(s, np.array(x)), dtype=float).tolist()
+        def fl(s, x):   # the array contract: an array in, a list of floats out,
+            # a 0-d result read as one value, as a scalar state0 is
+            return np.array(rhs(s, np.array(x)), dtype=float, ndmin=1).tolist()
     direction = 1 if t1 > t0 else -1
     if direction < 0:
         fwd = fl

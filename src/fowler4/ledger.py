@@ -1,13 +1,16 @@
 """Discrepancy ledger: every printed constant against its derivation.
 
 Each entry records one printed quantity, the value the oracles derive,
-and a verdict.  MATCH requires exact equality in rational arithmetic
-(or agreement within tolerance for measured floats); SIGN_CONVENTION is
-admissible only for the odd-order coefficients whose sign flips with
-the direction of the logarithmic time variable; everything else is a
-MISMATCH and must appear in the documented registry -- `verify` fails
-on any undocumented MISMATCH and on any silently matching entry that
-the registry expects to disagree.
+and a verdict.  One rule (``_entry_formula``) judges every comparison of
+printed with derived values over its set of points: MATCH where they are
+equal at every point, in exact arithmetic; SIGN_CONVENTION, admissible
+only for the odd-order coefficients whose sign flips with the direction
+of the logarithmic time variable, where the printed value equals the
+opposite-convention derivation at every point; otherwise MISMATCH.  The
+float items (the p-block, the limiting level) agree within a tolerance
+or MISMATCH.  Every MISMATCH must appear in the documented registry --
+`verify` fails on any undocumented MISMATCH and on any silently matching
+entry that the registry expects to disagree.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from . import levels
 from .bubble import bubble_constant, bubble_constant_closed_form
-from .coefficients import (BUILD_SIGMA, hat_limits, nonautonomous_oracle_polys,
+from .coefficients import (BUILD_SIGMA, hat_constant, nonautonomous_oracle_polys,
                            oracle_autonomous, printed_appendix_J40,
                            printed_autonomous, printed_critical_values,
                            printed_lower_values, printed_nonautonomous_polys,
@@ -143,170 +146,136 @@ DOCUMENTED_MISMATCHES: Dict[str, str] = {
 }
 
 
-def _entry_formula(symbol: str, location: str, printed, oracle, sigma_flip=None,
-                   note: str = "") -> LedgerEntry:
-    if printed == oracle:
+def _entry_formula(symbol: str, location: str, points, printed, oracle, flipped=None,
+                   note: str = "", witness=None,
+                   convention: str = "matches the opposite sign convention "
+                                     "(odd coefficient)") -> LedgerEntry:
+    """The ledger's one verdict rule, over a list of points.
+
+    printed, oracle and flipped (the oracle under the opposite sign
+    convention, given for an odd family only) map a point to a value.
+    MATCH where printed equals oracle at every point; SIGN_CONVENTION where
+    printed equals flipped at every point, with ``convention`` joined to the
+    note; otherwise MISMATCH.  The values shown are those at ``witness``,
+    the first point unless given.
+    """
+    if all(printed(x) == oracle(x) for x in points):
         verdict = MATCH
-    elif sigma_flip is not None and printed == sigma_flip:
+    elif flipped is not None and all(printed(x) == flipped(x) for x in points):
         verdict = SIGN_CONVENTION
-        note = (note + "; " if note else "") + \
-            "matches the opposite sign convention (odd coefficient)"
+        note = (note + "; " if note else "") + convention
     else:
         verdict = MISMATCH
-    return LedgerEntry(symbol=symbol, location=location,
-                       printed=format_tpoly(printed) if isinstance(printed, (UPoly, dict))
-                       else format_number(printed),
-                       oracle=format_tpoly(oracle) if isinstance(oracle, (UPoly, dict))
-                       else format_number(oracle),
-                       verdict=verdict, note=note)
+    shown = points[0] if witness is None else witness
+    return LedgerEntry(symbol=symbol, location=location, printed=format_tpoly(printed(shown)),
+                       oracle=format_tpoly(oracle(shown)), verdict=verdict, note=note)
 
 
 @functools.cache
 def build_ledger() -> Tuple[LedgerEntry, ...]:
     """Assemble the full ledger over the dimensions n = 5..12, once per process.
 
-    Formula-level comparisons are verified on the whole grid (all
-    admissible rational s-values per n) and reported at the witness
-    point (n=5, s=7); per-dimension table values are reported at n=5.
+    Every comparison of printed with derived values is judged by
+    ``_entry_formula`` at every n = 5..12 (formulas in s on a rational s
+    grid per n) and shown at a witness point, n = 5 unless its note says
+    otherwise.
     """
     ns = list(range(5, 13))
     sigma = BUILD_SIGMA
     entries: List[LedgerEntry] = []
+    crit = lambda n: Fraction(n + 4, n - 4)
+    lower = lambda n: Fraction(n, n - 4)
 
     # --- constant-coefficient formulas over the grid -----------------------
-    sgrid = {n: [Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5),
-                 Fraction(n, n - 4), Fraction(n + 4, n - 4)] for n in ns}
-    # (printed, oracle, oracle under the opposite convention) per grid point
-    grid = [(printed_autonomous(n, s), oracle_autonomous(n, s, sigma),
-             oracle_autonomous(n, s, -sigma)) for n in ns for s in sgrid[n]]
-    names = ("K0", "K1", "K2", "K3", "J0", "J1")
-    status: Dict[str, str] = {}
-    for name in names:
-        if all(pr[name] == om[name] for pr, om, _ in grid):
-            status[name] = MATCH
-        elif all(pr[name] == flipped[name] for pr, _, flipped in grid):
-            status[name] = SIGN_CONVENTION
-        else:
-            status[name] = MISMATCH
-    wn, ws = 5, Fraction(7)
-    witness_pr, witness_om = printed_autonomous(wn, ws), oracle_autonomous(wn, ws, sigma)
-    for name in names:
-        pr, om = witness_pr[name], witness_om[name]
-        note = f"checked exactly on n in {ns}, rational s grid; witness (n=5, s=7)"
-        entries.append(LedgerEntry(symbol=f"{name}(n,s) printed formula",
-                                   location="main text: constant-coefficient block",
-                                   printed=format_number(pr), oracle=format_number(om),
-                                   verdict=status[name], note=note))
+    grid = [(n, s) for n in ns for s in (Fraction(3, 2), Fraction(2), Fraction(3),
+                                         Fraction(5), lower(n), crit(n))]
+    for name in ("K0", "K1", "K2", "K3", "J0", "J1"):
+        entries.append(_entry_formula(
+            f"{name}(n,s) printed formula", "main text: constant-coefficient block", grid,
+            lambda x: printed_autonomous(*x)[name],
+            lambda x: oracle_autonomous(*x, sigma)[name],
+            lambda x: oracle_autonomous(*x, -sigma)[name], witness=(5, Fraction(7)),
+            note=f"checked exactly on n in {ns}, rational s grid; witness (n=5, s=7)"))
     entries.append(_entry_formula(
-        "J40(n,s) appendix formula", "appendix: fourth-order table",
-        printed_appendix_J40(5, Fraction(9)), oracle_autonomous(5, Fraction(9), sigma)["J0"],
+        "J40(n,s) appendix formula", "appendix: fourth-order table", [(5, Fraction(9))],
+        lambda x: printed_appendix_J40(*x), lambda x: oracle_autonomous(*x, sigma)["J0"],
         note="appendix variant of J0 at the witness (n=5, s=9)"))
 
     # --- tabulated special values ------------------------------------------
     for name in ("K0", "K2", "J0"):
-        ok = all(printed_critical_values(n)[name] ==
-                 oracle_autonomous(n, Fraction(n + 4, n - 4), sigma)[name] for n in ns)
-        entries.append(LedgerEntry(
-            symbol=f"{name} at critical power (table)", location="remark: sign table",
-            printed=format_number(printed_critical_values(5)[name]),
-            oracle=format_number(oracle_autonomous(5, Fraction(9), sigma)[name]),
-            verdict=MATCH if ok else MISMATCH, note=f"all n in {ns}; witness n=5"))
-    zero_ok = all(oracle_autonomous(n, Fraction(n + 4, n - 4), sigma)[name] == 0
+        entries.append(_entry_formula(
+            f"{name} at critical power (table)", "remark: sign table", ns,
+            lambda n: printed_critical_values(n)[name],
+            lambda n: oracle_autonomous(n, crit(n), sigma)[name],
+            note=f"all n in {ns}; witness n=5"))
+    zero_ok = all(oracle_autonomous(n, crit(n), sigma)[name] == 0
                   for n in ns for name in ("K1", "K3", "J1"))
     entries.append(LedgerEntry(
         symbol="K1,K3,J1 vanish at critical power", location="remark: sign table",
         printed="0", oracle="0" if zero_ok else "nonzero",
         verdict=MATCH if zero_ok else MISMATCH, note=f"exact zeros, n in {ns}"))
-    lower = lambda n: Fraction(n, n - 4)
-    for name in ("K0", "K2", "J0"):
-        ok = all(printed_lower_values(n)[name] ==
-                 oracle_autonomous(n, lower(n), sigma)[name] for n in ns)
-        entries.append(LedgerEntry(
-            symbol=f"{name} at lower exponent (table)", location="remark: sign table",
-            printed=format_number(printed_lower_values(5)[name]),
-            oracle=format_number(oracle_autonomous(5, lower(5), sigma)[name]),
-            verdict=MATCH if ok else MISMATCH, note=f"all n in {ns}; witness n=5"))
-    entries.append(_entry_formula(
-        "K1 at lower exponent (table)", "remark: sign table",
-        printed_lower_values(5)["K1"], oracle_autonomous(5, lower(5), sigma)["K1"],
-        sigma_flip=oracle_autonomous(5, lower(5), -sigma)["K1"],
-        note="derived magnitude is 2(n-2)(n-4) under either convention"))
-    for name in ("K3", "J1"):
+    lower_notes = dict.fromkeys(("K0", "K2", "J0"), f"all n in {ns}; witness n=5")
+    lower_notes.update(K1="derived magnitude is 2(n-2)(n-4) under either convention",
+                       K3="witness n=5", J1="witness n=5")
+    for name, note in lower_notes.items():
         entries.append(_entry_formula(
-            f"{name} at lower exponent (table)", "remark: sign table",
-            printed_lower_values(5)[name], oracle_autonomous(5, lower(5), sigma)[name],
-            sigma_flip=oracle_autonomous(5, lower(5), -sigma)[name],
-            note="witness n=5"))
+            f"{name} at lower exponent (table)", "remark: sign table", ns,
+            lambda n: printed_lower_values(n)[name],
+            lambda n: oracle_autonomous(n, lower(n), sigma)[name],
+            lambda n: oracle_autonomous(n, lower(n), -sigma)[name], note=note))
 
     # --- time-dependent block (exact polynomials in 1/t) --------------------
-    printed_na = printed_nonautonomous_polys(5)
-    derived_na = nonautonomous_oracle_polys(5)
-    grid_ok = {name: True for name in printed_na}
-    for m in ns:
-        pm, dm = printed_nonautonomous_polys(m), nonautonomous_oracle_polys(m)
-        for name in grid_ok:
-            grid_ok[name] = grid_ok[name] and pm[name] == dm[name]
     na_symbol = {"K0": "K~0(n,t) printed 1/t term",
                  "K1": "K~1(n,t) printed odd terms",
-                 "K3": "K~3(n,t) printed 1/t term",
                  "K2": "K~2(n,t) printed formula",
+                 "K3": "K~3(n,t) printed 1/t term",
                  "J0": "J~0(n,t) printed formula",
                  "J1": "J~1(n,t) printed formula"}
-    for name in ("K0", "K1", "K2", "K3", "J0", "J1"):
-        entries.append(LedgerEntry(
-            symbol=na_symbol[name],
-            location="main text: time-dependent coefficient block",
-            printed=format_tpoly(printed_na[name]), oracle=format_tpoly(derived_na[name]),
-            verdict=MATCH if grid_ok[name] else MISMATCH,
+    printed_na = {n: printed_nonautonomous_polys(n) for n in ns}   # one table per n
+    for name, symbol in na_symbol.items():
+        entries.append(_entry_formula(
+            symbol, "main text: time-dependent coefficient block", ns,
+            lambda n: printed_na[n][name],
+            lambda n: nonautonomous_oracle_polys(n)[name],
             note=f"compared as exact polynomials in 1/t for n in {ns}; shown n=5"))
-    h = hat_limits(5)
-    entries.append(LedgerEntry(
-        symbol="lim t*K~0 vs theorem constant", location="asymptotic theorem, part (b)",
-        printed=format_number(h.printed_formula_limit),
-        oracle=format_number(h.theorem_value),
-        verdict=MATCH if h.printed_formula_limit == h.theorem_value else MISMATCH,
-        note=f"chain-rule value {format_number(h.chain_rule_limit)}; factor-2 ambiguity "
-             f"plus an independent derivation discrepancy (witness n=5)"))
+    entries.append(_entry_formula(
+        "lim t*K~0 vs theorem constant", "asymptotic theorem, part (b)", [5],
+        lambda n: hat_constant(n, "printed-limit"), hat_constant,
+        note=f"chain-rule value {format_number(hat_constant(5, 'chain-rule'))}; factor-2 "
+             f"ambiguity plus an independent derivation discrepancy (witness n=5)"))
 
     # --- second-order pathway ------------------------------------------------
-    s2_ns = [max(n, 3) for n in ns]
-    ok20 = all(printed_second_order(n, Fraction(3))["K20"] ==
-               second_order_symbol(n, Fraction(3), sigma)["K20"] for n in s2_ns)
+    at3 = [(n, Fraction(3)) for n in ns]
+    printed20 = lambda x: printed_second_order(*x)["K20"]
+    derived20 = lambda x: second_order_symbol(*x, sigma)["K20"]
+    negated = all(printed20(x) == -derived20(x) for x in at3)
     entries.append(_entry_formula(
-        "K20(n,s) printed formula", "appendix: second-order table",
-        printed_second_order(5, Fraction(3))["K20"],
-        second_order_symbol(5, Fraction(3), sigma)["K20"],
-        note="printed equals the negative of the derivation at every checked point"))
+        "K20(n,s) printed formula", "appendix: second-order table", at3, printed20, derived20,
+        note="printed equals the negative of the derivation at every checked point"
+        if negated else "witness (n=5, s=3)"))
     entries.append(_entry_formula(
-        "K21(n,s) printed formula", "appendix: second-order table",
-        printed_second_order(5, Fraction(3))["K21"],
-        second_order_symbol(5, Fraction(3), sigma)["K21"],
-        sigma_flip=second_order_symbol(5, Fraction(3), -sigma)["K21"],
-        note="witness (n=5, s=3)"))
+        "K21(n,s) printed formula", "appendix: second-order table", at3,
+        lambda x: printed_second_order(*x)["K21"],
+        lambda x: second_order_symbol(*x, sigma)["K21"],
+        lambda x: second_order_symbol(*x, -sigma)["K21"], note="witness (n=5, s=3)"))
     crit2 = lambda n: Fraction(n + 2, n - 2)
     low2 = lambda n: Fraction(n, n - 2)
     ok = all(printed_second_order_critical(n)[k] ==
              second_order_symbol(n, crit2(n), sigma)[k]
-             for n in s2_ns for k in ("K20", "K21"))
+             for n in ns for k in ("K20", "K21"))
     entries.append(LedgerEntry(
         symbol="K20,K21 at second-order critical power (table)",
         location="appendix: second-order table",
         printed="K20=-(n-2)^2/4, K21=0", oracle="same" if ok else "different",
         verdict=MATCH if ok else MISMATCH, note="exact, derived route"))
-    ok_low = all(printed_second_order_lower(n)["K20"] ==
-                 second_order_symbol(n, low2(n), sigma)["K20"] and
-                 abs(printed_second_order_lower(n)["K21"]) ==
-                 abs(second_order_symbol(n, low2(n), sigma)["K21"])
-                 for n in s2_ns)
-    entries.append(LedgerEntry(
-        symbol="K21 at second-order lower exponent (table)",
-        location="appendix: second-order table",
-        printed=format_number(printed_second_order_lower(5)["K21"]),
-        oracle=format_number(second_order_symbol(5, low2(5), sigma)["K21"]),
-        verdict=SIGN_CONVENTION if ok_low else MISMATCH,
-        note="tabulated n-2 matches the t=-ln r convention"))
+    entries.append(_entry_formula(
+        "K21 at second-order lower exponent (table)", "appendix: second-order table", ns,
+        lambda n: printed_second_order_lower(n)["K21"],
+        lambda n: second_order_symbol(n, low2(n), sigma)["K21"],
+        lambda n: second_order_symbol(n, low2(n), -sigma)["K21"],
+        convention="tabulated n-2 matches the t=-ln r convention"))
     ok_na2 = all(printed_second_order_nonautonomous_polys(n) ==
-                 second_order_nonautonomous_oracle_polys(n) for n in s2_ns)
+                 second_order_nonautonomous_oracle_polys(n) for n in ns)
     entries.append(LedgerEntry(
         symbol="K~20,K~21 second-order time-dependent block",
         location="appendix: second-order case",

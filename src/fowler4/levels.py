@@ -1,9 +1,13 @@
-"""Limiting levels and the p-coefficient block of the slice energies.
+"""Limiting levels, the local models' amplitudes and the p-coefficient
+block of the slice energies.
 
 The scalar half of the slice energies, beside ``pohozaev``'s array
 half: exact or plain-float arithmetic on the coefficient tables, with no
 array code, so the ledger and the exact acceptance criteria load it
-without numpy.
+without numpy.  It is the one home of the two closed-form amplitudes:
+the Gidas-Spruck constant level K0^{1/(s-1)} (``constant_level``) and
+the log-corrected amplitude K^_0(n)^{(n-4)/4} (``aviles_amplitude``),
+which the ODEs, the profiles, the classifier and the fits read.
 """
 
 from __future__ import annotations
@@ -50,6 +54,22 @@ def _in_range(what: str, n: int, level) -> float:
     return value
 
 
+def constant_level(n: int, s: Scalar) -> Optional[float]:
+    """The nontrivial constant level K0^{1/(s-1)} as a float, the same in
+    either sign convention; None where K0 <= 0.  It takes (n, s), not
+    Params: the singular power profiles are built for s in (-1, 1) too."""
+    K0 = oracle_autonomous(n, s)["K0"]
+    if not K0 > 0:
+        return None
+    return float(K0) ** (1.0 / (float(s) - 1.0))
+
+
+def aviles_amplitude(n: int, variant: str = "theorem") -> float:
+    """The log-corrected amplitude K^_0(n)^{(n-4)/4}, for the named
+    variant of the hat constant (see ``coefficients.hat_constant``)."""
+    return float(hat_constant(n, variant)) ** ((n - 4) / 4.0)
+
+
 def autonomous_level(n: int, s: Scalar):
     """l*(n,s) = (s-1)/(2(s+1)) K0^{(s+1)/(s-1)}, the same in either sign
     convention; None when K0 <= 0."""
@@ -92,7 +112,7 @@ def _aviles_terms(n: int, variant: str):
     """(Lam^{q+1}/(q+1), K^0 Lam^2) at Lam = K^0^{(n-4)/4}, q = lower."""
     K0h = float(hat_constant(n, variant))
     q = float(special_exponents(n).lower)
-    lam = K0h ** ((n - 4) / 4.0)
+    lam = aviles_amplitude(n, variant)
     return lam ** (q + 1) / (q + 1), K0h * lam * lam
 
 

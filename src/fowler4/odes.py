@@ -25,6 +25,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous_polys
+from .levels import constant_level
 from .params import DomainError, Params, gamma_exponent, special_exponents
 from .polys import peval
 
@@ -122,18 +123,10 @@ def make_nonautonomous_rhs(n: int) -> Callable:
     return rhs
 
 
-def equilibrium_value(params: Params):
-    """The nontrivial constant level K0^{1/(s-1)}, the same in either sign
-    convention; None when K0 <= 0."""
-    K0 = oracle_autonomous(params.n, params.s)["K0"]
-    if not K0 > 0:
-        return None
-    return float(K0) ** (1.0 / (float(params.s) - 1.0))
-
-
 def equilibrium_state(params: Params) -> np.ndarray:
-    """The constant level along the diagonal direction (1, ..., 1)/sqrt(p)."""
-    v = equilibrium_value(params)
+    """The constant level (``levels.constant_level``) along the diagonal
+    direction (1, ..., 1)/sqrt(p)."""
+    v = constant_level(params.n, params.s)
     if v is None:
         raise DomainError("only the zero equilibrium exists (K0 <= 0)")
     return ray_state((v, 0.0, 0.0, 0.0), np.ones(params.p) / np.sqrt(params.p))

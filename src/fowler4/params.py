@@ -88,6 +88,13 @@ class SpecialExponents:
         """The power s at which the equation is critical: upper - 1."""
         return self.upper - 1
 
+    def in_window(self, s: Scalar) -> bool:
+        """Whether s lies in the Gidas-Spruck window (lower, critical_power):
+        compared exactly for an int or Fraction s, in float for any other."""
+        if is_exact(s):
+            return self.lower < s < self.critical_power
+        return float(self.lower) < float(s) < float(self.critical_power)
+
 
 def special_exponents(n: int) -> SpecialExponents:
     return SpecialExponents(n)

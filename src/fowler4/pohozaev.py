@@ -15,9 +15,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .coefficients import (BUILD_SIGMA, hat_constant, oracle_autonomous,
-                           printed_nonautonomous_polys)
+from .coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous_polys
 from .integrate import Trajectory
+from .levels import aviles_amplitude
 from .odes import make_nonautonomous_rhs
 from .params import DomainError, Params, special_exponents, unit_sphere_area
 from .polys import peval, psum
@@ -59,15 +59,24 @@ def _autonomous_floats(params: Params, sigma: int) -> Dict[str, float]:
     return {k: float(c[k]) for k in ("K0", "K1", "K2", "K3")}
 
 
+def _energy_rows(ys, K0, K2, K3, e: float, w=1.0) -> np.ndarray:
+    """The slice energy of each row,
+    w (-(<V''',V'> + K3 <V'',V'>) + (|V''|^2 - K2 |V'|^2 - K0 |V|^2)/2) + |V|^e/e.
+
+    w = 1 gives the autonomous H (the products by 1.0 change no bit); w = t
+    with per-row coefficients K~(t) gives the t-weighted P~.
+    """
+    v, v1, v2, v3 = _blocks(ys)
+    return (-w * (_dots(v3, v1) + K3 * _dots(v2, v1))
+            + 0.5 * w * (_dots(v2, v2) - K2 * _dots(v1, v1) - K0 * _dots(v, v))
+            + _norm_powers(v, e) / e)
+
+
 def _radial_rows(params: Params, ys, c: Dict[str, float]) -> Tuple[np.ndarray, np.ndarray]:
     """H and its monotonicity density K1 |V'|^2 - K3 |V''|^2 on each row."""
-    v, v1, v2, v3 = _blocks(ys)
-    s = float(params.s)
-    d11, d22 = _dots(v1, v1), _dots(v2, v2)
-    H = (-(_dots(v3, v1) + c["K3"] * _dots(v2, v1))
-         + 0.5 * (d22 - c["K2"] * d11 - c["K0"] * _dots(v, v))
-         + _norm_powers(v, s + 1) / (s + 1))
-    return H, c["K1"] * d11 - c["K3"] * d22
+    _, v1, v2, _ = _blocks(ys)
+    return (_energy_rows(ys, c["K0"], c["K2"], c["K3"], float(params.s) + 1),
+            c["K1"] * _dots(v1, v1) - c["K3"] * _dots(v2, v2))
 
 
 def hamiltonian_radial(params: Params, y, sigma: int = BUILD_SIGMA) -> float:
@@ -117,12 +126,7 @@ def _aviles_rows(n: int, ys, ts: np.ndarray) -> np.ndarray:
     polys, u = printed_nonautonomous_polys(n), 1.0 / ts
     # float coefficients: an ndarray plus a Fraction is an object array
     K0, K2, K3 = (peval([float(c) for c in polys[k].coeffs], u) for k in ("K0", "K2", "K3"))
-    w, w1, w2, w3 = _blocks(ys)
-    q = float(special_exponents(n).lower)
-    return (-ts * (_dots(w3, w1) + K3 * _dots(w2, w1))
-            + 0.5 * ts * (_dots(w2, w2) - K2 * _dots(w1, w1)
-                          - K0 * _dots(w, w))
-            + _norm_powers(w, q + 1) / (q + 1))
+    return _energy_rows(ys, K0, K2, K3, float(special_exponents(n).lower) + 1, ts)
 
 
 def aviles_hamiltonian(n: int, y, t: float) -> float:
@@ -184,6 +188,5 @@ def constant_state_residuals(n: int, ts) -> List[float]:
     """|RHS| of the t-weighted system at each t in ts, along the frozen
     constant state w* (the theorem's hat constant)."""
     rhs = make_nonautonomous_rhs(n)
-    w = float(hat_constant(n)) ** ((n - 4) / 4.0)
-    state = np.array([w, 0.0, 0.0, 0.0])
+    state = np.array([aviles_amplitude(n), 0.0, 0.0, 0.0])
     return [float(np.max(np.abs(rhs(t, state)))) for t in ts]

@@ -23,6 +23,7 @@ if TYPE_CHECKING:
 
 from .bubble import bubble_radial, bubble_radial_derivatives
 from .coefficients import hat_constant, oracle_autonomous, radial_bilaplacian
+from .levels import aviles_amplitude, constant_level
 from .params import DomainError, gamma_exponent, special_exponents, unit_sphere_area
 from .polys import psum
 
@@ -184,8 +185,7 @@ class SingularPower:
 
     @property
     def amplitude(self) -> float:
-        K0 = float(oracle_autonomous(self.n, self.s)["K0"])
-        return K0 ** (1.0 / (float(self.s) - 1.0))
+        return constant_level(self.n, self.s)
 
     def radial(self, r: float) -> float:
         return self.amplitude * r ** (-self.gamma)
@@ -239,7 +239,7 @@ class AvilesProfile:
 
     @property
     def amplitude(self) -> float:
-        return self.hat_value ** ((self.n - 4) / 4.0)
+        return aviles_amplitude(self.n, self.variant)
 
     def __call__(self, r: float) -> float:
         if not (0 < r < 1):

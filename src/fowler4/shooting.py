@@ -82,7 +82,7 @@ class CriticalConstants:
         """The critical power P = (n+4)/(n-4) as a float, computed once per
         instance (the exact exponent algebra costs microseconds, and every
         energy reads it)."""
-        return float(special_exponents(self.n).upper - 1)
+        return float(special_exponents(self.n).critical_power)
 
     def linearized_frequency(self) -> float:
         """Imaginary part of the oscillatory linearization pair at a0."""
@@ -95,7 +95,7 @@ class CriticalConstants:
 
 
 def critical_constants(n: int, c_mode: str = "measured") -> CriticalConstants:
-    power = float(special_exponents(n).upper - 1)
+    power = float(special_exponents(n).critical_power)
     pc = printed_critical_values(n)
     K0, K2 = float(pc["K0"]), float(pc["K2"])
     if c_mode == "measured":

@@ -1,6 +1,7 @@
 """Coefficient oracles vs the printed tables, in exact arithmetic."""
 
 import hashlib
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -254,12 +255,10 @@ def test_hat_constant_closed_forms_equal_the_blocks():
             co.nonautonomous_oracle_polys(n)["K0"].coeff(1) == F((n - 2) * (n - 4) ** 2, 2)
 
 
-def test_hat_limits_three_values():
-    h = co.hat_limits(5)
-    assert h.printed_formula_limit == 27
-    assert h.theorem_value == F(27, 2)
-    assert h.chain_rule_limit == F(3, 2)
-    assert co.hat_constant(5, "theorem") == F(27, 2)
+def test_hat_constant_three_values():
+    assert co.hat_constant(5, "printed-limit") == 27
+    assert co.hat_constant(5, "theorem") == co.hat_constant(5) == F(27, 2)
+    assert co.hat_constant(5, "chain-rule") == F(3, 2)
     with pytest.raises(DomainError):
         co.hat_constant(5, "nope")
 
@@ -274,6 +273,10 @@ def test_second_order_pathway():
         ch = co.second_order_chain(n, F(5, 2))
         sy = co.second_order_symbol(n, F(5, 2))
         assert ch["K20"] == sy["K20"] and ch["K21"] == sy["K21"] and ch["K22"] == 1
+    # the tabulated K20 at the lower exponent (the ledger's entry there judges K21)
+    for n in range(5, 13):
+        assert co.printed_second_order_lower(n)["K20"] == \
+            co.second_order_symbol(n, F(n, n - 2))["K20"]
 
 
 def test_second_order_printed_formula_discrepancies():
@@ -294,6 +297,28 @@ def test_sign_report_window_and_outside():
     rep_low = co.sign_report(Params(5, F(3)))
     assert not rep_low["in_window"] and rep_low["values"]["K0"] == -8
     assert co.sign_report(Params(5, F(5)))["values"]["K0"] == 0
+
+
+def test_in_window_equals_the_removed_window_tests():
+    # sign_report's two branches and C05/C06's inline test, as they were
+    exact = lambda ex, s: ex.lower < s < ex.critical_power
+    in_float = lambda ex, s: float(ex.lower) < float(s) < float(ex.critical_power)
+    tiny = F(1, 10 ** 12)
+    for n in range(5, 13):
+        ex = special_exponents(n)
+        for end in (ex.lower, ex.critical_power):
+            for s in (end - tiny, end, end + tiny):
+                assert ex.in_window(s) == exact(ex, s)
+            f = float(end)
+            for s in (math.nextafter(f, 0.0), f, math.nextafter(f, math.inf)):
+                assert ex.in_window(s) == in_float(ex, s)
+        assert ex.in_window(ex.lower + tiny) and not ex.in_window(ex.lower)
+        assert ex.in_window(ex.critical_power - tiny) and not ex.in_window(ex.critical_power)
+        assert ex.in_window(math.nextafter(float(ex.lower), math.inf))
+        assert not ex.in_window(math.nextafter(float(ex.critical_power), math.inf))
+    # an int s is compared exactly: n = 8 has lower 2 and critical power 3
+    assert [special_exponents(8).in_window(s) for s in (2, 3)] == [False, False]
+    assert special_exponents(5).in_window(7) and not special_exponents(5).in_window(9)
 
 
 def test_sigma_vote_is_decisive_for_the_build_choice():

@@ -563,6 +563,15 @@ def test_an_rhs_of_another_length_than_the_state_raises_at_once(values):
     assert calls == [0.0]
 
 
+def test_a_scalar_rhs_value_is_one_value():
+    # a 0-d result is read as one value, as a scalar state0 is
+    scalar = integrate(lambda t, y: -y[0], 0.0, [1.0], 1.0)
+    assert _digest(scalar) == _digest(integrate(lambda t, y: [-y[0]], 0.0, [1.0], 1.0))
+    assert scalar.y[-1][0] == pytest.approx(math.exp(-1.0), rel=1e-8)
+    with pytest.raises(DomainError, match="rhs returned 1 values for a state of 4"):
+        integrate(lambda t, y: -y[0], 0.0, [1.0] * 4, 1.0)
+
+
 def test_a_list_and_an_array_rhs_value_give_the_same_run():
     # a list is used as it is, an array read through tolist()
     y0 = np.array([1.0, 0.3, -0.2, 0.1])

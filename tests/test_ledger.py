@@ -69,6 +69,38 @@ def test_headline_items_present(entries):
     assert by["K~20,K~21 second-order time-dependent block"] == lg.MATCH
 
 
+def _rebuilt(monkeypatch, name, planted):
+    """The ledger built afresh with the table ``name`` replaced by planted(n, ...)."""
+    monkeypatch.setattr(lg, name, planted)
+    return {e.symbol: e for e in lg.build_ledger.__wrapped__()}
+
+
+def test_a_wrong_lower_exponent_value_at_one_n_is_a_mismatch(monkeypatch):
+    # every n = 5..12 is judged, not only the witness n = 5
+    def planted(n, table=co.printed_lower_values):
+        values = table(n)
+        if n == 8:
+            values["K3"] += 1
+        return values
+    by = _rebuilt(monkeypatch, "printed_lower_values", planted)
+    assert by["K3 at lower exponent (table)"].verdict == lg.MISMATCH
+    assert by["K3 at lower exponent (table)"].note == "witness n=5"
+    assert by["J1 at lower exponent (table)"].verdict == lg.SIGN_CONVENTION
+
+
+def test_k20_note_claims_the_negation_only_where_every_point_shows_it(entries, monkeypatch):
+    claim = "printed equals the negative of the derivation at every checked point"
+    assert {e.symbol: e for e in entries}["K20(n,s) printed formula"].note == claim
+
+    def planted(n, s, formula=co.printed_second_order):
+        values = formula(n, s)
+        if n == 8:
+            values["K20"] += 1
+        return values
+    k20 = _rebuilt(monkeypatch, "printed_second_order", planted)["K20(n,s) printed formula"]
+    assert k20.verdict == lg.MISMATCH and claim not in k20.note
+
+
 def test_json_roundtrip(entries):
     doc = json.loads(lg.ledger_to_json(entries))
     assert len(doc) == len(entries)

@@ -9,8 +9,9 @@ import pytest
 from fowler4.coefficients import (BUILD_SIGMA, char_symbol, oracle_autonomous,
                                   printed_nonautonomous_polys)
 from fowler4.integrate import integrate
-from fowler4.odes import (equilibrium_state, equilibrium_value, linearized_spectrum,
-                          make_autonomous_rhs, make_nonautonomous_rhs, ray_state)
+from fowler4.levels import constant_level
+from fowler4.odes import (equilibrium_state, linearized_spectrum, make_autonomous_rhs,
+                          make_nonautonomous_rhs, ray_state)
 from fowler4.params import DomainError, Params, gamma_exponent, special_exponents
 from fowler4.polys import compose_linear, peval
 
@@ -91,9 +92,10 @@ def test_nonautonomous_rhs_contract():
         rhs(-3.0, np.ones(4))
 
 
-def test_equilibrium_value_window():
-    assert equilibrium_value(Params(5, F(7))) == pytest.approx((112 / 81) ** (1 / 6))
-    assert equilibrium_value(Params(5, F(3))) is None    # K0 < 0
+def test_constant_level_window():
+    assert constant_level(5, F(7)) == pytest.approx((112 / 81) ** (1 / 6))
+    assert equilibrium_state(Params(5, F(7), 1)).tolist() == [constant_level(5, F(7)), 0, 0, 0]
+    assert constant_level(5, F(3)) is None    # K0 < 0
     with pytest.raises(DomainError):
         equilibrium_state(Params(5, F(3)))
 

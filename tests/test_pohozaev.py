@@ -8,10 +8,13 @@ import pytest
 
 from fowler4 import levels
 from fowler4 import pohozaev as po
-from fowler4.coefficients import BUILD_SIGMA, oracle_autonomous, printed_nonautonomous_polys
+from fowler4.asymptotics import classify_regime
+from fowler4.coefficients import (BUILD_SIGMA, hat_constant, oracle_autonomous,
+                                  printed_nonautonomous_polys)
 from fowler4.integrate import Event, Trajectory, integrate
 from fowler4.odes import equilibrium_state, make_autonomous_rhs, ray_state
 from fowler4.params import DomainError, Params, special_exponents
+from fowler4.profiles import AvilesProfile, SingularPower
 
 
 def test_hamiltonian_zero_state():
@@ -117,6 +120,42 @@ def test_levels_witness_value():
 
 def test_level_for_subcritical_outside_window_is_none():
     assert levels.autonomous_level(5, F(3)) is None
+
+
+def test_constant_level_is_the_removed_closed_form_bit_for_bit():
+    # the expression odes.equilibrium_value, classify_regime and
+    # SingularPower.amplitude each wrote before constant_level
+    def removed(n, s):
+        K0 = oracle_autonomous(n, s)["K0"]
+        return float(K0) ** (1.0 / (float(s) - 1.0)) if K0 > 0 else None
+
+    for n in range(5, 17):
+        ex = special_exponents(n)
+        window = (ex.lower + ex.critical_power) / 2
+        # one s in each band where K0 > 0, the sublinear one included ...
+        bands = [F(1, 2), F(n, n - 2), window, ex.critical_power + 1]
+        # ... and K0 = 0 and K0 < 0 between them
+        gaps = [F(n + 2, n - 2), (F(n + 2, n - 2) + ex.lower) / 2]
+        for s in bands + gaps:
+            for t in (s, float(s)):
+                level, ref = levels.constant_level(n, t), removed(n, t)
+                assert level is None if ref is None else level.hex() == ref.hex()
+        for t in [x for s in bands for x in (s, float(s))]:
+            assert SingularPower(n, t).amplitude == levels.constant_level(n, t)
+        for t in (window, float(window)):
+            assert classify_regime(n, t).predicted_amplitude == levels.constant_level(n, t)
+            assert equilibrium_state(Params(n, t))[0] == levels.constant_level(n, t)
+
+
+def test_aviles_amplitude_is_the_removed_closed_form_bit_for_bit():
+    for n in range(5, 17):
+        for variant in ("theorem", "printed-limit", "chain-rule"):
+            ref = float(hat_constant(n, variant)) ** ((n - 4) / 4.0)
+            assert levels.aviles_amplitude(n, variant).hex() == ref.hex()
+            assert AvilesProfile(n, variant).amplitude == ref
+        assert levels.aviles_amplitude(n) == levels.aviles_amplitude(n, "theorem")
+        assert classify_regime(n, special_exponents(n).lower).predicted_amplitude == \
+            levels.aviles_amplitude(n)
 
 
 def test_scaling_invariance_proxy_on_power_state():
