@@ -22,7 +22,8 @@ from typing import List, Optional
 from . import acceptance
 from .coefficients import (BUILD_SIGMA, derive_cyl_coeffs_numeric, oracle_autonomous,
                            printed_autonomous, sign_report)
-from .ledger import build_ledger, check_ledger, format_number, ledger_to_csv, ledger_to_json
+from .ledger import (build_ledger, check_ledger, entry_formula, format_number, ledger_to_csv,
+                     ledger_to_json)
 from .levels import limiting_levels
 from .output import gnuplot_companion, write_csv, write_json
 from .params import DomainError, Params, special_exponents
@@ -58,6 +59,14 @@ def _parse_n_range(text: str) -> List[int]:
         raise UsageError(f"empty dimension range --n {text!r}")
     special_exponents(ns[0])
     return ns
+
+
+def _one_dimension(args) -> int:
+    """The one dimension --n names, for a subcommand that takes no range."""
+    ns = _parse_n_range(args.n)
+    if len(ns) != 1:
+        raise UsageError(f"{args.command} takes a single dimension")
+    return ns[0]
 
 
 # Each subcommand registers only the flags it reads (see build_parser).
@@ -116,15 +125,16 @@ def cmd_coeffs(args) -> int:
     s = _parse_scalar(args.s)
     rows = []
     for n in ns:
-        printed = printed_autonomous(n, s)
-        oracle = oracle_autonomous(n, s, args.sigma)
+        # the ledger's verdict rule at the one point (n, s); only the odd
+        # coefficients have an opposite-convention value
+        judged = [entry_formula(key, "coeffs", [(n, s)], lambda x: printed_autonomous(*x)[key],
+                                lambda x: oracle_autonomous(*x, args.sigma)[key],
+                                (lambda x: oracle_autonomous(*x, -args.sigma)[key])
+                                if key in ("K1", "K3", "J1") else None)
+                  for key in ("K0", "K1", "K2", "K3", "J0", "J1")]
         numeric = derive_cyl_coeffs_numeric(n, 0.3, s=float(s), sigma=args.sigma)
-        for key in ("K0", "K1", "K2", "K3", "J0", "J1"):
-            verdict = "MATCH" if printed[key] == oracle[key] else \
-                ("SIGN_CONVENTION" if printed[key] == -oracle[key] else "MISMATCH")
-            rows.append([n, str(s), key, format_number(printed[key]),
-                         format_number(oracle[key]),
-                         format_number(float(numeric[key])), verdict])
+        rows += [[n, str(s), e.symbol, e.printed, e.oracle,
+                  format_number(float(numeric[e.symbol])), e.verdict] for e in judged]
     cols = ["n", "s", "symbol", "printed", "oracle", "chain_rule", "verdict"]
     _table(args, cols, rows, _config(args))
     return 0
@@ -178,10 +188,7 @@ def cmd_integrate(args) -> int:
     from .odes import make_autonomous_rhs
     from .pohozaev import pohozaev_series
 
-    ns = _parse_n_range(args.n)
-    if len(ns) != 1:
-        raise UsageError("integrate takes a single dimension")
-    n = ns[0]
+    n = _one_dimension(args)
     s = _parse_scalar(args.s)
     params = Params(n, s, args.p)
     y0 = np.array([float(_parse_scalar(v)) for v in args.init.split(",")])
@@ -237,10 +244,7 @@ def cmd_shoot(args) -> int:
 
     from .shooting import critical_constants, orbit_table
 
-    ns = _parse_n_range(args.n)
-    if len(ns) != 1:
-        raise UsageError("shoot takes a single dimension")
-    n = ns[0]
+    n = _one_dimension(args)
     cc = critical_constants(n, args.c_mode)
     a_values = []
     for text in args.a_grid.split(","):
@@ -283,10 +287,7 @@ def cmd_fit(args) -> int:
                               fit_power_law, geometric_grid)
     from .profiles import AvilesProfile, Bubble, SingularPower
 
-    ns = _parse_n_range(args.n)
-    if len(ns) != 1:
-        raise UsageError("fit takes a single dimension")
-    n = ns[0]
+    n = _one_dimension(args)
     if args.s is not None and args.profile != "power":
         raise UsageError(f"--s is read by --profile power only, not {args.profile}")
     if not 0 < args.r_lo < args.r_hi < math.inf:

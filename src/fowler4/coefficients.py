@@ -64,12 +64,18 @@ def _printed_autonomous_exact(n: int, s: Scalar) -> Dict[str, Scalar]:
     return _printed_autonomous(n, s)
 
 
-def _printed_autonomous(n: int, s: Scalar) -> Dict[str, Scalar]:
+def _power_unit(s: Scalar):
+    """(s, m = s - 1, one) for a power s, exact where s is rational, one being
+    its unit (Fraction 1 or 1.0); DomainError at s = 1, where m divides."""
+    s = as_exact(s)
     if s == 1:
-        raise DomainError("printed coefficients undefined at s = 1")
-    m = s - 1
+        raise DomainError("undefined at s = 1")
+    return s, s - 1, (Fraction(1) if is_exact(s) else 1.0)
+
+
+def _printed_autonomous(n: int, s: Scalar) -> Dict[str, Scalar]:
+    s, m, one = _power_unit(s)
     A = n * n - 10 * n + 20
-    one = Fraction(1) if is_exact(s) else 1.0
     K0 = 8 * one / m**4 * ((n - 2) * (n - 4) * m**3 + 2 * A * m**2 - 16 * (n - 4) * m + 32)
     K1 = -2 * one / m**3 * ((n - 2) * (n - 4) * m**3 + 4 * A * m**2 - 48 * (n - 4) * m + 128)
     K2 = one / m**2 * (A * m**2 - 24 * (n - 4) * m + 96)
@@ -81,11 +87,7 @@ def _printed_autonomous(n: int, s: Scalar) -> Dict[str, Scalar]:
 
 def printed_appendix_J40(n: int, s: Scalar) -> Scalar:
     """The appendix variant of J0 (disagrees with the main-text formula)."""
-    s = as_exact(s)
-    if s == 1:
-        raise DomainError("undefined at s = 1")
-    m = s - 1
-    one = Fraction(1) if is_exact(s) else 1.0
+    s, m, one = _power_unit(s)
     return 2 * one / m**2 * ((s + 1) ** 2 * m**2 - n * (s - 3) * m)
 
 
@@ -216,33 +218,29 @@ def oracle_autonomous(n: int, s: Scalar, sigma: int = BUILD_SIGMA) -> Dict[str, 
 # ---------------------------------------------------------------------------
 
 def chain_rule_matrix(rho_derivs: Sequence, psi_derivs: Sequence):
-    """Lower-triangular matrix c_{jl} with d_r^j = sum_l c_{jl} d_t^l.
+    """Lower-triangular matrix c_{jl} with d_r^j = sum_l c_{jl} d_t^l, j <= k.
 
-    rho_derivs: (rho, rho', rho'', rho''', rho'''')
-    psi_derivs: (psi', psi'', psi''', psi'''')
+    rho_derivs: (rho, rho', ..., rho^(k)) and psi_derivs: (psi', ..., psi^(k))
+    for an order k from 1 to 4; only the rows up to k are built.
     """
-    if len(rho_derivs) != 5 or len(psi_derivs) != 4:
-        raise DomainError("need rho derivatives 0..4 and psi derivatives 1..4")
-    p0, p1, p2, p3, p4 = rho_derivs
-    s1, s2, s3, s4 = psi_derivs
+    k = len(psi_derivs)
+    if not 1 <= k <= 4 or len(rho_derivs) != k + 1:
+        raise DomainError("need rho derivatives 0..k and psi derivatives 1..k, k <= 4")
+    p0, p1, p2, p3, p4 = (*rho_derivs, None, None, None)[:5]
+    s1, s2, s3, s4 = (*psi_derivs, None, None, None)[:4]
+    c = [[p0], [p1, s1 * p0]]
+    if k >= 2:
+        c.append([p2, 2 * s1 * p1 + s2 * p0, s1 * s1 * p0])
+    if k >= 3:
+        c.append([p3, 3 * s1 * p2 + 3 * s2 * p1 + s3 * p0,
+                  3 * s1 * s1 * p1 + 3 * s1 * s2 * p0, s1 * s1 * s1 * p0])
+    if k == 4:
+        c.append([p4, 4 * s1 * p3 + 6 * s2 * p2 + 4 * s3 * p1 + s4 * p0,
+                  6 * s1 * s1 * p2 + 12 * s1 * s2 * p1 + (3 * s2 * s2 + 4 * s1 * s3) * p0,
+                  4 * s1 * s1 * s1 * p1 + 6 * s1 * s1 * s2 * p0,
+                  s1 * s1 * s1 * s1 * p0])
     z = 0 * (p0 + s1)
-    c = [[z] * 5 for _ in range(5)]
-    c[0][0] = p0
-    c[1][0] = p1
-    c[1][1] = s1 * p0
-    c[2][0] = p2
-    c[2][1] = 2 * s1 * p1 + s2 * p0
-    c[2][2] = s1 * s1 * p0
-    c[3][0] = p3
-    c[3][1] = 3 * s1 * p2 + 3 * s2 * p1 + s3 * p0
-    c[3][2] = 3 * s1 * s1 * p1 + 3 * s1 * s2 * p0
-    c[3][3] = s1 * s1 * s1 * p0
-    c[4][0] = p4
-    c[4][1] = 4 * s1 * p3 + 6 * s2 * p2 + 4 * s3 * p1 + s4 * p0
-    c[4][2] = 6 * s1 * s1 * p2 + 12 * s1 * s2 * p1 + (3 * s2 * s2 + 4 * s1 * s3) * p0
-    c[4][3] = 4 * s1 * s1 * s1 * p1 + 6 * s1 * s1 * s2 * p0
-    c[4][4] = s1 * s1 * s1 * s1 * p0
-    return c
+    return [row + [z] * (k + 1 - len(row)) for row in c[:k + 1]]
 
 
 def radial_weights(n: int) -> Dict[int, int]:
@@ -281,6 +279,14 @@ def validate_weights(n: int, beta: Scalar) -> bool:
     return bool(ok_r and ok_a)
 
 
+def _weighted(c, weights, name: str) -> Dict[str, object]:
+    """{name + str(l): sum_j weights[j] c_{jl}}: the operator sum_j w_j d_r^j
+    (its r-powers normalized away) written in t-derivatives, summed j up."""
+    top = len(weights)
+    return {f"{name}{l}": psum(weights[j] * c[j][l] for j in range(l, top))
+            for l in range(top)}
+
+
 def _assemble(n: int, rho_rel: Sequence, psi_rel: Sequence, r=None) -> Dict[str, object]:
     """Assemble normalized cylindrical coefficients.
 
@@ -295,13 +301,14 @@ def _assemble(n: int, rho_rel: Sequence, psi_rel: Sequence, r=None) -> Dict[str,
     c = chain_rule_matrix(rho_rel, psi_rel)
     if r is not None:
         c = [[r ** j * x for x in row] for j, row in enumerate(c)]
-    N = radial_weights(n)
-    M = angular_weights(n)
-    K = {l: psum(N[j] * c[j][l] for j in range(l, 5)) for l in range(5)}
-    J = {l: psum(M[j] * c[j][l] for j in range(l, 3)) for l in range(3)}
-    out = {f"K{l}": K[l] for l in range(5)}
-    out.update({f"J{l}": J[l] for l in range(3)})
-    return out
+    return {**_weighted(c, radial_weights(n), "K"), **_weighted(c, angular_weights(n), "J")}
+
+
+def _second_order(n: int, rho_rel: Sequence, psi_rel: Sequence) -> Dict[str, object]:
+    """K20, K21, K22 of the Laplacian d_r^2 + (n-1)/r d_r, normalized by
+    rho r^{-2}: the weights (0, n-1, 1) on the chain-rule rows up to 2."""
+    c = chain_rule_matrix(rho_rel[:3], psi_rel[:2])
+    return _weighted(c, (0, n - 1, 1), "K2")
 
 
 def _psi_rel(sigma: int):
@@ -348,10 +355,8 @@ def nonautonomous_oracle_polys(n: int) -> Dict[str, UPoly]:
 
 @functools.cache
 def _nonautonomous_oracle_polys(n: int) -> Tuple[Tuple[str, UPoly], ...]:
-    theta = Fraction(4 - n, 4)
-    rho_rel = _log_rho_rel_polys(4 - n, theta)
-    raw = _assemble(n, rho_rel, _psi_rel(+1))
-    return tuple((k, v if isinstance(v, UPoly) else UPoly([v])) for k, v in raw.items())
+    return tuple(_assemble(n, _log_rho_rel_polys(4 - n, Fraction(4 - n, 4)),
+                           _psi_rel(+1)).items())
 
 
 def derive_cyl_coeffs_numeric(n: int, r, s: Scalar,
@@ -395,44 +400,30 @@ def hat_constant(n: int, variant: str = "theorem") -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# second-order pathway (validates the chain-rule engine independently)
+# second-order pathway (the chain-rule engine's rows 0..2 against the symbol)
 # ---------------------------------------------------------------------------
 
 def printed_second_order(n: int, s: Scalar) -> Dict[str, Scalar]:
     """Printed second-order constant coefficients (transcribed literally)."""
-    s = as_exact(s)
-    if s == 1:
-        raise DomainError("undefined at s = 1")
+    s, m, one = _power_unit(s)
     if n < 3:
         raise DomainError("second-order case needs n >= 3")
-    m = s - 1
-    one = Fraction(1) if is_exact(s) else 1.0
     return {"K20": 2 * one / m**2 * (n * m - 2 * s),
             "K21": -one / m * (s * (n - 2) + n + 2)}
 
 
 def second_order_symbol(n: int, s: Scalar, sigma: int = BUILD_SIGMA) -> Dict[str, Scalar]:
     """Oracle second-order coefficients from q(beta) = beta(beta+n-2)."""
-    s = as_exact(s)
-    if s == 1:
-        raise DomainError("undefined at s = 1")
-    g2 = (Fraction(2) if is_exact(s) else 2.0) / (s - 1)
+    s, m, one = _power_unit(s)
+    g2 = 2 * one / m
     # q(-g2 - sigma*lam) = lam^2 + sigma(2 g2 - (n-2)) lam + g2^2 - (n-2) g2
     return {"K20": g2 * g2 - (n - 2) * g2, "K21": sigma * (2 * g2 - (n - 2))}
 
 
 def second_order_chain(n: int, s: Scalar, sigma: int = BUILD_SIGMA) -> Dict[str, Scalar]:
-    """Second-order coefficients through the chain-rule cells (order <= 2)."""
-    g2 = (Fraction(2) if is_exact(as_exact(s)) else 2.0) / (as_exact(s) - 1)
-    rel = _power_rho_rel(g2)[:3]
-    s1, s2, _, _ = _psi_rel(sigma)
-    # Lap_sph = d_r^2 + (n-1)/r d_r: normalized by rho r^{-2}
-    c11 = s1
-    c21 = 2 * s1 * rel[1] + s2
-    c22 = s1 * s1
-    K20 = rel[2] + (n - 1) * rel[1]
-    K21 = c21 + (n - 1) * c11
-    return {"K20": K20, "K21": K21, "K22": c22}
+    """Second-order coefficients through the chain-rule engine (rows <= 2)."""
+    s, m, one = _power_unit(s)
+    return _second_order(n, _power_rho_rel(2 * one / m), _psi_rel(sigma))
 
 
 def printed_second_order_nonautonomous_polys(n: int) -> Dict[str, UPoly]:
@@ -443,11 +434,7 @@ def printed_second_order_nonautonomous_polys(n: int) -> Dict[str, UPoly]:
 
 def second_order_nonautonomous_oracle_polys(n: int) -> Dict[str, UPoly]:
     """Chain-rule derivation for rho = r^{2-n} t^{(2-n)/2}, t = -ln r."""
-    theta = Fraction(2 - n, 2)
-    rel = _log_rho_rel_polys(2 - n, theta)[:3]
-    s1, s2, _, _ = _psi_rel(+1)
-    return {"K20": rel[2] + (n - 1) * rel[1],
-            "K21": 2 * s1 * rel[1] + s2 + (n - 1) * s1}
+    return _second_order(n, _log_rho_rel_polys(2 - n, Fraction(2 - n, 2)), _psi_rel(+1))
 
 
 def printed_second_order_critical(n: int) -> Dict[str, Fraction]:

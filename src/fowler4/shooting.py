@@ -75,7 +75,6 @@ class CriticalConstants:
     K0: float
     K2: float
     c: float
-    a0: float
 
     @cached_property
     def power(self) -> float:
@@ -83,6 +82,12 @@ class CriticalConstants:
         instance (the exact exponent algebra costs microseconds, and every
         energy reads it)."""
         return float(special_exponents(self.n).critical_power)
+
+    @cached_property
+    def a0(self) -> float:
+        """The constant orbit a0 = (K0/c)^{1/(P-1)}, derived from the fields,
+        so ``dataclasses.replace`` cannot leave it stale."""
+        return (self.K0 / self.c) ** (1.0 / (self.power - 1.0))
 
     def linearized_frequency(self) -> float:
         """Imaginary part of the oscillatory linearization pair at a0."""
@@ -95,7 +100,7 @@ class CriticalConstants:
 
 
 def critical_constants(n: int, c_mode: str = "measured") -> CriticalConstants:
-    power = float(special_exponents(n).critical_power)
+    special_exponents(n)                 # the dimension rule, before n is read
     pc = printed_critical_values(n)
     K0, K2 = float(pc["K0"]), float(pc["K2"])
     if c_mode == "measured":
@@ -104,8 +109,7 @@ def critical_constants(n: int, c_mode: str = "measured") -> CriticalConstants:
         c = 1.0
     else:
         raise DomainError(f"unknown c mode {c_mode!r}")
-    a0 = (K0 / c) ** (1.0 / (power - 1.0))
-    return CriticalConstants(n=n, K0=K0, K2=K2, c=c, a0=a0)
+    return CriticalConstants(n=n, K0=K0, K2=K2, c=c)
 
 
 def make_critical_rhs(consts: CriticalConstants, dtype=np.float64) -> Callable:

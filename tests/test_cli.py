@@ -44,6 +44,28 @@ def test_coeffs_zero_row_at_lower_exponent(capsys):
     assert row.split(",")[3] == "0"
 
 
+def test_coeffs_judges_by_the_ledger_rule(monkeypatch, capsys):
+    # a negated even coefficient is a MISMATCH: only K1, K3 and J1 flip with
+    # the sign convention (coeffs called a negated K2 SIGN_CONVENTION)
+    def planted(n, s, table=cli.printed_autonomous):
+        values = table(n, s)
+        values["K2"], values["K3"] = -values["K2"], -values["K3"]
+        return values
+    monkeypatch.setattr(cli, "printed_autonomous", planted)
+    rows = run_cli(capsys, "coeffs", "--n", "5", "--s", "7", check=True).stdout.splitlines()
+    verdicts = {r.split(",")[2]: r.split(",")[-1] for r in rows if r.startswith("5,7,")}
+    assert verdicts == {"K0": "MATCH", "K1": "MATCH", "K2": "MISMATCH",
+                        "K3": "SIGN_CONVENTION", "J0": "MATCH", "J1": "MISMATCH"}
+
+
+@pytest.mark.parametrize("command", [
+    ("integrate", "--s", "7", "--init", "1,0,0,0"), ("shoot",), ("fit",)])
+def test_single_dimension_commands_refuse_a_range(command, capsys):
+    out = run_cli(capsys, command[0], "--n", "5:6", *command[1:])
+    assert out.returncode == 2
+    assert out.stderr == f"error: {command[0]} takes a single dimension\n"
+
+
 def test_malformed_s_exits_2_without_output(tmp_path, capsys):
     # an empty --s is malformed too, not the default
     target = tmp_path / "out.csv"

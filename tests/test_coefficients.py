@@ -287,7 +287,24 @@ def test_second_order_printed_formula_discrepancies():
     for n in (5, 6, 9):
         pr = co.printed_second_order_nonautonomous_polys(n)
         dr = co.second_order_nonautonomous_oracle_polys(n)
-        assert pr["K20"] == dr["K20"] and pr["K21"] == dr["K21"]
+        assert pr["K20"] == dr["K20"] and pr["K21"] == dr["K21"] and dr["K22"] == 1
+
+
+@pytest.mark.parametrize("cell", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+def test_a_planted_chain_rule_fault_fails_the_second_order_pathway(monkeypatch, cell):
+    # both second-order derivations read rows 1-2 of the engine; hand-copied
+    # cells c11, c21 and c22 let such a fault pass
+    engine = co.chain_rule_matrix
+
+    def planted(rho_derivs, psi_derivs):
+        c = engine(rho_derivs, psi_derivs)
+        j, l = cell
+        c[j][l] = c[j][l] + 1
+        return c
+    monkeypatch.setattr(co, "chain_rule_matrix", planted)
+    for pathway in (test_second_order_pathway, test_second_order_printed_formula_discrepancies):
+        with pytest.raises(AssertionError):
+            pathway()
 
 
 def test_sign_report_window_and_outside():

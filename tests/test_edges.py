@@ -18,6 +18,9 @@ import pytest
 from fowler4.asymptotics import (classify_regime, fit_log_corrected, fit_power_law,
                                  geometric_grid)
 from fowler4.bubble import bubble_constant
+from fowler4.coefficients import (printed_appendix_J40, printed_autonomous,
+                                  printed_second_order, second_order_chain,
+                                  second_order_symbol)
 from fowler4.integrate import StepUnderflowError, integrate
 from fowler4.odes import make_autonomous_rhs, make_nonautonomous_rhs
 from fowler4.params import DomainError, Params, special_exponents
@@ -140,3 +143,13 @@ def test_find_b_refuses_constants_of_another_dimension():
         find_b(5, 0.6 * cc6.a0, consts=cc6)
     with pytest.raises(DomainError, match="integer n >= 5"):
         find_b(6.0, 0.6 * cc6.a0, consts=cc6)
+
+
+@pytest.mark.parametrize("derive", [printed_autonomous, printed_appendix_J40,
+                                    printed_second_order, second_order_symbol,
+                                    second_order_chain])
+def test_every_derivation_in_s_raises_domain_error_at_s_1(derive):
+    # second_order_chain raised a bare ZeroDivisionError
+    for s in (1, 1.0):
+        with pytest.raises(DomainError, match="undefined at s = 1"):
+            derive(5, s)

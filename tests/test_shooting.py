@@ -1,5 +1,6 @@
 """Critical-case periodic orbits: shooting, symmetry, wrapper residual."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -222,6 +223,18 @@ def test_empty_message_exactly_when_every_c07_threshold_holds():
 # (6, 0.62 a0) an array-form energy (numpy's power in place of the row-wise
 # Python one) moves energy_drift; at the C07 points the rows it changes
 # are not the largest.  (6, 0.999 a0) re-recorded when find_b's bracket grid
+def test_replaced_constants_derive_their_own_a0():
+    # a0 was a stored field: replace(c=1.0) kept the measured-c a0 (0.8358 at
+    # n = 5 against 1.0574), so 0.6 a0 shot another orbit and 0.95 a0 was refused
+    unit = sh.critical_constants(5, c_mode="unit")
+    replaced = dataclasses.replace(sh.critical_constants(5), c=1.0)
+    assert replaced == unit and replaced.a0 == unit.a0
+    for frac in (0.6, 0.95, 1.0):
+        got, want = (sh.find_b(5, frac * unit.a0, consts=cc) for cc in (replaced, unit))
+        assert (got.b, got.T, got.energy, got.message) == \
+            (want.b, want.T, want.energy, want.message)
+
+
 # left np.geomspace, whose loop numpy picks per CPU, for geometric_grid: b
 # moved by one ULP (0x1.1fb196ccdf5ffp-9 before), T, energy_drift, min_v and
 # even_symmetry_defect with it, and the counts were (34, 108).
