@@ -64,6 +64,19 @@ def _printed_autonomous_exact(n: int, s: Scalar) -> Dict[str, Scalar]:
     return _printed_autonomous(n, s)
 
 
+def _in_float_range(formula):
+    """A printed formula f(n, s) that raises DomainError, naming s, where a
+    float power of s leaves float range (Python's float ** raises
+    OverflowError there); every value it returns is unchanged."""
+    @functools.wraps(formula)
+    def checked(n: int, s: Scalar):
+        try:
+            return formula(n, s)
+        except OverflowError:
+            raise DomainError(f"printed formula leaves float range at s = {s!r}") from None
+    return checked
+
+
 def _power_unit(s: Scalar):
     """(s, m = s - 1, one) for a power s, exact where s is rational, one being
     its unit (Fraction 1 or 1.0); DomainError at s = 1, where m divides."""
@@ -73,6 +86,7 @@ def _power_unit(s: Scalar):
     return s, s - 1, (Fraction(1) if is_exact(s) else 1.0)
 
 
+@_in_float_range
 def _printed_autonomous(n: int, s: Scalar) -> Dict[str, Scalar]:
     s, m, one = _power_unit(s)
     A = n * n - 10 * n + 20
@@ -85,6 +99,7 @@ def _printed_autonomous(n: int, s: Scalar) -> Dict[str, Scalar]:
     return {"K0": K0, "K1": K1, "K2": K2, "K3": K3, "J0": J0, "J1": J1}
 
 
+@_in_float_range
 def printed_appendix_J40(n: int, s: Scalar) -> Scalar:
     """The appendix variant of J0 (disagrees with the main-text formula)."""
     s, m, one = _power_unit(s)
@@ -326,15 +341,16 @@ def _power_rho_rel(gamma):
     return rel
 
 
-def _log_rho_rel_polys(m0: int, theta: Fraction):
-    """Normalized derivative row of rho = r^{m0} t^theta as UPoly in u = 1/t.
+def _log_rho_rel_polys(m0: int, theta: Fraction, order: int):
+    """Normalized derivative row of rho = r^{m0} t^theta as UPoly in u = 1/t,
+    derivatives 0..order.
 
     Uses d/dr [r^m t^theta q(u)] = r^{m-1} t^theta (m q - theta u q + u^2 q')
     with t = -ln r, u = 1/t.
     """
     q, u, u2 = UPoly([1]), UPoly([0, 1]), UPoly([0, 0, 1])
     out = [q]
-    for k in range(4):
+    for k in range(order):
         m = m0 - k
         q = m * q - theta * u * q + u2 * q.deriv()
         out.append(q)
@@ -355,7 +371,7 @@ def nonautonomous_oracle_polys(n: int) -> Dict[str, UPoly]:
 
 @functools.cache
 def _nonautonomous_oracle_polys(n: int) -> Tuple[Tuple[str, UPoly], ...]:
-    return tuple(_assemble(n, _log_rho_rel_polys(4 - n, Fraction(4 - n, 4)),
+    return tuple(_assemble(n, _log_rho_rel_polys(4 - n, Fraction(4 - n, 4), 4),
                            _psi_rel(+1)).items())
 
 
@@ -403,6 +419,7 @@ def hat_constant(n: int, variant: str = "theorem") -> Fraction:
 # second-order pathway (the chain-rule engine's rows 0..2 against the symbol)
 # ---------------------------------------------------------------------------
 
+@_in_float_range
 def printed_second_order(n: int, s: Scalar) -> Dict[str, Scalar]:
     """Printed second-order constant coefficients (transcribed literally)."""
     s, m, one = _power_unit(s)
@@ -434,7 +451,7 @@ def printed_second_order_nonautonomous_polys(n: int) -> Dict[str, UPoly]:
 
 def second_order_nonautonomous_oracle_polys(n: int) -> Dict[str, UPoly]:
     """Chain-rule derivation for rho = r^{2-n} t^{(2-n)/2}, t = -ln r."""
-    return _second_order(n, _log_rho_rel_polys(2 - n, Fraction(2 - n, 2)), _psi_rel(+1))
+    return _second_order(n, _log_rho_rel_polys(2 - n, Fraction(2 - n, 2), 2), _psi_rel(+1))
 
 
 def printed_second_order_critical(n: int) -> Dict[str, Fraction]:

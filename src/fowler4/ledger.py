@@ -141,10 +141,13 @@ def entry_formula(symbol: str, location: str, points, printed, oracle, flipped=N
     coeffs`` applies it at one point).
 
     printed, oracle and flipped (the oracle under the opposite sign
-    convention, given for an odd family only) map a point to a value.
-    MATCH where printed equals oracle at every point; SIGN_CONVENTION where
-    printed equals flipped at every point, with ``convention`` joined to the
-    note; otherwise MISMATCH.  The values shown are those at ``witness``,
+    convention, optional) map a point to a value.  MATCH where printed
+    equals oracle at every point; SIGN_CONVENTION where printed equals
+    flipped at every point, with ``convention`` joined to the note;
+    otherwise MISMATCH.  flipped may be given for any coefficient: an even
+    coefficient's flipped oracle equals its oracle, so where printed equals
+    it the verdict is already MATCH, and SIGN_CONVENTION is reached for an
+    odd coefficient only.  The values shown are those at ``witness``,
     the first point unless given.
     """
     if all(printed(x) == oracle(x) for x in points):

@@ -8,14 +8,22 @@ computing the coefficients w_k of w = v^P by the power recurrence
 
     w_k = sum_{j<k} (P (k - j) - j) v_{k-j} w_j / (k v_0).
 
-Each sum runs left to right in plain float steps.  Every shooting run
-starts at a turning point, the orbit minimum (a, 0, b, 0): there
-v' = v''' = 0, and the equation is reversible, so the solution is even
-in t.  Its odd v_k and w_k vanish, and each term of an odd w_k, and each
-odd-j term of an even one, is a product with a zero factor.  A running
-sum that starts at +0.0 never becomes -0.0 (x + (-0.0) is x, and
-+0.0 + (-0.0) is +0.0), so skipping those terms changes no bit: an odd
-w_k is exactly +0, and an even w_k sums its even-j terms only.
+Arithmetic rule: each sum starts at 0.0 and runs left to right in plain
+float steps (the built-in sum compensates from Python 3.12 on, which
+would move the bits).  The recurrence runs as straight-line Python,
+generated once per process for each of two parities and bound to each
+(constants, scalar type) on first use (``_kernel_factory``, ``_kernels``):
+written out term by term, it does the same operations in the same order
+as the loop over the terms that the tests keep as the reference, so it
+gives the same bits without the interpreter's per-term loop overhead.
+Every shooting run starts at a turning point, the orbit minimum
+(a, 0, b, 0): there v' = v''' = 0, and the equation is reversible, so
+the solution is even in t.  Its odd v_k and w_k vanish, and each term of
+an odd w_k, and each odd-j term of an even one, is a product with a zero
+factor.  A running sum that starts at +0.0 never becomes -0.0
+(x + (-0.0) is x, and +0.0 + (-0.0) is +0.0), so skipping those terms
+changes no bit: the turning-point kernel takes an odd w_k as exactly +0,
+and sums an even w_k over its even-j terms only.
 
 The step size bounds the truncation error of all four components by the
 last two terms of their series, so a step is exact to about the
@@ -38,7 +46,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -49,22 +56,82 @@ _ORDER = 24   # series order of each state component
 # per scalar type, bound on the last two terms relative to max(1, |y|_inf):
 # below the rounding of the state
 _TOL = {float: 1e-16, np.longdouble: 5e-20}
+# per scalar type, the spacing of its values at x > 0: math.ulp equals
+# np.spacing below the largest float, without numpy's dispatch
+_SPACING = {float: math.ulp, np.longdouble: np.spacing}
 _ORBIT_GUARD = 1e6  # |y|_inf past which a run stops as undefined
+# the m-th coefficient of the i-th derivative is v_{m+i} (m+1)...(m+i)
+_FAC = tuple(tuple(float(math.prod(range(m + 1, m + i + 1))) for m in range(_ORDER + 1))
+             for i in range(4))
 
 
 @lru_cache(maxsize=None)
 def _tables(consts, scal):
-    """Equation constants and the recurrence and series tables, in type scal."""
+    """Equation constants and the recurrence tables, in type scal."""
     P = scal(consts.power)
     rows = [()] + [tuple((P * (k - j) - j) / k for j in range(k)) for k in range(1, _ORDER)]
-    erows = [r[::2] for r in rows]   # the even-j terms, a turning point's
     # v_{k+4} = (c w_k - K2 (k+1)(k+2) v_{k+2} - K0 v_k) / ((k+1)(k+2)(k+3)(k+4))
     k2 = tuple(float((k + 1) * (k + 2)) for k in range(_ORDER))
     den = tuple(scal(1) / ((k + 1) * (k + 2) * (k + 3) * (k + 4)) for k in range(_ORDER))
-    # the m-th coefficient of the i-th derivative is v_{m+i} (m+1)...(m+i)
-    fac = tuple(tuple(float(math.prod(range(m + 1, m + i + 1))) for m in range(_ORDER + 1))
-                for i in range(4))
-    return scal(consts.c), scal(consts.K2), scal(consts.K0), P, rows, erows, k2, den, fac
+    return scal(consts.c), scal(consts.K2), scal(consts.K0), P, rows, k2, den
+
+
+@lru_cache(maxsize=None)
+def _kernel_factory(even: bool):
+    """``factory(*_tables(consts, scal))`` returns ``kernel(y)``, the series
+    of ``series`` at y as straight-line Python: the turning-point kernel
+    where even, else the general one.
+
+    The factory unpacks the table entries the kernel reads into closure
+    cells, K2 * k2[k] as one factor q_k (the recurrence's first product),
+    and the kernel writes the recurrence out term by term:
+    v_{k+4} = (c * w_k - q_k * v_{k+2} - K0 * v_k) * den_k, and for k > 0
+    w_k is the sum from 0.0 of rows[k][j] * v_{k-j} * w_j, left to right,
+    times 1 / v_0; entry [i][m] of the result is ``_FAC[i][m] * v_{m+i}``,
+    with ``_FAC`` as literals.  The even kernel takes each odd w_k as
+    0.0 * (1 / v_0) and sums the even-j terms of an even one.  The source
+    depends on the parity and ``_ORDER`` alone, so each is compiled once
+    per process."""
+    N = _ORDER
+
+    def names(fmt, ix):
+        return ", ".join(fmt.format(i) for i in ix)
+
+    lines = ["def factory(c, K2, K0, P, rows, k2, den):"]
+    lines += [f"    [{names(f'r{k}_{{}}', range(k))}] = rows[{k}]" for k in range(1, N)
+              if not (even and k % 2)]
+    lines += [f"    [{names('q{}', range(N))}] = [K2 * x for x in k2]",
+              f"    [{names('d{}', range(N))}] = den"]
+    lines += ["    def kernel(y):",
+              "        v0, v1, y2, y3 = y",
+              "        v2 = 0.5 * y2",
+              "        v3 = y3 / 6.0",
+              "        w0 = v0 ** P",
+              "        inv = 1.0 / v0"]
+    if even:
+        lines.append("        w_odd = 0.0 * inv")
+    for k in range(N):
+        wk = "w_odd" if even and k % 2 else f"w{k}"
+        if k and wk != "w_odd":
+            terms = "".join(f" + r{k}_{j} * v{k - j} * w{j}"
+                            for j in range(0, k, 2 if even else 1))
+            lines.append(f"        w{k} = (0.0{terms}) * inv")
+        lines.append(f"        v{k + 4} = (c * {wk} - q{k} * v{k + 2} - K0 * v{k}) * d{k}")
+    lines += ["        return [" + ", ".join(
+                  "[" + ", ".join(f"{f!r} * v{m + i}" for m, f in enumerate(_FAC[i])) + "]"
+                  for i in range(4)) + "]",
+              "    return kernel"]
+    namespace = {}
+    exec(compile("\n".join(lines) + "\n",
+                 f"<taylor series kernel, {'even' if even else 'general'}>", "exec"), namespace)
+    return namespace["factory"]
+
+
+@lru_cache(maxsize=None)
+def _kernels(consts, scal):
+    """The turning-point and the general series kernel of consts in type scal."""
+    tables = _tables(consts, scal)
+    return _kernel_factory(True)(*tables), _kernel_factory(False)(*tables)
 
 
 def series(consts, y):
@@ -74,34 +141,8 @@ def series(consts, y):
     [i][m] is the m-th coefficient of the i-th derivative of v.  Requires
     y[0] > 0.
     """
-    return _series(_tables(consts, type(y[0])), y)
-
-
-def _series(tables, y):
-    c, K2, K0, P, rows, erows, k2, den, fac = tables
-    v = [y[0], y[1], 0.5 * y[2], y[3] / 6.0]
-    wk = v[0] ** P
-    inv_v0 = 1.0 / v[0]
-    even = not (y[1] or y[3])   # a turning point: odd w_k are +0
-    if even:
-        rows = erows
-    w = [wk]   # the w_j a sum reads: all of them, or the even ones
-    rv = []    # their v_{k-j}: v[k:0:-1], or v[k:1:-2]
-    for k in range(_ORDER):
-        if k:
-            if even and k % 2:
-                wk = 0.0 * inv_v0
-            else:
-                rv.insert(0, v[k])
-                # left to right in plain float steps: the built-in sum
-                # compensates from Python 3.12 on, which would move the bits
-                acc = 0.0
-                for r, vk, wj in zip(rows[k], rv, w):
-                    acc += r * vk * wj
-                wk = acc * inv_v0
-                w.append(wk)
-        v.append((c * wk - K2 * k2[k] * v[k + 2] - K0 * v[k]) * den[k])
-    return [list(map(mul, fac[i], v[i:i + _ORDER + 1])) for i in range(4)]
+    even, general = _kernels(consts, type(y[0]))
+    return (general if y[1] or y[3] else even)(y)
 
 
 def _step_size(coef, eps):
@@ -127,10 +168,11 @@ def _state(coef, h):
     return [a0, a1, a2, a3]
 
 
-def _first_root(d1, d2, hi):
+def _first_root(d1, d2, hi, spacing):
     """Root in (0, hi] of the series d1 (positive at 0, not at hi).
 
-    Newton's method with derivative series d2, guarded by bisection.
+    Newton's method with derivative series d2, guarded by bisection; it
+    stops within a few ``spacing`` (the run's ``_SPACING``) of the root.
     """
     lo, s = 0.0, hi
     for _ in range(100):
@@ -141,7 +183,7 @@ def _first_root(d1, d2, hi):
             hi = s
         slope = peval(d2, s)
         step = f / slope if slope else math.inf
-        if abs(step) <= 2 * np.spacing(s) or hi - lo <= 4 * np.spacing(hi):
+        if abs(step) <= 2 * spacing(s) or hi - lo <= 4 * spacing(hi):
             break
         s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
     return s
@@ -191,10 +233,10 @@ def march(consts, y0, t_end: float, first_max: bool = False):
     Builds no arrays.
     """
     scal = np.longdouble if any(isinstance(x, np.longdouble) for x in y0) else float
-    tables = _tables(consts, scal)
-    c, _, K0, P = tables[:4]
+    c, _, K0, P = _tables(consts, scal)[:4]
+    even, general = _kernels(consts, scal)
     a0 = (K0 / c) ** (1 / (P - 1))
-    tol = _TOL[scal]
+    tol, spacing = _TOL[scal], _SPACING[scal]
     t = 0.0
     y = [scal(x) for x in y0]
     ts, ys, hs, coefs = [t], [y], [], []
@@ -208,7 +250,7 @@ def march(consts, y0, t_end: float, first_max: bool = False):
         if fate:
             status = fate
             break
-        coef = _series(tables, y)
+        coef = (general if y[1] or y[3] else even)(y)
         h = _step_size(coef, tol * max(1.0, size))
         if not (h > 0 and t + h > t):
             status = "undefined"
@@ -218,7 +260,7 @@ def march(consts, y0, t_end: float, first_max: bool = False):
             h = t_end - t
         y_new = _state(coef, h)
         if first is None and y[1] > 0 and y_new[1] <= 0:
-            h1 = _first_root(coef[1], coef[2], h)
+            h1 = _first_root(coef[1], coef[2], h, spacing)
             first = (t + h1, _state(coef, h1))
             if first_max:
                 hs.append(h1)

@@ -18,9 +18,9 @@ import pytest
 from fowler4.asymptotics import (classify_regime, fit_log_corrected, fit_power_law,
                                  geometric_grid)
 from fowler4.bubble import bubble_constant
-from fowler4.coefficients import (printed_appendix_J40, printed_autonomous,
-                                  printed_second_order, second_order_chain,
-                                  second_order_symbol)
+from fowler4.coefficients import (oracle_autonomous, printed_appendix_J40,
+                                  printed_autonomous, printed_second_order,
+                                  second_order_chain, second_order_symbol)
 from fowler4.integrate import StepUnderflowError, integrate
 from fowler4.odes import make_autonomous_rhs, make_nonautonomous_rhs
 from fowler4.params import DomainError, Params, special_exponents
@@ -153,3 +153,22 @@ def test_every_derivation_in_s_raises_domain_error_at_s_1(derive):
     for s in (1, 1.0):
         with pytest.raises(DomainError, match="undefined at s = 1"):
             derive(5, s)
+
+
+@pytest.mark.parametrize("derive", [printed_autonomous, printed_appendix_J40,
+                                    printed_second_order, second_order_symbol,
+                                    second_order_chain, oracle_autonomous])
+def test_every_derivation_in_s_returns_or_raises_domain_error_at_float_edges(derive):
+    # the printed tables raised a bare OverflowError where a float power of
+    # s left float range (m**4 from s ~ 1e77, m**2 from s ~ 1e154); the
+    # oracles return there
+    printed = derive.__name__.startswith("printed")
+    for s in EDGES + (1e80, 1e160, -1e160):
+        try:
+            derive(5, s)
+        except DomainError as exc:
+            want = "undefined at s = 1" if s == 1 else f"float range at s = {s!r}"
+            assert (s == 1 or printed) and want in str(exc), (s, exc)
+    if printed:
+        with pytest.raises(DomainError):
+            derive(5, 1e160)

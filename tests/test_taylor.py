@@ -2,18 +2,28 @@
 homoclinic, its own longdouble run and the Dormand-Prince path."""
 
 import dataclasses
+import importlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fowler4 import odes
 from fowler4 import shooting as sh
 from fowler4 import taylor
 from fowler4.asymptotics import geometric_grid
 from fowler4.bubble import bubble_constant_closed_form
 from fowler4.integrate import Event, integrate
 from fowler4.polys import peval
+
+integ_module = importlib.import_module("fowler4.integrate")
 
 
 @pytest.fixture(scope="module")
@@ -275,12 +285,18 @@ def test_series_bits_do_not_depend_on_the_builtin_sum(monkeypatch):
     before = [taylor.series(cc, y) for y in states]
     monkeypatch.setattr(taylor, "sum", math.fsum, raising=False)
     assert [taylor.series(cc, y) for y in states] == before
+    # a generated kernel runs in its own namespace, which the patch above
+    # never reaches: none of them may name sum or fsum
+    kernels = [*taylor._kernels(cc, float), *map(integ_module._step_kernel, (1, 4, 12)),
+               *map(odes._rhs_kernel, (1, 3))]
+    for kernel in kernels:
+        assert not {"sum", "fsum"} & set(kernel.__code__.co_names), kernel.__code__.co_filename
 
 
 def _reference_series(tables, y):
-    """The power recurrence with every term of every sum, as ``_series``
-    computes it off a turning point: the reference its shortcuts must meet."""
-    c, K2, K0, P, rows, _, k2, den, fac = tables
+    """The power recurrence as a loop over every term of every sum: the
+    reference both series kernels must meet bit for bit."""
+    c, K2, K0, P, rows, k2, den = tables
     v = [y[0], y[1], 0.5 * y[2], y[3] / 6.0]
     w = [v[0] ** P]
     inv_v0 = 1.0 / v[0]
@@ -291,7 +307,7 @@ def _reference_series(tables, y):
                 acc += r * vk * wj
             w.append(acc * inv_v0)
         v.append((c * w[k] - K2 * k2[k] * v[k + 2] - K0 * v[k]) * den[k])
-    return [[f * x for f, x in zip(fac[i], v[i:])] for i in range(4)]
+    return [[f * x for f, x in zip(taylor._FAC[i], v[i:])] for i in range(4)]
 
 
 def _reprs(coef):
@@ -314,11 +330,63 @@ def test_turning_point_series_equals_the_full_recurrence_bit_for_bit(n, scal):
                 for y1 in (0.0, -0.0):
                     for y3 in (0.0, -0.0):
                         y = [scal(x) for x in (frac * cc.a0, y1, sign * b, y3)]
-                        assert (_reprs(taylor._series(tables, y))
+                        assert (_reprs(taylor.series(cc, y))
                                 == _reprs(_reference_series(tables, y))), (frac, b, sign, y1, y3)
-                # off a turning point the running list of v_{k-j} is the slice
                 y = [scal(x) for x in (frac * cc.a0, 0.02 * sign, b, -0.05)]
-                assert _reprs(taylor._series(tables, y)) == _reprs(_reference_series(tables, y))
+                assert _reprs(taylor.series(cc, y)) == _reprs(_reference_series(tables, y))
+
+
+_SIGNED_ZERO_OR_SLOPE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=5, max_value=12), ld=st.booleans(),
+       frac=st.floats(0.01, 3.0), y2=st.floats(-3.0, 3.0),
+       y1=_SIGNED_ZERO_OR_SLOPE, y3=_SIGNED_ZERO_OR_SLOPE)
+def test_series_kernels_equal_the_reference_loop_bit_for_bit(n, ld, frac, y2, y1, y3):
+    """The general kernel at any state, and the turning-point kernel where
+    v' and v''' are zeros of either sign, give the reference's bits.  In
+    longdouble, v and v'' carry bits below float64's."""
+    cc = sh.critical_constants(n)
+    scal = np.longdouble if ld else float
+    y = [scal(frac) * scal(cc.a0), scal(y1), scal(y2) / scal(3), scal(y3)]
+    want = _reprs(_reference_series(taylor._tables(cc, scal), y))
+    even, general = taylor._kernels(cc, scal)
+    assert _reprs(general(y)) == want
+    if not (y1 or y3):
+        assert _reprs(even(y)) == want
+
+
+_LAZY_BUILDS = """
+import numpy as np
+import fowler4.shooting as sh
+from fowler4 import taylor
+
+for n in range(5, 13):
+    sh.critical_constants(n)
+assert taylor._kernel_factory.cache_info().misses == 0
+assert taylor._kernels.cache_info().misses == 0
+cc5 = sh.critical_constants(5)
+sh.find_b(5, 0.6 * cc5.a0, consts=cc5)
+for n in (5, 6, 7):
+    for scal in (float, np.longdouble):
+        cc = sh.critical_constants(n)
+        taylor.series(cc, [scal(x) for x in (cc.a0, 0.0, 0.1, 0.0)])
+        taylor.series(cc, [scal(x) for x in (cc.a0, 0.1, 0.1, 0.2)])
+assert taylor._kernels.cache_info().currsize == 6
+assert taylor._kernel_factory.cache_info().misses == 2
+"""
+
+
+def test_kernels_are_built_lazily_and_each_source_compiled_once():
+    """Importing shooting and deriving critical constants compiles no
+    kernel, so no set-up pays for one; six (consts, type) bindings compile
+    each parity's source once.  A fresh process, so no other test has
+    built one yet."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_BUILDS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("scal", [float, np.longdouble], ids=["float", "longdouble"])
