@@ -5,13 +5,17 @@ a one-parameter family indexed by the orbit minimum a in (0, a0].  For
 given a the initial curvature b(a) sits on the crash/escape boundary:
 below b(a) the trajectory dives to -infinity, above it escapes to
 +infinity, and the boundary carries the bounded orbit.  A geometric grid
-brackets that boundary and a short bisection of the dichotomy narrows
-the bracket until the reversibility residual F(b) = v'''(t1), with t1
-the first maximum of v (first downward zero of v'), is defined at both
-ends with opposite signs.  Brent's method on F then takes the bracket
-down to a few ULP of b; each F evaluation is a half-orbit integration.
-At the root the orbit is even about t1, so the fundamental period is
-T = 2 t1.
+of b brackets that boundary: its two ends are classified first, then a
+bisection on the grid index finds an adjacent crash/escape pair.  It
+assumes that the outcomes along the grid are crashes followed by
+escapes, so that the pair is the one an upward scan would stop at; that
+held at every n = 5..12 and a in 0.005..0.999 a0 checked.  A short
+bisection of the dichotomy then narrows the bracket until the
+reversibility residual F(b) = v'''(t1), with t1 the first maximum of v
+(first downward zero of v'), is defined at both ends with opposite signs.
+Brent's method on F then takes the bracket down to a few ULP of b; each
+F evaluation is a half-orbit integration.  At the root the orbit is even
+about t1, so the fundamental period is T = 2 t1.
 
 Every run of the search is the Taylor-series flow of ``taylor``: the
 crash/escape classification, the half-orbit runs behind F and the
@@ -40,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -49,9 +54,9 @@ from .coefficients import printed_critical_values
 from .integrate import Trajectory
 from .params import DomainError, special_exponents
 from .bubble import bubble_constant
-from .taylor import flow, march
+from .taylor import _EPS, flow, march
 
-_LONGDOUBLE_OK = np.finfo(np.longdouble).eps < 1e-18
+_LONGDOUBLE_OK = _EPS[np.longdouble] < 1e-18
 
 # Numerical policy of the search; C07, the CLI and the benchmark all run
 # under it.  The Taylor flow's order, step tolerances and |y| guard are
@@ -169,16 +174,18 @@ def orbit_energy(consts: CriticalConstants, y) -> float:
 def _energies(consts: CriticalConstants, vals) -> np.ndarray:
     """``orbit_energy`` of each row (v, v', v'', v''') of the float64 array vals.
 
-    The four powers are Python's float ``**`` (libm pow), one column list
-    at a time: numpy's power and its x*x square round some values
-    differently, which moves energy_drift at some a.  The rest is
-    elementwise numpy, each row's operations in the order of
+    The four powers are the C library's pow of |x|, ``math.pow`` mapped
+    over one column list at a time: that is the pow Python's float ``**``
+    calls for x ** 2 and |x| ** q1, so they have its bits on any libm,
+    while numpy's power and its x*x square round some values differently,
+    which moves energy_drift at some a.  The rest is elementwise numpy,
+    each row's operations in the order of
     -v3 v1 + 0.5 (v2^2 - K2 v1^2 - K0 v^2) + c |v|^q1 / q1.
     """
     K2, K0, c, q1 = consts.K2, consts.K0, consts.c, consts.power + 1
     v, v1, v2, v3 = vals.T
-    sq, sq1, sq2 = (np.array([x ** 2 for x in col.tolist()]) for col in (v, v1, v2))
-    pq = np.array([abs(x) ** q1 for x in v.tolist()])
+    sq, sq1, sq2, pq = (np.array(list(map(math.pow, np.abs(col).tolist(), repeat(e))))
+                        for col, e in ((v, 2.0), (v1, 2.0), (v2, 2.0), (v, q1)))
     return -v3 * v1 + 0.5 * (sq2 - K2 * sq1 - K0 * sq) + c * pq / q1
 
 
@@ -258,22 +265,48 @@ def _bisect(consts, a, blo, bhi, iters, stats, firsts,
     return blo, bhi
 
 
+def _grid_bracket(consts: CriticalConstants, a: float, stats: dict, firsts: dict):
+    """(blo, bhi): adjacent b of the bracket grid, blo crashing and bhi escaping.
+
+    The grid is geometric in Python float powers, the same on every CPU (its
+    bits fix the root's last ULP).  Its ends are classified, then a
+    bisection on the grid index finds the pair; where the grid's outcomes
+    are crashes followed by escapes, that is the first pair an upward scan
+    meets.  Raises ArithmeticError where the lowest b does not crash or the
+    highest does not escape."""
+    b_max = 10.0 * consts.K0 * consts.a0
+    grid = geometric_grid(1e-6, b_max, 25)
+    lo, hi = 0, len(grid) - 1
+    ends = [_classify(consts, a, grid[i], stats, firsts) for i in (lo, hi)]
+    if ends != [-1, 1]:
+        raise ArithmeticError(
+            f"no crash/escape bracket for a={a} in (1e-6, {b_max:.3g}); "
+            f"outcomes at the grid's ends {ends[0]} and {ends[1]}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _classify(consts, a, grid[mid], stats, firsts) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return grid[lo], grid[hi]
+
+
 def _brent(f: Callable, lo, hi):
     """Zero of f in [lo, hi] by Brent's method (Brent 1973, ch. 4, zeroin).
 
-    Works in the dtype of lo and hi (float64 or longdouble) and stops when
-    the bracket is a few ULP wide, or at an exact zero.  f must change sign
-    across [lo, hi]; every iterate stays inside the current bracket.
+    Works in np.longdouble where lo or hi is one, else in Python floats
+    (float64's IEEE operations without numpy's scalar dispatch), and stops
+    when the bracket is a few ULP wide, or at an exact zero.  f must change
+    sign across [lo, hi]; every iterate stays inside the current bracket.
     Raises ArithmeticError when f(lo), f(hi) do not bracket a sign change
     or f is undefined (None or not finite) at an iterate.
     """
-    dt = np.result_type(lo, hi)
-    scal = dt.type
-    eps = np.finfo(dt).eps
+    scal = np.longdouble if any(isinstance(x, np.longdouble) for x in (lo, hi)) else float
+    eps = _EPS[scal]
 
     def value(x):
         fx = f(x)
-        if fx is None or not np.isfinite(fx):
+        if fx is None or not math.isfinite(fx):
             raise ArithmeticError(f"F undefined at b={x!r} inside the bracket")
         return scal(fx)
 
@@ -331,9 +364,12 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
     residual, closure defect, energy drift, orbit minimum); otherwise it
     says which one misses and, for the defect, whether the longdouble
     refinement was kept.  Raises DomainError for an a outside (0, a0], and
-    ArithmeticError ("no crash/escape bracket ...") where no b on the
-    bracket grid crashes below one that escapes (tiny a, for one);
-    ``orbit_table`` records either as a failed row.
+    ArithmeticError ("no crash/escape bracket ...") where the bracket
+    grid's lowest b does not crash or its highest does not escape.  That
+    happens at both ends of the family: at tiny a, and near the linear
+    end, where b(a) ~ C (1 - a/a0) falls below the grid's 1e-6 floor
+    (C = 1.3 at n = 5, 6.4 at n = 12; 1 - a/a0 = 1e-6 still brackets at
+    n = 5, 1e-7 does not).  ``orbit_table`` records either as a failed row.
     """
     if consts is None:
         consts = critical_constants(n)
@@ -352,22 +388,7 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
 
     stats: dict = {}
     firsts: dict = {}   # first maximum per float64 b, from any run of this call
-    # bracket on a geometric grid of Python float powers, the same on every
-    # CPU (its bits fix the root's last ULP), then bisect the crash/escape
-    # boundary
-    b_max = 10.0 * consts.K0 * a0
-    prev = None
-    blo = bhi = None
-    for b in geometric_grid(1e-6, b_max, 25):
-        o = _classify(consts, a, b, stats, firsts)
-        if prev is not None and prev[1] < 0 and o > 0:
-            blo, bhi = prev[0], b
-            break
-        prev = (b, o)
-    if blo is None:
-        raise ArithmeticError(
-            f"no crash/escape bracket for a={a} in (1e-6, {b_max:.3g}); "
-            f"diagnostic sweep outcomes all {prev[1] if prev else 'undefined'}")
+    blo, bhi = _grid_bracket(consts, a, stats, firsts)
     # ten plain steps, then until F changes sign across the bracket; the
     # prefix fixes the bracket Brent starts from, and so the root's last ULP
     blo, bhi = _bisect(consts, a, blo, bhi, 10, stats, firsts)
@@ -422,14 +443,18 @@ def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
                              f"t={orbit.t1:.9g} of T={T:.9g}", stats)
     target = np.array([a, 0.0, float(b), 0.0])
     defect = float(np.max(np.abs(orbit.y[-1] - target)))
+    # one dense query: 1601 samples over the period, then t1 + tau and
+    # t1 - tau; each point's row is computed elementwise, so it has the bits
+    # of a query of its own
     ts = np.linspace(0.0, T, 1601)
-    vals = orbit(ts)
+    taus = np.linspace(0.0, min(t1, T - t1), 101)[1:]
+    vals, right, left = np.split(orbit(np.concatenate((ts, t1 + taus, t1 - taus))),
+                                 [len(ts), len(ts) + len(taus)])
     vmin = float(np.min(vals[:, 0]))
     energies = _energies(consts, vals)
     E0 = float(energies[0])
     drift = float(np.max(np.abs(energies - E0))) / (1.0 + abs(E0))
-    taus = np.linspace(0.0, min(t1, T - t1), 101)[1:]
-    sym = float(np.max(np.abs(orbit(t1 + taus)[:, 0] - orbit(t1 - taus)[:, 0])))
+    sym = float(np.max(np.abs(right[:, 0] - left[:, 0])))
     converged = residual <= _RESIDUAL_TOL and math.isfinite(defect)
     msg = "" if converged else f"residual {residual:.3e} above tol {_RESIDUAL_TOL:.1e}"
     if not vmin >= a - 1e-6:

@@ -16,6 +16,10 @@ generated once per process for each of two parities and bound to each
 written out term by term, it does the same operations in the same order
 as the loop over the terms that the tests keep as the reference, so it
 gives the same bits without the interpreter's per-term loop overhead.
+The two per-step helpers, the state at the step's end and the step size,
+are straight-line Python by the same rule (``_step_kernels``): generated
+from ``_ORDER`` and compiled once per process on first use, each with the
+operations of its loop form, which the tests keep, in the same order.
 Every shooting run starts at a turning point, the orbit minimum
 (a, 0, b, 0): there v' = v''' = 0, and the equation is reversible, so
 the solution is even in t.  Its odd v_k and w_k vanish, and each term of
@@ -45,6 +49,7 @@ for the one-period orbit it samples.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -59,6 +64,8 @@ _TOL = {float: 1e-16, np.longdouble: 5e-20}
 # per scalar type, the spacing of its values at x > 0: math.ulp equals
 # np.spacing below the largest float, without numpy's dispatch
 _SPACING = {float: math.ulp, np.longdouble: np.spacing}
+# per scalar type, its machine epsilon (the spacing at 1)
+_EPS = {float: sys.float_info.epsilon, np.longdouble: np.finfo(np.longdouble).eps}
 _ORBIT_GUARD = 1e6  # |y|_inf past which a run stops as undefined
 # the m-th coefficient of the i-th derivative is v_{m+i} (m+1)...(m+i)
 _FAC = tuple(tuple(float(math.prod(range(m + 1, m + i + 1))) for m in range(_ORDER + 1))
@@ -145,27 +152,42 @@ def series(consts, y):
     return (general if y[1] or y[3] else even)(y)
 
 
-def _step_size(coef, eps):
-    """Largest h with both last terms of every component at most eps."""
-    h = math.inf
-    for cs in coef:
-        for m in (_ORDER - 1, _ORDER):
-            if cs[m]:
-                h = min(h, (eps / abs(cs[m])) ** (1.0 / m))
-    return h
+@lru_cache(maxsize=None)
+def _step_kernels():
+    """``(state, step_size)``, the two per-step helpers of ``march`` as
+    straight-line Python, generated from ``_ORDER`` and compiled once per
+    process on first use.
 
-
-def _state(coef, h):
-    """``[peval(cs, h) for cs in coef]`` in one pass over the orders: each
-    component starts at 0 and takes peval's steps, so it has its bits."""
-    c0, c1, c2, c3 = coef
-    a0 = a1 = a2 = a3 = 0
-    for m in range(_ORDER, -1, -1):
-        a0 = a0 * h + c0[m]
-        a1 = a1 * h + c1[m]
-        a2 = a2 * h + c2[m]
-        a3 = a3 * h + c3[m]
-    return [a0, a1, a2, a3]
+    ``state(coef, h)`` is ``[peval(cs, h) for cs in coef]``: each component
+    by Horner's rule from the integer 0, peval's steps, so it has their bits.
+    ``step_size(coef, eps)`` is the largest h with both last terms of every
+    component at most eps: the min, in component order and order
+    ``_ORDER - 1`` before ``_ORDER``, of (eps / |c_m|) ** (1.0 / m) over the
+    nonzero last terms c_m, and inf where all of them are zero."""
+    N = _ORDER
+    lines = ["def state(coef, h):",
+             "    c0, c1, c2, c3 = coef"]
+    horners = []
+    for i in range(4):
+        acc = "0"
+        for m in range(N, -1, -1):
+            acc = f"{acc if acc == '0' else f'({acc})'} * h + c{i}[{m}]"
+        horners.append(acc)
+    lines += ["    return [" + ",\n            ".join(horners) + "]",
+              "def step_size(coef, eps):",
+              "    c0, c1, c2, c3 = coef",
+              "    h = inf"]
+    for i in range(4):
+        for m in (N - 1, N):
+            lines += [f"    x = c{i}[{m}]",
+                      "    if x:",
+                      f"        x = (eps / abs(x)) ** {1.0 / m!r}",
+                      "        if x < h:",
+                      "            h = x"]
+    lines.append("    return h")
+    namespace = {"inf": math.inf}
+    exec(compile("\n".join(lines) + "\n", "<taylor state and step size>", "exec"), namespace)
+    return namespace["state"], namespace["step_size"]
 
 
 def _first_root(d1, d2, hi, spacing):
@@ -235,6 +257,7 @@ def march(consts, y0, t_end: float, first_max: bool = False):
     scal = np.longdouble if any(isinstance(x, np.longdouble) for x in y0) else float
     c, _, K0, P = _tables(consts, scal)[:4]
     even, general = _kernels(consts, scal)
+    state, step_size = _step_kernels()
     a0 = (K0 / c) ** (1 / (P - 1))
     tol, spacing = _TOL[scal], _SPACING[scal]
     t = 0.0
@@ -251,17 +274,17 @@ def march(consts, y0, t_end: float, first_max: bool = False):
             status = fate
             break
         coef = (general if y[1] or y[3] else even)(y)
-        h = _step_size(coef, tol * max(1.0, size))
+        h = step_size(coef, tol * max(1.0, size))
         if not (h > 0 and t + h > t):
             status = "undefined"
             break
         last = t + h >= t_end
         if last:
             h = t_end - t
-        y_new = _state(coef, h)
+        y_new = state(coef, h)
         if first is None and y[1] > 0 and y_new[1] <= 0:
             h1 = _first_root(coef[1], coef[2], h, spacing)
-            first = (t + h1, _state(coef, h1))
+            first = (t + h1, state(coef, h1))
             if first_max:
                 hs.append(h1)
                 coefs.append(coef)

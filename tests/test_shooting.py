@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fowler4 import shooting as sh
+from fowler4.asymptotics import geometric_grid
 from fowler4.odes import linearized_spectrum
 from fowler4.params import DomainError, Params
 from fowler4.profiles import EmdenFowlerProfile, fd_derivative
@@ -111,18 +112,21 @@ def test_unit_normalization_mode():
     assert r.converged and r.residual <= 1e-9
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-def test_brent_root_within_few_ulp_inside_bracket(dtype):
-    root = np.sqrt(dtype(2))
+@pytest.mark.parametrize("scal", [float, np.float64, np.longdouble])
+def test_brent_root_within_few_ulp_inside_bracket(scal):
+    # a float64 bracket, numpy scalar or not, runs on Python floats; a
+    # longdouble one stays longdouble
+    tier = np.longdouble if scal is np.longdouble else float
+    root = np.sqrt(tier(2))
     seen = []
 
     def f(x):
         seen.append(x)
         return x * x - 2
 
-    lo, hi = dtype(0.5), dtype(3)
+    lo, hi = scal(0.5), scal(3)
     x = sh._brent(f, lo, hi)
-    assert type(x) is np.dtype(dtype).type
+    assert type(x) is tier and all(type(xi) is tier for xi in seen)
     assert abs(x - root) <= 4 * np.spacing(root)
     assert all(lo <= xi <= hi for xi in seen)
     assert len(seen) < 20
@@ -210,6 +214,18 @@ def test_empty_message_exactly_when_every_c07_threshold_holds():
             assert np.isfinite(r.b) and r.b > 0
 
 
+def test_replaced_constants_derive_their_own_a0():
+    # a0 was a stored field: replace(c=1.0) kept the measured-c a0 (0.8358 at
+    # n = 5 against 1.0574), so 0.6 a0 shot another orbit and 0.95 a0 was refused
+    unit = sh.critical_constants(5, c_mode="unit")
+    replaced = dataclasses.replace(sh.critical_constants(5), c=1.0)
+    assert replaced == unit and replaced.a0 == unit.a0
+    for frac in (0.6, 0.95, 1.0):
+        got, want = (sh.find_b(5, frac * unit.a0, consts=cc) for cc in (replaced, unit))
+        assert (got.b, got.T, got.energy, got.message) == \
+            (want.b, want.T, want.energy, want.message)
+
+
 # float.hex of find_b's fields and its (integrations, steps) in float64,
 # recorded before the step loop was split from the dense-output packaging;
 # the steps alone re-recorded when shooting runs began to stop at a decided
@@ -223,39 +239,30 @@ def test_empty_message_exactly_when_every_c07_threshold_holds():
 # (6, 0.62 a0) an array-form energy (numpy's power in place of the row-wise
 # Python one) moves energy_drift; at the C07 points the rows it changes
 # are not the largest.  (6, 0.999 a0) re-recorded when find_b's bracket grid
-def test_replaced_constants_derive_their_own_a0():
-    # a0 was a stored field: replace(c=1.0) kept the measured-c a0 (0.8358 at
-    # n = 5 against 1.0574), so 0.6 a0 shot another orbit and 0.95 a0 was refused
-    unit = sh.critical_constants(5, c_mode="unit")
-    replaced = dataclasses.replace(sh.critical_constants(5), c=1.0)
-    assert replaced == unit and replaced.a0 == unit.a0
-    for frac in (0.6, 0.95, 1.0):
-        got, want = (sh.find_b(5, frac * unit.a0, consts=cc) for cc in (replaced, unit))
-        assert (got.b, got.T, got.energy, got.message) == \
-            (want.b, want.T, want.energy, want.message)
-
-
 # left np.geomspace, whose loop numpy picks per CPU, for geometric_grid: b
 # moved by one ULP (0x1.1fb196ccdf5ffp-9 before), T, energy_drift, min_v and
-# even_symmetry_defect with it, and the counts were (34, 108).
+# even_symmetry_defect with it, and the counts were (34, 108).  The counts
+# re-recorded when find_b began to bisect the bracket grid on its index in
+# place of scanning it upward: the same bracket and root from fewer grid
+# runs, (38, 197), (35, 156), (36, 114), (41, 274) and (35, 155) before.
 _PINNED_FIELDS = ("b", "T", "energy", "energy_drift", "period_defect", "min_v",
                   "even_symmetry_defect")
 _PINNED_ROOTS = {
     (5, 0.6): (("0x1.ed0177e623ff4p-4", "0x1.afca6aa99cad1p+2", "-0x1.822b51d56a5e7p-3",
                 "0x1.ff8b31dd334b9p-52", "0x1.fb5bad3680000p-32", "0x1.00c0b2236e07fp-1",
-                "0x1.f962800000000p-36"), (38, 197)),
+                "0x1.f962800000000p-36"), (26, 186)),
     (6, 0.6): (("0x1.6d2f56286cae1p-2", "0x1.17ac600274863p+2", "-0x1.c56cd8d41c171p-1",
                 "0x1.6462cf932c427p-50", "0x1.88d6315000000p-32", "0x1.e0cb427844328p-2",
-                "0x1.866a800000000p-37"), (35, 156)),
+                "0x1.866a800000000p-37"), (24, 148)),
     (6, 0.999): (("0x1.1fb196ccdf600p-9", "0x1.dfc0df001f775p+1", "-0x1.d64c70d796d3ep+0",
                   "0x1.0eb2d63ed4f4ep-51", "0x1.20b10c4000000p-36", "0x1.9042d04bcc776p-1",
-                  "0x1.9380000000000p-42"), (36, 114)),
+                  "0x1.9380000000000p-42"), (31, 95)),
     (5, 0.3): (("0x1.0081659b22a55p-4", "0x1.348498f116e66p+3", "-0x1.8249848442fa8p-5",
                 "0x1.57c9f604081d7p-51", "0x1.1689bacac8000p-21", "0x1.00c0afe985165p-2",
-                "0x1.1cf478d000000p-25"), (41, 274)),
+                "0x1.1cf478d000000p-25"), (30, 271)),
     (6, 0.62): (("0x1.6e0f5d03c0aeep-2", "0x1.141226f843e1dp+2", "-0x1.e2ec98e79dc4cp-1",
                  "0x1.8b38d93f75176p-51", "0x1.0c0d240000000p-33", "0x1.f0d208f3bdeffp-2",
-                 "0x1.06d6000000000p-38"), (35, 155)),
+                 "0x1.06d6000000000p-38"), (24, 147)),
 }
 
 
@@ -286,3 +293,57 @@ def test_find_b_counts_every_taylor_run_once(point, monkeypatch):
                         starts.append(b) or march(consts, a, b, *args, **kw))
     _pinned_result.__wrapped__(*point)
     assert len(set(starts)) == len(starts) == integrations - 1
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_grid_bisection_brackets_where_the_upward_scan_did(n, monkeypatch):
+    """At 20 values of a across the family and C07's six points, the
+    grid's 25 outcomes are crashes followed by escapes (the assumption the
+    bisection rests on), and the bisected bracket is the first
+    crash/escape pair of the upward scan it replaced.  The bisection reads
+    the scan's outcomes, which a run of its own repeats bit for bit."""
+    cc = sh.critical_constants(n)
+    grid = geometric_grid(1e-6, 10.0 * cc.K0 * cc.a0, 25)
+    fracs = np.linspace(0.005, 0.999, 20).tolist()
+    fracs += {5: [0.3, 0.6, 0.999], 6: [0.3, 0.6, 0.999]}.get(n, [])
+    classify = sh._classify
+    for frac in fracs:
+        a = frac * cc.a0
+        sides = dict((b, classify(cc, a, b, {}, {})) for b in grid)
+        outcomes = list(sides.values())
+        assert outcomes == sorted(outcomes) and {-1, 1} == set(outcomes), (n, frac)
+        k = outcomes.index(1)
+        monkeypatch.setattr(sh, "_classify", lambda consts, a, b, *args: sides[b])
+        assert sh._grid_bracket(cc, a, {}, {}) == (grid[k - 1], grid[k]), (n, frac)
+
+
+@pytest.mark.parametrize("n, frac", [(5, 1 - 1e-7), (6, 1 - 1e-8), (5, 1e-30)])
+def test_grid_without_a_crash_escape_pair_raises(n, frac):
+    # near the linear end b(a) falls below the grid's 1e-6 floor, and at
+    # tiny a every grid b escapes
+    cc = sh.critical_constants(n)
+    with pytest.raises(ArithmeticError, match="no crash/escape bracket.* 1 and 1$"):
+        sh.find_b(n, frac * cc.a0, consts=cc)
+
+
+def _reference_energies(consts, vals):
+    """``_energies`` with Python's float ``**`` on each element, as the
+    energies were taken before ``math.pow`` on |x|."""
+    K2, K0, c, q1 = consts.K2, consts.K0, consts.c, consts.power + 1
+    v, v1, v2, v3 = vals.T
+    sq, sq1, sq2 = (np.array([x ** 2 for x in col.tolist()]) for col in (v, v1, v2))
+    pq = np.array([abs(x) ** q1 for x in v.tolist()])
+    return -v3 * v1 + 0.5 * (sq2 - K2 * sq1 - K0 * sq) + c * pq / q1
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_energies_equal_the_float_pow_form_bit_for_bit(n):
+    # rows of either sign, zeros of either sign and all-zero rows, and a
+    # random block; repr tells -0.0 from +0.0
+    cc = sh.critical_constants(n)
+    rows = [[0.3, -0.2, 0.1, 0.25], [-0.3, 0.2, -0.1, -0.25], [0.0, -0.0, 0.0, -0.0],
+            [-0.0, 0.0, -0.0, 0.0], [-0.0, -0.0, -0.0, -0.0], [cc.a0, 0.0, 0.0, 0.0],
+            [1.0, -1.0, 1.0, -1.0], [-7.5, 3.0, -0.0, 2.0]]
+    vals = np.vstack([rows, np.random.default_rng(n).uniform(-3.0, 3.0, (200, 4))])
+    assert (list(map(repr, sh._energies(cc, vals).tolist()))
+            == list(map(repr, _reference_energies(cc, vals).tolist())))

@@ -287,8 +287,8 @@ def test_series_bits_do_not_depend_on_the_builtin_sum(monkeypatch):
     assert [taylor.series(cc, y) for y in states] == before
     # a generated kernel runs in its own namespace, which the patch above
     # never reaches: none of them may name sum or fsum
-    kernels = [*taylor._kernels(cc, float), *map(integ_module._step_kernel, (1, 4, 12)),
-               *map(odes._rhs_kernel, (1, 3))]
+    kernels = [*taylor._kernels(cc, float), *taylor._step_kernels(),
+               *map(integ_module._step_kernel, (1, 4, 12)), *map(odes._rhs_kernel, (1, 3))]
     for kernel in kernels:
         assert not {"sum", "fsum"} & set(kernel.__code__.co_names), kernel.__code__.co_filename
 
@@ -366,6 +366,7 @@ for n in range(5, 13):
     sh.critical_constants(n)
 assert taylor._kernel_factory.cache_info().misses == 0
 assert taylor._kernels.cache_info().misses == 0
+assert taylor._step_kernels.cache_info().misses == 0
 cc5 = sh.critical_constants(5)
 sh.find_b(5, 0.6 * cc5.a0, consts=cc5)
 for n in (5, 6, 7):
@@ -375,13 +376,15 @@ for n in (5, 6, 7):
         taylor.series(cc, [scal(x) for x in (cc.a0, 0.1, 0.1, 0.2)])
 assert taylor._kernels.cache_info().currsize == 6
 assert taylor._kernel_factory.cache_info().misses == 2
+assert taylor._step_kernels.cache_info().misses == 1
 """
 
 
 def test_kernels_are_built_lazily_and_each_source_compiled_once():
     """Importing shooting and deriving critical constants compiles no
     kernel, so no set-up pays for one; six (consts, type) bindings compile
-    each parity's source once.  A fresh process, so no other test has
+    each parity's source once, and the state and step-size source is
+    compiled once for every run.  A fresh process, so no other test has
     built one yet."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _LAZY_BUILDS], env=env,
@@ -391,14 +394,73 @@ def test_kernels_are_built_lazily_and_each_source_compiled_once():
 
 @pytest.mark.parametrize("scal", [float, np.longdouble], ids=["float", "longdouble"])
 def test_one_pass_state_equals_peval_per_component(scal):
+    state, step_size = taylor._step_kernels()
     cc = sh.critical_constants(5)
     for y in ([0.3 * cc.a0, 0.0, 0.12, 0.0], [0.3 * cc.a0, 0.02, 0.1, -0.05],
               [1.2 * cc.a0, -0.0, -0.3, 0.0]):
         coef = taylor.series(cc, [scal(x) for x in y])
-        h = taylor._step_size(coef, taylor._TOL[scal])
+        h = step_size(coef, taylor._TOL[scal])
         for x in (h, 0.5 * h, scal(0.3) * h, 0.0):
-            assert (_reprs([taylor._state(coef, x)])
+            assert (_reprs([state(coef, x)])
                     == _reprs([[peval(cs, x) for cs in coef]]))
     # peval starts at 0, so a series of -0.0 sums to +0.0
     zeros = [[scal(-0.0)] * (taylor._ORDER + 1)] * 4
-    assert _reprs([taylor._state(zeros, 0.5)]) == _reprs([[scal(0.0)] * 4])
+    assert _reprs([state(zeros, 0.5)]) == _reprs([[scal(0.0)] * 4])
+
+
+def _reference_state(coef, h):
+    """The loop form of the generated ``state``: each component by Horner's
+    rule from the integer 0, one pass over the orders."""
+    c0, c1, c2, c3 = coef
+    a0 = a1 = a2 = a3 = 0
+    for m in range(taylor._ORDER, -1, -1):
+        a0 = a0 * h + c0[m]
+        a1 = a1 * h + c1[m]
+        a2 = a2 * h + c2[m]
+        a3 = a3 * h + c3[m]
+    return [a0, a1, a2, a3]
+
+
+def _reference_step_size(coef, eps):
+    """The loop form of the generated ``step_size``."""
+    h = math.inf
+    for cs in coef:
+        for m in (taylor._ORDER - 1, taylor._ORDER):
+            if cs[m]:
+                h = min(h, (eps / abs(cs[m])) ** (1.0 / m))
+    return h
+
+
+@settings(max_examples=200, deadline=None)
+@given(ld=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       zeros=st.lists(st.tuples(st.integers(0, 3), st.integers(0, taylor._ORDER),
+                                st.sampled_from([0.0, -0.0])), max_size=12),
+       zero_last=st.sampled_from([None, 0.0, -0.0]), eps=st.floats(1e-20, 1e-10),
+       frac=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 2.0)))
+def test_state_and_step_size_equal_the_reference_loops_bit_for_bit(ld, seed, zeros,
+                                                                   zero_last, eps, frac):
+    """The generated state and step size give the loops' bits, by repr, in
+    float and in longdouble (coefficients, eps and h with bits below
+    float64's), with zeros of either sign among the coefficients; with
+    every last term zero there is no bound, and h is inf.  The state is
+    evaluated at frac * h, or at frac where h passes 1."""
+    rng = np.random.default_rng(seed)
+    coef = (rng.uniform(-1.0, 1.0, (4, taylor._ORDER + 1))
+            * 10.0 ** rng.uniform(-30.0, 3.0, (4, taylor._ORDER + 1))).tolist()
+    for i, m, zero in zeros:
+        coef[i][m] = zero
+    scal = np.longdouble if ld else float
+    third = scal(1) / scal(3)
+    coef = [[scal(x) * third for x in cs] for cs in coef]
+    if zero_last is not None:
+        for cs in coef:
+            cs[-2:] = [scal(zero_last)] * 2
+    eps = scal(eps) * third
+    state, step_size = taylor._step_kernels()
+    h = step_size(coef, eps)
+    assert repr(h) == repr(_reference_step_size(coef, eps))
+    if zero_last is not None:
+        assert h == math.inf
+    # at most 2, so no sum overflows: an inf or huge h evaluates at 0..2
+    x = scal(frac) * (h if h <= 1 else scal(1))
+    assert _reprs([state(coef, x)]) == _reprs([_reference_state(coef, x)])
