@@ -17,26 +17,28 @@ Brent's method on F then takes the bracket down to a few ULP of b; each
 F evaluation is a half-orbit integration.  At the root the orbit is even
 about t1, so the fundamental period is T = 2 t1.
 
-Every run of the search is the Taylor-series flow of ``taylor``: the
-crash/escape classification, the half-orbit runs behind F and the
-one-period orbit of the root.  A crash/escape run also records the first
-maximum it crosses, the node a half-orbit run ends on, bit for bit; F
-reads that record at every b the bracket has run, so within one search
-no b is integrated twice, the one-period orbit apart.  Each run stops as
-soon as its state enters one of two forward-invariant regions of the
-equation (``taylor._fate``): above a0 with v', v'', v''' > 0 the orbit
-escapes and v has no maximum; below a0 with v', v'', v''' < 0 it reaches
-v = 0 before _T_MAX.  That gives the outcome of running on to v <= 0 or
-the |y| guard in about a third of the steps; a closing orbit enters
-neither region.  A run computes in the scalar type of b, with steps
+There is one search per precision tier (``_search``): a pair of closures
+over the Taylor-series flow of ``taylor``, ``side(b)`` for the
+crash/escape classification and ``F(b)`` for the half-orbit run to the
+first maximum, sharing one record of first maxima.  A crash/escape run
+records the first maximum it crosses, the node a half-orbit run ends on,
+bit for bit, and F reads that record at every b the bracket has run, so
+within one search no b is integrated twice; the one-period orbit of the
+root is the one repeated run.  Each run stops as soon as its state
+enters one of two forward-invariant regions of the equation
+(``taylor._fate``): above a0 with v', v'', v''' > 0 the orbit escapes
+and v has no maximum; below a0 with v', v'', v''' < 0 it reaches v = 0
+before _T_MAX.  That gives the outcome of running on to v <= 0 or the
+|y| guard in about a third of the steps; a closing orbit enters neither
+region.  A run computes in the scalar type of b, with steps
 whose truncation error stays below its rounding; on the C07 grid the
 float64 root closes the period within the target.  Where the float64
 ULP floor on b and the rounding of the orbit still leave a one-period
 closure defect above tolerance (strong saddle amplification, e.g.
-a = 0.2 a0 at n = 5) the search escalates to extended precision: the
-same Brent search on F with b in longdouble, inside +-1e-9 of the
-float64 root.  A returned root whose defect still misses the target, or
-whose one-period run stops before T, says so in its message.
+a = 0.2 a0 at n = 5) find_b escalates to extended precision: a second
+search, whose F runs Brent's method with b in longdouble, inside +-1e-9
+of the float64 root.  A returned root whose defect still misses the
+target, or whose one-period run stops before T, says so in its message.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .coefficients import printed_critical_values
 from .integrate import Trajectory
 from .params import DomainError, special_exponents
 from .bubble import bubble_constant
-from .taylor import _EPS, flow, march
+from .taylor import _EPS, flow, march, run_type
 
 _LONGDOUBLE_OK = _EPS[np.longdouble] < 1e-18
 
@@ -153,7 +155,7 @@ class ShootingResult:
 
 
 def _tier(b) -> str:
-    return "longdouble" if isinstance(b, np.longdouble) else "float64"
+    return "longdouble" if run_type(b) is np.longdouble else "float64"
 
 
 def _failed(a: float, b, message: str, stats: Optional[dict] = None) -> ShootingResult:
@@ -166,13 +168,9 @@ def _failed(a: float, b, message: str, stats: Optional[dict] = None) -> Shooting
                           stats=stats if stats is not None else {})
 
 
-def orbit_energy(consts: CriticalConstants, y) -> float:
-    """Conserved Hamiltonian of the critical equation."""
-    return float(_energies(consts, np.array([y[:4]], dtype=float))[0])
-
-
 def _energies(consts: CriticalConstants, vals) -> np.ndarray:
-    """``orbit_energy`` of each row (v, v', v'', v''') of the float64 array vals.
+    """The conserved Hamiltonian of the critical equation at each row
+    (v, v', v'', v''') of the float64 array vals.
 
     The four powers are the C library's pow of |x|, ``math.pow`` mapped
     over one column list at a time: that is the pow Python's float ``**``
@@ -196,51 +194,41 @@ def _tally(stats: dict, b, steps: int) -> None:
     tally["steps"] += steps
 
 
-def _march(consts, a, b, stats, first_max=False):
-    """Taylor run from the orbit minimum (a, 0, b, 0) in the scalar type of b,
-    to _T_MAX, without dense output: its status, its last state and the
-    first maximum of v as (t1, y(t1)), (None, None) where it crosses none."""
-    status, _, ys, hs, _, first = march(consts, (a, 0.0, b, 0.0), _T_MAX, first_max)
-    _tally(stats, b, len(hs))
-    return status, ys[-1], (float(first[0]), first[1]) if first else (None, None)
+def _search(consts: CriticalConstants, a: float, stats: dict):
+    """``(side, F, firsts)``: a search's two questions about b, each a
+    Taylor run from the orbit minimum (a, 0, b, 0) to _T_MAX in the scalar
+    type of b, tallied in stats.
 
-
-def _classify(consts: CriticalConstants, a: float, b, stats: dict, firsts: dict) -> int:
-    """-1: crashes (v reaches 0 before _T_MAX); +1: escapes, or stays
-    bounded to _T_MAX (at or beyond the boundary, treated as upper).
-
-    The run stops as soon as ``taylor.march`` decides its fate; a run whose
-    fate stays open ends at v <= 0 (-1), past the |y| guard or at _T_MAX.
-    The first maximum it crosses on the way, the one ``_first_max`` finds,
-    goes to ``firsts[b]``."""
-    status, y, firsts[b] = _march(consts, a, b, stats)
-    return -1 if status == "crash" or y[0] <= 0 else 1
-
-
-def _first_max(consts: CriticalConstants, a: float, b, stats: dict):
-    """(t1, y(t1)) at the first maximum of v; (None, None) where there is none.
-
-    The run stops there.  An escape-side run stops where ``taylor.march``
-    decides its escape (from there v' never vanishes), not at the |y| guard."""
-    return _march(consts, a, b, stats, first_max=True)[2]
-
-
-def _residual(consts, a, stats, firsts: dict):
-    """F(b) = v'''(t1) in the precision of b; None where v has no maximum
-    before blow-up.
-
-    First maxima are kept per b in ``firsts``, which ``_classify`` fills
-    too, so a bracket end needs no run of its own and the root's
-    (t1, y(t1)) no second one.
+    ``side(b)``: -1 where the run crashes (v reaches 0 before _T_MAX), +1
+    where it escapes or stays bounded to _T_MAX (at or beyond the boundary,
+    treated as upper); a run whose fate ``taylor.march`` leaves open ends
+    at v <= 0 (-1), past the |y| guard or at _T_MAX.  ``F(b)``: v'''(t1),
+    None where v has no maximum before blow-up; its run stops at the first
+    maximum, or where ``taylor.march`` decides an escape (from there v'
+    never vanishes).  Every run records the first maximum it crosses,
+    (t1, y(t1)) or (None, None), in ``firsts[b]``, which F reads first: a b
+    that ``side`` has run needs no second run, and the root's maximum is
+    there for its one-period orbit.
     """
+    firsts: dict = {}
+
+    def run(b, first_max=False):
+        status, _, ys, hs, _, first = march(consts, (a, 0.0, b, 0.0), _T_MAX, first_max)
+        _tally(stats, b, len(hs))
+        firsts[b] = (float(first[0]), first[1]) if first else (None, None)
+        return status, ys[-1]
+
+    def side(b) -> int:
+        status, y = run(b)
+        return -1 if status == "crash" or y[0] <= 0 else 1
 
     def F(b):
         if b not in firsts:
-            firsts[b] = _first_max(consts, a, b, stats)
+            run(b, first_max=True)
         t1, y1 = firsts[b]
         return None if t1 is None else y1[3]
 
-    return F
+    return side, F, firsts
 
 
 def _changes_sign(fa, fb) -> bool:
@@ -249,23 +237,23 @@ def _changes_sign(fa, fb) -> bool:
     return fa == 0 or fb == 0 or (fa < 0) != (fb < 0)
 
 
-def _bisect(consts, a, blo, bhi, iters, stats, firsts,
-            until: Callable = lambda lo, hi: False):
-    """Bisect the crash/escape dichotomy ``iters`` times or until ``until(lo, hi)``."""
+def _bisect(side: Callable, blo, bhi, iters: int, until: Callable = lambda lo, hi: False):
+    """Bisect the crash/escape dichotomy ``side`` ``iters`` times or until
+    ``until(lo, hi)``."""
     for _ in range(iters):
         if until(blo, bhi):
             break
         mid = (blo + bhi) / 2
         if mid == blo or mid == bhi:
             break
-        if _classify(consts, a, mid, stats, firsts) < 0:
+        if side(mid) < 0:
             blo = mid
         else:
             bhi = mid
     return blo, bhi
 
 
-def _grid_bracket(consts: CriticalConstants, a: float, stats: dict, firsts: dict):
+def _grid_bracket(consts: CriticalConstants, a: float, side: Callable):
     """(blo, bhi): adjacent b of the bracket grid, blo crashing and bhi escaping.
 
     The grid is geometric in Python float powers, the same on every CPU (its
@@ -277,14 +265,14 @@ def _grid_bracket(consts: CriticalConstants, a: float, stats: dict, firsts: dict
     b_max = 10.0 * consts.K0 * consts.a0
     grid = geometric_grid(1e-6, b_max, 25)
     lo, hi = 0, len(grid) - 1
-    ends = [_classify(consts, a, grid[i], stats, firsts) for i in (lo, hi)]
+    ends = [side(grid[i]) for i in (lo, hi)]
     if ends != [-1, 1]:
         raise ArithmeticError(
             f"no crash/escape bracket for a={a} in (1e-6, {b_max:.3g}); "
             f"outcomes at the grid's ends {ends[0]} and {ends[1]}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _classify(consts, a, grid[mid], stats, firsts) < 0:
+        if side(grid[mid]) < 0:
             lo = mid
         else:
             hi = mid
@@ -301,7 +289,7 @@ def _brent(f: Callable, lo, hi):
     Raises ArithmeticError when f(lo), f(hi) do not bracket a sign change
     or f is undefined (None or not finite) at an iterate.
     """
-    scal = np.longdouble if any(isinstance(x, np.longdouble) for x in (lo, hi)) else float
+    scal = run_type(lo, hi)
     eps = _EPS[scal]
 
     def value(x):
@@ -380,21 +368,19 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
         raise DomainError(f"Fowler parameter must lie in (0, a0={a0:.12g}], got a={a}")
     if abs(a - a0) <= 1e-12 * a0:
         T = consts.linearized_period()
-        y = np.array([a0, 0.0, 0.0, 0.0])
-        return ShootingResult(a=a0, b=0.0, T=T, energy=orbit_energy(consts, y),
+        E = float(_energies(consts, np.array([[a0, 0.0, 0.0, 0.0]]))[0])
+        return ShootingResult(a=a0, b=0.0, T=T, energy=E,
                               residual=0.0, orbit=None, period_defect=0.0,
                               min_v=a0, energy_drift=0.0, even_symmetry_defect=0.0,
                               converged=True, message="constant orbit")
 
     stats: dict = {}
-    firsts: dict = {}   # first maximum per float64 b, from any run of this call
-    blo, bhi = _grid_bracket(consts, a, stats, firsts)
+    side, F, firsts = _search(consts, a, stats)
+    blo, bhi = _grid_bracket(consts, a, side)
     # ten plain steps, then until F changes sign across the bracket; the
     # prefix fixes the bracket Brent starts from, and so the root's last ULP
-    blo, bhi = _bisect(consts, a, blo, bhi, 10, stats, firsts)
-    F = _residual(consts, a, stats, firsts)
-    blo, bhi = _bisect(consts, a, blo, bhi, 60, stats, firsts,
-                       until=lambda lo, hi: _changes_sign(F(lo), F(hi)))
+    blo, bhi = _bisect(side, blo, bhi, 10)
+    blo, bhi = _bisect(side, blo, bhi, 60, until=lambda lo, hi: _changes_sign(F(lo), F(hi)))
     try:
         b = _brent(F, blo, bhi)
     except ArithmeticError as exc:
@@ -407,9 +393,8 @@ def find_b(n: int, a: float, consts: Optional[CriticalConstants] = None) -> Shoo
     else:
         ld = np.longdouble
         margin = ld(_LD_MARGIN)
-        # a dict of its own: a longdouble b equal to a float64 one is a new run
-        firsts_ld: dict = {}
-        F_ld = _residual(consts, a, stats, firsts_ld)
+        # a search of its own: a longdouble b equal to a float64 one is a new run
+        _, F_ld, firsts_ld = _search(consts, a, stats)
         try:
             b_ld = _brent(F_ld, ld(b) * (1 - margin), ld(b) * (1 + margin))
         except ArithmeticError as exc:
@@ -447,7 +432,7 @@ def _assemble_result(consts, a, b, t1, y1, stats) -> ShootingResult:
     # t1 - tau; each point's row is computed elementwise, so it has the bits
     # of a query of its own
     ts = np.linspace(0.0, T, 1601)
-    taus = np.linspace(0.0, min(t1, T - t1), 101)[1:]
+    taus = np.linspace(0.0, t1, 101)[1:]
     vals, right, left = np.split(orbit(np.concatenate((ts, t1 + taus, t1 - taus))),
                                  [len(ts), len(ts) + len(taus)])
     vmin = float(np.min(vals[:, 0]))

@@ -72,6 +72,13 @@ _FAC = tuple(tuple(float(math.prod(range(m + 1, m + i + 1))) for m in range(_ORD
              for i in range(4))
 
 
+def run_type(*xs):
+    """The scalar type a run on xs computes in: ``np.longdouble`` where any
+    x is one, else float.  ``march``, shooting's Brent search and its
+    precision tiers all take their type from here."""
+    return np.longdouble if any(isinstance(x, np.longdouble) for x in xs) else float
+
+
 @lru_cache(maxsize=None)
 def _tables(consts, scal):
     """Equation constants and the recurrence tables, in type scal."""
@@ -254,7 +261,7 @@ def march(consts, y0, t_end: float, first_max: bool = False):
     last node is the run's end, the maximum or the node where it stopped.
     Builds no arrays.
     """
-    scal = np.longdouble if any(isinstance(x, np.longdouble) for x in y0) else float
+    scal = run_type(*y0)
     c, _, K0, P = _tables(consts, scal)[:4]
     even, general = _kernels(consts, scal)
     state, step_size = _step_kernels()

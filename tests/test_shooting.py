@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fowler4 import shooting as sh
+from fowler4 import taylor
 from fowler4.asymptotics import geometric_grid
 from fowler4.odes import linearized_spectrum
 from fowler4.params import DomainError, Params
@@ -40,6 +41,21 @@ def test_linearized_period_matches_spectrum():
         roots = linearized_spectrum(Params(n, Fraction(n + 4, n - 4)))
         om = max(abs(r.imag) for r in roots)
         assert sh.critical_constants(n, c_mode="unit").linearized_frequency() == om
+
+
+def test_linearized_frequency_follows_replaced_constants():
+    # linearized_frequency reads the instance's own K0 and K2, so
+    # dataclasses.replace moves it and the constant orbit's period with it;
+    # linearized_spectrum, the exact oracle's reference, takes K0 from (n, s)
+    # and keeps the printed value
+    from fractions import Fraction
+    cc = sh.critical_constants(5)
+    moved = dataclasses.replace(cc, K2=1.01 * cc.K2)
+    om = max(abs(r.imag) for r in linearized_spectrum(Params(5, Fraction(9))))
+    assert cc.linearized_frequency() == om != moved.linearized_frequency()
+    T, T_moved = (sh.find_b(5, c.a0, consts=c).T for c in (cc, moved))
+    assert T == pytest.approx(5.0430, abs=1e-4) and T_moved == pytest.approx(5.0600, abs=1e-4)
+    assert T_moved == moved.linearized_period() != T
 
 
 def test_critical_rhs_structure(consts6):
@@ -114,22 +130,27 @@ def test_unit_normalization_mode():
 
 @pytest.mark.parametrize("scal", [float, np.float64, np.longdouble])
 def test_brent_root_within_few_ulp_inside_bracket(scal):
-    # a float64 bracket, numpy scalar or not, runs on Python floats; a
-    # longdouble one stays longdouble
+    # the run type of taylor.run_type: a float64 bracket, numpy scalar or
+    # not, runs on Python floats; a longdouble at either end runs in
+    # longdouble
     tier = np.longdouble if scal is np.longdouble else float
     root = np.sqrt(tier(2))
-    seen = []
+    brackets = [(scal(0.5), scal(3))]
+    if scal is np.longdouble:
+        brackets += [(0.5, scal(3)), (scal(0.5), 3.0)]
+    for lo, hi in brackets:
+        assert taylor.run_type(lo, hi) is tier
+        seen = []
 
-    def f(x):
-        seen.append(x)
-        return x * x - 2
+        def f(x):
+            seen.append(x)
+            return x * x - 2
 
-    lo, hi = scal(0.5), scal(3)
-    x = sh._brent(f, lo, hi)
-    assert type(x) is tier and all(type(xi) is tier for xi in seen)
-    assert abs(x - root) <= 4 * np.spacing(root)
-    assert all(lo <= xi <= hi for xi in seen)
-    assert len(seen) < 20
+        x = sh._brent(f, lo, hi)
+        assert type(x) is tier and all(type(xi) is tier for xi in seen)
+        assert abs(x - root) <= 4 * np.spacing(root)
+        assert all(lo <= xi <= hi for xi in seen)
+        assert len(seen) < 20
 
 
 def test_brent_raises_where_f_is_undefined_or_one_signed():
@@ -285,18 +306,18 @@ def test_find_b_counts_every_taylor_run_once(point, monkeypatch):
     integrations, steps = _PINNED_ROOTS[point][1]
     assert _pinned_result(*point).stats == {
         "float64": {"integrations": integrations, "steps": steps}}
-    # every run of the search goes through _march, and none repeats a start
+    # every run of the search goes through march, and none repeats a start
     # b; the one-period orbit of the root is the one run that does not
     starts = []
-    march = sh._march
-    monkeypatch.setattr(sh, "_march", lambda consts, a, b, *args, **kw:
-                        starts.append(b) or march(consts, a, b, *args, **kw))
+    march = sh.march
+    monkeypatch.setattr(sh, "march", lambda consts, y0, *args:
+                        starts.append(y0[2]) or march(consts, y0, *args))
     _pinned_result.__wrapped__(*point)
     assert len(set(starts)) == len(starts) == integrations - 1
 
 
 @pytest.mark.parametrize("n", range(5, 13))
-def test_grid_bisection_brackets_where_the_upward_scan_did(n, monkeypatch):
+def test_grid_bisection_brackets_where_the_upward_scan_did(n):
     """At 20 values of a across the family and C07's six points, the
     grid's 25 outcomes are crashes followed by escapes (the assumption the
     bisection rests on), and the bisected bracket is the first
@@ -306,15 +327,14 @@ def test_grid_bisection_brackets_where_the_upward_scan_did(n, monkeypatch):
     grid = geometric_grid(1e-6, 10.0 * cc.K0 * cc.a0, 25)
     fracs = np.linspace(0.005, 0.999, 20).tolist()
     fracs += {5: [0.3, 0.6, 0.999], 6: [0.3, 0.6, 0.999]}.get(n, [])
-    classify = sh._classify
     for frac in fracs:
         a = frac * cc.a0
-        sides = dict((b, classify(cc, a, b, {}, {})) for b in grid)
+        side = sh._search(cc, a, {})[0]
+        sides = {b: side(b) for b in grid}
         outcomes = list(sides.values())
         assert outcomes == sorted(outcomes) and {-1, 1} == set(outcomes), (n, frac)
         k = outcomes.index(1)
-        monkeypatch.setattr(sh, "_classify", lambda consts, a, b, *args: sides[b])
-        assert sh._grid_bracket(cc, a, {}, {}) == (grid[k - 1], grid[k]), (n, frac)
+        assert sh._grid_bracket(cc, a, sides.__getitem__) == (grid[k - 1], grid[k]), (n, frac)
 
 
 @pytest.mark.parametrize("n, frac", [(5, 1 - 1e-7), (6, 1 - 1e-8), (5, 1e-30)])

@@ -85,7 +85,8 @@ def test_classify_matches_dormand_prince_on_the_bracket_grid(n, frac):
     cc = sh.critical_constants(n)
     a = frac * cc.a0
     grid = geometric_grid(1e-6, 10.0 * cc.K0 * cc.a0, 25)   # find_b's
-    sides = [sh._classify(cc, a, b, {}, {}) for b in grid]
+    side = sh._search(cc, a, {})[0]
+    sides = [side(b) for b in grid]
     assert sides == [_dopri_classify(cc, a, b) for b in grid]
     assert -1 in sides and 1 in sides
 
@@ -178,7 +179,8 @@ def test_flow_follows_the_closed_form_homoclinic(n, scal):
 def test_escape_side_F_is_undefined_within_bounded_steps(orbit6, consts6, scale):
     a = 0.6 * consts6.a0
     stats = {}
-    assert sh._first_max(consts6, a, scale * orbit6.b, stats) == (None, None)
+    _, F, firsts = sh._search(consts6, a, stats)
+    assert F(scale * orbit6.b) is None and firsts == {scale * orbit6.b: (None, None)}
     assert stats["float64"]["integrations"] == 1
     assert 0 < stats["float64"]["steps"] <= 100
 
@@ -222,7 +224,7 @@ def test_shooting_runs_stop_at_their_decided_fate(orbit6, consts6):
     v, v1, v2, v3 = ys[-1]
     assert status == "crash" and 0 < v < a0 and max(v1, v2, v3) < 0
     assert ts[-1] + v / -v1 < sh._T_MAX
-    assert sh._classify(consts6, a, 0.5 * orbit6.b, {}, {}) == -1
+    assert sh._search(consts6, a, {})[0](0.5 * orbit6.b) == -1
 
 
 # the five pinned roots, and two dimensions where P = (n+4)/(n-4) is not an
@@ -238,9 +240,9 @@ def test_decided_fates_change_no_shooting_outcome(monkeypatch):
     the crash/escape run records is the one the first-maximum run ends on."""
     starts = []
     with monkeypatch.context() as m:
-        march = sh._march
-        m.setattr(sh, "_march", lambda consts, a, b, *args, **kw:
-                  starts.append((consts, a, b)) or march(consts, a, b, *args, **kw))
+        march = sh.march
+        m.setattr(sh, "march", lambda consts, y0, *args:
+                  starts.append((consts, y0[0], y0[2])) or march(consts, y0, *args))
         for n, frac in _FATE_POINTS:
             cc = sh.critical_constants(n)
             sh.find_b(n, frac * cc.a0, consts=cc)
@@ -253,13 +255,17 @@ def test_decided_fates_change_no_shooting_outcome(monkeypatch):
         return None if t1 is None else [float.hex(float(x)) for x in (t1, *y1)]
 
     def outcomes(stats):
+        # two searches per start: the first's crash/escape run records the
+        # first maximum, the second's F makes a first-maximum run of its own
         out = []
         for cc, a, b in starts:
-            firsts = {}
-            side = sh._classify(cc, a, b, stats, firsts)
-            first = hexed(sh._first_max(cc, a, b, stats))
+            side, _, firsts = sh._search(cc, a, stats)
+            _, F, firsts_F = sh._search(cc, a, stats)
+            outcome = side(b)
+            F(b)
+            first = hexed(firsts_F[b])
             assert hexed(firsts[b]) == first, (cc.n, a, b)
-            out.append((side, first))
+            out.append((outcome, first))
         return out
 
     decided, undecided = {}, {}
