@@ -17,12 +17,17 @@ straight-line kernel generated from the tableau once per state dimension
 (``_step_kernel``): written out component by component, it does the same
 operations in the same order as a loop over the components, so it gives
 the same bits without the interpreter's per-component loop overhead, the
-bulk of a step's cost at the small dimensions the lab integrates.  An RHS
-with a ``floats`` hook is called on those lists directly; any other goes
-through an array adapter.  Event functions get the state as a tuple of
-Python floats, and event hits keep theirs as a list, so the step loop
-builds no array but the dense matrix of a step where an event crossed.
-The dense
+bulk of a step's cost at the small dimensions the lab integrates.  The
+autonomous cylinder RHS (``odes.make_autonomous_rhs``) carries a recipe,
+its constants, and its arithmetic is written into that kernel at every
+stage (``odes.rhs_lines``), once per block count and direction, so a
+stage costs no call; an RHS with a ``floats`` hook is called on the lists
+directly, and any other goes through an array adapter.  The kernel
+returns a step's seven stages as one flat list, and the run keeps them in
+one flat list, converted to an array once when it ends.  Event functions
+get the state as a tuple of Python floats, and event hits keep theirs as
+a list, so the step loop builds no array but the dense matrix of a step
+where an event crossed.  The dense
 matrices and every dense-output query (Horner in theta, the same
 operations in the same order) are elementwise numpy + - * / and sqrt,
 which round the same on every CPU.  No numpy ufunc loop or BLAS kernel
@@ -209,49 +214,76 @@ def _rms(v, sc):
 
 
 @functools.lru_cache(maxsize=32)
-def _step_kernel(dim: int):
+def _step_kernel(dim: int, inline: int = 0):
     """One Dormand-Prince step for states of length dim, as straight-line
     Python generated from the tableau: ``kernel(f, t, h, y, k0, ay, abs_tol,
-    rel_tol)`` returns ``(y6, |y6|, [k0, ..., k6], acc)`` for the step of
-    size h from (t, y), with k0 = f(t, y), ay = |y| and acc the sum of the
-    squared scaled error estimates, or None where k6 is non-finite (f
-    passes a non-finite input on, so a non-finite stage makes k6 one).
+    rel_tol)`` returns ``(y6, |y6|, ks, acc)`` for the step of size h from
+    (t, y), with k0 = f(t, y), ay = |y|, ks the stages k0, ..., k6 as one
+    flat list (stage after stage) and acc the sum of the squared scaled
+    error estimates.  Where a stage leaves float range the step fails, and
+    the kernel returns instead the number of RHS evaluations it made: one
+    per stage 1-6 whose input is finite (a non-finite stage makes every
+    later input non-finite, so these are the stages before the first).
+
+    With inline 0, f is an RHS on lists of Python floats, called at each
+    stage on a finite input only.  With inline +1 or -1, f is the recipe
+    (exponent, scale, K0, K1, K2, K3) of the cylinder RHS of dim // 4
+    blocks, whose lines (``odes.rhs_lines``) are written into the kernel at
+    each stage, negated where inline is -1 (the reflected clock of a
+    backward run); it evaluates every stage, and a non-finite input gives a
+    non-finite stage, so the step fails on k6.
 
     Each stage input, y6 and each error term is its row's sum left to
     right, component by component, as the loop form computed it; acc adds
     the components' squares left to right from the first (0.0 + w*w is
     w*w), one statement each, so no expression nests deeper with dim.  The
-    source is built from dim and the tableau alone."""
+    source is built from dim, inline and the tableau alone."""
     ix = range(dim)
 
     def row(pairs, m):
         return " + ".join(f"{a!r} * k{j}_{m}" for j, a in pairs)
 
+    def names(name):
+        return [f"{name}_{m}" for m in ix]
+
     def unpack(name):
-        return f"    [{''.join(f'{name}_{m}, ' for m in ix)}] = {name}"
+        return f"    [{''.join(f'{x}, ' for x in names(name))}] = {name}"
+
+    def tup(xs):
+        return "(" + "".join(f"{x}, " for x in xs) + ")"
 
     lines = ["def kernel(f, t, h, y, k0, ay, abs_tol, rel_tol):",
              unpack("y"), unpack("ay"), unpack("k0")]
-    for i, pairs in enumerate(_ROWS, 1):
-        at = f"t + {_NODES[i - 1]!r} * h" if i <= len(_NODES) else "t + h"
-        lines += [f"    k{i} = f({at}, [" + ", ".join(f"y_{m} + h * ({row(pairs, m)})"
-                                               for m in ix) + "])",
-                  unpack(f"k{i}")]
-    lines += [f"    y6_{m} = y_{m} + h * ({row(_Y6, m)})" for m in ix]
-    lines += ["    y6 = [" + ", ".join(f"y6_{m}" for m in ix) + "]",
-              "    k6 = f(t + h, y6)",
-              "    if not all(map(isfinite, k6)):",
-              "        return None",
-              unpack("k6")]
+    stages = [*(names(f"x{i}") for i in range(1, 6)), names("y6")]
+    if inline:
+        from .odes import rhs_lines   # a recipe comes from odes, so it is loaded
+        lines.append("    exponent, scale, K0, K1, K2, K3 = f")
+    for i, pairs in enumerate([*_ROWS, _Y6], 1):
+        lines += [f"    {x} = y_{m} + h * ({row(pairs, m)})" for m, x in zip(ix, stages[i - 1])]
+        if inline:
+            lines += rhs_lines(dim // 4, stages[i - 1], names(f"k{i}"), inline < 0)
+        else:
+            at = f"t + {_NODES[i - 1]!r} * h" if i <= len(_NODES) else "t + h"
+            lines += [f"    x = [{', '.join(stages[i - 1])}]",
+                      "    if not all(map(isfinite, x)):",
+                      f"        return {i - 1}",
+                      f"    {tup(names(f'k{i}'))} = f({at}, x)"]
+    lines += [f"    if not all(map(isfinite, {tup(names('k6'))})):"]
+    if inline:
+        lines += [f"        for n, x in enumerate({tup(map(tup, stages))}):",
+                  "            if not all(map(isfinite, x)):",
+                  "                return n"]
+    lines += ["        return 6"]
     for m in ix:
         lines += [f"    b_{m} = abs(y6_{m})",
                   f"    w = h * ({row(_ERR, m)}) / (abs_tol + rel_tol * "
                   f"(b_{m} if b_{m} > ay_{m} else ay_{m}))",
                   "    acc += w * w" if m else "    acc = w * w"]
-    lines += ["    return (y6, [" + ", ".join(f"b_{m}" for m in ix) + "], "
-              "[k0, k1, k2, k3, k4, k5, k6], acc)"]
-    namespace = {"isfinite": math.isfinite}
-    exec(compile("\n".join(lines) + "\n", f"<dopri5 step kernel, dim {dim}>", "exec"),
+    lines += [f"    return ([{', '.join(names('y6'))}], [{', '.join(names('b'))}], "
+              f"[{', '.join(k for i in range(7) for k in names(f'k{i}'))}], acc)"]
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf}
+    kind = {0: "", 1: ", cylinder rhs, forward", -1: ", cylinder rhs, backward"}[inline]
+    exec(compile("\n".join(lines) + "\n", f"<dopri5 step kernel, dim {dim}{kind}>", "exec"),
          namespace)
     return namespace["kernel"]
 
@@ -286,10 +318,16 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     rhs receives the state as a float64 array and returns what numpy reads
     as a float64 array (a list too, or a scalar for a one-component state);
     the step loop converts each result to a list of Python floats.  Where rhs has
-    an attribute ``floats``, the step loop calls ``rhs.floats(t, xs)``
+    an attribute ``floats``, integrate calls ``rhs.floats(t, xs)``
     instead, on a list of finite Python floats, and uses the list it
-    returns; it must compute what rhs computes (as
-    ``odes.make_autonomous_rhs`` provides it).  Event functions get the
+    returns; where it has an attribute ``recipe``, the constants of the
+    cylinder RHS (``odes.rhs_lines``) of the state's own block count, the
+    step loop computes every stage from them without a call, and calls
+    rhs or ``floats`` only for the initial derivative and the first step
+    size.  Both must compute what rhs computes (as
+    ``odes.make_autonomous_rhs`` provides them), and ``stats["rhs_evals"]``
+    counts the evaluations either way, a stage whose input is non-finite
+    not among them.  Event functions get the
     state as a tuple of Python floats: at the initial state, at each
     accepted step and at each halving of the bisection that locates a
     crossing on the step's quartic.  Each hit is recorded in
@@ -323,6 +361,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     if not all(map(math.isfinite, y)):
         raise DomainError("non-finite initial state")
     fl = getattr(rhs, "floats", None)
+    recipe = getattr(rhs, "recipe", None)
     if fl is None:
         def fl(s, x):   # the array contract: an array in, a list of floats out,
             # a 0-d result read as one value, as a scalar state0 is
@@ -342,7 +381,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     ev_hits: List[list] = [[] for _ in events]
     nstep = nrej = nfev = 0
 
-    def f(s, x):   # rhs(s, x) as floats; a non-finite x fails its step unevaluated
+    def f(s, x):   # rhs(s, x) as floats, a non-finite x passed on unevaluated
         nonlocal nfev
         if not all(map(math.isfinite, x)):
             return x
@@ -355,11 +394,15 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         raise DomainError(f"rhs returned {len(k0)} values for a state of {len(y)}")
     if not all(map(math.isfinite, k0)):
         raise DomainError("non-finite derivative at the initial state")
-    step = _step_kernel(len(y))
+    if recipe is None:
+        step, stage_rhs = _step_kernel(len(y)), fl
+    else:   # k0 has checked that the state is whole blocks
+        step, stage_rhs = _step_kernel(len(y), direction), recipe
+    last_stage = 6 * len(y)   # where k6 starts in a step's flat stages
     h = _initial_step(f, t, y, k0, tB - t, rel_tol, abs_tol)
     ts = [t]
     ys = [y]    # states are never written in place: records share them
-    hs, kss = [], []   # per accepted step: its size and its stages
+    hs, kss = [], []   # per accepted step: its size, and its stages appended
     err_old = 1e-4
     status = "reached"
     ev_vals = [e.g(t, tuple(y)) for e in events]
@@ -389,13 +432,15 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         if t + h >= tB:
             h = tB - t
             last = True
-        out = step(f, t, h, y, k0, ay, abs_tol, rel_tol)
-        if out is None:
+        out = step(stage_rhs, t, h, y, k0, ay, abs_tol, rel_tol)
+        if type(out) is int:   # a stage left float range after out evaluations
+            nfev += out
             nrej += 1
             h = h * 0.25
             last = False
             continue
         y_new, ay_new, ks, acc = out
+        nfev += 6
         err = math.sqrt(acc / len(y))
         nstep += 1
         if err > 1.0:
@@ -412,7 +457,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                       ((v_old > 0 >= v_new) and ev.direction <= 0)
             if crossed and v_old != 0:
                 if Q is None:
-                    Q = _dense_matrices(np.array([ks]))[0].tolist()
+                    Q = _dense_matrices(np.array(ks).reshape(1, 7, len(y)))[0].tolist()
                 th_lo, th_hi, g_lo = 0.0, 1.0, v_old
                 for _ in range(90):
                     mid = (th_lo + th_hi) / 2
@@ -434,14 +479,14 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
                     stop_here = (te, ye)
             ev_vals[ie] = v_new
         hs.append(h)
-        kss.append(ks)
+        kss += ks
         if stop_here is not None:
             ts.append(stop_here[0])
             ys.append(stop_here[1])
             status = "event"
             break
         t = t_new
-        y, ay, k0 = y_new, ay_new, ks[6]
+        y, ay, k0 = y_new, ay_new, ks[last_stage:]
         ts.append(t)
         ys.append(y)
         if max(ay) > guard:   # no NaN: an accepted state is finite

@@ -12,7 +12,10 @@ straight-line kernel generated once per block count (``_rhs_kernel``).
 Written out block by block, it does the same operations in the same order
 as a loop over the blocks, so it gives the same bits without the loop's
 slicing and per-block interpreter overhead, most of an evaluation's cost
-at the few components the lab integrates.
+at the few components the lab integrates.  Its lines come from one
+builder (``rhs_lines``), which also writes the autonomous RHS into the
+integrator's step kernel from the constants the factory attaches as
+``recipe``: there a stage costs no call at all.
 """
 
 from __future__ import annotations
@@ -35,31 +38,49 @@ def ray_state(scalars, lam: np.ndarray) -> np.ndarray:
     return np.outer(np.asarray(lam, dtype=float), np.asarray(scalars, dtype=float)).ravel()
 
 
+def rhs_lines(blocks: int, ins, outs, negate: bool = False) -> list:
+    """Source lines, one indent deep, that assign to the names outs the
+    derivative of each 4-block (v, v', v'', v''') of a state of the given
+    block count held in the names ins, with v'''' = scale |V|^exponent v -
+    K3 v''' - K2 v'' - K1 v' - K0 v, each value negated where negate (a run
+    on the reflected clock).  The lines read exponent, scale, K0..K3, sqrt
+    and inf, and write vsq, vnorm and coup.  |V| is the Euclidean norm over
+    the v entries of all blocks, its square summed left to right from the
+    first term (0.0 + v*v is v*v), one statement per block; at V = 0 the
+    coupling term is continued by 0.  scale is positive; where |V|^exponent
+    leaves float range the coupling is inf, so the result is non-finite (no
+    error).  The one home of the cylinder RHS arithmetic: ``_rhs_kernel``
+    and the integrator's cylinder step kernel are written from it.
+    """
+    lines = [f"    vsq {'+=' if b else '='} {ins[4 * b]} * {ins[4 * b]}"
+             for b in range(blocks)] or ["    vsq = 0.0"]
+    lines += ["    vnorm = sqrt(vsq)",
+              "    try:",
+              "        coup = vnorm ** exponent * scale if vnorm > 0 else 0.0",
+              "    except OverflowError:   # float ** raises where the power leaves float range",
+              "        coup = inf"]
+    for b in range(blocks):
+        v, a, c, d = ins[4 * b:4 * b + 4]
+        values = (a, c, d, f"coup * {v} - K3 * {d} - K2 * {c} - K1 * {a} - K0 * {v}")
+        lines += [f"    {o} = -({x})" if negate else f"    {o} = {x}"
+                  for o, x in zip(outs[4 * b:4 * b + 4], values)]
+    return lines
+
+
 @functools.lru_cache(maxsize=32)
 def _rhs_kernel(blocks: int):
-    """``kernel(ys, exponent, scale, K0, K1, K2, K3)``: the derivative of
-    each 4-block (v, v', v'', v''') of a state ys of length 4 * blocks, with
-    v'''' = scale |V|^exponent v - K3 v''' - K2 v'' - K1 v' - K0 v; ys and
-    the result are lists of Python floats, and ys of another length raises
-    ValueError.  |V| is the Euclidean norm over the v entries of all
-    blocks, its square summed left to right from the first term (0.0 + v*v
-    is v*v), one statement per block; at V = 0 the coupling term is
-    continued by 0.  scale is positive; where |V|^exponent leaves float
-    range the coupling is inf, so the result is non-finite (no error).
+    """``kernel(ys, exponent, scale, K0, K1, K2, K3)``: the derivative of a
+    state ys of length 4 * blocks (``rhs_lines``); ys and the result are
+    lists of Python floats, and ys of another length raises ValueError.
     Straight-line Python, generated from blocks alone.
     """
-    ix = range(blocks)
+    ins = [f"{x}{b}" for b in range(blocks) for x in "vacd"]
+    outs = [f"r{m}" for m in range(4 * blocks)]
     src = "\n".join([
         "def kernel(ys, exponent, scale, K0, K1, K2, K3):",
-        f"    [{''.join(f'v{b}, a{b}, c{b}, d{b}, ' for b in ix)}] = ys",
-        *([f"    vsq {'+=' if b else '='} v{b} * v{b}" for b in ix] or ["    vsq = 0.0"]),
-        "    vnorm = sqrt(vsq)",
-        "    try:",
-        "        coup = vnorm ** exponent * scale if vnorm > 0 else 0.0",
-        "    except OverflowError:   # float ** raises where the power leaves float range",
-        "        coup = inf",
-        "    return [" + ", ".join(f"a{b}, c{b}, d{b}, coup * v{b} - K3 * d{b} - K2 * c{b}"
-                                   f" - K1 * a{b} - K0 * v{b}" for b in ix) + "]",
+        f"    [{''.join(f'{x}, ' for x in ins)}] = ys",
+        *rhs_lines(blocks, ins, outs),
+        f"    return [{', '.join(outs)}]",
         ""])
     namespace = {"sqrt": math.sqrt, "inf": math.inf}
     exec(compile(src, f"<cylinder rhs kernel, {blocks} blocks>", "exec"), namespace)
@@ -79,8 +100,11 @@ def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
     read as float64, and a non-finite one raises DomainError; the result
     is a list of Python floats, non-finite where |V|^{s-1} overflows.  The
     function's attribute ``floats(t, xs)`` is the same computation on a
-    list of finite Python floats, with no conversion and no check:
-    ``integrate`` calls it in its step loop.
+    list of finite Python floats, with no conversion and no check, and its
+    attribute ``recipe`` holds the constants (exponent, scale, K0, K1, K2,
+    K3) of ``rhs_lines`` that make it: ``integrate`` calls ``floats`` for
+    the initial derivative and writes the RHS of the recipe into its step
+    kernel, for the state's own block count.
     """
     c = oracle_autonomous(params.n, params.s, sigma)
     K0, K1, K2, K3 = (float(c["K0"]), float(c["K1"]), float(c["K2"]), float(c["K3"]))
@@ -99,6 +123,7 @@ def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
         return floats(t, ys)
 
     rhs.floats = floats
+    rhs.recipe = (sm1, 1.0, K0, K1, K2, K3)
     return rhs
 
 

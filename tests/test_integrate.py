@@ -447,7 +447,8 @@ def _reference_step(f, t, h, y, k0, ay, abs_tol, rel_tol):
     """One step in the loop form the generated step kernel replaced: each
     stage input one left-to-right pass over its row's nonzero entries, then
     the scaled error sum accumulated from 0.0.  The bit reference of
-    ``_step_kernel``, with its signature and result."""
+    ``_step_kernel``, with its signature and its result, the stages flat,
+    where the step succeeds; where it fails, None (f counts the calls)."""
     k1 = f(t + _C1 * h, [a + h * (_A10 * b0) for a, b0 in zip(y, k0)])
     k2 = f(t + _C2 * h, [a + h * (_A20 * b0 + _A21 * b1) for a, b0, b1 in zip(y, k0, k1)])
     k3 = f(t + _C3 * h, [a + h * (_A30 * b0 + _A31 * b1 + _A32 * b2)
@@ -467,7 +468,7 @@ def _reference_step(f, t, h, y, k0, ay, abs_tol, rel_tol):
         w = (h * (_E0 * b0 + _E2 * b2 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6)
              / (abs_tol + rel_tol * (b if b > a else a)))
         acc += w * w
-    return y6, ay6, ks, acc
+    return y6, ay6, [x for k in ks for x in k], acc
 
 
 def _guarded(fl):
@@ -489,15 +490,25 @@ def _hex(xs):
     return [float.hex(x) for x in xs]
 
 
-def _step_bits(step, fl, t, h, y, abs_tol, rel_tol):
-    """The bits of one step from (t, y), and the RHS evaluations it made."""
+def _step_bits(step, fl, t, h, y, abs_tol, rel_tol, recipe=None):
+    """The bits of one step from (t, y), with k0 = fl(t, y), or None where
+    it fails, and the RHS evaluations it made, k0's included.  A step
+    kernel counts its own (6, or its result where the step fails), and
+    where it calls fl, its count must be the calls that reached fl; with
+    a recipe, the kernel writes that RHS inline and calls nothing."""
     f, count = _guarded(fl)
-    out = step(f, t, h, y, f(t, y), [abs(a) for a in y], abs_tol, rel_tol)
+    out = step(f if recipe is None else recipe, t, h, y, f(t, y), [abs(a) for a in y],
+               abs_tol, rel_tol)
+    evals = count[0]
+    if step is not _reference_step:
+        evals = 1 + (out if type(out) is int else 6)
+        assert recipe is not None or evals == count[0]
+        out = None if type(out) is int else out
     if out is not None:
         y6, ay6, ks, acc = out
-        assert len(ks) == 7
-        out = (_hex(y6), _hex(ay6), [_hex(k) for k in ks], float.hex(acc))
-    return out, count[0]
+        assert len(ks) == 7 * len(y)
+        out = (_hex(y6), _hex(ay6), _hex(ks), float.hex(acc))
+    return out, evals
 
 
 @pytest.mark.parametrize("dim", [*range(1, 14), 40])
@@ -591,17 +602,16 @@ _CAP_STATES = {
 @pytest.mark.parametrize("backward", [False, True])
 @pytest.mark.parametrize("p", [1, 3])
 def test_the_float_hook_and_the_array_contract_give_the_same_run(p, backward):
-    # C06's capped run at (5, 7): integrate calls the factory's floats hook;
-    # a plain function around the same rhs takes the array contract
+    # C06's capped run at (5, 7): integrate takes the factory's floats hook
+    # and writes its recipe into the step kernel; a plain function around
+    # the same rhs takes the array contract, called once per evaluation
     rhs = make_autonomous_rhs(Params(5, Fraction(7), p))
     calls = []
-    hook = rhs.floats
 
-    def counted(t, xs):
+    def plain(t, y):
         calls.append(t)
-        return hook(t, xs)
+        return rhs(t, y)
 
-    rhs.floats = counted
     t0, t1 = (2.0, 0.0) if backward else (0.0, 2.0)
     # growth of max |y| along the run is a downcrossing in t forward, an
     # upcrossing in t backward
@@ -609,12 +619,105 @@ def test_the_float_hook_and_the_array_contract_give_the_same_run(p, backward):
                 direction=1 if backward else -1, terminal=True)
     runs = [integrate(f, t0, np.array(_CAP_STATES[p]), t1, rel_tol=1e-12, abs_tol=1e-14,
                       guard=1e4, events=[cap])
-            for f in (rhs, lambda t, y: rhs(t, y))]
+            for f in (rhs, plain)]
     assert runs[0].status == "event"
     assert runs[0].stats["rhs_evals"] == len(calls)
     assert runs[0].stats == runs[1].stats
     assert _digest(runs[0]) == _digest(runs[1])
     assert _dense_digest(runs[0]) == _dense_digest(runs[1])
+
+
+# (n, s) pairs of C06, C08 and the pinned runs: the exponent s - 1 is 6, 3,
+# 2, 1 and 2/3, and K0 > 0, = 0 and < 0 all occur
+_CYLINDER_PAIRS = [(5, Fraction(7)), (6, Fraction(4)), (7, Fraction(3)), (6, Fraction(2)),
+                   (8, Fraction(5, 3))]
+
+
+def _cylinder_kernels(p, backward):
+    """The generic step kernel with the factory's floats hook, negated on
+    the reflected clock as integrate negates it, and the cylinder kernel
+    with the recipe written in, for each (n, s) of _CYLINDER_PAIRS."""
+    generic = integ_module._step_kernel(4 * p)
+    inline = integ_module._step_kernel(4 * p, -1 if backward else 1)
+    for n, s in _CYLINDER_PAIRS:
+        rhs = make_autonomous_rhs(Params(n, s, p))
+        fl = (lambda t, x, fw=rhs.floats: [-a for a in fw(t, x)]) if backward else rhs.floats
+        yield generic, inline, fl, rhs.recipe
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_the_cylinder_step_kernel_equals_the_generic_one_bit_for_bit(p, backward):
+    # states over four decades, a tenth with V = 0, steps over three
+    rng = np.random.default_rng([p, backward])
+    for generic, inline, fl, recipe in _cylinder_kernels(p, backward):
+        for k in range(60):
+            y = (rng.standard_normal(4 * p) * 10.0 ** rng.uniform(-2, 2)).tolist()
+            if k % 10 == 0:
+                y[0::4] = [0.0] * p
+            t, h = float(rng.uniform(-2, 2)), float(10.0 ** rng.uniform(-4, -1))
+            abs_tol = float(10.0 ** rng.uniform(-14, -8))
+            rel_tol = float(10.0 ** rng.uniform(-12, -6))
+            want = _step_bits(generic, fl, t, h, y, abs_tol, rel_tol)
+            assert want[0] is not None
+            assert _step_bits(inline, fl, t, h, y, abs_tol, rel_tol, recipe) == want
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_the_cylinder_step_kernel_fails_where_the_generic_one_does(p, backward):
+    # a stage input past float range, from the first stage (a state of
+    # 1e308, whose k0 is not finite either; v' = 1e300 over h = 1e10), and
+    # |V|^(s - 1) past float range at stage 1's v = 2e54 (s = 7) or 2e103
+    # (s = 4) from a finite k0, so that stage 1 is evaluated and stage 2 is
+    # not: both kernels fail after the same evaluations
+    first_block = lambda *block: [*block, *[0.0] * (4 * p - 4)]
+    failures = [([1e308] * (4 * p), 10.0, 1), (first_block(0.0, 1e300, 0.0, 0.0), 1e10, 1)]
+    for generic, inline, fl, recipe in _cylinder_kernels(p, backward):
+        cases = list(failures)
+        if recipe[0] == 6.0:
+            cases.append((first_block(1e40, 1e55, 0.0, 0.0), 1.0, 2))
+        if recipe[0] == 3.0:
+            cases.append((first_block(1e50, 1e104, 0.0, 0.0), 1.0, 2))
+        for y, h, evals in cases:
+            runs = [_step_bits(step, fl, 0.0, h, y, 1e-14, 1e-12, r)
+                    for step, r in ((generic, None), (inline, recipe))]
+            assert runs[0] == runs[1] == (None, evals)
+
+
+_LAZY_STEP_KERNELS = """
+import importlib
+from fractions import Fraction
+import numpy as np
+from fowler4 import odes
+from fowler4.params import Params
+
+integ = importlib.import_module("fowler4.integrate")
+rhs = {p: odes.make_autonomous_rhs(Params(5, Fraction(7), p)) for p in (1, 3)}
+assert integ._step_kernel.cache_info().misses == 0
+for _ in range(2):
+    for p in (1, 3):
+        y0 = np.linspace(-0.3, 0.4, 4 * p)
+        for t0, t1 in ((0.0, 0.5), (0.5, 0.0)):
+            assert integ.integrate(rhs[p], t0, y0, t1).status == "reached"
+assert integ._step_kernel.cache_info().misses == 4
+assert {k.__code__.co_filename for k in map(integ._step_kernel, (4, 4, 12, 12),
+                                            (1, -1, 1, -1))} == {
+    f"<dopri5 step kernel, dim {d}, cylinder rhs, {w}>"
+    for d in (4, 12) for w in ("forward", "backward")}
+assert integ._step_kernel.cache_info().misses == 4
+"""
+
+
+def test_step_kernels_are_built_lazily_once_per_block_count_and_direction():
+    """The RHS factory compiles no step kernel, so no set-up pays for one;
+    the first integrate of each block count and direction compiles its
+    cylinder kernel once, and later runs reuse it.  A fresh process, so no
+    other test has built one yet."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_STEP_KERNELS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _hi_lo(a):

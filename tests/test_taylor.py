@@ -294,7 +294,8 @@ def test_series_bits_do_not_depend_on_the_builtin_sum(monkeypatch):
     # a generated kernel runs in its own namespace, which the patch above
     # never reaches: none of them may name sum or fsum
     kernels = [*taylor._kernels(cc, float), *taylor._step_kernels(),
-               *map(integ_module._step_kernel, (1, 4, 12)), *map(odes._rhs_kernel, (1, 3))]
+               *map(integ_module._step_kernel, (1, 4, 12)), *map(odes._rhs_kernel, (1, 3)),
+               *(integ_module._step_kernel(4 * p, sign) for p in (1, 3) for sign in (1, -1))]
     for kernel in kernels:
         assert not {"sum", "fsum"} & set(kernel.__code__.co_names), kernel.__code__.co_filename
 
