@@ -21,10 +21,10 @@ bulk of a step's cost at the small dimensions the lab integrates.  The
 autonomous cylinder RHS (``odes.make_autonomous_rhs``) carries a recipe,
 its constants, and its arithmetic is written into that kernel at every
 stage (``odes.rhs_lines``), once per block count and direction, so a
-stage costs no call; an RHS with a ``floats`` hook is called on the lists
-directly, and any other goes through an array adapter.  The kernel
-returns a step's seven stages as one flat list, and the run keeps them in
-one flat list, converted to an array once when it ends.  Event functions
+stage costs no call; any other RHS is called at each stage through an
+array adapter.  The kernel returns a step's seven stages as one flat
+list, and the run keeps them in one flat list, converted to an array
+once when it ends.  Event functions
 get the state as a tuple of Python floats, and event hits keep theirs as
 a list, so the step loop builds no array but the dense matrix of a step
 where an event crossed.  The dense
@@ -119,7 +119,8 @@ class Event:
 class Trajectory:
     """Dense-output record of one integration run, in float64.
 
-    t is strictly monotone in the direction of integration.  Step i runs
+    t is strictly monotone in the direction of integration, which a
+    dense query reads from the order of t[0] and t[-1].  Step i runs
     from t[i] with state y[i] over the signed size h[i], and dense[i] is
     its polynomial matrix in theta = (t - t[i]) / h[i], the quartic of
     ``integrate`` or the series of ``taylor.flow``; its last axis is the
@@ -139,7 +140,6 @@ class Trajectory:
     dense: np.ndarray = ()              # shape (len(t) - 1, dim, degree)
     status: str = "reached"
     events: list = field(default_factory=list)   # per event index: [(t, y), ...]
-    direction: int = 1
 
     @property
     def t0(self) -> float:
@@ -163,8 +163,8 @@ class Trajectory:
 
     def _dense_rows(self, tqs):
         starts = self.t[:-1]
-        idx = np.searchsorted(starts * self.direction, tqs * self.direction,
-                              side="right") - 1
+        sign = 1.0 if self.t[-1] > self.t[0] else -1.0
+        idx = np.searchsorted(starts * sign, tqs * sign, side="right") - 1
         idx = np.clip(idx, 0, len(starts) - 1)
         hs = self.h[idx]
         th = np.clip((tqs - starts[idx]) / hs, 0.0, 1.0)
@@ -318,14 +318,13 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
     rhs receives the state as a float64 array and returns what numpy reads
     as a float64 array (a list too, or a scalar for a one-component state);
     the step loop converts each result to a list of Python floats.  Where rhs has
-    an attribute ``floats``, integrate calls ``rhs.floats(t, xs)``
-    instead, on a list of finite Python floats, and uses the list it
-    returns; where it has an attribute ``recipe``, the constants of the
-    cylinder RHS (``odes.rhs_lines``) of the state's own block count, the
-    step loop computes every stage from them without a call, and calls
-    rhs or ``floats`` only for the initial derivative and the first step
-    size.  Both must compute what rhs computes (as
-    ``odes.make_autonomous_rhs`` provides them), and ``stats["rhs_evals"]``
+    an attribute ``recipe``, the constants of the cylinder RHS
+    (``odes.rhs_lines``) of the state's own block count, the run is
+    computed from the recipe alone and rhs is never called: the step loop
+    writes every stage from it without a call, and the initial derivative
+    and the first step size take ``odes._component_rhs(xs, *recipe)``.
+    The recipe must define what rhs computes (as
+    ``odes.make_autonomous_rhs`` provides it), and ``stats["rhs_evals"]``
     counts the evaluations either way, a stage whose input is non-finite
     not among them.  Event functions get the
     state as a tuple of Python floats: at the initial state, at each
@@ -360,12 +359,14 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
         raise DomainError("empty initial state")
     if not all(map(math.isfinite, y)):
         raise DomainError("non-finite initial state")
-    fl = getattr(rhs, "floats", None)
     recipe = getattr(rhs, "recipe", None)
-    if fl is None:
+    if recipe is None:
         def fl(s, x):   # the array contract: an array in, a list of floats out,
             # a 0-d result read as one value, as a scalar state0 is
             return np.array(rhs(s, np.array(x)), dtype=float, ndmin=1).tolist()
+    else:   # the recipe defines rhs, which is never called
+        from .odes import _component_rhs
+        fl = lambda s, x: _component_rhs(x, *recipe)
     direction = 1 if t1 > t0 else -1
     if direction < 0:
         fwd = fl
@@ -417,7 +418,7 @@ def integrate(rhs, t0: float, state0, t1: float, rel_tol: float = 1e-9,
             hits = [[(t0 - te, ye) for (te, ye) in lst] for lst in ev_hits]
         return Trajectory(t=tr_t, y=np.array(ys, dtype=float), h=tr_h, dense=tr_Q,
                           stats={"steps": nstep, "rejected": nrej, "rhs_evals": nfev},
-                          status=stat, events=hits, direction=direction)
+                          status=stat, events=hits)
 
     while t < tB:
         if nstep >= _MAX_STEPS:

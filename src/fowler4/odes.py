@@ -13,9 +13,10 @@ Written out block by block, it does the same operations in the same order
 as a loop over the blocks, so it gives the same bits without the loop's
 slicing and per-block interpreter overhead, most of an evaluation's cost
 at the few components the lab integrates.  Its lines come from one
-builder (``rhs_lines``), which also writes the autonomous RHS into the
-integrator's step kernel from the constants the factory attaches as
-``recipe``: there a stage costs no call at all.
+builder (``rhs_lines``).  The autonomous factory attaches its constants
+as ``recipe``, which defines its RHS: the integrator computes a run from
+the recipe alone, writing the same lines into its step kernel, so a
+stage costs no call at all.
 """
 
 from __future__ import annotations
@@ -99,31 +100,23 @@ def make_autonomous_rhs(params: Params, sigma: int = BUILD_SIGMA) -> Callable:
     product |V|^{s-1} v_i is continued by 0 (s > 1).  Any real state is
     read as float64, and a non-finite one raises DomainError; the result
     is a list of Python floats, non-finite where |V|^{s-1} overflows.  The
-    function's attribute ``floats(t, xs)`` is the same computation on a
-    list of finite Python floats, with no conversion and no check, and its
-    attribute ``recipe`` holds the constants (exponent, scale, K0, K1, K2,
-    K3) of ``rhs_lines`` that make it: ``integrate`` calls ``floats`` for
-    the initial derivative and writes the RHS of the recipe into its step
-    kernel, for the state's own block count.
+    function's attribute ``recipe`` holds the constants (exponent, scale,
+    K0, K1, K2, K3) of ``rhs_lines`` that define it, for a state of any
+    block count (p does not bound it): ``_component_rhs(xs, *recipe)`` is
+    the same computation on a list of Python floats, and ``integrate``
+    computes a run from the recipe alone, never calling the function.
     """
     c = oracle_autonomous(params.n, params.s, sigma)
-    K0, K1, K2, K3 = (float(c["K0"]), float(c["K1"]), float(c["K2"]), float(c["K3"]))
-    sm1 = float(params.s) - 1.0
-    dim, kernel = 4 * params.p, _rhs_kernel(params.p)
-
-    def floats(t, xs):   # p does not bound the state: another length takes its own kernel
-        if len(xs) == dim:
-            return kernel(xs, sm1, 1.0, K0, K1, K2, K3)
-        return _component_rhs(xs, sm1, 1.0, K0, K1, K2, K3)
+    recipe = (float(params.s) - 1.0, 1.0,
+              float(c["K0"]), float(c["K1"]), float(c["K2"]), float(c["K3"]))
 
     def rhs(t, y):
         ys = np.asarray(y, dtype=float).tolist()
         if not all(map(math.isfinite, ys)):
             raise DomainError("non-finite state")
-        return floats(t, ys)
+        return _component_rhs(ys, *recipe)
 
-    rhs.floats = floats
-    rhs.recipe = (sm1, 1.0, K0, K1, K2, K3)
+    rhs.recipe = recipe
     return rhs
 
 

@@ -546,6 +546,12 @@ _PINNED_ARTIFACTS = {
                       "0.3,-0.2,0.1,0.25,-0.15,0.05,0.2,-0.1,0.1,0.3,-0.25,0.05",
                       "--t-end", "2"), "--energy-out",
                      ["f3506d567fddcf1e", "3ebac64a0aa31996"]),
+    # the same run backward to t = -2: the energy series queries the dense
+    # output of a record whose t descends
+    "integrate-p3-backward": (("integrate", "--n", "5", "--s", "7", "--p", "3", "--init",
+                               "0.3,-0.2,0.1,0.25,-0.15,0.05,0.2,-0.1,0.1,0.3,-0.25,0.05",
+                               "--t-end", "-2"), "--energy-out",
+                              ["aaf476111a698194", "74ec3a1c4522a155"]),
     # recorded while Dormand-Prince still ran the crash/escape bracket; the
     # CSV's 17 significant digits pin the float64 roots bit for bit
     "shoot": (("shoot", "--n", "6", "--a-grid", "3/5,9/10"), None,

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fowler4 import odes
 from fowler4.integrate import Event, StepUnderflowError, Trajectory, integrate
 from fowler4.odes import make_autonomous_rhs
 from fowler4.params import DomainError, Params
@@ -350,7 +351,7 @@ def test_batched_query_equals_pointwise_forward_backward():
     _assert_batch_matches_points(
         integrate(_linear_rhs, 0.0, y0, 5.0, rel_tol=1e-10, abs_tol=1e-12))
     back = integrate(_linear_rhs, 5.0, y0, 0.0, rel_tol=1e-10, abs_tol=1e-12)
-    assert back.direction == -1
+    assert np.all(np.diff(back.t) < 0)
     _assert_batch_matches_points(back)
 
 
@@ -378,9 +379,19 @@ def test_trajectory_without_segments_interpolates_its_nodes():
     assert np.array_equal(single(np.array([3.0, 3.0])), [[1.0, 2.0], [1.0, 2.0]])
     # nodes stored against time order are still read in time order
     nodes = Trajectory(t=np.array([2.0, 1.0, 0.0]),
-                       y=np.array([[4.0], [2.0], [0.0]]), stats={}, direction=-1)
+                       y=np.array([[4.0], [2.0], [0.0]]), stats={})
     assert np.allclose(nodes(np.array([0.0, 0.25, 1.5, 2.0]))[:, 0],
                        [0.0, 0.5, 3.0, 4.0], rtol=0, atol=1e-15)
+
+
+def test_a_trajectory_rebuilt_from_a_backward_run_answers_like_the_run():
+    # y' = -y from y(2) = 1 down to t = 0: the record's t descends, and the
+    # direction of its dense queries comes from t alone
+    run = integrate(lambda t, y: -y, 2.0, [1.0], 0.0)
+    rebuilt = Trajectory(t=run.t, y=run.y, stats={}, h=run.h, dense=run.dense)
+    ts = np.linspace(0.1, 1.9, 19)
+    assert rebuilt(ts).tobytes() == run(ts).tobytes()
+    assert np.allclose(rebuilt(ts)[:, 0], np.exp(2.0 - ts), rtol=1e-7, atol=0)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -601,10 +612,10 @@ _CAP_STATES = {
 
 @pytest.mark.parametrize("backward", [False, True])
 @pytest.mark.parametrize("p", [1, 3])
-def test_the_float_hook_and_the_array_contract_give_the_same_run(p, backward):
-    # C06's capped run at (5, 7): integrate takes the factory's floats hook
-    # and writes its recipe into the step kernel; a plain function around
-    # the same rhs takes the array contract, called once per evaluation
+def test_the_recipe_and_the_array_contract_give_the_same_run(p, backward):
+    # C06's capped run at (5, 7): integrate computes the factory's run from
+    # its recipe; a plain function around the same rhs takes the array
+    # contract, called once per evaluation
     rhs = make_autonomous_rhs(Params(5, Fraction(7), p))
     calls = []
 
@@ -627,6 +638,25 @@ def test_the_float_hook_and_the_array_contract_give_the_same_run(p, backward):
     assert _dense_digest(runs[0]) == _dense_digest(runs[1])
 
 
+@pytest.mark.parametrize("p", [1, 3])
+def test_the_recipe_alone_defines_the_run(p):
+    # a function that refuses every call, carrying the factory's recipe,
+    # runs as the factory's own rhs does, forward and backward
+    rhs = make_autonomous_rhs(Params(5, Fraction(7), p))
+
+    def refuses(t, y):
+        raise AssertionError("integrate called the rhs that carries a recipe")
+
+    refuses.recipe = rhs.recipe
+    for t0, t1 in ((0.0, 2.0), (2.0, 0.0)):
+        runs = [integrate(f, t0, np.array(_CAP_STATES[p]), t1, rel_tol=1e-12, abs_tol=1e-14,
+                          guard=1e4)
+                for f in (rhs, refuses)]
+        assert runs[0].stats == runs[1].stats
+        assert runs[0].y.tobytes() == runs[1].y.tobytes()
+        assert runs[0].dense.tobytes() == runs[1].dense.tobytes()
+
+
 # (n, s) pairs of C06, C08 and the pinned runs: the exponent s - 1 is 6, 3,
 # 2, 1 and 2/3, and K0 > 0, = 0 and < 0 all occur
 _CYLINDER_PAIRS = [(5, Fraction(7)), (6, Fraction(4)), (7, Fraction(3)), (6, Fraction(2)),
@@ -634,15 +664,18 @@ _CYLINDER_PAIRS = [(5, Fraction(7)), (6, Fraction(4)), (7, Fraction(3)), (6, Fra
 
 
 def _cylinder_kernels(p, backward):
-    """The generic step kernel with the factory's floats hook, negated on
-    the reflected clock as integrate negates it, and the cylinder kernel
-    with the recipe written in, for each (n, s) of _CYLINDER_PAIRS."""
+    """The generic step kernel with the recipe's list evaluator
+    (``odes._component_rhs``), negated on the reflected clock as integrate
+    negates it, and the cylinder kernel with the recipe written in, for
+    each (n, s) of _CYLINDER_PAIRS."""
     generic = integ_module._step_kernel(4 * p)
     inline = integ_module._step_kernel(4 * p, -1 if backward else 1)
     for n, s in _CYLINDER_PAIRS:
-        rhs = make_autonomous_rhs(Params(n, s, p))
-        fl = (lambda t, x, fw=rhs.floats: [-a for a in fw(t, x)]) if backward else rhs.floats
-        yield generic, inline, fl, rhs.recipe
+        recipe = make_autonomous_rhs(Params(n, s, p)).recipe
+        fl = lambda t, x, r=recipe: odes._component_rhs(x, *r)
+        if backward:
+            fl = lambda t, x, fw=fl: [-a for a in fw(t, x)]
+        yield generic, inline, fl, recipe
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -695,24 +728,31 @@ from fowler4.params import Params
 integ = importlib.import_module("fowler4.integrate")
 rhs = {p: odes.make_autonomous_rhs(Params(5, Fraction(7), p)) for p in (1, 3)}
 assert integ._step_kernel.cache_info().misses == 0
+assert odes._rhs_kernel.cache_info().misses == 0
 for _ in range(2):
     for p in (1, 3):
         y0 = np.linspace(-0.3, 0.4, 4 * p)
         for t0, t1 in ((0.0, 0.5), (0.5, 0.0)):
             assert integ.integrate(rhs[p], t0, y0, t1).status == "reached"
 assert integ._step_kernel.cache_info().misses == 4
+assert odes._rhs_kernel.cache_info().misses == 2
 assert {k.__code__.co_filename for k in map(integ._step_kernel, (4, 4, 12, 12),
                                             (1, -1, 1, -1))} == {
     f"<dopri5 step kernel, dim {d}, cylinder rhs, {w}>"
     for d in (4, 12) for w in ("forward", "backward")}
+assert {k.__code__.co_filename for k in map(odes._rhs_kernel, (1, 3))} == {
+    "<cylinder rhs kernel, 1 blocks>", "<cylinder rhs kernel, 3 blocks>"}
 assert integ._step_kernel.cache_info().misses == 4
+assert odes._rhs_kernel.cache_info().misses == 2
 """
 
 
 def test_step_kernels_are_built_lazily_once_per_block_count_and_direction():
-    """The RHS factory compiles no step kernel, so no set-up pays for one;
-    the first integrate of each block count and direction compiles its
-    cylinder kernel once, and later runs reuse it.  A fresh process, so no
+    """The RHS factory compiles no step kernel and no RHS kernel, so no
+    set-up pays for one; the first integrate of each block count and
+    direction compiles its cylinder step kernel once, the first of each
+    block count its RHS kernel (for the initial derivative and the first
+    step size) once, and later runs reuse them.  A fresh process, so no
     other test has built one yet."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _LAZY_STEP_KERNELS], env=env,

@@ -10,8 +10,8 @@ from fowler4.coefficients import (BUILD_SIGMA, char_symbol, oracle_autonomous,
                                   printed_nonautonomous_polys)
 from fowler4.integrate import integrate
 from fowler4.levels import constant_level
-from fowler4.odes import (equilibrium_state, linearized_spectrum, make_autonomous_rhs,
-                          make_nonautonomous_rhs, ray_state)
+from fowler4.odes import (_component_rhs, equilibrium_state, linearized_spectrum,
+                          make_autonomous_rhs, make_nonautonomous_rhs, ray_state)
 from fowler4.params import DomainError, Params, gamma_exponent, special_exponents
 from fowler4.polys import compose_linear, peval
 
@@ -62,8 +62,9 @@ def test_rejects_nonfinite_state():
 def test_an_overflowing_coupling_gives_a_non_finite_derivative():
     # |V|^6 = 1e600 leaves float range: the coupling is inf, not OverflowError
     auto = make_autonomous_rhs(Params(5, F(7)))
+    recipe_rhs = lambda t, xs: _component_rhs(xs, *auto.recipe)
     for rhs, y in ((auto, np.array([1e100, 0.0, 0.0, 0.0])),
-                   (auto.floats, [1e100, 0.0, 0.0, 0.0]),
+                   (recipe_rhs, [1e100, 0.0, 0.0, 0.0]),
                    (make_nonautonomous_rhs(5), np.array([1e100, 0.0, 0.0, 0.0]))):
         out = rhs(1.0, y)
         assert out[:3] == [0.0, 0.0, 0.0] and out[3] == math.inf
@@ -258,7 +259,8 @@ def test_rhs_equals_the_per_element_reference_bit_for_bit(p):
         with pytest.raises(DomainError):
             auto(0.0, y)
     # an empty state has an empty derivative; a partial block is refused
-    for rhs, t in ((auto, 0.0), (auto.floats, 0.0), (make_nonautonomous_rhs(5), 1.0)):
+    recipe_rhs = lambda t, xs: _component_rhs(xs, *auto.recipe)
+    for rhs, t in ((auto, 0.0), (recipe_rhs, 0.0), (make_nonautonomous_rhs(5), 1.0)):
         assert rhs(t, []) == []
         for length in (4 * p - 1, 4 * p + 1, 4 * p + 3):
             with pytest.raises(ValueError):
